@@ -1,54 +1,11 @@
-"""Hot numerical kernels with numba-compiled and pure-numpy implementations.
-
-Selection rule: if numba imports and SUPADD_NO_NUMBA is unset, the public
-names point at @njit-compiled scalar-loop versions; otherwise they point at
-vectorized numpy versions. Both variants stay importable (`*_numpy`, and the
-compiled ones via the public names) so the benchmark can time them against
-each other.
-"""
+"""Hot numerical kernels, one numpy implementation each."""
 
 import math
-import os
 
 import numpy as np
 
-try:
-    if os.environ.get("SUPADD_NO_NUMBA"):
-        raise ImportError("numba disabled via SUPADD_NO_NUMBA")
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _mi_bits_loops(xi, P):
-    M, K = P.shape
-    q = np.zeros(K)
-    for i in range(M):
-        for j in range(K):
-            q[j] += xi[i] * P[i, j]
-    total = 0.0
-    for i in range(M):
-        if xi[i] <= 0.0:
-            continue
-        for j in range(K):
-            p = P[i, j]
-            if p > 0.0 and q[j] > 0.0:
-                total += xi[i] * p * math.log2(p / q[j])
-    return total
-
-
-def mi_bits_numpy(xi, P):
+def mi_bits(xi, P):
     q = xi @ P
     mask = (P > 0.0) & (q[None, :] > 0.0) & (xi[:, None] > 0.0)
     ratio = np.ones_like(P)
@@ -58,41 +15,14 @@ def mi_bits_numpy(xi, P):
     return float(terms.sum())
 
 
-def _hamming_matrix_loops(code):
-    M, n = code.shape
-    out = np.zeros((M, M), dtype=np.int64)
-    for i in range(M):
-        for j in range(i + 1, M):
-            d = 0
-            for t in range(n):
-                if code[i, t] != code[j, t]:
-                    d += 1
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-def hamming_matrix_numpy(code):
+def hamming_matrix(code):
     return (code[:, None, :] != code[None, :, :]).sum(axis=-1).astype(np.int64)
 
 
-def _fwht_loops(x):
-    # in place; length must be a power of two
-    n = x.shape[0]
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for t in range(start, start + h):
-                u = x[t]
-                w = x[t + h]
-                x[t] = u + w
-                x[t + h] = u - w
-        h *= 2
-    return x
-
-
-def fwht_numpy(x):
-    y = x.copy()
+def fwht(x):
+    """Unnormalized Walsh-Hadamard transform of a power-of-two-length vector;
+    returns a new float64 array and leaves x untouched."""
+    y = np.array(x, dtype=np.float64)
     n = y.shape[0]
     h = 1
     while h < n:
@@ -105,66 +35,21 @@ def fwht_numpy(x):
     return y
 
 
-def _bayes_sweeps_loops(X, xi, tol, max_sweeps):
-    # X[i,j] = <mu_i|rho_j>, mutated in place; V accumulates the rotations
-    M = X.shape[0]
-    V = np.eye(M)
-    errors = np.empty(max_sweeps)
-    sweeps = 0
-    residual = 0.0
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                r = abs(xi[i] * X[i, i] * X[j, i] - xi[j] * X[i, j] * X[j, j])
-                if r > residual:
-                    residual = r
-    while sweeps < max_sweeps and residual > tol:
-        for i in range(M - 1):
-            for j in range(i + 1, M):
-                v0, v1 = X[i, i], X[j, i]
-                w0, w1 = X[j, j], -X[i, j]
-                a = xi[i] * v0 * v0 + xi[j] * w0 * w0
-                b = xi[i] * v0 * v1 + xi[j] * w0 * w1
-                d = xi[i] * v1 * v1 + xi[j] * w1 * w1
-                theta = 0.5 * math.atan2(2.0 * b, a - d)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                for t in range(M):
-                    hi = X[i, t]
-                    hj = X[j, t]
-                    X[i, t] = c * hi + s * hj
-                    X[j, t] = -s * hi + c * hj
-                    gi = V[i, t]
-                    gj = V[j, t]
-                    V[i, t] = c * gi + s * gj
-                    V[j, t] = -s * gi + c * gj
-        err = 1.0
-        for i in range(M):
-            err -= xi[i] * X[i, i] * X[i, i]
-        errors[sweeps] = err
-        sweeps += 1
-        residual = 0.0
-        for i in range(M):
-            for j in range(M):
-                if i != j:
-                    r = abs(xi[i] * X[i, i] * X[j, i] - xi[j] * X[i, j] * X[j, j])
-                    if r > residual:
-                        residual = r
-    return V, errors[:sweeps].copy(), residual, sweeps
-
-
-def _bayes_residual_numpy(X, xi):
+def bayes_residual(X, xi):
+    """Largest violation of the pairwise balance xi_i X_ii X_ji = xi_j X_ij X_jj
+    for the overlap matrix X[i, j] = <omega_i|rho_j>."""
     lhs = (xi * np.diag(X))[:, None] * X.T
     res = np.abs(lhs - lhs.T)
     np.fill_diagonal(res, 0.0)
     return float(res.max())
 
 
-def bayes_sweeps_numpy(X, xi, tol, max_sweeps):
+def bayes_sweeps(X, xi, tol, max_sweeps):
+    # X[i,j] = <mu_i|rho_j>, mutated in place; V accumulates the rotations
     M = X.shape[0]
     V = np.eye(M)
     errors = []
-    residual = _bayes_residual_numpy(X, xi)
+    residual = bayes_residual(X, xi)
     sweeps = 0
     while sweeps < max_sweeps and residual > tol:
         for i in range(M - 1):
@@ -182,30 +67,13 @@ def bayes_sweeps_numpy(X, xi, tol, max_sweeps):
                 V[[i, j], :] = rot @ V[[i, j], :]
         errors.append(1.0 - float(np.sum(xi * np.diag(X) ** 2)))
         sweeps += 1
-        residual = _bayes_residual_numpy(X, xi)
+        residual = bayes_residual(X, xi)
     return V, np.array(errors), residual, sweeps
 
 
-def _apply_rotations_loops(js, iss, gammas, dim, flip_last):
+def apply_rotations(js, iss, gammas, dim, flip_last):
     # product of plane rotations (schedule order) times the optional
     # trailing sign flip of the last axis; js/iss are 0-based here
-    R = np.eye(dim)
-    if flip_last:
-        R[dim - 1, dim - 1] = -1.0
-    for k in range(js.shape[0] - 1, -1, -1):
-        j = js[k]
-        i = iss[k]
-        c = math.cos(gammas[k])
-        s = math.sin(gammas[k])
-        for t in range(dim):
-            ri = R[i, t]
-            rj = R[j, t]
-            R[i, t] = c * ri - s * rj
-            R[j, t] = s * ri + c * rj
-    return R
-
-
-def apply_rotations_numpy(js, iss, gammas, dim, flip_last):
     R = np.eye(dim)
     if flip_last:
         R[dim - 1, dim - 1] = -1.0
@@ -217,23 +85,3 @@ def apply_rotations_numpy(js, iss, gammas, dim, flip_last):
         rot = np.array([[c, -s], [s, c]])
         R[[i, j], :] = rot @ R[[i, j], :]
     return R
-
-
-if HAS_NUMBA:
-    mi_bits = njit(cache=True)(_mi_bits_loops)
-    hamming_matrix = njit(cache=True)(_hamming_matrix_loops)
-    fwht_inplace = njit(cache=True)(_fwht_loops)
-    bayes_sweeps = njit(cache=True)(_bayes_sweeps_loops)
-    apply_rotations = njit(cache=True)(_apply_rotations_loops)
-
-    def fwht(x):
-        return fwht_inplace(np.array(x, dtype=np.float64))
-
-else:
-    mi_bits = mi_bits_numpy
-    hamming_matrix = hamming_matrix_numpy
-    bayes_sweeps = bayes_sweeps_numpy
-    apply_rotations = apply_rotations_numpy
-
-    def fwht(x):
-        return fwht_numpy(np.asarray(x, dtype=np.float64))

@@ -16,7 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import bayes_cost_reduction, helstrom_binary, square_root_measurement
+from .detection import (
+    bayes_cost_reduction,
+    check_ensemble,
+    helstrom_binary,
+    square_root_measurement,
+)
 from .ensembles import (
     Code,
     build_nn12_code,
@@ -161,6 +166,8 @@ def _write(text: str, path) -> None:
 
 
 def _resolve_code(code_family: str, n_list) -> Code:
+    if code_family in ("nn12", "simplex") and len(n_list) != 1:
+        raise InvalidInput(f"--code {code_family} needs one block length, got {len(n_list)}")
     n = n_list[0]
     if code_family == "nn12":
         return build_nn12_code(n)
@@ -394,8 +401,7 @@ def cmd_optimize(args) -> int:
         priors = np.array([xi1, 1.0 - xi1])
     else:
         priors = np.full(m, 1.0 / m)
-    if priors.shape[0] != m:
-        raise InvalidInput(f"got {priors.shape[0]} priors for {m} states")
+    states, priors = check_ensemble(states, priors)
 
     weighted = np.sqrt(priors)[:, None] * states
     init, channel = square_root_measurement(weighted @ weighted.T, states=weighted)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import bayes_sweeps
+from ._kernels import bayes_residual, bayes_sweeps
 from .ensembles import Code, codeword_states, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 
@@ -111,11 +111,18 @@ def overlap_matrix(measurement, states) -> np.ndarray:
     return vectors @ states.T
 
 
-def _cond_i_residual(x, priors):
-    lhs = (priors * np.diag(x))[:, None] * x.T
-    res = np.abs(lhs - lhs.T)
-    np.fill_diagonal(res, 0.0)
-    return float(res.max())
+def _certify(x, priors, tol, history=()) -> OptimalityReport:
+    """Minimum-error certificate of the overlap matrix x under priors."""
+    residual = bayes_residual(x, priors)
+    ups = (priors * np.diag(x))[:, None] * x.T
+    min_eig = float(np.linalg.eigvalsh((ups + ups.T) / 2.0)[0])
+    return OptimalityReport(
+        cond_i_residual=residual,
+        cond_ii_min_eig=min_eig,
+        is_optimal=bool(residual <= tol and min_eig >= -tol),
+        error_probability=1.0 - float(np.sum(priors * np.diag(x) ** 2)),
+        error_history=tuple(history),
+    )
 
 
 def check_optimality(measurement, states, priors, tol: float = 1e-10) -> OptimalityReport:
@@ -129,16 +136,25 @@ def check_optimality(measurement, states, priors, tol: float = 1e-10) -> Optimal
     priors = np.asarray(priors, dtype=np.float64)
     if priors.shape[0] != x.shape[0]:
         raise InvalidInput("priors length does not match measurement size")
-    residual = _cond_i_residual(x, priors)
-    ups = (priors * np.diag(x))[:, None] * x.T
-    min_eig = float(np.linalg.eigvalsh((ups + ups.T) / 2.0)[0])
-    error = 1.0 - float(np.sum(priors * np.diag(x) ** 2))
-    return OptimalityReport(
-        cond_i_residual=residual,
-        cond_ii_min_eig=min_eig,
-        is_optimal=bool(residual <= tol and min_eig >= -tol),
-        error_probability=error,
-    )
+    return _certify(x, priors, tol)
+
+
+def check_ensemble(states, priors):
+    """States and priors as float arrays, after checking that the priors
+    are a finite probability vector and the states finite unit rows, one
+    per prior."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    priors = np.asarray(priors, dtype=np.float64)
+    m = priors.size
+    if states.ndim != 2 or priors.ndim != 1 or states.shape[0] != m or m == 0:
+        raise InvalidInput(f"got {m} priors for {states.shape[0]} states")
+    if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:
+        raise InvalidInput("priors must be a probability vector")
+    if not np.isfinite(states).all():
+        raise InvalidInput("states must be finite")
+    if np.abs(np.linalg.norm(states, axis=1) - 1.0).max() > 1e-9:
+        raise InvalidInput("states must have unit norm")
+    return states, priors
 
 
 def tm_family_min_eig(measurement, states, priors) -> float:
@@ -189,10 +205,7 @@ def bayes_cost_reduction(
     average error after each sweep. Raises Unconverged (carrying the best
     iterate) if the residual tolerance is not met within max_sweeps.
     """
-    states = np.asarray(states, dtype=np.float64)
-    priors = np.asarray(priors, dtype=np.float64)
-    if states.shape[0] != priors.shape[0]:
-        raise InvalidInput("states and priors disagree on the ensemble size")
+    states, priors = check_ensemble(states, priors)
     if init is None:
         weighted = np.sqrt(priors)[:, None] * states
         gram_w = weighted @ weighted.T
@@ -202,17 +215,7 @@ def bayes_cost_reduction(
     vectors = v @ init.vectors
     meas = Measurement(vectors, kind="optimized", frame=init.frame)
     # x holds the final overlap matrix; certify it directly
-    resid = _cond_i_residual(x, priors)
-    ups = (priors * np.diag(x))[:, None] * x.T
-    min_eig = float(np.linalg.eigvalsh((ups + ups.T) / 2.0)[0])
-    error = 1.0 - float(np.sum(priors * np.diag(x) ** 2))
-    report = OptimalityReport(
-        cond_i_residual=resid,
-        cond_ii_min_eig=min_eig,
-        is_optimal=bool(resid <= tol and min_eig >= -tol),
-        error_probability=error,
-        error_history=tuple(history.tolist()),
-    )
+    report = _certify(x, priors, tol, history.tolist())
     if residual > tol:
         raise Unconverged(
             f"residual {residual:.3e} > tol {tol:.1e} after {max_sweeps} sweeps",
@@ -257,7 +260,7 @@ def threshold_certificate(
     base, p = helstrom_binary(kappa, xi1)
     pom = product_pom(base, n)
     x = overlap_matrix(pom, states)
-    residual = _cond_i_residual(x, code.priors)
+    residual = bayes_residual(x, code.priors)
     tm_min = tm_family_min_eig(pom, states, code.priors)
     error = 1.0 - float(np.sum(code.priors * np.diag(x) ** 2))
     expected = 1.0 - (1.0 - p) ** n

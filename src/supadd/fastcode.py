@@ -1,38 +1,28 @@
-"""Closed-form channel profiles for the even-weight [[n, n-1, 2]] family and
-the simplex [[2**r - 1, r, 2**(r-1)]] family, without building any
-2**n-dimensional object.
+"""Square-root-measurement profiles of linear binary codes with equal
+priors, in O(M log M) and without building any Gram matrix or
+2**n-dimensional state.
 
-The block structure of the even-weight family's Gram matrix makes the
-scaled Hadamard matrix its eigenbasis; the spectrum is carried by four
-coefficient arrays (a, b, c, d) that double in length per added letter, and
-the square root of the Gram matrix has only two distinct entries per
-4x4 block, recovered by a length-2**(n-3) Hadamard transform.
+The codewords of a linear code are the span of k generator words, so the
+Gram entry kappa**wt(x ^ y) depends only on the message x ^ y: the Gram
+matrix is a convolution over the group Z_2^k and the Walsh-Hadamard
+transform diagonalizes it. Its eigenvalues are the transform of
+kappa**wt(span); the first row g of its square root is the transform of
+their square roots over M. Every channel row of the square-root
+measurement is a permutation of g**2, and that measurement is the
+minimum-error one for such geometrically uniform states (Eldar & Forney,
+IEEE TIT 47, 858, 2001). The even-weight [[n, n-1, 2]] and simplex
+[[2**r - 1, r, 2**(r-1)]] families are two generator lists.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import fwht
+from .ensembles import Code
 from .errors import InvalidInput, LinearDependence, NoRoot
 from .information import binary_flip_probability, c1_binary, _h2
-
-
-class CoefficientTable(NamedTuple):
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-
-class SpectralProfile(NamedTuple):
-    alpha: np.ndarray
-    beta: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
 
 class SimplexProfile(NamedTuple):
@@ -54,77 +44,95 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return x * np.log2(safe)
 
 
-def nn12_coefficients(n: int, kappa: float) -> CoefficientTable:
-    """Spectral coefficient arrays of length 2**(n-3), doubling from the
-    length-2 seed a=(1,1), b=(k2,-k2), c=(1,1), d=(1,-1)."""
-    if n < 4:
-        raise InvalidInput(f"coefficient recursion starts at n=4, got {n}")
-    k2 = kappa * kappa
-    a = np.array([1.0, 1.0])
-    b = np.array([k2, -k2])
-    c = np.array([1.0, 1.0])
-    d = np.array([1.0, -1.0])
-    for _ in range(5, n + 1):
-        a, b, c, d = (
-            np.concatenate([a + k2 * c, a - k2 * c]),
-            np.concatenate([b + k2 * d, b - k2 * d]),
-            np.concatenate([a + c, a - c]),
-            np.concatenate([b + d, b - d]),
-        )
-    return CoefficientTable(n=n, a=a, b=b, c=c, d=d)
+def linear_generators(code: Code):
+    """Generator words of the code as ints (first letter most significant),
+    or None unless the code is linear with equal priors. Linear means the
+    codewords span no more than M words; then they are closed under XOR,
+    hold the zero word and M is a power of two."""
+    m = code.num_codewords
+    if code.n > 64:
+        return None
+    if np.abs(code.priors - 1.0 / m).max() > 1e-12:
+        return None
+    shifts = np.arange(code.n - 1, -1, -1, dtype=np.uint64)
+    words = np.bitwise_or.reduce(code.codewords.astype(np.uint64) << shifts, axis=1)
+    span = {0}
+    generators = []
+    for word in set(words.tolist()):
+        if word in span:
+            continue
+        span |= {s ^ word for s in span}
+        if len(span) > m:
+            return None
+        generators.append(word)
+    return tuple(generators)
 
 
-def nn12_profile(n: int, kappa: float) -> SpectralProfile:
-    """Eigenvalue arrays (alpha, beta), square-root block entries (mu, nu),
-    and the channel row profile (u, v) of the [[n, n-1, 2]] code."""
+@functools.lru_cache(maxsize=64)
+def _span_weights(generators: tuple, n: int) -> np.ndarray:
+    """Hamming weight of the codeword of every message, message bit i
+    selecting generator i."""
+    words = np.zeros(1, dtype=np.uint64)
+    for g in generators:
+        words = np.concatenate([words, words ^ np.uint64(g)])
+    if int(words.max()) >> n or len(set(words.tolist())) != words.size:
+        raise InvalidInput(f"generators must be independent {n}-bit words")
+    weights = np.bitwise_count(words)
+    weights.flags.writeable = False
+    return weights
+
+
+def group_root(generators, n: int, kappa: float) -> np.ndarray:
+    """First row g of the Gram square root of the linear code spanned by
+    `generators` (n-bit ints), indexed by message: the channel row is g**2,
+    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2.
+    Eigenvalues below zero from round-off are clipped."""
+    _check_kappa(kappa)
+    weights = _span_weights(tuple(generators), n)
+    spectrum = fwht((kappa ** np.arange(n + 1))[weights])
+    return fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / weights.size
+
+
+def _root_information(g: np.ndarray) -> float:
+    return float(np.log2(g.size) + np.sum(_xlog2x(g * g)))
+
+
+def group_information(generators, n: int, kappa: float) -> float:
+    """Mutual information in bits of the linear code spanned by
+    `generators` under its square-root measurement."""
+    return _root_information(group_root(generators, n, kappa))
+
+
+def _nn12_generators(n: int) -> list:
     if n < 3:
         raise InvalidInput(f"block length must be at least 3, got {n}")
-    _check_kappa(kappa)
-    k2 = kappa * kappa
-    if n == 3:
-        a = np.array([1.0])
-        b = np.array([0.0])
-    else:
-        table = nn12_coefficients(n, kappa)
-        a, b = table.a, table.b
-    alpha = np.sqrt(np.clip((1.0 + 3.0 * k2) * a + (3.0 + k2) * b, 0.0, None))
-    beta = np.sqrt(np.clip((1.0 - k2) * (a - b), 0.0, None))
-    mu = (alpha + 3.0 * beta) / 4.0
-    nu = (alpha - beta) / 4.0
-    m = 2 ** (n - 3)
-    u = fwht(mu) / m
-    v = fwht(nu) / m
-    return SpectralProfile(alpha=alpha, beta=beta, mu=mu, nu=nu, u=u, v=v)
+    return [1 | 1 << i for i in range(1, n)]
 
 
 def nn12_mutual_information(n: int, kappa: float) -> float:
-    """n - 1 + sum_k [u_k^2 log2 u_k^2 + 3 v_k^2 log2 v_k^2] bits."""
-    prof = nn12_profile(n, kappa)
-    u2 = prof.u**2
-    v2 = prof.v**2
-    return float(n - 1 + np.sum(_xlog2x(u2) + 3.0 * _xlog2x(v2)))
+    """Information of the even-weight [[n, n-1, 2]] code in bits."""
+    return group_information(_nn12_generators(n), n, kappa)
 
 
 def nn12_error_probability(n: int, kappa: float) -> float:
-    """1 - u(n,1)^2: every diagonal entry of the square-root Gram equals
-    the first Hadamard component of mu."""
-    prof = nn12_profile(n, kappa)
-    return float(1.0 - prof.u[0] ** 2)
+    """Block decoding error 1 - g[0]**2 of the even-weight code."""
+    return float(1.0 - group_root(_nn12_generators(n), n, kappa)[0] ** 2)
 
 
 def simplex_profile(r: int, kappa: float) -> SimplexProfile:
-    """Closed form for the equidistant [[2**r - 1, r, 2**(r-1)]] family."""
+    """Square-root profile of the equidistant [[2**r - 1, r, 2**(r-1)]]
+    code: the diagonal root entry u, the common off-diagonal entry v, the
+    information and the block error."""
     if r < 2:
         raise InvalidInput(f"rank must be at least 2, got {r}")
-    _check_kappa(kappa)
-    m = 2**r
-    kd = kappa ** (m // 2)
-    alpha = np.sqrt(1.0 + (m - 1) * kd)
-    beta = np.sqrt(1.0 - kd)
-    u = (alpha + (m - 1) * beta) / m
-    v = (alpha - beta) / m
-    info = float(np.log2(m) + _xlog2x(np.array(u * u)) + (m - 1) * _xlog2x(np.array(v * v)))
-    return SimplexProfile(u=float(u), v=float(v), info_bits=info, error_probability=float(1.0 - u * u))
+    generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
+    g = group_root(generators, 2**r - 1, kappa)
+    return SimplexProfile(
+        u=float(g[0]),
+        v=float(g[1]),
+        info_bits=_root_information(g),
+        error_probability=float(1.0 - g[0] ** 2),
+    )
 
 
 def pair_block_information(kappa: float) -> float:

@@ -14,7 +14,6 @@ from .detection import helstrom_binary, square_root_measurement
 from .ensembles import (
     Code,
     LetterEnsemble,
-    build_nn12_code,
     embed_binary_letters,
     extend_code_sequences,
     gram,
@@ -102,24 +101,15 @@ def threshold_quantities(kappa: float, n: int):
     return n * c1_binary(kappa), 1.0 - (1.0 - p) ** n
 
 
-def _is_nn12(code: Code) -> bool:
-    if code.n < 3 or code.num_codewords != 2 ** (code.n - 1):
-        return False
-    if np.abs(code.priors - 1.0 / code.num_codewords).max() > 1e-12:
-        return False
-    mine = {tuple(r) for r in code.codewords.tolist()}
-    ref = {tuple(r) for r in build_nn12_code(code.n).codewords.tolist()}
-    return mine == ref
-
-
 def code_information(code: Code, kappa: float) -> float:
     """Mutual information of the code under square-root collective
-    decoding, using the closed-form route for the even-weight family and
-    the explicit Gram route otherwise."""
-    if _is_nn12(code):
-        from .fastcode import nn12_mutual_information
+    decoding, using the Walsh-Hadamard group route for linear codes with
+    equal priors and the explicit Gram route otherwise."""
+    from .fastcode import group_information, linear_generators
 
-        return nn12_mutual_information(code.n, kappa)
+    generators = linear_generators(code)
+    if generators is not None:
+        return group_information(generators, code.n, kappa)
     g = gram(code, kappa)
     _, channel = square_root_measurement(g)
     return mutual_information(code.priors, channel).mutual_information_bits

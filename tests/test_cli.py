@@ -5,13 +5,18 @@ import pytest
 
 from supadd.cli import main
 from supadd.detection import helstrom_binary
-from supadd.ensembles import build_nn12_code, code_to_text
+from supadd.ensembles import Code, build_nn12_code, code_to_text
+from supadd.information import holevo_binary
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def messages(k):
+    return (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
 
 
 def parse_csv(text):
@@ -176,6 +181,27 @@ class TestSweep:
         assert header == ["kappa", "i_per_letter", "gain"]
         assert len(rows) == 3
 
+    def test_linear_code_file_near_singular_overlap(self, capsys, tmp_path):
+        # the Gram matrix of this [12,10] code at kappa = 0.99 is too close
+        # to singular for the explicit route; the group route still answers
+        rng = np.random.default_rng(0)
+        while True:
+            words = messages(10) @ rng.integers(0, 2, size=(10, 12)) % 2
+            if len({tuple(w) for w in words.tolist()}) == 1024:
+                break
+        words = words[rng.permutation(1024)]
+        path = tmp_path / "linear.txt"
+        path.write_text(code_to_text(Code(n=12, codewords=words)))
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--code", str(path), "--kappa-min", "0.9", "--kappa-max", "0.99",
+             "--steps", "2"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        for kappa, per_letter, _ in rows:
+            assert 0.0 < float(per_letter) <= holevo_binary(float(kappa))
+
     def test_missing_code_file(self, capsys):
         code, _, err = run(capsys, ["sweep", "--code", "/nonexistent/code.txt"])
         assert code != 0
@@ -240,6 +266,15 @@ class TestSynthCommand:
         assert schedule_lines[0] == "j,i,gamma"
         assert len(schedule_lines) - 1 >= report["rotations"]
 
+    def test_several_block_lengths_rejected(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["synth", "--code", "nn12", "--n", "3,5", "--outdir", str(tmp_path)],
+        )
+        assert code == 2
+        assert "error:" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_block_length_guard_maps_to_exit_code(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -273,3 +308,21 @@ class TestOptimizeCommand:
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert values["is_optimal"] == "true"
         assert float(values["final_error"]) <= float(values["initial_error"]) + 1e-12
+
+    def test_priors_not_a_probability_vector(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        np.savetxt(path, np.eye(2))
+        code, out, err = run(
+            capsys, ["optimize", "--states-file", str(path), "--priors", "0.9,0.9"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "probability vector" in err
+
+    def test_states_not_unit_norm(self, capsys, tmp_path):
+        path = tmp_path / "scaled.txt"
+        path.write_text("2 0\n0 2\n")
+        code, out, err = run(capsys, ["optimize", "--states-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "unit norm" in err

@@ -1,110 +1,169 @@
 import numpy as np
 import pytest
 
+from supadd._kernels import fwht
 from supadd.detection import square_root_measurement
-from supadd.ensembles import build_nn12_code, build_simplex_code, gram
+from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput, LinearDependence, NoRoot
 from supadd.fastcode import (
     block_gain,
     find_kappa_star,
-    nn12_coefficients,
+    group_information,
+    group_root,
+    linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
-    nn12_profile,
     pair_block_information,
     simplex_profile,
 )
-from supadd.information import c1_binary, mutual_information
+from supadd.information import c1_binary, code_information, mutual_information
 from supadd.psdlinalg import sqrt_psd
 
 
-def brute_root(n, kappa):
-    return sqrt_psd(gram(build_nn12_code(n), kappa))
+def nn12_generators(n):
+    return [1 | 1 << i for i in range(1, n)]
 
 
-def expand_row(profile):
-    """First root row rebuilt from the (u, v) profile: one u then three v
-    per coefficient index."""
-    m = profile.u.shape[0]
-    row = np.empty(4 * m)
-    for k in range(m):
-        row[4 * k] = profile.u[k]
-        row[4 * k + 1 : 4 * k + 4] = profile.v[k]
-    return row
+def span(generators):
+    """Codeword int of every message, message bit i selecting generator i."""
+    words = [0]
+    for g in generators:
+        words += [w ^ g for w in words]
+    return words
 
 
-class TestCoefficients:
-    def test_base_values(self):
-        table = nn12_coefficients(4, 0.37)
-        k2 = 0.37**2
-        np.testing.assert_allclose(table.a, [1.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(table.b, [k2, -k2], atol=1e-15)
-        np.testing.assert_allclose(table.c, [1.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(table.d, [1.0, -1.0], atol=1e-15)
+def word_ints(code):
+    return [int("".join(map(str, row)), 2) for row in code.codewords.tolist()]
 
-    def test_one_step_unroll(self):
-        kappa = 0.5
-        k2 = kappa**2
-        table = nn12_coefficients(5, kappa)
-        assert abs(table.a[0] - (1.0 + k2 * 1.0)) < 1e-15  # 1.25
-        assert abs(table.a[2] - 0.75) < 1e-15
-        assert table.a.shape == (4,)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(InvalidInput):
-            nn12_coefficients(3, 0.5)
+def random_linear_code(rng, n, k):
+    """k independent random n-bit generators; the span in random row order."""
+    while True:
+        words = span([int(g) for g in rng.integers(1, 2**n, size=k)])
+        if len(set(words)) == 2**k:
+            break
+    words = [words[i] for i in rng.permutation(2**k)]
+    bits = np.array([[(w >> (n - 1 - t)) & 1 for t in range(n)] for w in words])
+    return Code(n=n, codewords=bits)
 
 
 class TestProfile:
     def test_three_letter_base_case(self):
-        profile = nn12_profile(3, 0.5)
-        np.testing.assert_allclose(profile.alpha, [np.sqrt(1.75)], atol=1e-12)
-        np.testing.assert_allclose(profile.beta, [np.sqrt(0.75)], atol=1e-12)
-        assert abs(profile.u[0] - 0.980238) < 1e-6
-        assert abs(profile.v[0] - 0.1142126) < 1e-7
+        g = group_root(nn12_generators(3), 3, 0.5)
+        assert abs(g[0] - 0.980238) < 1e-6
+        np.testing.assert_allclose(g[1:], 0.1142126, atol=1e-7)
 
     def test_orthogonal_degenerate(self):
-        profile = nn12_profile(3, 0.0)
-        np.testing.assert_allclose(profile.u, [1.0], atol=1e-15)
-        np.testing.assert_allclose(profile.v, [0.0], atol=1e-15)
+        g = group_root(nn12_generators(3), 3, 0.0)
+        np.testing.assert_allclose(g, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.9])
     def test_row_normalization(self, n, kappa):
-        profile = nn12_profile(n, kappa)
-        total = np.sum(profile.u**2 + 3.0 * profile.v**2)
-        assert abs(total - 1.0) < 1e-10
+        g = group_root(nn12_generators(n), n, kappa)
+        assert abs(np.sum(g**2) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_spectrum_matches_gram_eigenvalues(self, n):
-        # alpha_k^2 once and beta_k^2 three times enumerate the Gram spectrum
+        # the squared transform of g is the Gram spectrum, message by message
         for kappa in (0.2, 0.6, 0.95):
-            profile = nn12_profile(n, kappa)
-            assert np.all(profile.alpha >= 0.0)
-            assert np.all(profile.beta >= 0.0)
-            claimed = np.sort(
-                np.concatenate([profile.alpha**2, np.repeat(profile.beta**2, 3)])
-            )
+            claimed = np.sort(fwht(group_root(nn12_generators(n), n, kappa)) ** 2)
             actual = np.linalg.eigvalsh(gram(build_nn12_code(n), kappa))
             np.testing.assert_allclose(claimed, actual, atol=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_brute_force_row(self, n):
-        kappa = 0.7
-        root = brute_root(n, kappa)
-        profile = nn12_profile(n, kappa)
-        np.testing.assert_allclose(expand_row(profile), root[0], atol=1e-9)
+        # row 0 of the brute-force root belongs to the zero codeword, so its
+        # entry for codeword w is g at the message that spans w
+        code = build_nn12_code(n)
+        root = sqrt_psd(gram(code, 0.7))
+        message = {w: m for m, w in enumerate(span(nn12_generators(n)))}
+        g = group_root(nn12_generators(n), n, 0.7)
+        assert word_ints(code)[0] == 0
+        np.testing.assert_allclose(
+            [g[message[w]] for w in word_ints(code)], root[0], atol=1e-9
+        )
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_root_diagonal_constant(self, n):
-        root = brute_root(n, 0.6)
+        root = sqrt_psd(gram(build_nn12_code(n), 0.6))
         diag = np.diag(root)
         assert np.abs(diag - diag[0]).max() < 1e-10
-        assert abs(diag[0] - nn12_profile(n, 0.6).u[0]) < 1e-10
+        assert abs(diag[0] - group_root(nn12_generators(n), n, 0.6)[0]) < 1e-10
 
     def test_full_overlap_rejected(self):
         with pytest.raises(LinearDependence):
-            nn12_profile(4, 1.0)
+            group_root(nn12_generators(4), 4, 1.0)
+
+    def test_dependent_generators_rejected(self):
+        with pytest.raises(InvalidInput):
+            group_root([3, 5, 6], 3, 0.5)
+        with pytest.raises(InvalidInput):
+            group_root([8], 3, 0.5)
+
+
+class TestGroupRoute:
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 4), (8, 5), (9, 7), (10, 8), (12, 10)])
+    @pytest.mark.parametrize("kappa", [0.2, 0.6, 0.9])
+    def test_matches_explicit_route(self, n, k, kappa):
+        code = random_linear_code(np.random.default_rng([n, k]), n, k)
+        generators = linear_generators(code)
+        assert generators is not None and len(generators) == k
+        _, channel = square_root_measurement(gram(code, kappa))
+        explicit = mutual_information(code.priors, channel).mutual_information_bits
+        assert abs(group_information(generators, n, kappa) - explicit) < 1e-9
+        assert abs(code_information(code, kappa) - explicit) < 1e-9
+        g = group_root(generators, n, kappa)
+        explicit_error = 1.0 - float(np.mean(np.diag(channel)))
+        assert abs((1.0 - g[0] ** 2) - explicit_error) < 1e-9
+
+    def test_nearly_singular_gram(self):
+        # at kappa = 0.99 the explicit route refuses this Gram matrix; the
+        # clamped PSD square root is the reference
+        code = random_linear_code(np.random.default_rng(7), 12, 10)
+        g_explicit = gram(code, 0.99)
+        assert np.linalg.eigvalsh(g_explicit)[0] < 1e-12
+        with pytest.raises(LinearDependence):
+            square_root_measurement(g_explicit)
+        channel = sqrt_psd(g_explicit) ** 2
+        explicit = mutual_information(code.priors, channel).mutual_information_bits
+        assert abs(code_information(code, 0.99) - explicit) < 1e-9
+
+    def test_family_generators_span_the_built_codes(self):
+        found = linear_generators(build_nn12_code(6))
+        assert sorted(span(found)) == sorted(span(nn12_generators(6)))
+        simplex = build_simplex_code(3)
+        assert len(linear_generators(simplex)) == 3
+        assert abs(code_information(simplex, 0.8) - simplex_profile(3, 0.8).info_bits) < 1e-12
+
+
+class TestLinearGenerators:
+    def test_non_linear_code(self):
+        # zero word present, M a power of two, but 011 ^ 101 = 110 is missing
+        code = Code(n=3, codewords=np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]))
+        assert linear_generators(code) is None
+
+    def test_unequal_priors(self):
+        code = build_nn12_code(3)
+        skewed = Code(n=3, codewords=code.codewords, priors=[0.4, 0.2, 0.2, 0.2])
+        assert linear_generators(skewed) is None
+
+    def test_affine_code_without_zero_word(self):
+        # the even-weight code shifted by 001: closed differences, no zero word
+        code = build_nn12_code(3)
+        shifted = Code(n=3, codewords=code.codewords ^ np.array([0, 0, 1], dtype=np.uint8))
+        assert linear_generators(shifted) is None
+
+    def test_words_longer_than_64_bits_take_explicit_route(self):
+        code = Code(n=70, codewords=np.array([[0] * 70, [1] * 35 + [0] * 35]))
+        assert linear_generators(code) is None
+        _, channel = square_root_measurement(gram(code, 0.99))
+        explicit = mutual_information(code.priors, channel).mutual_information_bits
+        assert abs(code_information(code, 0.99) - explicit) < 1e-12
+
+    def test_size_not_power_of_two(self):
+        code = Code(n=3, codewords=np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]]))
+        assert linear_generators(code) is None
 
 
 class TestInformationAndError:
@@ -125,6 +184,14 @@ class TestInformationAndError:
         assert abs(nn12_mutual_information(n, kappa) - brute) < 1e-9
         brute_err = 1.0 - float(np.sum(code.priors * np.diag(channel)))
         assert abs(nn12_error_probability(n, kappa) - brute_err) < 1e-9
+
+    def test_short_block_rejected(self):
+        with pytest.raises(InvalidInput):
+            nn12_mutual_information(2, 0.5)
+        with pytest.raises(InvalidInput):
+            nn12_error_probability(2, 0.5)
+        with pytest.raises(InvalidInput):
+            simplex_profile(1, 0.5)
 
     def test_error_grows_with_block_length(self):
         errors = [nn12_error_probability(n, 0.5) for n in range(3, 14)]

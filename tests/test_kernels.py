@@ -1,16 +1,16 @@
-"""Both kernel implementations (accelerated and plain) must agree; the
-plain versions are always importable regardless of the accelerator."""
+"""Each kernel against a plain-Python or dense-matrix reference."""
+
+import math
 
 import numpy as np
 import pytest
 
-from supadd import _kernels
 from supadd._kernels import (
-    apply_rotations_numpy,
-    bayes_sweeps_numpy,
-    fwht_numpy,
-    hamming_matrix_numpy,
-    mi_bits_numpy,
+    apply_rotations,
+    bayes_sweeps,
+    fwht,
+    hamming_matrix,
+    mi_bits,
 )
 from supadd.psdlinalg import hadamard
 
@@ -35,12 +35,43 @@ def python_mi_bits(priors, channel):
     return total
 
 
+def python_bayes_sweeps(X, xi, tol, max_sweeps):
+    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time."""
+    M = X.shape[0]
+    V = np.eye(M)
+    errors = []
+
+    def residual():
+        return max(
+            (abs(xi[i] * X[i, i] * X[j, i] - xi[j] * X[i, j] * X[j, j])
+             for i in range(M) for j in range(M) if i != j),
+            default=0.0,
+        )
+
+    res = residual()
+    while len(errors) < max_sweeps and res > tol:
+        for i in range(M - 1):
+            for j in range(i + 1, M):
+                v0, v1 = X[i, i], X[j, i]
+                w0, w1 = X[j, j], -X[i, j]
+                a = xi[i] * v0 * v0 + xi[j] * w0 * w0
+                b = xi[i] * v0 * v1 + xi[j] * w0 * w1
+                d = xi[i] * v1 * v1 + xi[j] * w1 * w1
+                theta = 0.5 * math.atan2(2.0 * b, a - d)
+                c, s = math.cos(theta), math.sin(theta)
+                for t in range(M):
+                    X[i, t], X[j, t] = c * X[i, t] + s * X[j, t], -s * X[i, t] + c * X[j, t]
+                    V[i, t], V[j, t] = c * V[i, t] + s * V[j, t], -s * V[i, t] + c * V[j, t]
+        errors.append(1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M)))
+        res = residual()
+    return V, np.array(errors), res, len(errors)
+
+
 class TestHamming:
     def test_matches_reference(self):
         rng = np.random.default_rng(0)
         words = rng.integers(0, 2, size=(6, 5)).astype(np.uint8)
-        np.testing.assert_array_equal(hamming_matrix_numpy(words), python_hamming(words))
-        np.testing.assert_array_equal(_kernels.hamming_matrix(words), python_hamming(words))
+        np.testing.assert_array_equal(hamming_matrix(words), python_hamming(words))
 
 
 class TestMiBits:
@@ -50,14 +81,12 @@ class TestMiBits:
         channel /= channel.sum(axis=1)[:, None]
         priors = np.full(4, 0.25)
         expected = python_mi_bits(priors, channel)
-        assert abs(mi_bits_numpy(priors, channel) - expected) < 1e-12
-        assert abs(_kernels.mi_bits(priors, channel) - expected) < 1e-12
+        assert abs(mi_bits(priors, channel) - expected) < 1e-12
 
     def test_zero_entries_ignored(self):
         channel = np.array([[1.0, 0.0], [0.0, 1.0]])
         priors = np.array([0.5, 0.5])
-        assert abs(_kernels.mi_bits(priors, channel) - 1.0) < 1e-12
-        assert abs(mi_bits_numpy(priors, channel) - 1.0) < 1e-12
+        assert abs(mi_bits(priors, channel) - 1.0) < 1e-12
 
 
 class TestFwht:
@@ -66,13 +95,12 @@ class TestFwht:
         rng = np.random.default_rng(order)
         x = rng.normal(size=order)
         expected = hadamard(order).astype(np.float64) @ x
-        np.testing.assert_allclose(fwht_numpy(x.copy()), expected, atol=1e-10)
-        np.testing.assert_allclose(_kernels.fwht(x), expected, atol=1e-10)
+        np.testing.assert_allclose(fwht(x), expected, atol=1e-10)
 
     def test_input_not_mutated(self):
         x = np.arange(4, dtype=np.float64)
         saved = x.copy()
-        _kernels.fwht(x)
+        fwht(x)
         np.testing.assert_array_equal(x, saved)
 
 
@@ -87,24 +115,24 @@ class TestBayesSweeps:
         x = states @ q[:, :m]  # overlap with an arbitrary orthonormal init
         return x.T.copy(), priors  # rows indexed by measurement vector
 
-    def test_both_paths_agree(self):
+    def test_matches_scalar_loops(self):
         x1, priors = self.build_case(5)
         x2 = x1.copy()
-        v1, e1, r1, s1 = bayes_sweeps_numpy(x1, priors, 1e-10, 200)
-        v2, e2, r2, s2 = _kernels.bayes_sweeps(x2, priors, 1e-10, 200)
+        v1, e1, r1, s1 = bayes_sweeps(x1, priors, 1e-10, 200)
+        v2, e2, r2, s2 = python_bayes_sweeps(x2, priors, 1e-10, 200)
         np.testing.assert_allclose(v1, v2, atol=1e-9)
         np.testing.assert_allclose(e1, e2, atol=1e-12)
         assert s1 == s2
 
     def test_error_monotone_and_converged(self):
         x, priors = self.build_case(11)
-        _, errors, residual, _ = bayes_sweeps_numpy(x, priors, 1e-10, 500)
+        _, errors, residual, _ = bayes_sweeps(x, priors, 1e-10, 500)
         assert np.all(np.diff(errors) <= 1e-12)
         assert residual <= 1e-10
 
     def test_rotation_matrix_orthogonal(self):
         x, priors = self.build_case(17)
-        v, _, _, _ = bayes_sweeps_numpy(x, priors, 1e-10, 500)
+        v, _, _, _ = bayes_sweeps(x, priors, 1e-10, 500)
         assert np.abs(v @ v.T - np.eye(v.shape[0])).max() < 1e-10
 
 
@@ -132,13 +160,10 @@ class TestApplyRotations:
         for flip in (False, True):
             expected = self.reference(js, iss, gammas, dim, flip)
             np.testing.assert_allclose(
-                apply_rotations_numpy(js, iss, gammas, dim, flip), expected, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                _kernels.apply_rotations(js, iss, gammas, dim, flip), expected, atol=1e-12
+                apply_rotations(js, iss, gammas, dim, flip), expected, atol=1e-12
             )
 
     def test_empty_schedule_is_identity(self):
         empty = np.empty(0, dtype=np.int64)
-        out = apply_rotations_numpy(empty, empty, np.empty(0), 3, False)
+        out = apply_rotations(empty, empty, np.empty(0), 3, False)
         np.testing.assert_array_equal(out, np.eye(3))
