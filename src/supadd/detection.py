@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import bayes_residual, bayes_sweeps
-from .ensembles import Code, codeword_states, embed_binary_letters
+from .ensembles import Code, codeword_states, embed_binary_letters, int_bits
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 
 _SINGULAR_EIG = 1e-12
@@ -240,10 +240,7 @@ def product_pom(base: Measurement, n: int) -> Measurement:
 
 def full_product_code(n: int, xi1: float = 0.5) -> Code:
     """All 2**n sequences as codewords with product priors from (xi1, 1-xi1)."""
-    bits = np.array(
-        [[(v >> (n - 1 - t)) & 1 for t in range(n)] for v in range(2**n)],
-        dtype=np.uint8,
-    )
+    bits = int_bits(np.arange(2**n), n)
     ones = bits.sum(axis=1)
     priors = xi1 ** (n - ones) * (1.0 - xi1) ** ones
     return Code(n=n, codewords=bits, priors=priors)

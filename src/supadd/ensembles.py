@@ -111,6 +111,13 @@ def gram(code: Code, kappa: float, weighted: bool = False) -> np.ndarray:
     return g
 
 
+def int_bits(values, n: int) -> np.ndarray:
+    """Bit rows of n-bit integers, most significant bit first, as a
+    (len(values), n) uint8 array."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
 def _nn12_pair(n: int):
     """Codeword bit rows (gamma) and their odd-weight companions (lambda)
     for the [[n, n-1, 2]] family, built by the prefix co-recursion
@@ -143,14 +150,8 @@ def build_simplex_code(r: int) -> Code:
     if r < 2:
         raise InvalidInput(f"rank must be at least 2, got {r}")
     n = 2**r - 1
-    cols = np.array(
-        [[(c >> (r - 1 - bit)) & 1 for c in range(1, 2**r)] for bit in range(r)],
-        dtype=np.uint8,
-    )
-    messages = np.array(
-        [[(m >> (r - 1 - bit)) & 1 for bit in range(r)] for m in range(2**r)],
-        dtype=np.uint8,
-    )
+    cols = int_bits(np.arange(1, 2**r), r).T
+    messages = int_bits(np.arange(2**r), r)
     codewords = (messages @ cols) % 2
     return Code(n=n, codewords=codewords.astype(np.uint8))
 
@@ -161,13 +162,9 @@ def extend_code_sequences(code: Code) -> np.ndarray:
     if code.n > 20:
         raise ResourceLimit(f"2**{code.n} sequences exceed the guard")
     n = code.n
-    weights = 1 << np.arange(n - 1, -1, -1)
-    taken = set((code.codewords * weights).sum(axis=1).tolist())
-    rest = [v for v in range(2**n) if v not in taken]
-    rest_bits = np.array(
-        [[(v >> (n - 1 - t)) & 1 for t in range(n)] for v in rest], dtype=np.uint8
-    ).reshape(len(rest), n)
-    return np.vstack([code.codewords, rest_bits])
+    rest = np.ones(2**n, dtype=bool)
+    rest[code.codewords @ (1 << np.arange(n - 1, -1, -1))] = False
+    return np.vstack([code.codewords, int_bits(np.flatnonzero(rest), n)])
 
 
 def code_to_text(code: Code) -> str:

@@ -21,7 +21,11 @@ from .ensembles import Code, codeword_states, extend_code_sequences, gram
 from .errors import InvalidInput, LinearDependence, ResourceLimit
 
 _RESIDUAL_FLOOR = 1e-8
-_MAX_SYNTH_N = 12
+# n = 11 (dim 2048) takes about 2 minutes and 0.8 GB on a 2-core machine;
+# n = 12 would take 8x the time and 4x the memory
+_MAX_SYNTH_N = 11
+# |w[j, i]| at or below this is rounding noise in a unit column
+_SKIP = 1e-14
 
 
 @dataclass(eq=False)
@@ -151,47 +155,76 @@ def synthesize_unitary(
 def reck_decompose(u, tol: float = 1e-8) -> RotationSchedule:
     """Factor an orthogonal matrix into plane rotations by column-major
     elimination of below-diagonal entries; a leftover determinant of -1
-    becomes the flip_last flag."""
+    becomes the flip_last flag.
+
+    Column i is one pivot run: rotation (j, i) turns entry w[j, i] into the
+    running pivot, gamma = atan2(w[j, i], pivot), for j ascending. An entry
+    with |w[j, i]| <= 1e-14 is left in place: the column has unit norm, so
+    such an entry is rounding noise, and turning by atan2 of two noise
+    values would be a large rotation that eliminates nothing. When every
+    entry below a negative pivot is left, entry i + 1 is turned by about pi
+    so that the pivot ends positive.
+    """
     w = np.array(u, dtype=np.float64)
     dim = w.shape[0]
     if w.shape != (dim, dim) or np.abs(w @ w.T - np.eye(dim)).max() > tol:
         raise InvalidInput("input is not orthogonal within tolerance")
     rotations = []
     for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            gamma = math.atan2(w[j, i], w[i, i])
-            if abs(gamma) <= 1e-15:
-                continue
-            cg = math.cos(gamma)
-            sg = math.sin(gamma)
-            ri = w[i].copy()
-            rj = w[j].copy()
-            w[i] = cg * ri + sg * rj
-            w[j] = -sg * ri + cg * rj
-            rotations.append((j + 1, i + 1, gamma))
+        pivot = w[i, i]
+        keep = np.abs(w[i + 1 :, i]) > _SKIP
+        if pivot < 0.0 and not keep.any():
+            keep[0] = True
+        rows = np.flatnonzero(keep) + (i + 1)
+        if rows.size == 0:
+            continue
+        y = w[rows, i]
+        norms = np.sqrt(pivot * pivot + np.cumsum(y * y))
+        gammas = np.arctan2(y, np.concatenate(([pivot], norms[:-1])))
+        apply_rotations(w, i, rows, np.cos(gammas), np.sin(gammas), i + 1)
+        rotations += zip((rows + 1).tolist(), [i + 1] * rows.size, gammas.tolist())
     flip_last = bool(w[dim - 1, dim - 1] < 0.0)
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
 
 
 def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     """Multiply the schedule back out (rotations in order, then the
-    optional trailing axis flip)."""
-    k = len(schedule.rotations)
-    js = np.empty(k, dtype=np.int64)
-    iss = np.empty(k, dtype=np.int64)
-    gammas = np.empty(k, dtype=np.float64)
-    for t, (j, i, g) in enumerate(schedule.rotations):
-        js[t] = j - 1
-        iss[t] = i - 1
-        gammas[t] = g
-    return apply_rotations(js, iss, gammas, schedule.dim, schedule.flip_last)
+    optional trailing axis flip).
+
+    The product is built from the right, one pivot run at a time: a
+    maximal stretch of rotations with one pivot i and ascending j. Rows
+    and columns below the smallest axis touched so far are still those of
+    the identity, so each run only updates the columns from that axis on.
+    """
+    dim = schedule.dim
+    out = np.eye(dim)
+    low = dim
+    if schedule.flip_last:
+        out[dim - 1, dim - 1] = -1.0
+        low = dim - 1
+    table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)
+    axes = table[:, :2].astype(np.int64) - 1
+    if axes.size and (axes.min() < 0 or axes.max() >= dim):
+        raise InvalidInput(f"rotation axes must lie in 1..{dim}")
+    js, iss = axes[:, 0], axes[:, 1]
+    c = np.cos(table[:, 2])
+    s = np.sin(table[:, 2])
+    fresh = np.ones(len(js), dtype=bool)
+    fresh[1:] = (iss[1:] != iss[:-1]) | (js[1:] <= js[:-1])
+    starts = np.flatnonzero(fresh).tolist()
+    for begin, end in zip(reversed(starts), reversed(starts[1:] + [len(js)])):
+        pivot, run = int(iss[begin]), slice(begin, end)
+        low = min(low, pivot, int(js[begin]))
+        # the run's inverse rotations, last first
+        apply_rotations(out, pivot, js[run][::-1], c[run][::-1], -s[run][::-1], low)
+    return out
 
 
 def schedule_to_csv(schedule: RotationSchedule) -> str:
     """One "j,i,gamma" line per rotation (1-based); a line with j == i ==
     dim and gamma = pi records the trailing axis flip."""
     lines = ["j,i,gamma"]
-    lines += [f"{j},{i},{g:.17g}" for j, i, g in schedule.rotations]
+    lines += ["%d,%d,%.17g" % t for t in schedule.rotations]
     if schedule.flip_last:
         lines.append(f"{schedule.dim},{schedule.dim},{math.pi:.17g}")
     return "\n".join(lines) + "\n"
@@ -225,4 +258,5 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
 
 def unitary_to_text(u: np.ndarray) -> str:
     """Row-major numeric text, one row per line."""
-    return "\n".join(" ".join(f"{x:.17g}" for x in row) for row in np.asarray(u)) + "\n"
+    rows = np.asarray(u)
+    return "\n".join(" ".join(map("{:.17g}".format, row.tolist())) for row in rows) + "\n"

@@ -15,6 +15,7 @@ from supadd.ensembles import (
     embed_binary_letters,
     extend_code_sequences,
     gram,
+    int_bits,
 )
 from supadd.errors import InvalidInput
 
@@ -235,6 +236,21 @@ class TestSequenceExtension:
         rest = full[4:] @ weights
         np.testing.assert_array_equal(rest, sorted(rest))
         assert len(set((full @ weights).tolist())) == 8
+
+
+class TestIntBits:
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_matches_python_shifts(self, n):
+        values = sorted({0, 1, 2**n - 1, *np.random.default_rng(n).integers(0, 2**n, 20).tolist()})
+        expected = np.array(
+            [[(v >> (n - 1 - t)) & 1 for t in range(n)] for v in values], dtype=np.uint8
+        )
+        got = int_bits(values, n)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+
+    def test_empty(self):
+        assert int_bits([], 4).shape == (0, 4)
 
 
 class TestTextFormat:

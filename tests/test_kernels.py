@@ -136,34 +136,69 @@ class TestBayesSweeps:
         assert np.abs(v @ v.T - np.eye(v.shape[0])).max() < 1e-10
 
 
+def python_rotation_run(w, pivot, rows, c, s, start):
+    """One plane rotation at a time, as a dense 2x2 product on two rows."""
+    w = w.copy()
+    for j, ck, sk in zip(rows, c, s):
+        rot = np.array([[ck, sk], [-sk, ck]])
+        w[[pivot, j], start:] = rot @ w[[pivot, j], start:]
+    return w
+
+
 class TestApplyRotations:
-    def reference(self, js, iss, gammas, dim, flip_last):
-        u = np.eye(dim)
-        if flip_last:
-            u[dim - 1, dim - 1] = -1.0
-        for j, i, g in reversed(list(zip(js, iss, gammas))):
-            t = np.eye(dim)
-            t[i, i] = np.cos(g)
-            t[j, j] = np.cos(g)
-            t[i, j] = -np.sin(g)
-            t[j, i] = np.sin(g)
-            u = t @ u
-        return u
+    def check(self, w, pivot, rows, c, s, start=0, atol=1e-12):
+        expected = python_rotation_run(w, pivot, rows, c, s, start)
+        got = w.copy()
+        apply_rotations(got, pivot, np.asarray(rows), c, s, start)
+        np.testing.assert_array_equal(got[:, :start], w[:, :start])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
 
     def test_matches_dense_products(self):
         rng = np.random.default_rng(2)
-        dim = 5
-        k = 7
-        iss = rng.integers(0, dim - 1, size=k)
-        js = np.array([rng.integers(i + 1, dim) for i in iss])
-        gammas = rng.uniform(-np.pi, np.pi, size=k)
-        for flip in (False, True):
-            expected = self.reference(js, iss, gammas, dim, flip)
-            np.testing.assert_allclose(
-                apply_rotations(js, iss, gammas, dim, flip), expected, atol=1e-12
-            )
+        dim = 9
+        for start in (0, 3):
+            rows = rng.permutation([r for r in range(dim) if r != 4])
+            gammas = rng.uniform(-np.pi, np.pi, size=rows.size)
+            w = rng.standard_normal((dim, dim))
+            self.check(w, 4, rows, np.cos(gammas), np.sin(gammas), start)
 
     def test_empty_schedule_is_identity(self):
-        empty = np.empty(0, dtype=np.int64)
-        out = apply_rotations(empty, empty, np.empty(0), 3, False)
+        out = np.eye(3)
+        empty = np.empty(0)
+        apply_rotations(out, 0, np.empty(0, dtype=np.int64), empty, empty)
         np.testing.assert_array_equal(out, np.eye(3))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-3])
+    def test_underflowing_cosine_products(self, offset):
+        # cos(pi/2) is about 6e-17, so the prefix products of 60 such
+        # cosines underflow many times over
+        rng = np.random.default_rng(3)
+        dim = 64
+        gammas = np.pi / 2 + rng.choice([-1.0, 1.0], size=dim - 1) * offset
+        w = rng.standard_normal((dim, dim))
+        rows = np.arange(1, dim)
+        self.check(w, 0, rows, np.cos(gammas), np.sin(gammas))
+
+    def test_exact_zero_cosines(self):
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((12, 5))
+        c = np.array([0.0, 0.6, 0.0, 0.0, -0.8, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        s = np.sqrt(1.0 - c * c) * rng.choice([-1.0, 1.0], size=c.size)
+        self.check(w, 3, [r for r in range(12) if r != 3], c, s, start=1)
+
+    def test_long_random_run(self):
+        rng = np.random.default_rng(5)
+        dim = 257
+        gammas = rng.uniform(-np.pi, np.pi, size=dim - 1)
+        w = rng.standard_normal((dim, 40))
+        rows = rng.permutation(np.arange(1, dim))
+        self.check(w, 0, rows, np.cos(gammas), np.sin(gammas), start=7, atol=1e-11)
+
+    def test_several_column_chunks(self):
+        # 300 rows by 700 columns spans four column chunks, and the run of
+        # cosines near zero in the middle forces restarts inside each chunk
+        rng = np.random.default_rng(6)
+        gammas = rng.uniform(-np.pi, np.pi, size=300)
+        gammas[100:150] = np.pi / 2
+        w = rng.standard_normal((301, 703))
+        self.check(w, 0, np.arange(1, 301), np.cos(gammas), np.sin(gammas), start=3, atol=1e-11)

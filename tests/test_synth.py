@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,66 @@ from supadd.synth import (
 def haar_orthogonal(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def python_reconstruct(schedule):
+    """Rotations applied one at a time to the trailing axis flip, last
+    rotation first."""
+    dim = schedule.dim
+    out = np.eye(dim)
+    if schedule.flip_last:
+        out[dim - 1, dim - 1] = -1.0
+    for j, i, g in reversed(schedule.rotations):
+        c, s = math.cos(g), math.sin(g)
+        rows = [i - 1, j - 1]
+        out[rows, :] = np.array([[c, -s], [s, c]]) @ out[rows, :]
+    return out
+
+
+def python_reck(u):
+    """Column-major elimination one rotation at a time, with the skip rule
+    of reck_decompose: entries at or below 1e-14 stay, except that a
+    negative pivot with nothing else to turn is turned against entry i + 1."""
+    w = np.array(u, dtype=np.float64)
+    dim = w.shape[0]
+    rotations = []
+    for i in range(dim - 1):
+        lone_negative = w[i, i] < 0.0 and np.abs(w[i + 1 :, i]).max() <= 1e-14
+        for j in range(i + 1, dim):
+            if abs(w[j, i]) <= 1e-14 and not (lone_negative and j == i + 1):
+                continue
+            gamma = math.atan2(w[j, i], w[i, i])
+            c, s = math.cos(gamma), math.sin(gamma)
+            w[[i, j], :] = np.array([[c, s], [-s, c]]) @ w[[i, j], :]
+            rotations.append((j, i, gamma))
+    return rotations, bool(w[dim - 1, dim - 1] < 0.0)
+
+
+def signed_permutation(rng, dim):
+    return np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)
+
+
+def edge_case_matrices():
+    rng = np.random.default_rng(21)
+    cases = {
+        "permutation": np.eye(9)[rng.permutation(9)],
+        "reversal": np.eye(8)[::-1].copy(),
+        "signed_permutation": signed_permutation(rng, 16),
+        # -0.0 on the diagonal: atan2(0, -0.0) is pi
+        "negated_shift": -np.roll(np.eye(6), 1, axis=0),
+        "negated_identity": -np.eye(5),
+        "interior_reflections": np.diag([1.0, -1.0, -1.0, 1.0, -1.0, 1.0]),
+        # cosines of about 6e-17: prefix products underflow
+        "kappa0_adaptor": synthesize_unitary(build_nn12_code(5), 0.0).U,
+        "simplex_kappa0_adaptor": synthesize_unitary(build_simplex_code(3), 0.0).U,
+        "simplex_adaptor": synthesize_unitary(build_simplex_code(3), 0.5).U,
+    }
+    for dim in (1, 2, 17, 100, 256):
+        cases[f"haar{dim}"] = haar_orthogonal(rng, dim)
+    return cases
+
+
+EDGE_CASES = edge_case_matrices()
 
 
 class TestLetterFrame:
@@ -150,6 +212,12 @@ class TestSynthesizeUnitary:
         with pytest.raises(ResourceLimit):
             synthesize_unitary(code, 0.5)
 
+    def test_block_length_guard_at_twelve(self):
+        words = np.zeros((2, 12), dtype=np.uint8)
+        words[1, :2] = 1
+        with pytest.raises(ResourceLimit):
+            synthesize_unitary(Code(n=12, codewords=words), 0.5)
+
 
 class TestReckDecompose:
     def test_identity_empty_schedule(self):
@@ -213,6 +281,64 @@ class TestReckDecompose:
         assert np.abs(reconstruct_unitary(schedule) - u).max() <= 1e-8
 
 
+class TestPivotRunKernel:
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_round_trip(self, name):
+        u = EDGE_CASES[name]
+        schedule = reck_decompose(u)
+        assert np.abs(reconstruct_unitary(schedule) - u).max() <= 1e-12
+        assert np.abs(python_reconstruct(schedule) - u).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_matches_one_rotation_at_a_time(self, name):
+        u = EDGE_CASES[name]
+        schedule = reck_decompose(u)
+        rotations, flip_last = python_reck(u)
+        assert schedule.flip_last == flip_last
+        assert [(j, i) for j, i, _ in schedule.rotations] == [(j + 1, i + 1) for j, i, _ in rotations]
+        gaps = [abs(a[2] - b[2]) for a, b in zip(schedule.rotations, rotations)]
+        assert max(gaps, default=0.0) <= 1e-12
+
+    def test_no_rotation_turns_rounding_noise(self):
+        # the simplex r=3 adaptor at kappa 0.5 has pivots at rounding level;
+        # atan2 of two noise values used to give hundreds of large rotations
+        u = EDGE_CASES["simplex_adaptor"]
+        schedule = reck_decompose(u)
+        w = u.copy()
+        for j, i, g in schedule.rotations:
+            rows = [i - 1, j - 1]
+            assert abs(w[j - 1, i - 1]) > 1e-14 or w[i - 1, i - 1] < -0.5
+            c, s = math.cos(g), math.sin(g)
+            w[rows, :] = np.array([[c, s], [-s, c]]) @ w[rows, :]
+        assert np.abs(reconstruct_unitary(schedule) - u).max() <= 1e-12
+
+    def test_schedule_out_of_reck_order(self):
+        rng = np.random.default_rng(31)
+        dim = 12
+        lines = ["j,i,gamma"]
+        for _ in range(150):
+            j, i = rng.choice(dim, size=2, replace=False) + 1
+            lines.append(f"{j},{i},{rng.uniform(-np.pi, np.pi):.17g}")
+        lines += ["3,1,0.25", "3,1,-1.5", "2,1,0.5", "5,1,1e-300", "4,7,2", f"{dim},{dim},{np.pi}"]
+        schedule = schedule_from_csv("\n".join(lines))
+        assert schedule.flip_last
+        np.testing.assert_allclose(
+            reconstruct_unitary(schedule), python_reconstruct(schedule), rtol=0, atol=1e-12
+        )
+
+    def test_underflowing_run_in_schedule(self):
+        body = "".join(f"{j},1,{np.pi / 2 * (-1) ** j:.17g}\n" for j in range(2, 41))
+        schedule = schedule_from_csv("j,i,gamma\n" + body)
+        np.testing.assert_allclose(
+            reconstruct_unitary(schedule), python_reconstruct(schedule), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("line", ["5,1,0.3", "0,1,0.3", "2,-1,0.3"])
+    def test_axis_out_of_range_rejected(self, line):
+        with pytest.raises(InvalidInput):
+            reconstruct_unitary(schedule_from_csv("j,i,gamma\n" + line + "\n", dim=4))
+
+
 class TestScheduleSerialization:
     def test_round_trip_with_flip(self):
         rng = np.random.default_rng(4)
@@ -254,3 +380,19 @@ class TestScheduleSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):
             schedule_from_csv("j,i,gamma\n2,1\n")
+
+    def test_text_matches_fstring_formatting(self):
+        u = np.array(
+            [[-0.0, 1e-300, 0.5], [1.0, -0.7071067811865476, 2.0 / 3.0], [np.pi, -1e-17, 0.0]]
+        )
+        expected = "\n".join(" ".join(f"{x:.17g}" for x in row) for row in u) + "\n"
+        assert unitary_to_text(u) == expected
+
+    def test_csv_matches_fstring_formatting(self):
+        u = haar_orthogonal(np.random.default_rng(9), 6)
+        rotations = reck_decompose(u).rotations
+        rotations += [(2, 1, -0.0), (3, 1, 1e-300), (3, 2, 2.0 / 3.0), (6, 1, -np.pi / 2)]
+        schedule = RotationSchedule(dim=6, rotations=rotations, flip_last=True)
+        expected = "j,i,gamma\n" + "".join(f"{j},{i},{g:.17g}\n" for j, i, g in rotations)
+        expected += f"6,6,{math.pi:.17g}\n"
+        assert schedule_to_csv(schedule) == expected
