@@ -16,6 +16,7 @@ import numpy as np
 from ._kernels import bayes_residual, bayes_sweeps
 from .ensembles import Code, codeword_states, embed_binary_letters, int_bits
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
+from .psdlinalg import eig_sym, sqrt_psd
 
 _SINGULAR_EIG = 1e-12
 
@@ -59,16 +60,6 @@ class ThresholdCertificate(NamedTuple):
     passes: bool
 
 
-def _eigh_checked(gram):
-    g = np.asarray(gram, dtype=np.float64)
-    w, q = np.linalg.eigh(g)
-    if w[0] <= _SINGULAR_EIG:
-        raise LinearDependence(
-            f"gram matrix is numerically singular (min eigenvalue {w[0]:.3e})"
-        )
-    return g, w, q
-
-
 def square_root_measurement(gram, states=None):
     """Measurement with vectors rho_hat**(-1/2) |rho_i> and its channel.
 
@@ -76,27 +67,31 @@ def square_root_measurement(gram, states=None):
     `states` is given its rows must carry the same weighting and the
     returned vectors are explicit embedding coordinates. Without `states`
     the vectors are the identity in the measurement's own span frame.
+    Raises InvalidInput for a Gram matrix that is not square, finite and
+    symmetric, and LinearDependence when it is numerically singular.
     """
-    g, w, q = _eigh_checked(gram)
-    root = (q * np.sqrt(w)) @ q.T
-    root = (root + root.T) / 2.0
-    channel = root**2 / np.diag(g)[:, None]
+    dec = eig_sym(gram)
+    if dec.values[0] <= _SINGULAR_EIG:
+        raise LinearDependence(
+            f"gram matrix is numerically singular (min eigenvalue {dec.values[0]:.3e})"
+        )
+    root = np.sqrt(dec.values)
+    diag = np.diag(np.asarray(gram, dtype=np.float64))
+    channel = dec.apply(root) ** 2 / diag[:, None]
     if states is None:
-        meas = Measurement(np.eye(g.shape[0]), kind="square_root", frame="span")
+        meas = Measurement(np.eye(root.size), kind="square_root", frame="span")
     else:
-        inv_root = (q / np.sqrt(w)) @ q.T
-        meas = Measurement(inv_root @ np.asarray(states), kind="square_root")
+        meas = Measurement(dec.apply(1.0 / root) @ np.asarray(states), kind="square_root")
     return meas, channel
 
 
 def verify_sqm_orthonormal(gram) -> float:
     """Largest deviation of the square-root measurement's Gram matrix from
-    the identity (linear independence makes the vectors orthonormal)."""
-    g, w, q = _eigh_checked(gram)
-    root = (q * np.sqrt(w)) @ q.T
-    m1 = np.linalg.solve(root, g)
-    m2 = np.linalg.solve(root, m1.T).T
-    return float(np.abs(m2 - np.eye(g.shape[0])).max())
+    the identity (linear independence makes the vectors orthonormal),
+    for the measurement of the states with coordinate rows sqrt_psd(gram)."""
+    meas, _ = square_root_measurement(gram, states=sqrt_psd(gram))
+    v = meas.vectors
+    return float(np.abs(v @ v.T - np.eye(v.shape[0])).max())
 
 
 def overlap_matrix(measurement, states) -> np.ndarray:

@@ -1,5 +1,12 @@
-"""Dense real-symmetric linear algebra: eigendecomposition, PSD square
-roots, Hadamard matrices, and positive-definiteness certification."""
+"""Dense real-symmetric linear algebra behind every square-root
+measurement.
+
+`eig_sym` is the one eigendecomposition: it validates its input (square,
+finite, symmetric up to round-off) before LAPACK reads only one triangle,
+and `EigenDecomp.apply` is the one Q f(Lambda) Q^T formula. `sqrt_psd` and
+`detection.square_root_measurement` (root, inverse root and the
+orthonormality check built on it) go through both.
+"""
 
 from typing import NamedTuple
 
@@ -7,10 +14,19 @@ import numpy as np
 
 from .errors import InvalidInput, NotPSD
 
+# eigenvalues in [-_CLAMP_TOL, 0) are round-off and clamp to zero in sqrt_psd
+_CLAMP_TOL = 1e-10
+
 
 class EigenDecomp(NamedTuple):
     values: np.ndarray  # ascending
     vectors: np.ndarray  # orthogonal, columns are eigenvectors
+
+    def apply(self, f_values) -> np.ndarray:
+        """Q diag(f_values) Q^T, symmetrized; f_values holds f of each
+        eigenvalue."""
+        s = (self.vectors * f_values) @ self.vectors.T
+        return (s + s.T) / 2.0
 
 
 def _as_symmetric(m):
@@ -29,38 +45,17 @@ def _as_symmetric(m):
 
 def eig_sym(m) -> EigenDecomp:
     """Eigendecomposition of a real symmetric matrix, values ascending."""
-    m = _as_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = np.linalg.eigh(_as_symmetric(m))
     return EigenDecomp(values, vectors)
 
 
-def sqrt_psd(m, clamp_tol: float = 1e-10) -> np.ndarray:
+def sqrt_psd(m) -> np.ndarray:
     """Symmetric PSD square root via the eigenbasis.
 
-    Eigenvalues in [-clamp_tol, 0) are clamped to zero; anything below
-    -clamp_tol raises NotPSD (the signature of linearly dependent states).
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
+    NotPSD (the signature of linearly dependent states).
     """
-    m = _as_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
-    if values[0] < -clamp_tol:
-        raise NotPSD(f"eigenvalue {values[0]:.3e} below -clamp_tol={-clamp_tol:.1e}")
-    root = np.sqrt(np.clip(values, 0.0, None))
-    s = (vectors * root) @ vectors.T
-    return (s + s.T) / 2.0
-
-
-def hadamard(order: int) -> np.ndarray:
-    """Sign-matrix of the doubling construction H_{2k} = [[H,H],[H,-H]]."""
-    if order < 1 or order & (order - 1) != 0:
-        raise InvalidInput(f"order must be a power of two, got {order}")
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
-def is_positive_definite(m, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue exceeds tol."""
-    m = _as_symmetric(m)
-    values = np.linalg.eigvalsh(m)
-    return bool(values[0] > tol)
+    dec = eig_sym(m)
+    if dec.values[0] < -_CLAMP_TOL:
+        raise NotPSD(f"eigenvalue {dec.values[0]:.3e} below -{_CLAMP_TOL:.1e}")
+    return dec.apply(np.sqrt(np.clip(dec.values, 0.0, None)))

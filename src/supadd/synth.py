@@ -4,9 +4,12 @@ separate letter-by-letter measurement, verify its error, and factor it into
 a schedule of two-dimensional plane rotations.
 
 The letter frame produced by symmetric orthonormalization of the letter
-pair coincides with the coordinate axes of the embedding, so the product
+pair coincides with the coordinate axes of the embedding
+(tests/test_synth.py::TestLetterFrame checks this), so the product
 measurement basis is the standard basis e_label, labels counting bits with
-the first letter most significant.
+the first letter most significant. The adaptor U therefore needs no solve:
+its rows at the assigned labels are the square-root measurement vectors,
+and its other rows are their Schmidt completion.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from ._kernels import apply_rotations
-from .detection import Measurement, square_root_measurement
+from .detection import square_root_measurement
 from .ensembles import Code, codeword_states, extend_code_sequences, gram
 from .errors import InvalidInput, LinearDependence, ResourceLimit
 
@@ -47,17 +50,6 @@ class RotationSchedule:
     dim: int
     rotations: list
     flip_last: bool
-
-
-def letter_frame(kappa: float):
-    """Orthonormal pair from symmetric orthonormalization of the letters:
-    the sum direction and the difference direction, unit normalized."""
-    from .ensembles import embed_binary_letters
-
-    plus, minus = embed_binary_letters(kappa)
-    a = plus + minus
-    b = plus - minus
-    return a / np.linalg.norm(a), b / np.linalg.norm(b)
 
 
 def schmidt_extend(codeword_basis, all_sequences) -> np.ndarray:
@@ -92,38 +84,23 @@ def schmidt_extend(codeword_basis, all_sequences) -> np.ndarray:
     return out
 
 
-def synthesize_unitary(
-    code: Code,
-    kappa: float,
-    measurement: Measurement | None = None,
-    outcome_assignment=None,
-) -> SynthesizedUnitary:
+def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> SynthesizedUnitary:
     """Build the orthogonal adaptor that maps the collective measurement
     basis onto product-basis outcomes.
 
-    Codeword m is assigned the product-basis label outcome_assignment[m]
-    (default: labels 0..M-1); unassigned labels absorb the non-codeword
-    basis vectors in increasing order. The returned error probability is
-    computed from the adapted states at their assigned labels and matches
-    the collective measurement's own error.
+    The square-root measurement basis of the codewords, completed by
+    schmidt_extend, becomes the rows of U: codeword m's vector is row
+    outcome_assignment[m] (default: labels 0..M-1), and the completing
+    vectors fill the unassigned labels in increasing order. The product
+    basis is the standard basis, so U maps each basis vector onto its
+    label's axis. The returned error probability is computed from the
+    adapted states at their assigned labels and matches the collective
+    measurement's own error.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
     m = code.num_codewords
     dim = 2**code.n
-    all_bits = extend_code_sequences(code)
-    sequences = codeword_states(Code(n=code.n, codewords=all_bits), kappa)
-    if measurement is None:
-        g = gram(code, kappa)
-        measurement, _ = square_root_measurement(g, states=sequences[:m])
-    vectors = np.asarray(measurement.vectors, dtype=np.float64)
-    if vectors.shape == (m, dim):
-        omega = schmidt_extend(vectors, sequences)
-    elif vectors.shape == (dim, dim):
-        omega = vectors
-    else:
-        raise InvalidInput(f"measurement shape {vectors.shape} fits neither M nor 2**n")
-
     if outcome_assignment is None:
         labels = list(range(m))
     else:
@@ -132,22 +109,15 @@ def synthesize_unitary(
         raise InvalidInput("outcome assignment must be M distinct labels")
     if min(labels) < 0 or max(labels) >= dim:
         raise InvalidInput("outcome labels must lie in [0, 2**n)")
-    rest = [x for x in range(dim) if x not in set(labels)]
-    labels_ext = labels + rest
 
-    b = sequences @ omega.T
-    # The letter frame coincides with the embedding axes, so the product
-    # basis is the standard basis and target coordinates are the sequence
-    # state coordinates themselves.
-    c = sequences
-    try:
-        x = np.linalg.solve(b, c)
-    except np.linalg.LinAlgError as exc:
-        raise LinearDependence(f"expansion matrix is singular: {exc}") from exc
+    all_bits = extend_code_sequences(code)
+    sequences = codeword_states(Code(n=code.n, codewords=all_bits), kappa)
+    measurement, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
+    free = np.ones(dim, dtype=bool)
+    free[labels] = False
     u = np.empty((dim, dim))
-    u[np.asarray(labels_ext)] = x
-    amps = sequences[:m] @ u.T
-    correct = amps[np.arange(m), np.asarray(labels)]
+    u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement.vectors, sequences)
+    correct = np.einsum("ij,ij->i", sequences[:m], u[labels])
     error = 1.0 - float(np.sum(code.priors * correct**2))
     return SynthesizedUnitary(U=u, target_outcomes=tuple(labels), error_probability=error)
 
@@ -231,9 +201,10 @@ def schedule_to_csv(schedule: RotationSchedule) -> str:
 
 
 def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
+    """Parse the schedule_to_csv format. A j == i line is the trailing axis
+    flip only when it is the last data line, names axis dim and carries the
+    angle pi (within 1e-12); any other j == i line raises InvalidInput."""
     rotations = []
-    flip_last = False
-    flip_dim = None
     for line in text.strip().splitlines():
         line = line.strip()
         if not line or line[0].isalpha():
@@ -241,19 +212,23 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
         parts = line.split(",")
         if len(parts) != 3:
             raise InvalidInput(f"bad schedule line: {line!r}")
-        j, i, g = int(parts[0]), int(parts[1]), float(parts[2])
-        if j == i:
-            flip_last = True
-            flip_dim = j
-        else:
-            rotations.append((j, i, g))
+        rotations.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    flip_dim = None
+    if rotations and rotations[-1][0] == rotations[-1][1]:
+        flip_dim, _, angle = rotations.pop()
+        if abs(angle - math.pi) > 1e-12:
+            raise InvalidInput(f"axis flip line {flip_dim},{flip_dim} has angle {angle!r}, not pi")
+    if any(j == i for j, i, _ in rotations):
+        raise InvalidInput("a j == i line is allowed only last, as the axis flip")
     if dim is None:
-        candidates = [flip_dim] if flip_dim else []
-        candidates += [j for j, _, _ in rotations]
+        candidates = [j for j, _, _ in rotations]
+        candidates += [flip_dim] if flip_dim is not None else []
         if not candidates:
             raise InvalidInput("cannot infer dimension from an empty schedule")
         dim = max(candidates)
-    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+    if flip_dim is not None and flip_dim != dim:
+        raise InvalidInput(f"axis flip line names axis {flip_dim}, not the last axis {dim}")
+    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
 
 
 def unitary_to_text(u: np.ndarray) -> str:

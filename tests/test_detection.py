@@ -81,6 +81,23 @@ class TestSquareRootMeasurement:
         x = overlap_matrix(meas, states)
         np.testing.assert_allclose(x**2, emb_channel, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[1.0, 0.9], [-0.9, 1.0]]),  # LAPACK would read one triangle
+            np.ones((2, 3)),
+        ],
+        ids=["nan", "asymmetric", "non_square"],
+    )
+    def test_invalid_gram_rejected(self, bad):
+        with pytest.raises(InvalidInput):
+            square_root_measurement(bad)
+        with pytest.raises(InvalidInput):
+            square_root_measurement(bad, states=np.eye(bad.shape[0]))
+        with pytest.raises(InvalidInput):
+            verify_sqm_orthonormal(bad)
+
 
 class TestVerifySqmOrthonormal:
     def test_identity(self):

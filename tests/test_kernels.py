@@ -12,7 +12,18 @@ from supadd._kernels import (
     hamming_matrix,
     mi_bits,
 )
-from supadd.psdlinalg import hadamard
+from supadd.errors import InvalidInput
+
+
+def hadamard(order):
+    """Sign matrix of the doubling construction H_{2k} = [[H, H], [H, -H]]:
+    the dense reference for fwht."""
+    if order < 1 or order & (order - 1) != 0:
+        raise InvalidInput(f"order must be a power of two, got {order}")
+    h = np.array([[1]], dtype=np.int64)
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def python_hamming(codewords):

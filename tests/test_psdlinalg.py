@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd.errors import InvalidInput, NotPSD
-from supadd.psdlinalg import eig_sym, hadamard, is_positive_definite, sqrt_psd
+from supadd.psdlinalg import eig_sym, sqrt_psd
+from test_kernels import hadamard
 
 
 def random_symmetric(rng, dim):
@@ -97,6 +98,8 @@ class TestSqrtPsd:
 
 
 class TestHadamard:
+    """The fwht reference matrix of test_kernels."""
+
     def test_order_one(self):
         np.testing.assert_array_equal(hadamard(1), [[1]])
 
@@ -117,16 +120,3 @@ class TestHadamard:
     def test_non_power_of_two_rejected(self, order):
         with pytest.raises(InvalidInput):
             hadamard(order)
-
-
-class TestIsPositiveDefinite:
-    def test_identity(self):
-        assert is_positive_definite(np.eye(2), tol=1e-12)
-
-    def test_singular(self):
-        assert not is_positive_definite(np.ones((2, 2)), tol=1e-12)
-
-    def test_sqrt_of_distance_two_gram(self):
-        g = np.full((4, 4), 0.25)
-        np.fill_diagonal(g, 1.0)
-        assert is_positive_definite(sqrt_psd(g), tol=1e-12)

@@ -11,6 +11,7 @@ from supadd.ensembles import (
     build_nn12_code,
     build_simplex_code,
     codeword_states,
+    embed_binary_letters,
     extend_code_sequences,
     gram,
 )
@@ -18,7 +19,6 @@ from supadd.errors import InvalidInput, LinearDependence, ResourceLimit
 from supadd.fastcode import nn12_error_probability
 from supadd.synth import (
     RotationSchedule,
-    letter_frame,
     reck_decompose,
     reconstruct_unitary,
     schedule_from_csv,
@@ -27,6 +27,15 @@ from supadd.synth import (
     synthesize_unitary,
     unitary_to_text,
 )
+
+
+def letter_frame(kappa):
+    """Orthonormal pair from symmetric orthonormalization of the letters:
+    the sum direction and the difference direction, unit normalized."""
+    plus, minus = embed_binary_letters(kappa)
+    a = plus + minus
+    b = plus - minus
+    return a / np.linalg.norm(a), b / np.linalg.norm(b)
 
 
 def haar_orthogonal(rng, dim):
@@ -103,8 +112,6 @@ class TestLetterFrame:
         assert abs(b @ b - 1.0) < 1e-14
 
     def test_sum_and_difference_directions(self):
-        from supadd.ensembles import embed_binary_letters
-
         kappa = 0.5
         a, b = letter_frame(kappa)
         plus, minus = embed_binary_letters(kappa)
@@ -188,13 +195,21 @@ class TestSynthesizeUnitary:
         dim = moved.U.shape[0]
         assert np.abs(moved.U @ moved.U.T - np.eye(dim)).max() <= 1e-10
 
-    def test_explicit_measurement_accepted(self):
-        code = build_nn12_code(3)
-        states = codeword_states(code, 0.5)
-        meas, _ = square_root_measurement(gram(code, 0.5), states=states)
-        syn = synthesize_unitary(code, 0.5, measurement=meas)
-        default = synthesize_unitary(code, 0.5)
-        np.testing.assert_allclose(syn.U, default.U, atol=1e-12)
+    @pytest.mark.parametrize(
+        "code, assignment",
+        [
+            (build_nn12_code(3), None),
+            (build_nn12_code(4), [9, 0, 15, 3, 4, 12, 1, 7]),
+            (build_simplex_code(2), [6, 1, 4, 3]),
+        ],
+    )
+    def test_assigned_rows_are_square_root_measurement_vectors(self, code, assignment):
+        kappa = 0.5
+        syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
+        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
+        m = code.num_codewords
+        meas, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
+        np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas.vectors)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidInput):
@@ -376,6 +391,26 @@ class TestScheduleSerialization:
         u = haar_orthogonal(np.random.default_rng(8), 6)
         restored = np.loadtxt(StringIO(unitary_to_text(u)))
         np.testing.assert_allclose(restored, u, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2,1,0.5\n2,2,0.3\n",  # flip line on the wrong axis and angle
+            f"2,1,0.5\n3,3,{math.pi!r}\n",  # flip line on axis 3 of 4
+            "2,1,0.5\n4,4,0.3\n",  # flip line with an angle that is not pi
+            f"4,4,{math.pi!r}\n2,1,0.5\n",  # flip line before a rotation
+        ],
+    )
+    def test_misplaced_flip_line_rejected(self, body):
+        with pytest.raises(InvalidInput):
+            schedule_from_csv("j,i,gamma\n" + body, dim=4)
+
+    def test_flip_line_must_name_inferred_last_axis(self):
+        with pytest.raises(InvalidInput):
+            schedule_from_csv(f"j,i,gamma\n4,1,0.5\n3,3,{math.pi!r}\n")
+        restored = schedule_from_csv(f"j,i,gamma\n2,1,0.5\n4,4,{math.pi!r}\n")
+        assert restored.dim == 4 and restored.flip_last
+        assert restored.rotations == [(2, 1, 0.5)]
 
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):
