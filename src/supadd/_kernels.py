@@ -26,19 +26,25 @@ def hamming_matrix(code):
 
 
 def fwht(x):
-    """Unnormalized Walsh-Hadamard transform of a power-of-two-length vector;
-    returns a new float64 array and leaves x untouched."""
-    y = np.array(x, dtype=np.float64)
-    n = y.shape[0]
+    """Unnormalized Walsh-Hadamard transform along the last axis, whose
+    length must be a power of two; returns a new C-ordered float64 array
+    and leaves x untouched.
+
+    The output is C-ordered whatever the order of x (a fancy-indexed
+    x[..., idx] comes out Fortran-ordered), so a later sum along the last
+    axis adds every row in the same order as for a lone vector, and a
+    batch of rows gives bit for bit the rows transformed one at a time.
+    """
+    y = np.array(x, dtype=np.float64, order="C")
+    shape = y.shape
     h = 1
-    while h < n:
+    while h < shape[-1]:
         y = y.reshape(-1, 2 * h)
         even = y[:, :h].copy()
         y[:, :h] += y[:, h:]
         y[:, h:] = even - y[:, h:]
-        y = y.reshape(n)
         h *= 2
-    return y
+    return y.reshape(shape)
 
 
 def bayes_residual(X, xi):

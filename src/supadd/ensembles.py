@@ -34,7 +34,8 @@ class LetterEnsemble:
             raise InvalidInput("overlap matrix must be symmetric")
         if np.linalg.eigvalsh(self.overlaps)[0] < -1e-10:
             raise InvalidInput("overlap matrix must be positive semidefinite")
-        if self.priors.min() < 0 or abs(self.priors.sum() - 1.0) > 1e-12:
+        p = self.priors
+        if not np.isfinite(p).all() or p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
             raise InvalidInput("priors must be a probability vector")
 
     @property
@@ -64,8 +65,9 @@ class Code:
         if self.priors is None:
             self.priors = np.full(m, 1.0 / m)
         self.priors = np.asarray(self.priors, dtype=np.float64)
-        if self.priors.shape != (m,) or self.priors.min() < 0:
-            raise InvalidInput("priors must be M nonnegative numbers")
+        p = self.priors
+        if p.shape != (m,) or not np.isfinite(p).all() or p.min() < 0:
+            raise InvalidInput("priors must be M finite nonnegative numbers")
         if abs(self.priors.sum() - 1.0) > 1e-12:
             raise InvalidInput("priors must sum to 1")
 
@@ -189,5 +191,8 @@ def code_from_text(text: str) -> Code:
     if any(len(w) != n or set(w) - {"0", "1"} for w in words):
         raise InvalidInput("codewords must be 0/1 strings of length n")
     codewords = np.array([[int(c) for c in w] for w in words], dtype=np.uint8)
-    priors = np.array([float(x) for x in tokens[2 + m :]])
+    try:
+        priors = np.array([float(x) for x in tokens[2 + m :]])
+    except ValueError as exc:
+        raise InvalidInput(f"bad prior: {exc}") from exc
     return Code(n=n, codewords=codewords, priors=priors)

@@ -12,6 +12,14 @@ measurement is a permutation of g**2, and that measurement is the
 minimum-error one for such geometrically uniform states (Eldar & Forney,
 IEEE TIT 47, 858, 2001). The even-weight [[n, n-1, 2]] and simplex
 [[2**r - 1, r, 2**(r-1)]] families are two generator lists.
+
+Every function here takes kappa as a number or as an array of any shape.
+group_root stacks the roots along the leading axes; the reductions
+(information, error, profiles, gains) compute the roots of at most _BLOCK
+entries at a time, reduce that block and go on, so memory stays flat
+however long the grid. A scalar kappa gives each reduction as a float,
+and an array gives bit for bit the values of its entries taken one at a
+time.
 """
 
 import functools
@@ -21,8 +29,18 @@ import numpy as np
 
 from ._kernels import fwht
 from .ensembles import Code
-from .errors import InvalidInput, LinearDependence, NoRoot
-from .information import binary_flip_probability, c1_binary, _h2
+from .errors import InvalidInput, NoRoot
+from .information import (
+    _h2,
+    _kappa_array,
+    _scalar_or_array,
+    binary_flip_probability,
+    c1_binary,
+)
+
+
+# root entries per block of the batched reductions (128 KiB of float64)
+_BLOCK = 1 << 14
 
 
 class SimplexProfile(NamedTuple):
@@ -30,13 +48,6 @@ class SimplexProfile(NamedTuple):
     v: float
     info_bits: float
     error_probability: float
-
-
-def _check_kappa(kappa: float):
-    if kappa == 1.0:
-        raise LinearDependence("kappa = 1 collapses the codeword states")
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1), got {kappa}")
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
@@ -82,25 +93,52 @@ def _span_weights(generators: tuple, n: int) -> np.ndarray:
     return weights
 
 
-def group_root(generators, n: int, kappa: float) -> np.ndarray:
-    """First row g of the Gram square root of the linear code spanned by
-    `generators` (n-bit ints), indexed by message: the channel row is g**2,
-    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2.
-    Eigenvalues below zero from round-off are clipped."""
-    _check_kappa(kappa)
-    weights = _span_weights(tuple(generators), n)
-    spectrum = fwht((kappa ** np.arange(n + 1))[weights])
+def _roots(weights: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    spectrum = fwht((k[..., None] ** np.arange(n + 1))[..., weights])
     return fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / weights.size
 
 
-def _root_information(g: np.ndarray) -> float:
-    return float(np.log2(g.size) + np.sum(_xlog2x(g * g)))
+def group_root(generators, n: int, kappa) -> np.ndarray:
+    """First row g of the Gram square root of the linear code spanned by
+    `generators` (n-bit ints), indexed by message: the channel row is g**2,
+    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2.
+    Eigenvalues below zero from round-off are clipped. For an array of
+    kappa the roots stack along the leading axes, shape kappa.shape + (M,)."""
+    k = _kappa_array(kappa, collapse_at_one=True)
+    return _roots(_span_weights(tuple(generators), n), n, k)
 
 
-def group_information(generators, n: int, kappa: float) -> float:
+def _reduce_roots(generators, n: int, kappa, *reductions):
+    """Each reduction (a block of roots, shape (b, M), to b numbers) over
+    the roots of every kappa, computed and reduced at most _BLOCK root
+    entries at a time. One result per reduction, shaped like kappa (a
+    float for a scalar kappa)."""
+    k = _kappa_array(kappa, collapse_at_one=True)
+    weights = _span_weights(tuple(generators), n)
+    flat = k.reshape(-1)
+    out = np.empty((len(reductions), flat.size))
+    rows = max(1, _BLOCK // weights.size)
+    for lo in range(0, flat.size, rows):
+        g = _roots(weights, n, flat[lo : lo + rows])
+        for column, reduce in zip(out, reductions):
+            column[lo : lo + rows] = reduce(g)
+    return [_scalar_or_array(column.reshape(k.shape)) for column in out]
+
+
+def _root_information(g: np.ndarray) -> np.ndarray:
+    return np.log2(g.shape[-1]) + np.sum(_xlog2x(g * g), axis=-1)
+
+
+def _root_error(g: np.ndarray) -> np.ndarray:
+    return 1.0 - g[:, 0] ** 2
+
+
+def group_information(generators, n: int, kappa):
     """Mutual information in bits of the linear code spanned by
-    `generators` under its square-root measurement."""
-    return _root_information(group_root(generators, n, kappa))
+    `generators` under its square-root measurement; broadcasts over
+    kappa."""
+    (info,) = _reduce_roots(generators, n, kappa, _root_information)
+    return info
 
 
 def _nn12_generators(n: int) -> list:
@@ -109,45 +147,52 @@ def _nn12_generators(n: int) -> list:
     return [1 | 1 << i for i in range(1, n)]
 
 
-def nn12_mutual_information(n: int, kappa: float) -> float:
-    """Information of the even-weight [[n, n-1, 2]] code in bits."""
+def nn12_mutual_information(n: int, kappa):
+    """Information of the even-weight [[n, n-1, 2]] code in bits;
+    broadcasts over kappa."""
     return group_information(_nn12_generators(n), n, kappa)
 
 
-def nn12_error_probability(n: int, kappa: float) -> float:
-    """Block decoding error 1 - g[0]**2 of the even-weight code."""
-    return float(1.0 - group_root(_nn12_generators(n), n, kappa)[0] ** 2)
+def nn12_error_probability(n: int, kappa):
+    """Block decoding error 1 - g[0]**2 of the even-weight code; broadcasts
+    over kappa."""
+    (error,) = _reduce_roots(_nn12_generators(n), n, kappa, _root_error)
+    return error
 
 
-def simplex_profile(r: int, kappa: float) -> SimplexProfile:
+def simplex_profile(r: int, kappa) -> SimplexProfile:
     """Square-root profile of the equidistant [[2**r - 1, r, 2**(r-1)]]
     code: the diagonal root entry u, the common off-diagonal entry v, the
-    information and the block error."""
+    information and the block error, all from one pass over the roots.
+    Each field broadcasts over kappa."""
     if r < 2:
         raise InvalidInput(f"rank must be at least 2, got {r}")
     generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
-    g = group_root(generators, 2**r - 1, kappa)
     return SimplexProfile(
-        u=float(g[0]),
-        v=float(g[1]),
-        info_bits=_root_information(g),
-        error_probability=float(1.0 - g[0] ** 2),
+        *_reduce_roots(
+            generators,
+            2**r - 1,
+            kappa,
+            lambda g: g[:, 0],
+            lambda g: g[:, 1],
+            _root_information,
+            _root_error,
+        )
     )
 
 
-def pair_block_information(kappa: float) -> float:
+def pair_block_information(kappa):
     """Information of the two-codeword length-2 block {00, 11} under its
     minimum-error measurement (a binary symmetric channel on overlap
-    kappa**2)."""
-    _check_kappa(kappa)
-    q = binary_flip_probability(kappa * kappa)
-    return 1.0 - _h2(q)
+    kappa**2); broadcasts over kappa."""
+    k = _kappa_array(kappa, collapse_at_one=True)
+    return 1.0 - _h2(binary_flip_probability(k * k))
 
 
-def block_gain(n: int, kappa: float) -> float:
+def block_gain(n: int, kappa):
     """Per-letter information of the length-n reference code minus the
     single-use optimum (n=2 is the two-codeword block, n>=3 the
-    even-weight family)."""
+    even-weight family); broadcasts over kappa."""
     if n < 2:
         raise InvalidInput(f"block gain needs n >= 2, got {n}")
     if n == 2:
@@ -161,7 +206,7 @@ def find_kappa_star(n: int, tol: float = 1e-6) -> float:
     if n < 2:
         raise InvalidInput(f"crossing search needs n >= 2, got {n}")
     grid = np.linspace(0.01, 0.99, 99)
-    values = np.array([block_gain(n, k) for k in grid])
+    values = block_gain(n, grid)
     change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
     if change.size == 0:
         raise NoRoot(f"gain has no negative-to-positive crossing for n={n}")

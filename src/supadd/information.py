@@ -18,7 +18,7 @@ from .ensembles import (
     extend_code_sequences,
     gram,
 )
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, LinearDependence, ResourceLimit
 
 
 class InfoResult(NamedTuple):
@@ -39,14 +39,36 @@ class CapacityPoint:
     gain: float
 
 
-def _h2(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
 
 
-def binary_flip_probability(kappa: float) -> float:
-    """Minimum-error flip probability of the equiprobable letter pair."""
+def _kappa_array(kappa, collapse_at_one: bool = False) -> np.ndarray:
+    """kappa (a number or an array) as a float64 array. The first entry
+    outside [0, 1) raises InvalidInput, or LinearDependence when it is 1
+    and collapse_at_one is set, as it would alone."""
+    k = np.asarray(kappa, dtype=np.float64)
+    inside = (k >= 0.0) & (k < 1.0)
+    if not inside.all():
+        bad = k[~inside][0]
+        if collapse_at_one and bad == 1.0:
+            raise LinearDependence("kappa = 1 collapses the codeword states")
+        raise InvalidInput(f"kappa must lie in [0, 1), got {bad}")
+    return k
+
+
+def _h2(p):
+    """Binary entropy in bits, 0 outside (0, 1); broadcasts over p."""
+    p = np.asarray(p, dtype=np.float64)
+    inside = (p > 0.0) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    h = np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+    return _scalar_or_array(h)
+
+
+def binary_flip_probability(kappa):
+    """Minimum-error flip probability of the equiprobable letter pair;
+    broadcasts over kappa."""
     return 0.5 * (1.0 - np.sqrt(1.0 - kappa * kappa))
 
 
@@ -67,19 +89,17 @@ def mutual_information(priors, channel, block_length: int = 1) -> InfoResult:
     )
 
 
-def c1_binary(kappa: float) -> float:
+def c1_binary(kappa):
     """Best single-use information of the binary letter pair: the symmetric
-    channel at the minimum-error measurement, 1 - h2(p)."""
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1), got {kappa}")
-    return 1.0 - _h2(binary_flip_probability(kappa))
+    channel at the minimum-error measurement, 1 - h2(p). Broadcasts over
+    kappa."""
+    return 1.0 - _h2(binary_flip_probability(_kappa_array(kappa)))
 
 
-def holevo_binary(kappa: float) -> float:
-    """Entropy bound of the equiprobable binary ensemble: h2((1+kappa)/2)."""
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1), got {kappa}")
-    return _h2((1.0 + kappa) / 2.0)
+def holevo_binary(kappa):
+    """Entropy bound of the equiprobable binary ensemble: h2((1+kappa)/2).
+    Broadcasts over kappa."""
+    return _h2((1.0 + _kappa_array(kappa)) / 2.0)
 
 
 def holevo_general(ensemble: LetterEnsemble) -> float:

@@ -33,12 +33,14 @@ _SKIP = 1e-14
 
 @dataclass(eq=False)
 class SynthesizedUnitary:
-    """Orthogonal adaptor U with the basis labels assigned to codewords and
-    the separate-measurement error it realizes."""
+    """Orthogonal adaptor U with the basis labels assigned to codewords,
+    the separate-measurement error it realizes, and the error of the
+    collective square-root measurement it was built from."""
 
     U: np.ndarray
     target_outcomes: tuple
     error_probability: float
+    collective_error: float
 
 
 @dataclass(eq=False)
@@ -94,8 +96,8 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     vectors fill the unassigned labels in increasing order. The product
     basis is the standard basis, so U maps each basis vector onto its
     label's axis. The returned error probability is computed from the
-    adapted states at their assigned labels and matches the collective
-    measurement's own error.
+    adapted states at their assigned labels; it should match the
+    collective error, read off the diagonal of the measurement's channel.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
@@ -112,14 +114,19 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
 
     all_bits = extend_code_sequences(code)
     sequences = codeword_states(Code(n=code.n, codewords=all_bits), kappa)
-    measurement, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
+    measurement, channel = square_root_measurement(gram(code, kappa), states=sequences[:m])
     free = np.ones(dim, dtype=bool)
     free[labels] = False
     u = np.empty((dim, dim))
     u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement.vectors, sequences)
     correct = np.einsum("ij,ij->i", sequences[:m], u[labels])
     error = 1.0 - float(np.sum(code.priors * correct**2))
-    return SynthesizedUnitary(U=u, target_outcomes=tuple(labels), error_probability=error)
+    return SynthesizedUnitary(
+        U=u,
+        target_outcomes=tuple(labels),
+        error_probability=error,
+        collective_error=1.0 - float(np.sum(code.priors * np.diag(channel))),
+    )
 
 
 def reck_decompose(u, tol: float = 1e-8) -> RotationSchedule:
@@ -176,6 +183,8 @@ def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     axes = table[:, :2].astype(np.int64) - 1
     if axes.size and (axes.min() < 0 or axes.max() >= dim):
         raise InvalidInput(f"rotation axes must lie in 1..{dim}")
+    if not np.isfinite(table[:, 2]).all():
+        raise InvalidInput("rotation angles must be finite")
     js, iss = axes[:, 0], axes[:, 1]
     c = np.cos(table[:, 2])
     s = np.sin(table[:, 2])
@@ -203,16 +212,25 @@ def schedule_to_csv(schedule: RotationSchedule) -> str:
 def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
     """Parse the schedule_to_csv format. A j == i line is the trailing axis
     flip only when it is the last data line, names axis dim and carries the
-    angle pi (within 1e-12); any other j == i line raises InvalidInput."""
+    angle pi (within 1e-12); any other j == i line raises InvalidInput, as
+    do non-integer axes, axes outside 1..dim and non-finite angles. Without
+    dim, the largest axis named is the dimension. Only the first non-blank
+    line may be a header (one starting with a letter)."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if lines and lines[0][0].isalpha():
+        lines = lines[1:]
     rotations = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line or line[0].isalpha():
-            continue
+    for line in lines:
         parts = line.split(",")
         if len(parts) != 3:
             raise InvalidInput(f"bad schedule line: {line!r}")
-        rotations.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            rotation = (int(parts[0]), int(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise InvalidInput(f"bad schedule line {line!r}: {exc}") from exc
+        if not math.isfinite(rotation[2]):
+            raise InvalidInput(f"schedule angle must be finite: {line!r}")
+        rotations.append(rotation)
     flip_dim = None
     if rotations and rotations[-1][0] == rotations[-1][1]:
         flip_dim, _, angle = rotations.pop()
@@ -220,14 +238,18 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
             raise InvalidInput(f"axis flip line {flip_dim},{flip_dim} has angle {angle!r}, not pi")
     if any(j == i for j, i, _ in rotations):
         raise InvalidInput("a j == i line is allowed only last, as the axis flip")
+    axes = [a for j, i, _ in rotations for a in (j, i)]
     if dim is None:
-        candidates = [j for j, _, _ in rotations]
-        candidates += [flip_dim] if flip_dim is not None else []
+        candidates = axes + ([flip_dim] if flip_dim is not None else [])
         if not candidates:
             raise InvalidInput("cannot infer dimension from an empty schedule")
         dim = max(candidates)
+    if dim < 1:
+        raise InvalidInput(f"schedule dimension must be at least 1, got {dim}")
     if flip_dim is not None and flip_dim != dim:
         raise InvalidInput(f"axis flip line names axis {flip_dim}, not the last axis {dim}")
+    if axes and not 1 <= min(axes) <= max(axes) <= dim:
+        raise InvalidInput(f"rotation axes must lie in 1..{dim}")
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
 
 

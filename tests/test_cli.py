@@ -1,12 +1,20 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from supadd.cli import main
-from supadd.detection import helstrom_binary
-from supadd.ensembles import Code, build_nn12_code, code_to_text
-from supadd.information import holevo_binary
+from supadd import cli, synth
+from supadd.cli import SweepConfig, _emit, main
+from supadd.detection import helstrom_binary, square_root_measurement
+from supadd.ensembles import Code, build_nn12_code, code_to_text, gram
+from supadd.fastcode import (
+    block_gain,
+    nn12_error_probability,
+    nn12_mutual_information,
+    simplex_profile,
+)
+from supadd.information import binary_flip_probability, c1_binary, holevo_binary
 
 
 def run(capsys, argv):
@@ -326,3 +334,212 @@ class TestOptimizeCommand:
         assert code == 2
         assert out == ""
         assert "unit norm" in err
+
+
+def scalar_kappa_star(n):
+    """The crossing search with one block_gain call per grid point."""
+    grid = np.linspace(0.01, 0.99, 99)
+    values = np.array([block_gain(n, k) for k in grid])
+    change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
+    if change.size == 0:
+        return None
+    lo, hi = grid[change[0]], grid[change[0] + 1]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if block_gain(n, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def simplex_per_letter(r, k):
+    return simplex_profile(r, k).info_bits / (2**r - 1)
+
+
+def capacity_rows(grid, code_columns):
+    columns = ["kappa", "holevo"] + [name for name, _ in code_columns] + ["c1"]
+    rows = [[k, holevo_binary(k)] + [fn(k) for _, fn in code_columns] + [c1_binary(k)] for k in grid]
+    return columns, rows
+
+
+def scalar_oracle(command, grid, n_list):
+    """Columns and rows of a figure command or family sweep, built one
+    kappa at a time from scalar calls."""
+    if command == "fig2":
+        columns = ["kappa"] + [f"gain_n{n}" for n in n_list]
+        return columns, [[k] + [block_gain(n, k) for n in n_list] for k in grid]
+    if command == "fig3":
+        rows = [[n, scalar_kappa_star(n), (2.0 / n) ** (2.0 / 3.0)] for n in n_list]
+        return ["n", "kappa_star", "guide"], rows
+    if command == "fig4":
+        return capacity_rows(
+            grid,
+            [(f"i_n{n}_per_letter", lambda k, n=n: nn12_mutual_information(n, k) / n) for n in n_list],
+        )
+    if command == "fig5":
+        columns = ["kappa", "p"]
+        for n in n_list:
+            columns += [f"code_error_n{n}", f"threshold_error_n{n}"]
+        rows = []
+        for k in grid:
+            p = binary_flip_probability(k)
+            row = [k, p]
+            for n in n_list:
+                row += [nn12_error_probability(n, k), 1.0 - (1.0 - p) ** n]
+            rows.append(row)
+        return columns, rows
+    if command == "fig6":
+        return capacity_rows(
+            grid,
+            [
+                ("simplex_7_3_per_letter", lambda k: simplex_per_letter(3, k)),
+                ("code_7_6_per_letter", lambda k: nn12_mutual_information(7, k) / 7),
+            ],
+        )
+    if command == "fig7":
+        columns = ["kappa", "p", "simplex_7_3_error", "code_7_6_error", "threshold_error_n7"]
+        rows = []
+        for k in grid:
+            p = binary_flip_probability(k)
+            rows.append(
+                [k, p, simplex_profile(3, k).error_probability, nn12_error_probability(7, k),
+                 1.0 - (1.0 - p) ** 7]
+            )
+        return columns, rows
+    if command == "fig8":
+        return capacity_rows(
+            grid,
+            [
+                ("simplex_7_3_per_letter", lambda k: simplex_per_letter(3, k)),
+                ("code_3_2_per_letter", lambda k: nn12_mutual_information(3, k) / 3),
+            ],
+        )
+    if command == "sweep_nn12":
+        columns = ["kappa"]
+        for n in n_list:
+            columns += [f"i_n{n}_per_letter", f"gain_n{n}"]
+        rows = []
+        for k in grid:
+            row = [k]
+            for n in n_list:
+                gain = block_gain(n, k)
+                row += [gain + c1_binary(k), gain]
+            rows.append(row)
+        return columns, rows
+    columns = ["kappa"]
+    for r in n_list:
+        columns += [f"i_r{r}_per_letter", f"gain_r{r}"]
+    rows = []
+    for k in grid:
+        c1 = c1_binary(k)
+        row = [k]
+        for r in n_list:
+            per = simplex_per_letter(r, k)
+            row += [per, per - c1]
+        rows.append(row)
+    return columns, rows
+
+
+FIGURE_DEFAULTS = {
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "fig4": ["fig4"],
+    "fig5": ["fig5"],
+    "fig6": ["fig6"],
+    "fig7": ["fig7"],
+    "fig8": ["fig8"],
+    "sweep_nn12": ["sweep", "--code", "nn12", "--n", "2,3,4,5,6,7,8,9,10,11,12,13"],
+    "sweep_simplex": ["sweep", "--code", "simplex", "--n", "2,3,4"],
+}
+DEFAULT_N = {
+    "fig2": range(2, 14),
+    "fig3": range(2, 14),
+    "fig4": (9,),
+    "fig5": (3, 5, 7, 9, 11, 13),
+    "fig6": (7,),
+    "fig7": (7,),
+    "fig8": (3,),
+    "sweep_nn12": range(2, 14),
+    "sweep_simplex": (2, 3, 4),
+}
+FINE = (0.001, 0.999, 40)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_table(command, grid_spec):
+    grid = np.linspace(*grid_spec)
+    return scalar_oracle(command, grid, tuple(DEFAULT_N[command]))
+
+
+class TestColumnsMatchScalarLoops:
+    """Each figure command and family sweep computes its columns over the
+    whole grid at once; its output equals, byte for byte, the same table
+    built one kappa at a time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", FIGURE_DEFAULTS)
+    def test_default_config(self, capsys, command, fmt):
+        self.check(capsys, command, FIGURE_DEFAULTS[command] + ["--format", fmt],
+                   (0.01, 0.99, 99), fmt)
+
+    @pytest.mark.parametrize("command", [c for c in FIGURE_DEFAULTS if c != "fig3"])
+    def test_fine_grid_near_the_ends(self, capsys, command):
+        lo, hi, steps = FINE
+        argv = FIGURE_DEFAULTS[command] + [
+            "--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", str(steps)
+        ]
+        self.check(capsys, command, argv, FINE, "csv")
+
+    def check(self, capsys, command, argv, grid_spec, fmt):
+        columns, rows = oracle_table(command, grid_spec)
+        _emit(columns, rows, SweepConfig(format=fmt))
+        expected = capsys.readouterr().out
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == expected
+
+
+class TestCodeFilePriors:
+    @pytest.mark.parametrize("prior", ["nan", "inf", "x"])
+    def test_bad_prior_field_rejected(self, capsys, tmp_path, prior):
+        path = tmp_path / "code.txt"
+        path.write_text(f"2 2\n01\n10\n{prior}\n0.5\n")
+        code, out, err = run(capsys, ["sweep", "--code", str(path), "--steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+class TestSynthMeasurementOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--code", "nn12", "--n", "4"],
+            ["--code", "simplex", "--n", "2", "--assign", "6,1,4,3"],
+        ],
+    )
+    def test_one_square_root_measurement_per_job(self, capsys, tmp_path, monkeypatch, argv):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return square_root_measurement(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "square_root_measurement", counting)
+        monkeypatch.setattr(cli, "square_root_measurement", counting)
+        code, out, _ = run(capsys, ["synth", *argv, "--kappa", "0.5", "--outdir", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
+        report = json.loads(out)
+        # the report's error fields, with the collective error computed
+        # from a second measurement as before
+        family, n = argv[1], int(argv[3])
+        code_obj = cli._resolve_code(family, (n,))
+        assignment = [6, 1, 4, 3] if "--assign" in argv else None
+        syn = synth.synthesize_unitary(code_obj, 0.5, outcome_assignment=assignment)
+        _, channel = square_root_measurement(gram(code_obj, 0.5))
+        collective = 1.0 - float(np.sum(code_obj.priors * np.diag(channel)))
+        assert report["separate_error"] == cli._jsonval(syn.error_probability)
+        assert report["collective_error"] == cli._jsonval(collective)
+        assert report["error_mismatch"] == cli._jsonval(abs(syn.error_probability - collective))

@@ -51,6 +51,11 @@ class TestLetterEnsemble:
                 overlaps=np.eye(2), priors=np.array([0.7, 0.7])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_priors_rejected(self, bad):
+        with pytest.raises(InvalidInput):
+            LetterEnsemble(overlaps=np.eye(2), priors=np.array([bad, 0.5]))
+
 
 class TestEmbedBinaryLetters:
     def test_orthogonal_at_zero(self):
@@ -270,6 +275,11 @@ class TestTextFormat:
         with pytest.raises(InvalidInput):
             code_from_text("3 2\n000\n0110\n")
 
+    @pytest.mark.parametrize("prior", ["x", "0.5.1", "nan", "inf", "-inf"])
+    def test_bad_prior_field_rejected(self, prior):
+        with pytest.raises(InvalidInput):
+            code_from_text(f"2 2\n01\n10\n{prior}\n0.5\n")
+
 
 class TestCodeValidation:
     def test_duplicate_codewords_rejected(self):
@@ -283,3 +293,8 @@ class TestCodeValidation:
                 codewords=np.array([[0, 1], [1, 0]], dtype=np.uint8),
                 priors=np.array([0.9, 0.9]),
             )
+
+    @pytest.mark.parametrize("priors", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]])
+    def test_non_finite_priors_rejected(self, priors):
+        with pytest.raises(InvalidInput):
+            Code(n=2, codewords=np.array([[0, 1], [1, 0]], dtype=np.uint8), priors=priors)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from supadd import fastcode
 from supadd._kernels import fwht
 from supadd.detection import square_root_measurement
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
@@ -14,6 +15,7 @@ from supadd.fastcode import (
     nn12_error_probability,
     nn12_mutual_information,
     pair_block_information,
+    SimplexProfile,
     simplex_profile,
 )
 from supadd.information import c1_binary, code_information, mutual_information
@@ -271,3 +273,144 @@ class TestGainAndCrossing:
     def test_bad_block_length(self):
         with pytest.raises(InvalidInput):
             find_kappa_star(1)
+
+
+def stacked(fn, kappas):
+    """The per-kappa oracle: fn called once per entry, stacked like kappas."""
+    kappas = np.asarray(kappas)
+    out = np.array([fn(k) for k in kappas.reshape(-1)])
+    return out.reshape(kappas.shape + out.shape[1:])
+
+
+def simplex_generators(r):
+    return [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
+
+
+GRID = np.linspace(0.01, 0.99, 99)
+# 99 points are not a multiple of the block rows (2**14 / M, a power of
+# two of at least 4 for n <= 13), and at n = 13 (M = 4096) they span 25
+# blocks
+GRIDS = {
+    "grid": GRID,
+    "strided": GRID[::2],
+    "matrix": np.linspace(0.0, 0.95, 33).reshape(3, 11),
+}
+
+
+class TestBatchedRoute:
+    """Every broadcasting function on an array of kappa equals, bit for bit,
+    the stack of its scalar calls."""
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_block_gain(self, n, grid):
+        assert np.array_equal(block_gain(n, grid), stacked(lambda k: block_gain(n, k), grid))
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_even_weight_information_and_error(self, n, grid):
+        info = nn12_mutual_information(n, grid)
+        error = nn12_error_probability(n, grid)
+        assert info.shape == error.shape == grid.shape
+        assert np.array_equal(info, stacked(lambda k: nn12_mutual_information(n, k), grid))
+        assert np.array_equal(error, stacked(lambda k: nn12_error_probability(n, k), grid))
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_simplex_profile(self, r, grid):
+        profile = simplex_profile(r, grid)
+        for field in SimplexProfile._fields:
+            expected = stacked(lambda k: getattr(simplex_profile(r, k), field), grid)
+            assert np.array_equal(getattr(profile, field), expected), field
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_group_root_and_information(self, grid):
+        generators = simplex_generators(3)
+        roots = group_root(generators, 7, grid)
+        assert roots.shape == grid.shape + (8,)
+        assert roots.flags.c_contiguous
+        assert np.array_equal(roots, stacked(lambda k: group_root(generators, 7, k), grid))
+        assert np.array_equal(
+            group_information(generators, 7, grid),
+            stacked(lambda k: group_information(generators, 7, k), grid),
+        )
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_pair_block_information(self, grid):
+        assert np.array_equal(
+            pair_block_information(grid), stacked(pair_block_information, grid)
+        )
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda k: block_gain(2, k),
+            lambda k: block_gain(5, k),
+            lambda k: nn12_mutual_information(4, k),
+            lambda k: nn12_error_probability(4, k),
+            lambda k: simplex_profile(3, k).info_bits,
+            lambda k: group_information(nn12_generators(3), 3, k),
+            pair_block_information,
+        ],
+    )
+    def test_scalar_in_scalar_out(self, fn):
+        for kappa in (0.5, np.float64(0.5), np.array(0.5)):
+            value = fn(kappa)
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    def test_blocks_bound_the_root_entries(self, monkeypatch):
+        sizes = []
+        roots = fastcode._roots
+
+        def counting(weights, n, k):
+            out = roots(weights, n, k)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(fastcode, "_roots", counting)
+        nn12_mutual_information(13, GRID)
+        assert max(sizes) <= fastcode._BLOCK
+        assert sum(sizes) == GRID.size * 4096
+        sizes.clear()
+        simplex_profile(2, GRID)
+        assert sizes == [GRID.size * 4]
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda k: group_root(nn12_generators(4), 4, k),
+            lambda k: nn12_mutual_information(4, k),
+            lambda k: nn12_error_probability(4, k),
+            lambda k: simplex_profile(3, k),
+            lambda k: pair_block_information(k),
+            lambda k: block_gain(6, k),
+        ],
+    )
+    def test_out_of_range_entries_raise_the_scalar_error(self, fn):
+        with pytest.raises(LinearDependence):
+            fn(np.array([0.2, 0.5, 1.0]))
+        with pytest.raises(InvalidInput):
+            fn(np.array([0.2, -0.1, 0.5]))
+        with pytest.raises(InvalidInput):
+            fn(np.array([[0.2, 0.3], [np.nan, 0.5]]))
+
+    def test_first_offending_entry_decides(self):
+        with pytest.raises(InvalidInput, match="-0.1"):
+            nn12_mutual_information(4, np.array([0.2, -0.1, 1.0]))
+        with pytest.raises(LinearDependence):
+            nn12_mutual_information(4, np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_crossing_matches_per_point_scan(self, n):
+        # the scan over the grid used to be one block_gain call per point
+        grid = np.linspace(0.01, 0.99, 99)
+        values = np.array([block_gain(n, k) for k in grid])
+        change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
+        lo, hi = grid[change[0]], grid[change[0] + 1]
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if block_gain(n, mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert find_kappa_star(n) == 0.5 * (lo + hi)

@@ -13,6 +13,7 @@ from supadd.ensembles import (
 )
 from supadd.errors import InvalidInput
 from supadd.information import (
+    _h2,
     binary_flip_probability,
     c1_binary,
     code_information,
@@ -231,3 +232,42 @@ class TestPairAdditivity:
         _, reference = separable_pair_info(0.3, 0.7)
         best = random_collective_max_info(0.3, 0.7, trials=300, seed=5)
         assert best <= reference + 1e-9
+
+
+BATCH_GRIDS = {
+    "grid": np.linspace(0.01, 0.99, 99),
+    "strided": np.linspace(0.01, 0.99, 99)[::2],
+    "matrix": np.linspace(0.0, 0.95, 33).reshape(3, 11),
+}
+
+
+class TestBroadcasting:
+    """The single-letter functions on an array of kappa equal, bit for bit,
+    the stack of their scalar calls."""
+
+    @pytest.mark.parametrize("grid", BATCH_GRIDS.values(), ids=BATCH_GRIDS.keys())
+    @pytest.mark.parametrize(
+        "fn", [c1_binary, holevo_binary, binary_flip_probability, _h2]
+    )
+    def test_matches_scalar_calls(self, fn, grid):
+        batched = fn(grid)
+        assert batched.shape == grid.shape
+        expected = np.array([fn(k) for k in grid.reshape(-1)]).reshape(grid.shape)
+        assert np.array_equal(batched, expected)
+
+    def test_entropy_vanishes_outside_open_interval(self):
+        np.testing.assert_array_equal(_h2(np.array([0.0, 1.0, -0.5, 2.0])), 0.0)
+        assert _h2(0.5) == 1.0
+
+    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary, _h2])
+    def test_scalar_in_scalar_out(self, fn):
+        for kappa in (0.5, np.float64(0.5), np.array(0.5)):
+            assert isinstance(fn(kappa), float)
+
+    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary])
+    @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan])
+    def test_out_of_range_entry_rejected(self, fn, bad):
+        with pytest.raises(InvalidInput):
+            fn(bad)
+        with pytest.raises(InvalidInput):
+            fn(np.array([0.2, bad, 0.5]))

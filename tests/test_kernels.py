@@ -114,6 +114,15 @@ class TestFwht:
         fwht(x)
         np.testing.assert_array_equal(x, saved)
 
+    @pytest.mark.parametrize("order", [1, 2, 8, 64])
+    def test_transforms_last_axis_of_a_batch(self, order):
+        # a Fortran-ordered batch, as fancy indexing x[..., idx] returns
+        x = np.asfortranarray(np.random.default_rng(order).normal(size=(3, 5, order)))
+        out = fwht(x)
+        assert out.shape == x.shape and out.flags.c_contiguous
+        expected = np.array([fwht(row) for row in x.reshape(-1, order)]).reshape(x.shape)
+        assert np.array_equal(out, expected)
+
 
 class TestBayesSweeps:
     def build_case(self, seed, m=4, dim=4):

@@ -1,15 +1,20 @@
 """Property tests over random codes: the square-root-measurement channel,
-the block information and the block error stay inside their bounds."""
+the block information and the block error stay inside their bounds. Fuzz
+tests of the two text parsers: any text gives a valid object or
+InvalidInput, never another exception."""
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd.detection import square_root_measurement
-from supadd.ensembles import Code, gram, int_bits
+from supadd.ensembles import Code, code_from_text, code_to_text, gram, int_bits
+from supadd.errors import InvalidInput
 from supadd.information import code_information, holevo_binary
+from supadd.synth import RotationSchedule, reconstruct_unitary, schedule_from_csv, schedule_to_csv
 
 TOL = 1e-9
 
@@ -62,3 +67,103 @@ def test_block_error_is_a_probability(code, kappa):
     _, channel = square_root_measurement(gram(code, kappa))
     error = 1.0 - float(np.sum(code.priors * np.diag(channel)))
     assert -TOL <= error <= 1.0 + TOL
+
+
+# numbers, near-numbers and separators the parsers must survive
+FIELDS = st.sampled_from(
+    ["0", "1", "2", "3", "01", "10", "11", "000", "011", "0.5", "0.25", "-1", "1e-300", "1e400",
+     "nan", "inf", "-inf", "x", "0x1", "1_0", "", " ", "\t", "3.14159265358979", "٣"]
+)
+
+
+@st.composite
+def code_texts(draw):
+    """Arbitrary text, a list of near-numbers, or a code file whose header,
+    words and priors are each drawn from valid and invalid fields."""
+    kind = draw(st.sampled_from(["text", "tokens", "file"]))
+    if kind == "text":
+        return draw(st.text(max_size=80))
+    if kind == "tokens":
+        tokens = draw(st.lists(FIELDS, max_size=14))
+    else:
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        bits = st.text(alphabet="01", min_size=n, max_size=n)
+        words = draw(st.lists(st.one_of(bits, FIELDS), min_size=m, max_size=m))
+        priors = draw(st.lists(st.one_of(st.just(repr(1.0 / m)), FIELDS), min_size=m, max_size=m))
+        tokens = [str(n), str(m)] + words + priors
+    return draw(st.sampled_from(["\n", " ", "\t"])).join(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_texts())
+def test_code_parser_returns_valid_code_or_invalid_input(text):
+    try:
+        code = code_from_text(text)
+    except InvalidInput:
+        return
+    m = code.num_codewords
+    assert code.codewords.shape == (m, code.n) and m >= 1
+    assert set(np.unique(code.codewords).tolist()) <= {0, 1}
+    assert len({tuple(row) for row in code.codewords.tolist()}) == m
+    assert np.isfinite(code.priors).all() and code.priors.min() >= 0.0
+    assert abs(code.priors.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes())
+def test_code_text_round_trip(code):
+    restored = code_from_text(code_to_text(code))
+    assert restored.n == code.n
+    assert np.array_equal(restored.codewords, code.codewords)
+    assert np.array_equal(restored.priors, code.priors)
+
+
+@st.composite
+def schedule_texts(draw):
+    """Arbitrary text, or comma-separated lines of near-numbers."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=80))
+    fields = st.one_of(FIELDS, st.integers(-2, 6).map(str), st.just(repr(math.pi)))
+    lines = draw(st.lists(st.lists(fields, min_size=2, max_size=4).map(",".join), max_size=6))
+    return "\n".join(["j,i,gamma"] + lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_texts(), st.one_of(st.none(), st.integers(1, 6)))
+def test_schedule_parser_returns_valid_schedule_or_invalid_input(text, dim):
+    try:
+        schedule = schedule_from_csv(text, dim=dim)
+    except InvalidInput:
+        return
+    assert dim is None or schedule.dim == dim
+    for j, i, gamma in schedule.rotations:
+        assert 1 <= j <= schedule.dim and 1 <= i <= schedule.dim and j != i
+        assert math.isfinite(gamma)
+    if schedule.dim <= 64:
+        u = reconstruct_unitary(schedule)
+        assert np.abs(u @ u.T - np.eye(schedule.dim)).max() < 1e-9
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def schedules(draw):
+    dim = draw(st.integers(2, 12))
+    axes = st.integers(1, dim)
+    pairs = st.tuples(axes, axes).filter(lambda p: p[0] != p[1])
+    angles = st.floats(allow_nan=False, allow_infinity=False)
+    rotations = draw(st.lists(st.tuples(pairs, angles).map(lambda t: (*t[0], t[1])), max_size=20))
+    return RotationSchedule(dim=dim, rotations=rotations, flip_last=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_schedule_csv_round_trip_is_exact(schedule):
+    restored = schedule_from_csv(schedule_to_csv(schedule), dim=schedule.dim)
+    assert restored.dim == schedule.dim
+    assert restored.flip_last == schedule.flip_last
+    assert [(j, i, float_bits(g)) for j, i, g in restored.rotations] == [
+        (j, i, float_bits(g)) for j, i, g in schedule.rotations
+    ]

@@ -211,6 +211,13 @@ class TestSynthesizeUnitary:
         meas, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
         np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas.vectors)
 
+    @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
+    def test_collective_error_is_the_channel_diagonal(self, code):
+        syn = synthesize_unitary(code, 0.5)
+        _, channel = square_root_measurement(gram(code, 0.5))
+        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        assert abs(syn.collective_error - syn.error_probability) < 1e-12
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidInput):
             synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=[0, 1, 2, 2])
@@ -415,6 +422,44 @@ class TestScheduleSerialization:
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):
             schedule_from_csv("j,i,gamma\n2,1\n")
+
+    @pytest.mark.parametrize(
+        "body", ["2,1,nan", "2,1,inf", "3,1,-inf", "2,x,0.5", "2.5,1,0.3", "2,1,0.5rad"]
+    )
+    def test_bad_field_rejected(self, body):
+        with pytest.raises(InvalidInput):
+            schedule_from_csv("j,i,gamma\n3,2,0.1\n" + body + "\n", dim=3)
+
+    @pytest.mark.parametrize("body", ["x,1,0.5", "nan,1,0.5", "j,i,gamma"])
+    def test_only_the_first_line_may_be_a_header(self, body):
+        # a later line starting with a letter used to be dropped silently
+        with pytest.raises(InvalidInput):
+            schedule_from_csv("j,i,gamma\n2,1,0.3\n" + body + "\n3,1,0.1\n", dim=3)
+        assert schedule_from_csv("\n  j,i,gamma\n2,1,0.3\n").rotations == [(2, 1, 0.3)]
+
+    def test_non_finite_angle_rejected_in_memory(self):
+        for angle in (math.nan, math.inf):
+            schedule = RotationSchedule(dim=3, rotations=[(2, 1, 0.5), (3, 1, angle)], flip_last=False)
+            with pytest.raises(InvalidInput):
+                reconstruct_unitary(schedule)
+
+    def test_axis_outside_given_dimension_rejected_while_parsing(self):
+        for body in ("5,1,0.3", "0,1,0.3", "2,-1,0.3", "2,5,0.3"):
+            with pytest.raises(InvalidInput):
+                schedule_from_csv("j,i,gamma\n" + body + "\n", dim=4)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_flip_line_on_a_non_positive_axis_rejected(self, axis):
+        # "0,0,pi" used to give a dimension-0 schedule that reconstruct
+        # could not build
+        with pytest.raises(InvalidInput):
+            schedule_from_csv(f"j,i,gamma\n{axis},{axis},{math.pi!r}\n")
+
+    def test_inferred_dimension_covers_pivot_axes(self):
+        restored = schedule_from_csv("j,i,gamma\n1,3,0.5\n")
+        assert restored.dim == 3
+        u = reconstruct_unitary(restored)
+        np.testing.assert_allclose(u, python_reconstruct(restored), rtol=0, atol=1e-15)
 
     def test_text_matches_fstring_formatting(self):
         u = np.array(
