@@ -100,7 +100,10 @@ def _resolve(args, config, key, conv, default):
     if value is not None:
         return value
     if key in config:
-        return conv(config[key])
+        try:
+            return conv(config[key])
+        except ValueError as exc:
+            raise InvalidInput(f"bad config value {key}={config[key]!r}: {exc}") from exc
     return default
 
 
@@ -111,6 +114,13 @@ def _int_list(text) -> tuple:
         return tuple(int(part) for part in str(text).split(","))
     except ValueError as exc:
         raise InvalidInput(f"bad integer list {text!r}: {exc}") from exc
+
+
+def _float_list(text) -> np.ndarray:
+    try:
+        return np.array([float(part) for part in str(text).split(",")])
+    except ValueError as exc:
+        raise InvalidInput(f"bad number list {text!r}: {exc}") from exc
 
 
 def _sweep_config(args, config, default_n, code_default="nn12") -> SweepConfig:
@@ -382,12 +392,15 @@ def cmd_optimize(args) -> int:
     xi1 = _resolve(args, config, "xi1", float, 0.5)
     priors_text = _resolve(args, config, "priors", str, None)
     if states_file is not None:
-        states = np.atleast_2d(np.loadtxt(states_file, dtype=np.float64))
+        try:
+            states = np.atleast_2d(np.loadtxt(states_file, dtype=np.float64))
+        except ValueError as exc:
+            raise InvalidInput(f"bad states file {states_file}: {exc}") from exc
     else:
         states = np.vstack(embed_binary_letters(kappa))
     m = states.shape[0]
     if priors_text is not None:
-        priors = np.array([float(x) for x in str(priors_text).split(",")])
+        priors = _float_list(priors_text)
     elif states_file is None:
         priors = np.array([xi1, 1.0 - xi1])
     else:

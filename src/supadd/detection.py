@@ -1,8 +1,9 @@
 """Measurements over a codeword span: square-root measurement, minimum-error
-optimality certification, pairwise-rotation optimization, product
-measurements, and the threshold-point certificate.
+optimality certification, pairwise-rotation optimization, and the
+threshold-point certificate of product measurements.
 
-Index conventions: measurement vectors are rows; for a measurement matrix
+A measurement is an (M, dim) array of orthonormal row vectors omega_i, in
+the coordinates of the states it is applied to. For the overlap matrix
 X[i, j] = <omega_i | rho_j>, the channel is P(j|i) = X[j, i]**2 / Gram[i, i]
 (the denominator is 1 for unit-diagonal Grams and the prior for weighted
 ones, so the same formula serves both conventions).
@@ -16,24 +17,12 @@ import numpy as np
 from ._kernels import bayes_residual, bayes_sweeps
 from .ensembles import Code, codeword_states, embed_binary_letters, int_bits
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
-from .psdlinalg import eig_sym, sqrt_psd
+from .psdlinalg import eig_sym
 
 _SINGULAR_EIG = 1e-12
-
-
-@dataclass(eq=False)
-class Measurement:
-    """Orthonormal rank-1 measurement vectors, one per row.
-
-    frame is 'embedding' when the rows are coordinates in the same explicit
-    tensor space as the states, or 'span' when they are coordinates relative
-    to the measurement's own orthonormal basis of the codeword span (the
-    states then have coordinate rows sqrt_psd(gram)).
-    """
-
-    vectors: np.ndarray
-    kind: str = "square_root"
-    frame: str = "embedding"
+# threshold_certificate costs O(2**(4n)): on a 2-core machine n = 8 takes
+# 1.4 s and n = 9 14 s, and each step in n costs about ten times more
+_MAX_CERT_N = 9
 
 
 @dataclass(eq=False)
@@ -65,8 +54,10 @@ def square_root_measurement(gram, states=None):
 
     `gram` may be the unweighted or the prior-weighted Gram matrix; when
     `states` is given its rows must carry the same weighting and the
-    returned vectors are explicit embedding coordinates. Without `states`
-    the vectors are the identity in the measurement's own span frame.
+    returned vectors are in the coordinates of those rows. Without `states`
+    the vectors are the identity: coordinates in the measurement's own
+    orthonormal basis of the span, where the states have coordinate rows
+    sqrt_psd(gram).
     Raises InvalidInput for a Gram matrix that is not square, finite and
     symmetric, and LinearDependence when it is numerically singular.
     """
@@ -79,25 +70,13 @@ def square_root_measurement(gram, states=None):
     diag = np.diag(np.asarray(gram, dtype=np.float64))
     channel = dec.apply(root) ** 2 / diag[:, None]
     if states is None:
-        meas = Measurement(np.eye(root.size), kind="square_root", frame="span")
-    else:
-        meas = Measurement(dec.apply(1.0 / root) @ np.asarray(states), kind="square_root")
-    return meas, channel
-
-
-def verify_sqm_orthonormal(gram) -> float:
-    """Largest deviation of the square-root measurement's Gram matrix from
-    the identity (linear independence makes the vectors orthonormal),
-    for the measurement of the states with coordinate rows sqrt_psd(gram)."""
-    meas, _ = square_root_measurement(gram, states=sqrt_psd(gram))
-    v = meas.vectors
-    return float(np.abs(v @ v.T - np.eye(v.shape[0])).max())
+        return np.eye(root.size), channel
+    return dec.apply(1.0 / root) @ np.asarray(states), channel
 
 
 def overlap_matrix(measurement, states) -> np.ndarray:
     """X[i, j] = <omega_i | rho_j> for measurement rows and state rows."""
-    vectors = measurement.vectors if isinstance(measurement, Measurement) else measurement
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(measurement, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
     if vectors.shape[1] != states.shape[1]:
         raise InvalidInput(
@@ -152,7 +131,7 @@ def check_ensemble(states, priors):
     return states, priors
 
 
-def tm_family_min_eig(measurement, states, priors) -> float:
+def _tm_family_min_eig(measurement, states, priors) -> float:
     """Smallest eigenvalue over the exhaustive risk-comparison family
     T(m)[i, j] = xi_i X_ii X_ji - xi_m X_im X_jm (all m)."""
     x = overlap_matrix(measurement, states)
@@ -180,14 +159,13 @@ def helstrom_binary(kappa: float, xi1: float):
     omega1 = q[:, 1] * np.sign(q[:, 1] @ v1)
     omega2 = q[:, 0] * np.sign(q[:, 0] @ v2)
     error = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * xi1 * xi2 * kappa * kappa))
-    meas = Measurement(np.vstack([omega1, omega2]), kind="optimized")
-    return meas, float(error)
+    return np.vstack([omega1, omega2]), float(error)
 
 
 def bayes_cost_reduction(
     states,
     priors,
-    init: Measurement | None = None,
+    init=None,
     tol: float = 1e-10,
     max_sweeps: int = 500,
 ):
@@ -197,18 +175,18 @@ def bayes_cost_reduction(
     Each step solves the two-state subproblem on the plane of one vector
     pair in closed form, so the average error never increases. Returns the
     optimized measurement and a report whose error_history holds the
-    average error after each sweep. Raises Unconverged (carrying the best
-    iterate) if the residual tolerance is not met within max_sweeps.
+    average error after each sweep. `init` defaults to the square-root
+    measurement of the prior-weighted states. Raises Unconverged (carrying
+    the best iterate) if the residual tolerance is not met within
+    max_sweeps.
     """
     states, priors = check_ensemble(states, priors)
     if init is None:
         weighted = np.sqrt(priors)[:, None] * states
-        gram_w = weighted @ weighted.T
-        init, _ = square_root_measurement(gram_w, states=weighted)
+        init, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
     x = overlap_matrix(init, states)
     v, history, residual, _ = bayes_sweeps(x, priors, tol, max_sweeps)
-    vectors = v @ init.vectors
-    meas = Measurement(vectors, kind="optimized", frame=init.frame)
+    meas = v @ init
     # x holds the final overlap matrix; certify it directly
     report = _certify(x, priors, tol, history.tolist())
     if residual > tol:
@@ -220,20 +198,16 @@ def bayes_cost_reduction(
     return meas, report
 
 
-def product_pom(base: Measurement, n: int) -> Measurement:
+def _product_pom(base, n: int) -> np.ndarray:
     """Tensor-power measurement: outcome (i_1..i_n) gets the Kronecker
     product of the base vectors, first factor most significant."""
-    base_vectors = np.asarray(base.vectors, dtype=np.float64)
-    dim = base_vectors.shape[1] ** n
-    if dim > 2**20:
-        raise ResourceLimit(f"product measurement dimension {dim} exceeds the guard")
     vectors = np.array([[1.0]])
     for _ in range(n):
-        vectors = np.kron(vectors, base_vectors)
-    return Measurement(vectors, kind="product", frame=base.frame)
+        vectors = np.kron(vectors, base)
+    return vectors
 
 
-def full_product_code(n: int, xi1: float = 0.5) -> Code:
+def _full_product_code(n: int, xi1: float = 0.5) -> Code:
     """All 2**n sequences as codewords with product priors from (xi1, 1-xi1)."""
     bits = int_bits(np.arange(2**n), n)
     ones = bits.sum(axis=1)
@@ -246,14 +220,17 @@ def threshold_certificate(
 ) -> ThresholdCertificate:
     """Certify that the product of single-letter optimal measurements is the
     minimum-error measurement for all 2**n sequences under product priors,
-    with error 1 - (1-p)**n."""
-    code = full_product_code(n, xi1)
+    with error 1 - (1-p)**n. Raises ResourceLimit for n > 9, where the
+    O(2**(4n)) cost would pass two minutes."""
+    if n > _MAX_CERT_N:
+        raise ResourceLimit(f"threshold certificate guarded at n <= {_MAX_CERT_N}, got {n}")
+    code = _full_product_code(n, xi1)
     states = codeword_states(code, kappa)
     base, p = helstrom_binary(kappa, xi1)
-    pom = product_pom(base, n)
+    pom = _product_pom(base, n)
     x = overlap_matrix(pom, states)
     residual = bayes_residual(x, code.priors)
-    tm_min = tm_family_min_eig(pom, states, code.priors)
+    tm_min = _tm_family_min_eig(pom, states, code.priors)
     error = 1.0 - float(np.sum(code.priors * np.diag(x) ** 2))
     expected = 1.0 - (1.0 - p) ** n
     passes = bool(residual <= tol and tm_min >= -tol and abs(error - expected) <= tol)

@@ -1,5 +1,4 @@
-"""Letter ensembles, block codes, explicit tensor embeddings, and Gram
-matrices of codebooks.
+"""Block codes, explicit tensor embeddings, and Gram matrices of codebooks.
 
 Bit convention: bit 0 is the letter |+>, bit 1 the letter |->; the pairwise
 inner product of two codeword states is kappa**(Hamming distance).
@@ -12,35 +11,8 @@ import numpy as np
 from ._kernels import hamming_matrix
 from .errors import InvalidInput, ResourceLimit
 
-MAX_EMBED_DIM = 2**20
-
-
-@dataclass(eq=False)
-class LetterEnsemble:
-    """Pure letter states given by their overlap matrix and priors."""
-
-    overlaps: np.ndarray
-    priors: np.ndarray
-
-    def __post_init__(self):
-        self.overlaps = np.asarray(self.overlaps, dtype=np.float64)
-        self.priors = np.asarray(self.priors, dtype=np.float64)
-        l = self.overlaps.shape[0]
-        if self.overlaps.shape != (l, l) or self.priors.shape != (l,):
-            raise InvalidInput("overlap matrix and priors have mismatched shapes")
-        if np.abs(np.diag(self.overlaps) - 1.0).max() > 1e-12:
-            raise InvalidInput("overlap matrix must have unit diagonal")
-        if np.abs(self.overlaps - self.overlaps.T).max() > 1e-12:
-            raise InvalidInput("overlap matrix must be symmetric")
-        if np.linalg.eigvalsh(self.overlaps)[0] < -1e-10:
-            raise InvalidInput("overlap matrix must be positive semidefinite")
-        p = self.priors
-        if not np.isfinite(p).all() or p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidInput("priors must be a probability vector")
-
-    @property
-    def num_letters(self) -> int:
-        return self.overlaps.shape[0]
+# float64 entries (1 GiB) that one explicit array of states or overlaps may take
+_MAX_ENTRIES = 2**27
 
 
 @dataclass(eq=False)
@@ -89,9 +61,13 @@ def embed_binary_letters(kappa: float):
 
 def codeword_states(code: Code, kappa: float) -> np.ndarray:
     """Explicit codeword state vectors, one row per codeword, as tensor
-    products of the letter embeddings (dimension 2**n)."""
-    if 2**code.n > MAX_EMBED_DIM:
-        raise ResourceLimit(f"2**{code.n} exceeds the embedding guard {MAX_EMBED_DIM}")
+    products of the letter embeddings (dimension 2**n). Raises
+    ResourceLimit when its M * 2**n entries pass 2**27 (1 GiB)."""
+    if code.num_codewords * 2**code.n > _MAX_ENTRIES:
+        raise ResourceLimit(
+            f"{code.num_codewords} states of dimension 2**{code.n} exceed "
+            f"the guard of {_MAX_ENTRIES} entries"
+        )
     letters = np.stack(embed_binary_letters(kappa))
     states = np.ones((code.num_codewords, 1))
     for t in range(code.n):
@@ -100,17 +76,16 @@ def codeword_states(code: Code, kappa: float) -> np.ndarray:
     return states
 
 
-def gram(code: Code, kappa: float, weighted: bool = False) -> np.ndarray:
-    """Gram matrix of the codeword states: kappa**(Hamming distance),
-    multiplied by sqrt(prior_i * prior_j) when weighted."""
+def gram(code: Code, kappa: float) -> np.ndarray:
+    """Gram matrix of the codeword states: kappa**(Hamming distance).
+    Raises ResourceLimit when its temporaries, about M*M*(n + 16) bytes,
+    pass 1 GiB."""
     if not 0.0 <= kappa <= 1.0:
         raise InvalidInput(f"kappa must lie in [0, 1], got {kappa}")
-    d = hamming_matrix(code.codewords)
-    g = np.float_power(kappa, d)
-    if weighted:
-        w = np.sqrt(code.priors)
-        g = g * np.outer(w, w)
-    return g
+    m = code.num_codewords
+    if m * m * (code.n + 16) > 8 * _MAX_ENTRIES:
+        raise ResourceLimit(f"the Gram matrix of {m} words of length {code.n} exceeds the guard")
+    return np.float_power(kappa, hamming_matrix(code.codewords))
 
 
 def int_bits(values, n: int) -> np.ndarray:

@@ -28,8 +28,9 @@ class NoRoot(SupaddError):
 class Unconverged(SupaddError):
     """Iteration hit its sweep limit before meeting the residual tolerance.
 
-    Carries the best iterate found so far: `measurement` and `report`
-    attributes are set when raised by the pairwise-rotation optimizer.
+    Carries the best iterate found so far when raised by the
+    pairwise-rotation optimizer: `measurement` is its (M, dim) array of
+    measurement rows and `report` its OptimalityReport.
     """
 
     def __init__(self, message, measurement=None, report=None):

@@ -181,7 +181,7 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
     )
 
 
-def pair_block_information(kappa):
+def _pair_block_information(kappa):
     """Information of the two-codeword length-2 block {00, 11} under its
     minimum-error measurement (a binary symmetric channel on overlap
     kappa**2); broadcasts over kappa."""
@@ -196,7 +196,7 @@ def block_gain(n: int, kappa):
     if n < 2:
         raise InvalidInput(f"block gain needs n >= 2, got {n}")
     if n == 2:
-        return pair_block_information(kappa) / 2.0 - c1_binary(kappa)
+        return _pair_block_information(kappa) / 2.0 - c1_binary(kappa)
     return nn12_mutual_information(n, kappa) / n - c1_binary(kappa)
 
 

@@ -1,5 +1,5 @@
-"""Mutual information, first-order capacity, entropy bound, threshold-point
-quantities, superadditivity gain, and channel-memory diagnostics.
+"""Mutual information, first-order capacity, entropy bound, superadditivity
+gain, and the information of letter pairs read separately or collectively.
 
 All logarithms are base 2; every information quantity is in bits.
 """
@@ -11,20 +11,12 @@ import numpy as np
 
 from ._kernels import mi_bits
 from .detection import helstrom_binary, square_root_measurement
-from .ensembles import (
-    Code,
-    LetterEnsemble,
-    embed_binary_letters,
-    extend_code_sequences,
-    gram,
-)
-from .errors import InvalidInput, LinearDependence, ResourceLimit
+from .ensembles import Code, embed_binary_letters, gram
+from .errors import InvalidInput, LinearDependence
 
 
 class InfoResult(NamedTuple):
     mutual_information_bits: float
-    per_letter: float
-    inputs: str
 
 
 @dataclass(eq=False)
@@ -72,7 +64,7 @@ def binary_flip_probability(kappa):
     return 0.5 * (1.0 - np.sqrt(1.0 - kappa * kappa))
 
 
-def mutual_information(priors, channel, block_length: int = 1) -> InfoResult:
+def mutual_information(priors, channel) -> InfoResult:
     """I = sum_i xi_i sum_j P(j|i) log2[P(j|i) / sum_k xi_k P(j|k)],
     with 0 log 0 = 0."""
     priors = np.asarray(priors, dtype=np.float64)
@@ -81,12 +73,7 @@ def mutual_information(priors, channel, block_length: int = 1) -> InfoResult:
         raise InvalidInput("priors and channel dimensions disagree")
     if channel.min() < -1e-12 or np.abs(channel.sum(axis=1) - 1.0).max() > 1e-8:
         raise InvalidInput("channel must be row-stochastic")
-    bits = mi_bits(priors, channel)
-    return InfoResult(
-        mutual_information_bits=bits,
-        per_letter=bits / block_length,
-        inputs=f"M={channel.shape[0]}, outcomes={channel.shape[1]}",
-    )
+    return InfoResult(mutual_information_bits=mi_bits(priors, channel))
 
 
 def c1_binary(kappa):
@@ -100,25 +87,6 @@ def holevo_binary(kappa):
     """Entropy bound of the equiprobable binary ensemble: h2((1+kappa)/2).
     Broadcasts over kappa."""
     return _h2((1.0 + _kappa_array(kappa)) / 2.0)
-
-
-def holevo_general(ensemble: LetterEnsemble) -> float:
-    """Entropy of the prior-weighted mixture for fixed priors: the spectrum
-    of (sqrt(xi_i) sqrt(xi_j) overlap_ij) is the mixture spectrum."""
-    w = np.sqrt(ensemble.priors)
-    mat = ensemble.overlaps * np.outer(w, w)
-    lam = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
-
-
-def threshold_quantities(kappa: float, n: int):
-    """Accessible information and minimum error at the threshold point:
-    (n * C1, 1 - (1-p)**n)."""
-    if n < 1:
-        raise InvalidInput(f"n must be positive, got {n}")
-    p = binary_flip_probability(kappa)
-    return n * c1_binary(kappa), 1.0 - (1.0 - p) ** n
 
 
 def code_information(code: Code, kappa: float) -> float:
@@ -149,39 +117,6 @@ def superadditivity_gain(code: Code, kappa: float) -> CapacityPoint:
     )
 
 
-def memory_effect_residual(code: Code, kappa: float) -> float:
-    """Largest deviation between the collective square-root channel and the
-    product of its per-position letter marginals.
-
-    Outcome labels run over all 2**n sequences; the complement of the code
-    carries zero-prior outcomes, which the collective decoder never fires.
-    A vanishing residual means the channel factorizes letter by letter.
-    """
-    if code.n > 12:
-        raise ResourceLimit(f"memory diagnostic guarded at n <= 12, got {code.n}")
-    full_bits = extend_code_sequences(code)
-    m = code.num_codewords
-    _, channel = square_root_measurement(gram(code, kappa))
-    p_code = np.zeros((m, full_bits.shape[0]))
-    p_code[:, :m] = channel
-    zeta = code.priors
-    prod = np.ones_like(p_code)
-    for k in range(code.n):
-        sent = code.codewords[:, k]
-        got = full_bits[:, k]
-        marg = np.zeros((2, 2))
-        denom = np.zeros(2)
-        for a in (0, 1):
-            rows = sent == a
-            denom[a] = zeta[rows].sum()
-            if denom[a] > 0.0:
-                mass = zeta[rows] @ p_code[rows]
-                for b in (0, 1):
-                    marg[a, b] = mass[got == b].sum() / denom[a]
-        prod *= marg[sent][:, got]
-    return float(np.abs(p_code - prod).max())
-
-
 def separable_pair_info(kappa_a: float, kappa_b: float):
     """Information of two letter pairs read by the product of their optimal
     single-use measurements, with the additive reference C1(a) + C1(b)."""
@@ -190,7 +125,7 @@ def separable_pair_info(kappa_a: float, kappa_b: float):
     states = np.array([np.kron(x, y) for x in va for y in vb])
     ma, _ = helstrom_binary(kappa_a, 0.5)
     mb, _ = helstrom_binary(kappa_b, 0.5)
-    vectors = np.kron(ma.vectors, mb.vectors)
+    vectors = np.kron(ma, mb)
     x = vectors @ states.T
     channel = (x.T) ** 2
     priors = np.full(4, 0.25)

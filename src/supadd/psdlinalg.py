@@ -4,8 +4,8 @@ measurement.
 `eig_sym` is the one eigendecomposition: it validates its input (square,
 finite, symmetric up to round-off) before LAPACK reads only one triangle,
 and `EigenDecomp.apply` is the one Q f(Lambda) Q^T formula. `sqrt_psd` and
-`detection.square_root_measurement` (root, inverse root and the
-orthonormality check built on it) go through both.
+`detection.square_root_measurement` (root and inverse root) go through
+both.
 """
 
 from typing import NamedTuple

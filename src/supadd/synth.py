@@ -118,7 +118,7 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     free = np.ones(dim, dtype=bool)
     free[labels] = False
     u = np.empty((dim, dim))
-    u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement.vectors, sequences)
+    u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement, sequences)
     correct = np.einsum("ij,ij->i", sequences[:m], u[labels])
     error = 1.0 - float(np.sum(code.priors * correct**2))
     return SynthesizedUnitary(

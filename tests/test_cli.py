@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from supadd import cli, synth
+from supadd import cli, ensembles, synth
 from supadd.cli import SweepConfig, _emit, main
 from supadd.detection import helstrom_binary, square_root_measurement
-from supadd.ensembles import Code, build_nn12_code, code_to_text, gram
+from supadd.ensembles import Code, build_nn12_code, code_to_text, gram, int_bits
 from supadd.fastcode import (
     block_gain,
     nn12_error_probability,
@@ -210,6 +210,20 @@ class TestSweep:
         for kappa, per_letter, _ in rows:
             assert 0.0 < float(per_letter) <= holevo_binary(float(kappa))
 
+    def test_oversized_code_file_refused(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation reached")
+
+        monkeypatch.setattr(ensembles, "hamming_matrix", unreachable)
+        # 2**14 words of length 15 without the zero word: not linear, so
+        # the explicit Gram route, whose temporaries would take 8 GiB
+        path = tmp_path / "big.code"
+        path.write_text(code_to_text(Code(n=15, codewords=int_bits(np.arange(1, 2**14 + 1), 15))))
+        code, out, err = run(capsys, ["sweep", "--code", str(path), "--steps", "2"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_missing_code_file(self, capsys):
         code, _, err = run(capsys, ["sweep", "--code", "/nonexistent/code.txt"])
         assert code != 0
@@ -334,6 +348,29 @@ class TestOptimizeCommand:
         assert code == 2
         assert out == ""
         assert "unit norm" in err
+
+
+class TestNonNumericInput:
+    def check_rejected(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_priors(self, capsys):
+        self.check_rejected(capsys, ["optimize", "--priors", "x,y"])
+
+    def test_states_file(self, capsys, tmp_path):
+        path = tmp_path / "states.txt"
+        path.write_text("1 0\n0 x\n")
+        self.check_rejected(capsys, ["optimize", "--states-file", str(path)])
+
+    @pytest.mark.parametrize("line", ["kappa_min=abc", "steps=1.5"])
+    def test_config_value(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        self.check_rejected(capsys, ["fig2", "--config", str(path)])
 
 
 def scalar_kappa_star(n):

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from supadd import detection
 from supadd.detection import (
-    Measurement,
+    _full_product_code,
+    _product_pom,
+    _tm_family_min_eig,
     bayes_cost_reduction,
     check_optimality,
-    full_product_code,
     helstrom_binary,
     overlap_matrix,
-    product_pom,
     square_root_measurement,
     threshold_certificate,
-    tm_family_min_eig,
-    verify_sqm_orthonormal,
 )
 from supadd.ensembles import (
     build_nn12_code,
@@ -21,8 +20,16 @@ from supadd.ensembles import (
     embed_binary_letters,
     gram,
 )
-from supadd.errors import InvalidInput, LinearDependence, Unconverged
+from supadd.errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from supadd.psdlinalg import sqrt_psd
+
+
+def verify_sqm_orthonormal(gram) -> float:
+    """Largest deviation of the square-root measurement's Gram matrix from
+    the identity (linear independence makes the vectors orthonormal),
+    for the measurement of the states with coordinate rows sqrt_psd(gram)."""
+    meas, _ = square_root_measurement(gram, states=sqrt_psd(gram))
+    return float(np.abs(meas @ meas.T - np.eye(meas.shape[0])).max())
 
 
 def random_ensemble(rng, m, dim):
@@ -37,7 +44,7 @@ class TestSquareRootMeasurement:
     def test_identity_gram_identity_channel(self):
         meas, channel = square_root_measurement(np.eye(3))
         np.testing.assert_allclose(channel, np.eye(3), atol=1e-14)
-        assert meas.frame == "span"
+        np.testing.assert_array_equal(meas, np.eye(3))
 
     def test_distance_two_code_channel_values(self):
         g = gram(build_nn12_code(3), 0.5)
@@ -58,7 +65,7 @@ class TestSquareRootMeasurement:
         code = build_nn12_code(4)
         states = codeword_states(code, 0.6)
         meas, _ = square_root_measurement(gram(code, 0.6), states=states)
-        prods = meas.vectors @ meas.vectors.T
+        prods = meas @ meas.T
         assert np.abs(prods - np.eye(8)).max() < 1e-10
 
     def test_channel_rows_stochastic(self):
@@ -113,7 +120,7 @@ class TestVerifySqmOrthonormal:
 class TestCheckOptimality:
     def test_orthogonal_states_identity_measurement(self):
         states = np.eye(3)
-        report = check_optimality(Measurement(np.eye(3)), states, np.full(3, 1 / 3))
+        report = check_optimality(np.eye(3), states, np.full(3, 1 / 3))
         assert report.is_optimal
         assert abs(report.error_probability) < 1e-14
 
@@ -140,7 +147,7 @@ class TestCheckOptimality:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
-            check_optimality(Measurement(np.eye(3)), np.eye(3), np.array([0.5, 0.5]))
+            check_optimality(np.eye(3), np.eye(3), np.array([0.5, 0.5]))
 
 
 class TestHelstromBinary:
@@ -164,7 +171,7 @@ class TestHelstromBinary:
         x = overlap_matrix(meas, states)
         achieved = 1.0 - (xi1 * x[0, 0] ** 2 + (1 - xi1) * x[1, 1] ** 2)
         assert abs(achieved - err) < 1e-12
-        assert np.abs(meas.vectors @ meas.vectors.T - np.eye(2)).max() < 1e-12
+        assert np.abs(meas @ meas.T - np.eye(2)).max() < 1e-12
 
     def test_equiprobable_matches_sqm(self):
         # equal diagonal of the 2x2 root makes the square-root measurement optimal
@@ -213,8 +220,12 @@ class TestBayesCostReduction:
         states, priors = random_ensemble(rng, 4, 4)
         with pytest.raises(Unconverged) as info:
             bayes_cost_reduction(states, priors, max_sweeps=0)
-        assert info.value.measurement is not None
-        assert info.value.report is not None
+        exc = info.value
+        assert exc.measurement.shape == (4, 4)
+        again = check_optimality(exc.measurement, states, priors)
+        assert abs(again.cond_i_residual - exc.report.cond_i_residual) < 1e-14
+        assert abs(again.error_probability - exc.report.error_probability) < 1e-14
+        assert not again.is_optimal
 
     def test_mismatched_priors_rejected(self):
         with pytest.raises(InvalidInput):
@@ -224,21 +235,26 @@ class TestBayesCostReduction:
 class TestProductPom:
     def test_single_power_is_base(self):
         base, _ = helstrom_binary(0.5, 0.5)
-        pom = product_pom(base, 1)
-        np.testing.assert_allclose(pom.vectors, base.vectors, atol=1e-15)
+        pom = _product_pom(base, 1)
+        np.testing.assert_allclose(pom, base, atol=1e-15)
 
     def test_orthonormality_preserved(self):
         base, _ = helstrom_binary(0.7, 0.5)
-        pom = product_pom(base, 3)
-        assert pom.vectors.shape == (8, 8)
-        assert np.abs(pom.vectors @ pom.vectors.T - np.eye(8)).max() < 1e-12
+        pom = _product_pom(base, 3)
+        assert pom.shape == (8, 8)
+        assert np.abs(pom @ pom.T - np.eye(8)).max() < 1e-12
 
-    def test_dimension_guard(self):
-        base, _ = helstrom_binary(0.5, 0.5)
-        from supadd.errors import ResourceLimit
+    def test_dimension_guard(self, monkeypatch):
+        # the certificate is the only caller of the 2**n x 2**n product
+        # measurement and states; it refuses n > 9 before building either
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation reached")
 
-        with pytest.raises(ResourceLimit):
-            product_pom(base, 21)
+        monkeypatch.setattr(detection, "codeword_states", unreachable)
+        monkeypatch.setattr(detection, "_full_product_code", unreachable)
+        for n in (10, 15, 21):
+            with pytest.raises(ResourceLimit, match="n <= 9"):
+                threshold_certificate(0.5, n)
 
 
 class TestThresholdCertificate:
@@ -255,7 +271,7 @@ class TestThresholdCertificate:
         assert cert.passes
 
     def test_product_code_priors(self):
-        code = full_product_code(3, 0.25)
+        code = _full_product_code(3, 0.25)
         assert code.num_codewords == 8
         assert abs(code.priors.sum() - 1.0) < 1e-12
         # all-zero word carries xi1**n
@@ -269,4 +285,4 @@ class TestTmFamily:
         g = gram(code, kappa)
         meas, _ = square_root_measurement(g)
         states = sqrt_psd(g)
-        assert tm_family_min_eig(meas, states, code.priors) >= -1e-10
+        assert _tm_family_min_eig(meas, states, code.priors) >= -1e-10

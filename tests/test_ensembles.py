@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supadd import ensembles
 from supadd.ensembles import (
     Code,
-    LetterEnsemble,
     _nn12_pair,
     build_nn12_code,
     build_simplex_code,
@@ -17,7 +17,7 @@ from supadd.ensembles import (
     gram,
     int_bits,
 )
-from supadd.errors import InvalidInput
+from supadd.errors import InvalidInput, ResourceLimit
 
 
 def random_code(rng, n, m):
@@ -26,35 +26,17 @@ def random_code(rng, n, m):
     return Code(n=n, codewords=bits)
 
 
-class TestLetterEnsemble:
-    def test_valid_binary(self):
-        ens = LetterEnsemble(
-            overlaps=np.array([[1.0, 0.5], [0.5, 1.0]]), priors=np.array([0.5, 0.5])
-        )
-        assert ens.num_letters == 2
+class Reached(Exception):
+    """Raised in place of an allocation the guard let through."""
 
-    def test_bad_diagonal_rejected(self):
-        with pytest.raises(InvalidInput):
-            LetterEnsemble(
-                overlaps=np.array([[1.1, 0.5], [0.5, 1.0]]), priors=np.array([0.5, 0.5])
-            )
 
-    def test_non_psd_rejected(self):
-        with pytest.raises(InvalidInput):
-            LetterEnsemble(
-                overlaps=np.array([[1.0, 1.5], [1.5, 1.0]]), priors=np.array([0.5, 0.5])
-            )
+@pytest.fixture
+def no_allocation(monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
 
-    def test_bad_priors_rejected(self):
-        with pytest.raises(InvalidInput):
-            LetterEnsemble(
-                overlaps=np.eye(2), priors=np.array([0.7, 0.7])
-            )
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_priors_rejected(self, bad):
-        with pytest.raises(InvalidInput):
-            LetterEnsemble(overlaps=np.eye(2), priors=np.array([bad, 0.5]))
+    monkeypatch.setattr(ensembles, "embed_binary_letters", reached)
+    monkeypatch.setattr(ensembles, "hamming_matrix", reached)
 
 
 class TestEmbedBinaryLetters:
@@ -111,6 +93,25 @@ class TestCodewordStates:
             states @ states.T, np.float_power(kappa, dist), atol=1e-10
         )
 
+    def test_guard_counts_every_entry(self, no_allocation):
+        # even-weight n = 16: 2**15 states of 2**16 entries, 16 GiB
+        with pytest.raises(ResourceLimit):
+            codeword_states(build_nn12_code(16), 0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(Reached):
+            codeword_states(random_code(rng, 20, 2**7), 0.5)
+        with pytest.raises(ResourceLimit):
+            codeword_states(random_code(rng, 20, 2**7 + 1), 0.5)
+        # every sequence state that synth embeds at its limit n = 11
+        with pytest.raises(Reached):
+            codeword_states(Code(n=11, codewords=int_bits(np.arange(2**11), 11)), 0.5)
+
+    def test_single_state_beyond_two_to_the_twenty(self):
+        code = Code(n=21, codewords=np.zeros((1, 21), dtype=np.uint8))
+        states = codeword_states(code, 0.5)
+        assert states.shape == (1, 2**21)
+        assert abs(np.linalg.norm(states) - 1.0) < 1e-12
+
 
 class TestGram:
     def test_distance_two_structure(self):
@@ -129,12 +130,22 @@ class TestGram:
         np.testing.assert_array_equal(g, np.eye(8))
 
     def test_weighted_includes_prior_factors(self):
+        # the prior-weighted Gram matrix, as its callers build it from the
+        # states, is the plain one with sqrt(prior_i * prior_j) factors
         priors = np.array([0.4, 0.3, 0.2, 0.1])
         code = Code(n=3, codewords=build_nn12_code(3).codewords, priors=priors)
-        g = gram(code, 0.5, weighted=True)
-        plain = gram(code, 0.5)
+        weighted = np.sqrt(priors)[:, None] * codeword_states(code, 0.5)
         root = np.sqrt(priors)
-        np.testing.assert_allclose(g, root[:, None] * plain * root[None, :], atol=1e-14)
+        expected = root[:, None] * gram(code, 0.5) * root[None, :]
+        np.testing.assert_allclose(weighted @ weighted.T, expected, atol=1e-14)
+
+    def test_guard_sized_by_the_temporaries(self, no_allocation):
+        # the benchmark's largest explicit code: 1024 words of length 12
+        with pytest.raises(Reached):
+            gram(random_code(np.random.default_rng(1), 12, 1024), 0.5)
+        # 2**14 words of length 15: about 2**28 * 31 bytes, 8 GiB
+        with pytest.raises(ResourceLimit):
+            gram(random_code(np.random.default_rng(2), 15, 2**14), 0.5)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_matches_explicit_states(self, n):

@@ -14,7 +14,6 @@ from supadd.fastcode import (
     linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
-    pair_block_information,
     SimplexProfile,
     simplex_profile,
 )
@@ -247,7 +246,7 @@ class TestGainAndCrossing:
         kappa = 0.5
         p2 = 0.5 * (1.0 - np.sqrt(1.0 - kappa**4))
         h2 = -p2 * np.log2(p2) - (1 - p2) * np.log2(1 - p2)
-        assert abs(pair_block_information(kappa) - (1.0 - h2)) < 1e-12
+        assert abs(fastcode._pair_block_information(kappa) - (1.0 - h2)) < 1e-12
 
     def test_two_letter_gain_never_positive(self):
         for kappa in np.linspace(0.01, 0.99, 99):
@@ -338,7 +337,8 @@ class TestBatchedRoute:
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     def test_pair_block_information(self, grid):
         assert np.array_equal(
-            pair_block_information(grid), stacked(pair_block_information, grid)
+            fastcode._pair_block_information(grid),
+            stacked(fastcode._pair_block_information, grid),
         )
 
     @pytest.mark.parametrize(
@@ -350,7 +350,7 @@ class TestBatchedRoute:
             lambda k: nn12_error_probability(4, k),
             lambda k: simplex_profile(3, k).info_bits,
             lambda k: group_information(nn12_generators(3), 3, k),
-            pair_block_information,
+            pytest.param(fastcode._pair_block_information, id="pair_block_information"),
         ],
     )
     def test_scalar_in_scalar_out(self, fn):
@@ -382,7 +382,7 @@ class TestBatchedRoute:
             lambda k: nn12_mutual_information(4, k),
             lambda k: nn12_error_probability(4, k),
             lambda k: simplex_profile(3, k),
-            lambda k: pair_block_information(k),
+            lambda k: fastcode._pair_block_information(k),
             lambda k: block_gain(6, k),
         ],
     )

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supadd.cli import _threshold_error
 from supadd.detection import square_root_measurement
-from supadd.ensembles import (
-    Code,
-    LetterEnsemble,
-    build_nn12_code,
-    build_simplex_code,
-    gram,
-)
+from supadd.ensembles import build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput
 from supadd.information import (
     _h2,
@@ -18,19 +13,23 @@ from supadd.information import (
     c1_binary,
     code_information,
     holevo_binary,
-    holevo_general,
-    memory_effect_residual,
     mutual_information,
     random_collective_max_info,
     separable_pair_info,
     superadditivity_gain,
-    threshold_quantities,
 )
 
 
 def entropy(p):
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def holevo_mixture(overlaps, priors):
+    """Entropy of the prior-weighted mixture of pure letters: the spectrum
+    of (sqrt(xi_i) sqrt(xi_j) overlap_ij) is the mixture spectrum."""
+    w = np.sqrt(priors)
+    return entropy(np.clip(np.linalg.eigvalsh(overlaps * np.outer(w, w)), 0.0, None))
 
 
 class TestMutualInformation:
@@ -48,9 +47,8 @@ class TestMutualInformation:
     def test_distance_two_code_value(self):
         g = gram(build_nn12_code(3), 0.5)
         _, channel = square_root_measurement(g)
-        res = mutual_information(np.full(4, 0.25), channel, block_length=3)
+        res = mutual_information(np.full(4, 0.25), channel)
         assert abs(res.mutual_information_bits - 1.699661) < 1e-5
-        assert abs(res.per_letter - res.mutual_information_bits / 3.0) < 1e-15
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -140,43 +138,41 @@ class TestEntropyBound:
             assert holevo_binary(kappa) > c1_binary(kappa)
 
     def test_general_matches_binary(self):
-        ens = LetterEnsemble(
-            overlaps=np.array([[1.0, 0.5], [0.5, 1.0]]), priors=np.array([0.5, 0.5])
-        )
-        assert abs(holevo_general(ens) - holevo_binary(0.5)) < 1e-12
+        for kappa in (0.0, 0.5, 0.9):
+            overlaps = np.array([[1.0, kappa], [kappa, 1.0]])
+            expected = holevo_mixture(overlaps, np.array([0.5, 0.5]))
+            assert abs(holevo_binary(kappa) - expected) < 1e-12
 
     def test_general_orthogonal_uniform(self):
-        ens = LetterEnsemble(overlaps=np.eye(4), priors=np.full(4, 0.25))
-        assert abs(holevo_general(ens) - 2.0) < 1e-12
+        assert abs(holevo_mixture(np.eye(4), np.full(4, 0.25)) - 2.0) < 1e-12
 
     def test_general_degenerate_prior(self):
-        ens = LetterEnsemble(
-            overlaps=np.array([[1.0, 0.5], [0.5, 1.0]]), priors=np.array([1.0, 0.0])
-        )
-        assert abs(holevo_general(ens)) < 1e-12
+        overlaps = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert abs(holevo_mixture(overlaps, np.array([1.0, 0.0]))) < 1e-12
 
 
 class TestThresholdQuantities:
+    """The threshold point of fig5 and fig7: n independent uses carry
+    n * C1 bits with block error 1 - (1-p)**n."""
+
     def test_orthogonal(self):
-        info, err = threshold_quantities(0.0, 5)
-        assert abs(info - 5.0) < 1e-12
-        assert err == 0.0
+        assert abs(5 * c1_binary(0.0) - 5.0) < 1e-12
+        assert _threshold_error(binary_flip_probability(np.array([0.0])), 5) == [0.0]
 
     def test_reference_point(self):
-        info, err = threshold_quantities(0.5, 3)
-        assert abs(info - 1.936268) < 1e-5
+        assert abs(3 * c1_binary(0.5) - 1.936268) < 1e-5
+        (err,) = _threshold_error(binary_flip_probability(np.array([0.5])), 3)
         assert abs(err - 0.187796) < 1e-5
 
     def test_single_use_reduction(self):
-        info, err = threshold_quantities(0.5, 1)
-        assert abs(info - c1_binary(0.5)) < 1e-15
-        assert abs(err - binary_flip_probability(0.5)) < 1e-15
+        p = binary_flip_probability(np.array([0.1, 0.5, 0.9]))
+        np.testing.assert_allclose(_threshold_error(p, 1), p, rtol=0, atol=1e-15)
 
     def test_threshold_error_at_least_single_letter(self):
         for kappa in (0.1, 0.5, 0.9):
-            p = binary_flip_probability(kappa)
+            p = binary_flip_probability(np.array([kappa]))
             for n in (1, 2, 5):
-                assert threshold_quantities(kappa, n)[1] >= p - 1e-15
+                assert _threshold_error(p, n)[0] >= p[0] - 1e-15
 
 
 class TestSuperadditivityGain:
@@ -209,18 +205,6 @@ class TestSuperadditivityGain:
     def test_simplex_route(self):
         bits = code_information(build_simplex_code(3), 0.8)
         assert 0.0 < bits < 3.0
-
-
-class TestMemoryEffect:
-    def test_orthogonal_factorizes(self):
-        assert memory_effect_residual(build_nn12_code(3), 0.0) < 1e-12
-
-    def test_single_letter_factorizes(self):
-        code = Code(n=1, codewords=np.array([[0], [1]], dtype=np.uint8))
-        assert memory_effect_residual(code, 0.7) < 1e-12
-
-    def test_collective_decoding_does_not_factorize(self):
-        assert memory_effect_residual(build_nn12_code(3), 0.8) > 1e-3
 
 
 class TestPairAdditivity:

@@ -129,7 +129,7 @@ class TestSchmidtExtend:
             Code(n=3, codewords=extend_code_sequences(code)), kappa
         )
         meas, _ = square_root_measurement(gram(code, kappa), states=states)
-        return meas.vectors, sequences
+        return meas, sequences
 
     def test_orthonormal_completion(self):
         basis, sequences = self.build(0.5)
@@ -209,7 +209,7 @@ class TestSynthesizeUnitary:
         sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
         m = code.num_codewords
         meas, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
-        np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas.vectors)
+        np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas)
 
     @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
     def test_collective_error_is_the_channel_diagonal(self, code):
