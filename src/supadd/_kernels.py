@@ -22,7 +22,16 @@ def mi_bits(xi, P):
 
 
 def hamming_matrix(code):
-    return (code[:, None, :] != code[None, :, :]).sum(axis=-1).astype(np.int64)
+    """Pairwise Hamming distances of the rows of an (M, n) 0/1 array, as
+    an (M, M) int64 array. Each row is packed into 64-bit words, so a pair
+    of rows costs one XOR and one popcount per word; the temporaries are
+    about 9 bytes per pair beside the result."""
+    packed = np.packbits(np.asarray(code, dtype=np.uint8), axis=1)
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    out = np.zeros((len(words), len(words)), dtype=np.int64)
+    for column in words.T:
+        out += np.bitwise_count(column[:, None] ^ column)
+    return out
 
 
 def fwht(x):

@@ -43,13 +43,7 @@ from .information import (
     holevo_binary,
     superadditivity_gain,
 )
-from .synth import (
-    reck_decompose,
-    reconstruct_unitary,
-    schedule_to_csv,
-    synthesize_unitary,
-    unitary_to_text,
-)
+from .synth import schedule_to_csv, synthesize_unitary, unitary_to_text
 
 
 @dataclass
@@ -355,9 +349,6 @@ def cmd_synth(args) -> int:
     assignment = _int_list(assign) if assign is not None else None
 
     syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
-    schedule = reck_decompose(syn.U)
-    recon = reconstruct_unitary(schedule)
-    dim = syn.U.shape[0]
     report = {
         "n": code.n,
         "codewords": code.num_codewords,
@@ -366,16 +357,14 @@ def cmd_synth(args) -> int:
         "separate_error": _jsonval(syn.error_probability),
         "collective_error": _jsonval(syn.collective_error),
         "error_mismatch": _jsonval(abs(syn.error_probability - syn.collective_error)),
-        "orthogonality_residual": _jsonval(
-            float(np.abs(syn.U @ syn.U.T - np.eye(dim)).max())
-        ),
-        "reconstruction_residual": _jsonval(float(np.abs(recon - syn.U).max())),
-        "rotations": len(schedule.rotations),
-        "flip_last": schedule.flip_last,
+        "orthogonality_residual": _jsonval(syn.orthogonality_residual),
+        "reconstruction_residual": _jsonval(syn.reconstruction_residual),
+        "rotations": len(syn.schedule.rotations),
+        "flip_last": syn.schedule.flip_last,
     }
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "unitary.txt").write_text(unitary_to_text(syn.U))
-    (outdir / "schedule.csv").write_text(schedule_to_csv(schedule))
+    (outdir / "schedule.csv").write_text(schedule_to_csv(syn.schedule))
     text = json.dumps(report, indent=1) + "\n"
     (outdir / "report.json").write_text(text)
     sys.stdout.write(text)

@@ -13,6 +13,10 @@ from .errors import InvalidInput, ResourceLimit
 
 # float64 entries (1 GiB) that one explicit array of states or overlaps may take
 _MAX_ENTRIES = 2**27
+# bytes per pair of codewords on the Gram route: the Hamming distances and
+# the Gram matrix take at most 24 at once, the square-root measurement
+# about 40; a random 2048-word code peaked at 60
+_GRAM_ROUTE_BYTES = 64
 
 
 @dataclass(eq=False)
@@ -78,13 +82,17 @@ def codeword_states(code: Code, kappa: float) -> np.ndarray:
 
 def gram(code: Code, kappa: float) -> np.ndarray:
     """Gram matrix of the codeword states: kappa**(Hamming distance).
-    Raises ResourceLimit when its temporaries, about M*M*(n + 16) bytes,
-    pass 1 GiB."""
+    Raises ResourceLimit, before allocating anything, when the Gram route
+    would pass 1 GiB: this matrix and the square-root measurement that
+    follows it take about 64 bytes per pair of codewords, so M <= 4096."""
     if not 0.0 <= kappa <= 1.0:
         raise InvalidInput(f"kappa must lie in [0, 1], got {kappa}")
     m = code.num_codewords
-    if m * m * (code.n + 16) > 8 * _MAX_ENTRIES:
-        raise ResourceLimit(f"the Gram matrix of {m} words of length {code.n} exceeds the guard")
+    if m * m * _GRAM_ROUTE_BYTES > 8 * _MAX_ENTRIES:
+        raise ResourceLimit(
+            f"the Gram route for {m} codewords needs about {m * m * _GRAM_ROUTE_BYTES >> 20} MiB, "
+            f"more than the guard of 1 GiB"
+        )
     return np.float_power(kappa, hamming_matrix(code.codewords))
 
 

@@ -1,15 +1,20 @@
-"""Decoder synthesis: extend the collective measurement basis to the full
-product space, build the adapting orthogonal matrix that maps it onto a
-separate letter-by-letter measurement, verify its error, and factor it into
-a schedule of two-dimensional plane rotations.
+"""Decoder synthesis: build the adapting orthogonal matrix that maps the
+collective square-root measurement onto a separate letter-by-letter
+measurement, verify its error, and give it as a schedule of
+two-dimensional plane rotations.
 
 The letter frame produced by symmetric orthonormalization of the letter
 pair coincides with the coordinate axes of the embedding
 (tests/test_synth.py::TestLetterFrame checks this), so the product
 measurement basis is the standard basis e_label, labels counting bits with
 the first letter most significant. The adaptor U therefore needs no solve:
-its rows at the assigned labels are the square-root measurement vectors,
-and its other rows are their Schmidt completion.
+its rows at the assigned labels are the square-root measurement vectors.
+
+How the other rows are chosen depends on the code. For a linear code with
+equal priors the schedule is written down from the group structure
+(group_schedule) and U is its product; for any other code the other rows
+are the Schmidt completion of the measurement, and reck_decompose factors
+the dense U into a triangular mesh.
 """
 
 from dataclasses import dataclass
@@ -22,10 +27,14 @@ from ._kernels import apply_rotations
 from .detection import square_root_measurement
 from .ensembles import Code, codeword_states, extend_code_sequences, gram
 from .errors import InvalidInput, LinearDependence, ResourceLimit
+from .fastcode import linear_generators
 
 _RESIDUAL_FLOOR = 1e-8
-# n = 11 (dim 2048) takes about 2 minutes and 0.8 GB on a 2-core machine;
-# n = 12 would take 8x the time and 4x the memory
+# how far from orthogonal an adaptor may be
+_ORTHOGONAL_TOL = 1e-8
+# n = 11 (dim 2048) takes about 2 minutes and 0.8 GB on a 2-core machine on
+# the dense route, 6 s and 0.2 GB on the group route; n = 12 would take 8x
+# the time and 4x the memory
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
@@ -34,11 +43,16 @@ _SKIP = 1e-14
 @dataclass(eq=False)
 class SynthesizedUnitary:
     """Orthogonal adaptor U with the basis labels assigned to codewords,
+    its rotation schedule, how far U is from orthogonal and how far the
+    schedule's product is from U,
     the separate-measurement error it realizes, and the error of the
     collective square-root measurement it was built from."""
 
     U: np.ndarray
     target_outcomes: tuple
+    schedule: "RotationSchedule"
+    orthogonality_residual: float
+    reconstruction_residual: float
     error_probability: float
     collective_error: float
 
@@ -88,16 +102,23 @@ def schmidt_extend(codeword_basis, all_sequences) -> np.ndarray:
 
 def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> SynthesizedUnitary:
     """Build the orthogonal adaptor that maps the collective measurement
-    basis onto product-basis outcomes.
+    basis onto product-basis outcomes, with its rotation schedule.
 
-    The square-root measurement basis of the codewords, completed by
-    schmidt_extend, becomes the rows of U: codeword m's vector is row
-    outcome_assignment[m] (default: labels 0..M-1), and the completing
-    vectors fill the unassigned labels in increasing order. The product
-    basis is the standard basis, so U maps each basis vector onto its
-    label's axis. The returned error probability is computed from the
-    adapted states at their assigned labels; it should match the
-    collective error, read off the diagonal of the measurement's channel.
+    Codeword m's square-root measurement vector becomes row
+    outcome_assignment[m] of U (default: labels 0..M-1). The product basis
+    is the standard basis, so U maps each measurement vector onto its
+    label's axis. For a linear code with equal priors, group_schedule
+    writes the schedule down and U is its product with the measurement
+    rows written at the labels; the reconstruction residual compares the
+    two independent routes there. For any other code the Schmidt
+    completion of the measurement fills the unassigned labels in
+    increasing order, reck_decompose factors U and the residual compares
+    U with the schedule's product. The returned error probability is
+    computed from the adapted states at their assigned labels; it should
+    match the collective error, read off the diagonal of the
+    measurement's channel. A U more than 1e-8 from orthogonal, which the
+    measurement rows of an ill-conditioned Gram matrix give, raises
+    InvalidInput.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
@@ -112,24 +133,156 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     if min(labels) < 0 or max(labels) >= dim:
         raise InvalidInput("outcome labels must lie in [0, 2**n)")
 
-    all_bits = extend_code_sequences(code)
-    sequences = codeword_states(Code(n=code.n, codewords=all_bits), kappa)
-    measurement, channel = square_root_measurement(gram(code, kappa), states=sequences[:m])
-    free = np.ones(dim, dtype=bool)
-    free[labels] = False
-    u = np.empty((dim, dim))
-    u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement, sequences)
-    correct = np.einsum("ij,ij->i", sequences[:m], u[labels])
+    generators = linear_generators(code)
+    if generators is None:
+        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
+        states = sequences[:m]
+    else:
+        states = codeword_states(code, kappa)
+    measurement, channel = square_root_measurement(gram(code, kappa), states=states)
+    if generators is None:
+        free = np.ones(dim, dtype=bool)
+        free[labels] = False
+        u = np.empty((dim, dim))
+        u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement, sequences)
+        schedule = reck_decompose(u)
+        residual = float(np.abs(reconstruct_unitary(schedule) - u).max())
+    else:
+        zero = int(np.flatnonzero(~code.codewords.any(axis=1))[0])
+        schedule = group_schedule(code, generators, states[zero], labels)
+        u = reconstruct_unitary(schedule)
+        # the only rows of U that are not the product's own
+        residual = float(np.abs(u[labels] - measurement).max())
+        u[labels] = measurement
+    orthogonality = float(np.abs(u @ u.T - np.eye(dim)).max())
+    if orthogonality > _ORTHOGONAL_TOL:
+        # reck_decompose has refused such a U on the dense route already
+        raise InvalidInput(
+            f"the adaptor is {orthogonality:.1e} from orthogonal: the square-root "
+            f"measurement of this ill-conditioned Gram matrix is not accurate enough"
+        )
+    correct = np.einsum("ij,ij->i", states, measurement)
     error = 1.0 - float(np.sum(code.priors * correct**2))
     return SynthesizedUnitary(
         U=u,
         target_outcomes=tuple(labels),
+        schedule=schedule,
+        orthogonality_residual=orthogonality,
+        reconstruction_residual=residual,
         error_probability=error,
         collective_error=1.0 - float(np.sum(code.priors * np.diag(channel))),
     )
 
 
-def reck_decompose(u, tol: float = 1e-8) -> RotationSchedule:
+def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedule:
+    """Rotation schedule of the adaptor of a linear code with equal
+    priors, written down from its group structure (Eldar & Forney, IEEE
+    TIT 47, 858, 2001); zero_state is the state of the zero word and
+    labels the axis of each codeword.
+
+    Letter 1 is Z letter 0, so psi_c[y] = (-1)**(c.y) psi_0[y]. Bit j of
+    the class s of axis y is the parity of y & generator j, so
+    c.y = m(c).s for the message m(c) of c, and the square-root vector of
+    c is omega_c = sum_s (-1)**(m(c).s) a_s / sqrt(M), where a_s is psi_0
+    restricted to class s and normalized. The product U has row
+    labels[c] equal to omega_c; applied to e_label, in order:
+    - pi/2 rotations move each label axis to the first axis of the class
+      numbered by its codeword's message, with the sign the butterfly
+      needs there; pi rotations fix the signs that closing a cycle of
+      moves leaves wrong, in pairs, the odd one out with an axis no
+      codeword lands on or, when every axis is a codeword's, with the
+      trailing axis flip;
+    - the k-level butterfly of pi/4 rotations on the M first axes is the
+      Walsh-Hadamard transform with input signs (-1)**|m|;
+    - one pivot run per class turns its first axis onto a_s.
+    That is 2**n - M + k*M/2 rotations, at most M moves and at most
+    M/2 + 1 sign fixes.
+    """
+    n, k = code.n, len(generators)
+    dim, m = 2**code.n, 2**k
+    parity = np.bitwise_count(
+        np.arange(dim, dtype=np.uint64)[:, None] & np.array(generators, dtype=np.uint64)
+    ) & 1
+    classes = parity.astype(np.int64) @ (1 << np.arange(k))
+    # row s: the axes of class s, ascending
+    members = np.argsort(classes, kind="stable").reshape(m, -1)
+    first = members[:, 0]
+    words = np.zeros(1, dtype=np.int64)
+    for g in generators:
+        words = np.concatenate([words, words ^ g])
+    message = np.empty(dim, dtype=np.int64)
+    message[words] = np.arange(m)
+    messages = message[code.codewords @ (1 << np.arange(n - 1, -1, -1))]
+    landings = first[messages].tolist()
+    signs = 1 - 2 * (np.bitwise_count(messages) & 1).astype(np.int64)
+    target = dict(zip(labels, zip(landings, signs.tolist())))
+    landing = set(landings)
+
+    rotations = []
+    moved = set()
+    # a chain of moves that starts at a label no codeword lands on ends on
+    # an axis that is no label; its last move goes first
+    for start in labels:
+        if start in landing:
+            continue
+        chain = [start]
+        while chain[-1] in target:
+            chain.append(target[chain[-1]][0])
+        for src, dst in zip(chain[-2::-1], chain[:0:-1]):
+            rotations.append((dst + 1, src + 1, -target[src][1] * math.pi / 2))
+        moved.update(chain)
+    # the other labels form cycles, each moved through its start axis: a
+    # move sends the start's vector on with the sign it needs and brings
+    # the next one back with the opposite sign, so only the last can land
+    # with the wrong sign
+    wrong = []
+    for start in labels:
+        if start in moved:
+            continue
+        cycle = [start]
+        while target[cycle[-1]][0] != start:
+            cycle.append(target[cycle[-1]][0])
+        moved.update(cycle)
+        sign = 1
+        for src, dst in zip(cycle, cycle[1:]):
+            sign *= -target[src][1]
+            rotations.append((dst + 1, start + 1, sign * math.pi / 2))
+        if sign != target[cycle[-1]][1]:
+            wrong.append(start)
+    flip_last = False
+    if len(wrong) % 2:
+        if m < dim:
+            wrong.append(next(y for y in range(dim) if y not in landing))
+        else:
+            # the trailing flip passes back through the butterfly gates on
+            # the last axis, turning their angles, onto the vector there
+            flip_last = True
+            if dim - 1 in wrong:
+                wrong.remove(dim - 1)
+            else:
+                wrong.append(dim - 1)
+    rotations += [(b + 1, a + 1, math.pi) for a, b in zip(wrong[::2], wrong[1::2])]
+
+    for j in range(k):
+        low = np.flatnonzero((np.arange(m) >> j & 1) == 0)
+        a, b = first[low], first[low | 1 << j]
+        turned = flip_last & ((a == dim - 1) | (b == dim - 1))
+        gammas = np.where(turned, math.pi / 4, -math.pi / 4)
+        rotations += zip((b + 1).tolist(), (a + 1).tolist(), gammas.tolist())
+
+    t = zero_state[members]
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    # squared norm of the entries after each non-pivot entry of a class
+    after = np.zeros_like(t[:, 1:])
+    after[:, :-1] = np.cumsum(t[:, :1:-1] ** 2, axis=1)[:, ::-1]
+    gammas = np.arctan2(-t[:, 1:], np.sqrt(t[:, :1] ** 2 + after))
+    rows = (members[:, 1:] + 1).ravel().tolist()
+    pivots = np.repeat(first + 1, members.shape[1] - 1).tolist()
+    rotations += zip(rows, pivots, gammas.ravel().tolist())
+    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+
+
+def reck_decompose(u, tol: float = _ORTHOGONAL_TOL) -> RotationSchedule:
     """Factor an orthogonal matrix into plane rotations by column-major
     elimination of below-diagonal entries; a leftover determinant of -1
     becomes the flip_last flag.

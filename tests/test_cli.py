@@ -7,7 +7,16 @@ import pytest
 from supadd import cli, ensembles, synth
 from supadd.cli import SweepConfig, _emit, main
 from supadd.detection import helstrom_binary, square_root_measurement
-from supadd.ensembles import Code, build_nn12_code, code_to_text, gram, int_bits
+from supadd.ensembles import (
+    Code,
+    build_nn12_code,
+    code_from_text,
+    code_to_text,
+    codeword_states,
+    extend_code_sequences,
+    gram,
+    int_bits,
+)
 from supadd.fastcode import (
     block_gain,
     nn12_error_probability,
@@ -580,3 +589,83 @@ class TestSynthMeasurementOnce:
         assert report["separate_error"] == cli._jsonval(syn.error_probability)
         assert report["collective_error"] == cli._jsonval(collective)
         assert report["error_mismatch"] == cli._jsonval(abs(syn.error_probability - collective))
+
+
+def dense_synth_files(code, kappa, labels):
+    """unitary.txt, schedule.csv and report.json as the Schmidt completion
+    of the measurement and its Reck mesh give them, for any code."""
+    m, dim = code.num_codewords, 2**code.n
+    sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
+    meas, channel = square_root_measurement(gram(code, kappa), states=sequences[:m])
+    u = np.empty((dim, dim))
+    u[labels + [y for y in range(dim) if y not in labels]] = synth.schmidt_extend(meas, sequences)
+    schedule = synth.reck_decompose(u)
+    correct = np.einsum("ij,ij->i", sequences[:m], u[labels])
+    separate = 1.0 - float(np.sum(code.priors * correct**2))
+    collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
+    report = {
+        "n": code.n,
+        "codewords": m,
+        "kappa": cli._jsonval(kappa),
+        "target_outcomes": labels,
+        "separate_error": cli._jsonval(separate),
+        "collective_error": cli._jsonval(collective),
+        "error_mismatch": cli._jsonval(abs(separate - collective)),
+        "orthogonality_residual": cli._jsonval(float(np.abs(u @ u.T - np.eye(dim)).max())),
+        "reconstruction_residual": cli._jsonval(
+            float(np.abs(synth.reconstruct_unitary(schedule) - u).max())
+        ),
+        "rotations": len(schedule.rotations),
+        "flip_last": schedule.flip_last,
+    }
+    return {
+        "unitary.txt": synth.unitary_to_text(u),
+        "schedule.csv": synth.schedule_to_csv(schedule),
+        "report.json": json.dumps(report, indent=1) + "\n",
+    }
+
+
+class TestSynthAgreesWithDenseRoute:
+    @staticmethod
+    def code_file(kind, tmp_path):
+        rng = np.random.default_rng(17)
+        if kind == "linear":
+            # a shuffled [6, 3] code
+            words = {0}
+            for g in (0b110100, 0b011010, 0b101001):
+                words |= {w ^ g for w in words}
+            code = Code(n=6, codewords=int_bits(rng.permutation(sorted(words)), 6))
+        else:
+            priors = rng.random(12)
+            words = int_bits(rng.permutation(32)[:12], 5)
+            code = Code(n=5, codewords=words, priors=priors / priors.sum())
+        path = tmp_path / f"{kind}.code"
+        path.write_text(code_to_text(code))
+        return path, code_from_text(path.read_text())
+
+    @pytest.mark.parametrize("assign", ["default", "reversed", "spread"])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    def test_report_and_label_rows(self, capsys, tmp_path, kind, assign):
+        path, code = self.code_file(kind, tmp_path)
+        m, dim = code.num_codewords, 2**code.n
+        labels = {
+            "default": list(range(m)),
+            "reversed": list(range(m - 1, -1, -1)),
+            "spread": np.random.default_rng(5).permutation(dim)[:m].tolist(),
+        }[assign]
+        argv = ["synth", "--code", str(path), "--kappa", "0.55", "--outdir", str(tmp_path / "out")]
+        if assign != "default":
+            argv += ["--assign", ",".join(map(str, labels))]
+        assert run(capsys, argv)[0] == 0
+        expected = dense_synth_files(code, 0.55, labels)
+        files = {name: (tmp_path / "out" / name).read_text() for name in expected}
+        if kind == "nonlinear":
+            assert files == expected
+            return
+        report, dense = json.loads(files["report.json"]), json.loads(expected["report.json"])
+        for key in ("target_outcomes", "separate_error", "collective_error", "error_mismatch"):
+            assert report[key] == dense[key]
+        assert report["rotations"] < dense["rotations"]
+        assert report["reconstruction_residual"] <= 1e-12
+        rows, dense_rows = files["unitary.txt"].splitlines(), expected["unitary.txt"].splitlines()
+        assert [rows[label] for label in labels] == [dense_rows[label] for label in labels]

@@ -147,6 +147,14 @@ class TestGram:
         with pytest.raises(ResourceLimit):
             gram(random_code(np.random.default_rng(2), 15, 2**14), 0.5)
 
+    def test_guard_sized_by_the_square_root_measurement(self, no_allocation):
+        # 64 bytes a pair of codewords: 4096 words take 1 GiB, whatever n
+        with pytest.raises(Reached):
+            gram(random_code(np.random.default_rng(3), 13, 4096), 0.5)
+        for n in (13, 20):
+            with pytest.raises(ResourceLimit):
+                gram(random_code(np.random.default_rng(n), n, 4097), 0.5)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_matches_explicit_states(self, n):
         rng = np.random.default_rng(n)

@@ -84,6 +84,16 @@ class TestHamming:
         words = rng.integers(0, 2, size=(6, 5)).astype(np.uint8)
         np.testing.assert_array_equal(hamming_matrix(words), python_hamming(words))
 
+    @pytest.mark.parametrize("m", [1, 2, 1024])
+    @pytest.mark.parametrize("n", [1, 12, 64, 65])
+    def test_packed_words_match_the_boolean_count(self, n, m):
+        # n = 65 needs a second 64-bit word per row
+        words = np.random.default_rng(n * m).integers(0, 2, size=(m, n)).astype(np.uint8)
+        expected = (words[:, None, :] != words[None, :, :]).sum(axis=-1).astype(np.int64)
+        got = hamming_matrix(words)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestMiBits:
     def test_matches_reference(self):

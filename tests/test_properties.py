@@ -1,5 +1,6 @@
 """Property tests over random codes: the square-root-measurement channel,
-the block information and the block error stay inside their bounds. Fuzz
+the block information and the block error stay inside their bounds, and
+decoder synthesis agrees with the dense route on either of its routes. Fuzz
 tests of the two text parsers: any text gives a valid object or
 InvalidInput, never another exception."""
 
@@ -11,10 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd.detection import square_root_measurement
-from supadd.ensembles import Code, code_from_text, code_to_text, gram, int_bits
+from supadd.ensembles import (
+    Code,
+    code_from_text,
+    code_to_text,
+    codeword_states,
+    extend_code_sequences,
+    gram,
+    int_bits,
+)
 from supadd.errors import InvalidInput
+from supadd.fastcode import linear_generators
 from supadd.information import code_information, holevo_binary
-from supadd.synth import RotationSchedule, reconstruct_unitary, schedule_from_csv, schedule_to_csv
+from supadd.synth import (
+    RotationSchedule,
+    reck_decompose,
+    reconstruct_unitary,
+    schedule_from_csv,
+    schedule_to_csv,
+    synthesize_unitary,
+)
 
 TOL = 1e-9
 
@@ -67,6 +84,39 @@ def test_block_error_is_a_probability(code, kappa):
     _, channel = square_root_measurement(gram(code, kappa))
     error = 1.0 - float(np.sum(code.priors * np.diag(channel)))
     assert -TOL <= error <= 1.0 + TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes(), kappas)
+def test_synthesis_agrees_with_the_dense_route(code, kappa):
+    """Linear codes with equal priors take the group schedule and every
+    other code the Reck mesh of U. Either way the label rows are the
+    square-root measurement, the errors are those of the measurement
+    completed by Schmidt, and the schedule's product is U up to the
+    measurement's round-off."""
+    m, dim = code.num_codewords, 2**code.n
+    g = gram(code, kappa)
+    try:
+        syn = synthesize_unitary(code, kappa)
+    except InvalidInput:
+        # a U more than 1e-8 from orthogonal is refused; the eigh rows are
+        # off by about 1e-14 over the smallest Gram eigenvalue
+        assert np.linalg.eigvalsh(g)[0] < 1e-5
+        return
+    sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
+    meas, channel = square_root_measurement(g, states=sequences[:m])
+    np.testing.assert_array_equal(syn.U[:m], meas)
+    correct = np.einsum("ij,ij->i", sequences[:m], meas)
+    assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
+    assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+    tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+    assert syn.reconstruction_residual <= tol
+    assert np.abs(reconstruct_unitary(syn.schedule) - syn.U).max() <= tol
+    if linear_generators(code) is None:
+        assert syn.schedule.rotations == reck_decompose(syn.U).rotations
+    else:
+        k = int(math.log2(m))
+        assert len(syn.schedule.rotations) <= dim - m + k * m // 2 + 2 * m
 
 
 # numbers, near-numbers and separators the parsers must survive

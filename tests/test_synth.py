@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supadd import synth
 from supadd.detection import square_root_measurement
 from supadd.ensembles import (
     Code,
@@ -14,11 +15,13 @@ from supadd.ensembles import (
     embed_binary_letters,
     extend_code_sequences,
     gram,
+    int_bits,
 )
 from supadd.errors import InvalidInput, LinearDependence, ResourceLimit
-from supadd.fastcode import nn12_error_probability
+from supadd.fastcode import linear_generators, nn12_error_probability
 from supadd.synth import (
     RotationSchedule,
+    group_schedule,
     reck_decompose,
     reconstruct_unitary,
     schedule_from_csv,
@@ -74,6 +77,36 @@ def python_reck(u):
             w[[i, j], :] = np.array([[c, s], [-s, c]]) @ w[[i, j], :]
             rotations.append((j, i, gamma))
     return rotations, bool(w[dim - 1, dim - 1] < 0.0)
+
+
+def group_vectors(code, kappa):
+    """Square-root measurement vectors of a linear code with equal priors
+    in closed form, one row per codeword: omega_c[y] = (-1)**(c.y)
+    psi_0[y] / sqrt(M), psi_0 normalized on the class of y, the axes whose
+    characters (-1)**(c.y) over the codewords agree with those of y."""
+    n, m = code.n, code.num_codewords
+    words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
+    chars = np.bitwise_count(words[:, None] & np.arange(2**n)[None, :]) & 1
+    psi0 = codeword_states(Code(n=n, codewords=np.zeros((1, n), dtype=np.uint8)), kappa)[0]
+    _, classes = np.unique(chars.T, axis=0, return_inverse=True)
+    norms = np.sqrt(np.bincount(classes.ravel(), weights=psi0**2))
+    return (1.0 - 2.0 * chars) * (psi0 / norms[classes.ravel()]) / np.sqrt(m)
+
+
+def assert_group_rows(product, labels, code, kappa):
+    expected = group_vectors(code, kappa)
+    np.testing.assert_allclose(product[list(labels)], expected, rtol=0, atol=1e-12)
+
+
+def rotation_bound(code):
+    """2**n - M rotations for the class runs, k*M/2 for the butterfly and
+    at most 2M moves and sign fixes."""
+    m = code.num_codewords
+    return 2**code.n - m + int(np.log2(m)) * m // 2 + 2 * m
+
+
+def linear_code(n, values):
+    return Code(n=n, codewords=int_bits(np.array(values), n))
 
 
 def signed_permutation(rng, dim):
@@ -239,6 +272,188 @@ class TestSynthesizeUnitary:
         words[1, :2] = 1
         with pytest.raises(ResourceLimit):
             synthesize_unitary(Code(n=12, codewords=words), 0.5)
+
+
+class TestGroupSchedule:
+    @pytest.mark.parametrize(
+        "code, rotations",
+        [(build_nn12_code(8), 692), (build_nn12_code(9), 1520), (build_simplex_code(3), 137)],
+    )
+    def test_benchmark_codes(self, code, rotations):
+        syn = synthesize_unitary(code, 0.5)
+        dim = 2**code.n
+        assert len(syn.schedule.rotations) == rotations < min(2000, dim * (dim - 1) // 2)
+        assert len(syn.schedule.rotations) <= rotation_bound(code)
+        assert syn.reconstruction_residual <= 1e-12
+        assert np.abs(syn.U @ syn.U.T - np.eye(dim)).max() <= 1e-12
+        product = reconstruct_unitary(syn.schedule)
+        assert_group_rows(product, syn.target_outcomes, code, 0.5)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_code(self, n, moved):
+        # k = 0: one class holding every axis, no butterfly
+        code = linear_code(n, [0])
+        syn = synthesize_unitary(code, 0.4, outcome_assignment=[2**n - 1] if moved else None)
+        assert linear_generators(code) == ()
+        assert len(syn.schedule.rotations) <= rotation_bound(code)
+        product = reconstruct_unitary(syn.schedule)
+        assert_group_rows(product, syn.target_outcomes, code, 0.4)
+        assert syn.reconstruction_residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_code_every_assignment_parity(self, n):
+        # k = n: every axis is a codeword's, so an odd number of wrong
+        # signs goes to the trailing axis flip
+        dim = 2**n
+        rng = np.random.default_rng(n)
+        flips = set()
+        for _ in range(12):
+            code = linear_code(n, rng.permutation(dim))
+            labels = rng.permutation(dim).tolist()
+            syn = synthesize_unitary(code, 0.3, outcome_assignment=labels)
+            flips.add(syn.schedule.flip_last)
+            assert len(syn.schedule.rotations) <= rotation_bound(code)
+            product = reconstruct_unitary(syn.schedule)
+            assert_group_rows(product, labels, code, 0.3)
+            assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
+        assert flips == {False, True}
+
+    def test_every_generator_basis(self):
+        # the even-weight n=4 code under each ordered choice of 3 of its
+        # words that span it, with labels on the first axes of the classes
+        code = build_nn12_code(4)
+        words = [int(w) for w in code.codewords @ (1 << np.arange(3, -1, -1)) if w]
+        states = codeword_states(code, 0.6)
+        labels = list(range(7, -1, -1))
+        bases = 0
+        for a in words:
+            for b in words:
+                for c in words:
+                    if len({0, a, b, c, a ^ b, a ^ c, b ^ c, a ^ b ^ c}) < 8:
+                        continue
+                    schedule = group_schedule(code, (a, b, c), states[0], labels)
+                    product = reconstruct_unitary(schedule)
+                    assert_group_rows(product, labels, code, 0.6)
+                    bases += 1
+        assert bases == 168
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_generator_basis_and_labels(self, data):
+        n = data.draw(st.integers(1, 8))
+        words = {0}
+        for g in data.draw(st.lists(st.integers(1, 2**n - 1), max_size=n)):
+            words |= {w ^ g for w in words}
+        code = linear_code(n, data.draw(st.permutations(sorted(words))))
+        m, dim = code.num_codewords, 2**n
+        # row operations and a shuffle give another basis of the code
+        basis = list(linear_generators(code))
+        pairs = st.tuples(st.integers(0, n), st.integers(0, n))
+        for i, j in data.draw(st.lists(pairs, max_size=8)):
+            i, j = i % max(1, len(basis)), j % max(1, len(basis))
+            if i != j:
+                basis[i] ^= basis[j]
+        basis = data.draw(st.permutations(basis))
+        choice = data.draw(st.sampled_from(["default", "axes", "first"]))
+        if choice == "default":
+            labels = list(range(m))
+        elif choice == "axes":
+            labels = list(data.draw(st.permutations(range(dim)))[:m])
+        else:
+            # the first axis of every class, the pivots of the class runs
+            chars = np.bitwise_count(np.array(basis, dtype=np.int64)[:, None] & np.arange(dim)) & 1
+            keys = (chars << np.arange(len(basis))[:, None]).sum(axis=0)
+            firsts = np.unique(keys, return_index=True)[1].tolist()
+            labels = list(data.draw(st.permutations(firsts)))
+        kappa = data.draw(st.floats(0.0, 0.95))
+
+        states = codeword_states(code, kappa)
+        zero = int(np.flatnonzero(~code.codewords.any(axis=1))[0])
+        schedule = group_schedule(code, tuple(basis), states[zero], labels)
+        assert len(schedule.rotations) <= rotation_bound(code)
+        product = reconstruct_unitary(schedule)
+        assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
+        assert_group_rows(product, labels, code, kappa)
+
+        g = gram(code, kappa)
+        meas, channel = square_root_measurement(g, states=states)
+        try:
+            syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
+        except InvalidInput:
+            # refused only where the eigh rows stray from orthonormal ones,
+            # by about 1e-14 over the smallest Gram eigenvalue
+            assert np.linalg.eigvalsh(g)[0] < 1e-5
+            return
+        np.testing.assert_array_equal(syn.U[labels], meas)
+        # the eigh route's rows carry round-off of about 1e-16 over the
+        # smallest Gram eigenvalue; the schedule's product has none
+        tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+        assert np.abs(syn.U @ syn.U.T - np.eye(dim)).max() <= tol
+        assert np.abs(reconstruct_unitary(syn.schedule) - syn.U).max() <= tol
+        assert syn.reconstruction_residual <= tol
+        correct = np.einsum("ij,ij->i", states, meas)
+        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
+        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+
+    def test_ill_conditioned_measurement_refused(self):
+        # every word of length 8 at kappa 0.95: the smallest Gram eigenvalue
+        # is 0.05**8, and the eigh rows are about 1e-5 from orthonormal,
+        # which the dense route's reck_decompose refused as well
+        code = linear_code(8, np.arange(256))
+        with pytest.raises(InvalidInput):
+            synthesize_unitary(code, 0.95)
+        syn = synthesize_unitary(code, 0.5)
+        assert syn.reconstruction_residual <= 1e-12
+        assert syn.orthogonality_residual <= 1e-12
+        # length 6 passes, 5.6e-9 from orthogonal
+        syn = synthesize_unitary(linear_code(6, np.arange(64)), 0.95)
+        assert 1e-12 < syn.orthogonality_residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "code, linear",
+        [
+            (build_nn12_code(4), True),
+            (linear_code(4, [0, 3, 12, 15]), True),
+            (linear_code(4, [0, 3, 12, 14]), False),
+            (Code(n=3, codewords=build_nn12_code(3).codewords, priors=[0.4, 0.2, 0.2, 0.2]),
+             False),
+        ],
+    )
+    def test_route_choice(self, monkeypatch, code, linear):
+        calls = []
+
+        def spy(u, *args, **kwargs):
+            calls.append(1)
+            return reck_decompose(u, *args, **kwargs)
+
+        monkeypatch.setattr(synth, "reck_decompose", spy)
+        syn = synthesize_unitary(code, 0.5)
+        assert len(calls) == (0 if linear else 1)
+        assert abs(syn.error_probability - syn.collective_error) < 1e-12
+
+    @pytest.mark.parametrize(
+        "code, labels",
+        [
+            (build_nn12_code(5), None),
+            (build_nn12_code(5), list(range(31, 0, -2))),
+            (build_simplex_code(2), [6, 1, 4, 3]),
+            (linear_code(4, [0, 5, 10, 15]), [15, 0, 9, 2]),
+        ],
+    )
+    def test_matches_dense_route(self, code, labels):
+        # the Schmidt-completion route gives the same measurement rows and
+        # the same errors; only the completing rows differ
+        kappa = 0.45
+        syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
+        m = code.num_codewords
+        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
+        meas, channel = square_root_measurement(gram(code, kappa), states=sequences[:m])
+        rows = list(syn.target_outcomes)
+        np.testing.assert_array_equal(syn.U[rows], meas)
+        correct = np.einsum("ij,ij->i", sequences[:m], meas)
+        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
+        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
 
 
 class TestReckDecompose:
