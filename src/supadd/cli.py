@@ -43,7 +43,7 @@ from .information import (
     holevo_binary,
     superadditivity_gain,
 )
-from .synth import schedule_to_csv, synthesize_unitary, unitary_to_text
+from .synth import schedule_to_csv, synthesize_unitary
 
 
 @dataclass
@@ -363,7 +363,7 @@ def cmd_synth(args) -> int:
         "flip_last": syn.schedule.flip_last,
     }
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "unitary.txt").write_text(unitary_to_text(syn.U))
+    np.savetxt(outdir / "unitary.txt", syn.U, fmt="%.17g")
     (outdir / "schedule.csv").write_text(schedule_to_csv(syn.schedule))
     text = json.dumps(report, indent=1) + "\n"
     (outdir / "report.json").write_text(text)

@@ -221,7 +221,9 @@ def threshold_certificate(
     """Certify that the product of single-letter optimal measurements is the
     minimum-error measurement for all 2**n sequences under product priors,
     with error 1 - (1-p)**n. Raises ResourceLimit for n > 9, where the
-    O(2**(4n)) cost would pass two minutes."""
+    O(2**(4n)) cost would pass two minutes, and InvalidInput for n < 1."""
+    if n < 1:
+        raise InvalidInput(f"threshold certificate needs n >= 1, got {n}")
     if n > _MAX_CERT_N:
         raise ResourceLimit(f"threshold certificate guarded at n <= {_MAX_CERT_N}, got {n}")
     code = _full_product_code(n, xi1)

@@ -141,17 +141,6 @@ def build_simplex_code(r: int) -> Code:
     return Code(n=n, codewords=codewords.astype(np.uint8))
 
 
-def extend_code_sequences(code: Code) -> np.ndarray:
-    """All 2**n bit strings ordered codewords-first, the remaining
-    sequences following in increasing integer order."""
-    if code.n > 20:
-        raise ResourceLimit(f"2**{code.n} sequences exceed the guard")
-    n = code.n
-    rest = np.ones(2**n, dtype=bool)
-    rest[code.codewords @ (1 << np.arange(n - 1, -1, -1))] = False
-    return np.vstack([code.codewords, int_bits(np.flatnonzero(rest), n)])
-
-
 def code_to_text(code: Code) -> str:
     """Serialize as: first line "n M", M bit-string lines, M prior lines."""
     lines = [f"{code.n} {code.num_codewords}"]

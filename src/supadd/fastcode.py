@@ -41,6 +41,8 @@ from .information import (
 
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
+# bracket width at which find_kappa_star stops bisecting
+_KAPPA_STAR_WIDTH = 1e-6
 
 
 class SimplexProfile(NamedTuple):
@@ -200,9 +202,9 @@ def block_gain(n: int, kappa):
     return nn12_mutual_information(n, kappa) / n - c1_binary(kappa)
 
 
-def find_kappa_star(n: int, tol: float = 1e-6) -> float:
+def find_kappa_star(n: int) -> float:
     """Zero crossing of the per-letter gain: scans a 99-point grid for the
-    first sign change, then bisects to width tol."""
+    first sign change, then bisects to width 1e-6."""
     if n < 2:
         raise InvalidInput(f"crossing search needs n >= 2, got {n}")
     grid = np.linspace(0.01, 0.99, 99)
@@ -211,7 +213,7 @@ def find_kappa_star(n: int, tol: float = 1e-6) -> float:
     if change.size == 0:
         raise NoRoot(f"gain has no negative-to-positive crossing for n={n}")
     lo, hi = grid[change[0]], grid[change[0] + 1]
-    while hi - lo > tol:
+    while hi - lo > _KAPPA_STAR_WIDTH:
         mid = 0.5 * (lo + hi)
         if block_gain(n, mid) > 0.0:
             hi = mid

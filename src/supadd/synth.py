@@ -10,11 +10,11 @@ measurement basis is the standard basis e_label, labels counting bits with
 the first letter most significant. The adaptor U therefore needs no solve:
 its rows at the assigned labels are the square-root measurement vectors.
 
-How the other rows are chosen depends on the code. For a linear code with
-equal priors the schedule is written down from the group structure
-(group_schedule) and U is its product; for any other code the other rows
-are the Schmidt completion of the measurement, and reck_decompose factors
-the dense U into a triangular mesh.
+Only those rows carry meaning, so the schedule is built first and U is its
+product. For a linear code with equal priors the schedule is written down
+from the group structure (group_schedule); for any other code it is one
+pivot run per codeword, read off the measurement rows (_row_schedule).
+reck_decompose factors any orthogonal matrix into a full triangular mesh.
 """
 
 from dataclasses import dataclass
@@ -25,16 +25,16 @@ import numpy as np
 
 from ._kernels import apply_rotations
 from .detection import square_root_measurement
-from .ensembles import Code, codeword_states, extend_code_sequences, gram
-from .errors import InvalidInput, LinearDependence, ResourceLimit
+from .ensembles import Code, codeword_states, gram
+from .errors import InvalidInput, ResourceLimit
 from .fastcode import linear_generators
 
-_RESIDUAL_FLOOR = 1e-8
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
-# n = 11 (dim 2048) takes about 2 minutes and 0.8 GB on a 2-core machine on
-# the dense route, 6 s and 0.2 GB on the group route; n = 12 would take 8x
-# the time and 4x the memory
+# `synth --code` on a random code with M = 2**n / 4 and random priors takes
+# 1.0 s and 52 MB at n = 9, 4.9 s and 0.11 GB at n = 10 and 48 s and
+# 0.34 GB at n = 11 (dim 2048) on a 2-core machine, even-weight n = 11 on the
+# group route 4 s and 0.22 GB; n = 12 would take 8x the time and 4x the memory
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
@@ -68,56 +68,23 @@ class RotationSchedule:
     flip_last: bool
 
 
-def schmidt_extend(codeword_basis, all_sequences) -> np.ndarray:
-    """Complete an orthonormal basis of the codeword span to the full space
-    by orthonormalizing the remaining sequence states in index order.
-
-    The first rows of the output are the input basis unchanged; each later
-    sequence is projected off everything accepted so far (twice, for
-    orthogonality at working precision) and normalized.
-    """
-    basis = np.array(codeword_basis, dtype=np.float64)
-    sequences = np.asarray(all_sequences, dtype=np.float64)
-    m, dim = basis.shape
-    total = sequences.shape[0]
-    if total != dim:
-        raise InvalidInput("need exactly dim sequences to complete the basis")
-    out = np.empty((dim, dim))
-    out[:m] = basis
-    k = m
-    for idx in range(m, total):
-        r = sequences[idx].copy()
-        for _ in range(2):
-            r -= out[:k].T @ (out[:k] @ r)
-        norm = np.linalg.norm(r)
-        if norm < _RESIDUAL_FLOOR:
-            raise LinearDependence(
-                f"sequence {idx} lies in the span of the accepted basis "
-                f"(residual {norm:.3e})"
-            )
-        out[k] = r / norm
-        k += 1
-    return out
-
-
 def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> SynthesizedUnitary:
     """Build the orthogonal adaptor that maps the collective measurement
     basis onto product-basis outcomes, with its rotation schedule.
 
     Codeword m's square-root measurement vector becomes row
-    outcome_assignment[m] of U (default: labels 0..M-1). The product basis
-    is the standard basis, so U maps each measurement vector onto its
-    label's axis. For a linear code with equal priors, group_schedule
-    writes the schedule down and U is its product with the measurement
-    rows written at the labels; the reconstruction residual compares the
-    two independent routes there. For any other code the Schmidt
-    completion of the measurement fills the unassigned labels in
-    increasing order, reck_decompose factors U and the residual compares
-    U with the schedule's product. The returned error probability is
-    computed from the adapted states at their assigned labels; it should
-    match the collective error, read off the diagonal of the
-    measurement's channel. A U more than 1e-8 from orthogonal, which the
-    measurement rows of an ill-conditioned Gram matrix give, raises
+    outcome_assignment[m] of U (default: labels 0..M-1), which must be M
+    distinct integers in [0, 2**n). The product basis is the standard
+    basis, so U maps each measurement vector onto its label's axis. The
+    schedule comes first: group_schedule writes it down for a linear code
+    with equal priors, _row_schedule reads it off the measurement rows for
+    any other code. U is the schedule's product with the measurement rows
+    written at the labels, and the reconstruction residual is how far the
+    product's own rows there were from them. The returned error
+    probability is computed from the adapted states at their assigned
+    labels; it should match the collective error, read off the diagonal of
+    the measurement's channel. A U more than 1e-8 from orthogonal, which
+    the measurement rows of an ill-conditioned Gram matrix give, raises
     InvalidInput.
     """
     if code.n > _MAX_SYNTH_N:
@@ -127,36 +94,33 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     if outcome_assignment is None:
         labels = list(range(m))
     else:
-        labels = [int(x) for x in outcome_assignment]
+        given = list(outcome_assignment)
+        try:
+            labels = [int(x) for x in given]
+            integral = labels == given
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise InvalidInput(f"outcome labels must be integers, got {given!r}")
     if len(labels) != m or len(set(labels)) != m:
         raise InvalidInput("outcome assignment must be M distinct labels")
     if min(labels) < 0 or max(labels) >= dim:
         raise InvalidInput("outcome labels must lie in [0, 2**n)")
 
+    states = codeword_states(code, kappa)
+    measurement, channel = square_root_measurement(gram(code, kappa), states=states)
     generators = linear_generators(code)
     if generators is None:
-        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
-        states = sequences[:m]
-    else:
-        states = codeword_states(code, kappa)
-    measurement, channel = square_root_measurement(gram(code, kappa), states=states)
-    if generators is None:
-        free = np.ones(dim, dtype=bool)
-        free[labels] = False
-        u = np.empty((dim, dim))
-        u[labels + np.flatnonzero(free).tolist()] = schmidt_extend(measurement, sequences)
-        schedule = reck_decompose(u)
-        residual = float(np.abs(reconstruct_unitary(schedule) - u).max())
+        schedule = _row_schedule(measurement, labels)
     else:
         zero = int(np.flatnonzero(~code.codewords.any(axis=1))[0])
         schedule = group_schedule(code, generators, states[zero], labels)
-        u = reconstruct_unitary(schedule)
-        # the only rows of U that are not the product's own
-        residual = float(np.abs(u[labels] - measurement).max())
-        u[labels] = measurement
+    u = reconstruct_unitary(schedule)
+    # the only rows of U that are not the product's own
+    residual = float(np.abs(u[labels] - measurement).max())
+    u[labels] = measurement
     orthogonality = float(np.abs(u @ u.T - np.eye(dim)).max())
     if orthogonality > _ORTHOGONAL_TOL:
-        # reck_decompose has refused such a U on the dense route already
         raise InvalidInput(
             f"the adaptor is {orthogonality:.1e} from orthogonal: the square-root "
             f"measurement of this ill-conditioned Gram matrix is not accurate enough"
@@ -172,6 +136,63 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         error_probability=error,
         collective_error=1.0 - float(np.sum(code.priors * np.diag(channel))),
     )
+
+
+def _row_schedule(measurement, labels) -> RotationSchedule:
+    """Rotation schedule whose product has row labels[c] equal to
+    measurement[c], for any orthonormal rows.
+
+    The elimination G turns each measurement vector onto its label axis,
+    codewords in increasing label order: one pivot run per codeword turns
+    its column, already rotated by the runs before, against every axis not
+    yet a pivot, in descending order. Entries on earlier pivots are
+    rounding noise, since the columns are orthonormal. Then G has the
+    measurement rows at the labels, and the schedule is G reversed with
+    negated angles, each run's axes ascending. When every axis is a label
+    and the last pivot ends negative, G has the negated row there; the
+    trailing axis flip puts it right, and the rotations that touch the last
+    axis keep their angle, since the flip turns them. Codeword c (in label
+    order) takes at most 2**n - 1 - c rotations.
+    """
+    m, dim = measurement.shape
+    w = measurement[np.argsort(labels)].T.copy()
+    free = np.ones(dim, dtype=bool)
+    runs = []
+    for col, pivot in enumerate(sorted(labels)):
+        free[pivot] = False
+        runs.append((pivot, *_pivot_run(w, col, pivot, np.flatnonzero(free)[::-1], col + 1)))
+    flip_last = bool(m == dim and w[dim - 1, dim - 1] < 0.0)
+    rotations = []
+    for pivot, rows, gammas in reversed(runs):
+        # with the flip, the last axis is never a run's pivot: its run is empty
+        gammas = np.where(flip_last & (rows == dim - 1), gammas, -gammas)[::-1]
+        rotations += zip((rows[::-1] + 1).tolist(), [pivot + 1] * rows.size, gammas.tolist())
+    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+
+
+def _pivot_run(w, col, pivot, rows, start):
+    """One pivot run of a column elimination: rotation (row, pivot) turns
+    entry w[row, col] into the running pivot, gamma = atan2(w[row, col],
+    pivot), for the rows in the given order; the rotations go to the
+    columns start: of w in place. Returns the rows turned and their angles.
+
+    An entry with |w[row, col]| <= 1e-14 is left in place: the column has
+    unit norm, so such an entry is rounding noise, and turning by atan2 of
+    two noise values would be a large rotation that eliminates nothing.
+    When every entry is left but the pivot is negative, the first row is
+    turned by about pi so that the pivot ends positive.
+    """
+    y = w[rows, col]
+    value = w[pivot, col]
+    keep = np.abs(y) > _SKIP
+    if value < 0.0 and keep.size and not keep.any():
+        keep[0] = True
+    rows, y = rows[keep], y[keep]
+    norms = np.sqrt(value * value + np.cumsum(y * y))
+    gammas = np.arctan2(y, np.concatenate(([value], norms[:-1])))
+    if rows.size:
+        apply_rotations(w, pivot, rows, np.cos(gammas), np.sin(gammas), start)
+    return rows, gammas
 
 
 def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedule:
@@ -287,13 +308,8 @@ def reck_decompose(u, tol: float = _ORTHOGONAL_TOL) -> RotationSchedule:
     elimination of below-diagonal entries; a leftover determinant of -1
     becomes the flip_last flag.
 
-    Column i is one pivot run: rotation (j, i) turns entry w[j, i] into the
-    running pivot, gamma = atan2(w[j, i], pivot), for j ascending. An entry
-    with |w[j, i]| <= 1e-14 is left in place: the column has unit norm, so
-    such an entry is rounding noise, and turning by atan2 of two noise
-    values would be a large rotation that eliminates nothing. When every
-    entry below a negative pivot is left, entry i + 1 is turned by about pi
-    so that the pivot ends positive.
+    Column i is one pivot run (_pivot_run) against pivot i, with rows
+    j > i ascending.
     """
     w = np.array(u, dtype=np.float64)
     dim = w.shape[0]
@@ -301,17 +317,7 @@ def reck_decompose(u, tol: float = _ORTHOGONAL_TOL) -> RotationSchedule:
         raise InvalidInput("input is not orthogonal within tolerance")
     rotations = []
     for i in range(dim - 1):
-        pivot = w[i, i]
-        keep = np.abs(w[i + 1 :, i]) > _SKIP
-        if pivot < 0.0 and not keep.any():
-            keep[0] = True
-        rows = np.flatnonzero(keep) + (i + 1)
-        if rows.size == 0:
-            continue
-        y = w[rows, i]
-        norms = np.sqrt(pivot * pivot + np.cumsum(y * y))
-        gammas = np.arctan2(y, np.concatenate(([pivot], norms[:-1])))
-        apply_rotations(w, i, rows, np.cos(gammas), np.sin(gammas), i + 1)
+        rows, gammas = _pivot_run(w, i, i, np.arange(i + 1, dim), i + 1)
         rotations += zip((rows + 1).tolist(), [i + 1] * rows.size, gammas.tolist())
     flip_last = bool(w[dim - 1, dim - 1] < 0.0)
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
@@ -405,8 +411,3 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
         raise InvalidInput(f"rotation axes must lie in 1..{dim}")
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
 
-
-def unitary_to_text(u: np.ndarray) -> str:
-    """Row-major numeric text, one row per line."""
-    rows = np.asarray(u)
-    return "\n".join(" ".join(map("{:.17g}".format, row.tolist())) for row in rows) + "\n"

@@ -266,6 +266,12 @@ class TestThresholdCertificate:
         assert cert.tm_min_eig >= -1e-12
         assert abs(cert.error_probability - cert.expected_error) <= 1e-12
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_block_length_rejected(self, n):
+        # n = 0 used to pass on an empty product, n = -1 to overflow
+        with pytest.raises(InvalidInput):
+            threshold_certificate(0.5, n)
+
     def test_skewed_letter_priors(self):
         cert = threshold_certificate(0.6, 2, xi1=0.3)
         assert cert.passes

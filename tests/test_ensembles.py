@@ -13,7 +13,6 @@ from supadd.ensembles import (
     code_to_text,
     codeword_states,
     embed_binary_letters,
-    extend_code_sequences,
     gram,
     int_bits,
 )
@@ -248,18 +247,6 @@ class TestSimplexFamily:
     def test_small_rank_rejected(self):
         with pytest.raises(InvalidInput):
             build_simplex_code(1)
-
-
-class TestSequenceExtension:
-    def test_codewords_first_then_integer_order(self):
-        code = build_nn12_code(3)
-        full = extend_code_sequences(code)
-        assert full.shape == (8, 3)
-        np.testing.assert_array_equal(full[:4], code.codewords)
-        weights = np.array([4, 2, 1])
-        rest = full[4:] @ weights
-        np.testing.assert_array_equal(rest, sorted(rest))
-        assert len(set((full @ weights).tolist())) == 8
 
 
 class TestIntBits:

@@ -257,7 +257,7 @@ class TestGainAndCrossing:
         assert np.all(np.diff(stars) < 0)
 
     def test_crossing_brackets_sign_change(self):
-        star = find_kappa_star(5, tol=1e-8)
+        star = find_kappa_star(5)
         assert block_gain(5, star - 1e-4) < 0 < block_gain(5, star + 1e-4)
 
     def test_crossing_tracks_guide(self):

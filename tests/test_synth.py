@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supadd import synth
+from supadd import cli, synth
 from supadd.detection import square_root_measurement
 from supadd.ensembles import (
     Code,
@@ -13,11 +14,10 @@ from supadd.ensembles import (
     build_simplex_code,
     codeword_states,
     embed_binary_letters,
-    extend_code_sequences,
     gram,
     int_bits,
 )
-from supadd.errors import InvalidInput, LinearDependence, ResourceLimit
+from supadd.errors import InvalidInput, ResourceLimit
 from supadd.fastcode import linear_generators, nn12_error_probability
 from supadd.synth import (
     RotationSchedule,
@@ -26,9 +26,7 @@ from supadd.synth import (
     reconstruct_unitary,
     schedule_from_csv,
     schedule_to_csv,
-    schmidt_extend,
     synthesize_unitary,
-    unitary_to_text,
 )
 
 
@@ -105,6 +103,16 @@ def rotation_bound(code):
     return 2**code.n - m + int(np.log2(m)) * m // 2 + 2 * m
 
 
+def synth_unitary_file(tmp_path, monkeypatch, u):
+    """The unitary.txt that `supadd synth` writes for an adaptor equal to u."""
+    real = cli.synthesize_unitary
+    monkeypatch.setattr(
+        cli, "synthesize_unitary", lambda *args, **kwargs: replace(real(*args, **kwargs), U=u)
+    )
+    assert cli.main(["synth", "--n", "3", "--outdir", str(tmp_path)]) == 0
+    return (tmp_path / "unitary.txt").read_text()
+
+
 def linear_code(n, values):
     return Code(n=n, codewords=int_bits(np.array(values), n))
 
@@ -154,49 +162,12 @@ class TestLetterFrame:
         np.testing.assert_allclose(b, [0.0, 1.0], atol=1e-12)
 
 
-class TestSchmidtExtend:
-    def build(self, kappa):
-        code = build_nn12_code(3)
-        states = codeword_states(code, kappa)
-        sequences = codeword_states(
-            Code(n=3, codewords=extend_code_sequences(code)), kappa
-        )
-        meas, _ = square_root_measurement(gram(code, kappa), states=states)
-        return meas, sequences
-
-    def test_orthonormal_completion(self):
-        basis, sequences = self.build(0.5)
-        out = schmidt_extend(basis, sequences)
-        assert out.shape == (8, 8)
-        np.testing.assert_allclose(out @ out.T, np.eye(8), atol=1e-10)
-        np.testing.assert_array_equal(out[:4], basis)
-
-    def test_full_basis_returned_unchanged(self):
-        basis, sequences = self.build(0.4)
-        full = schmidt_extend(basis, sequences)
-        again = schmidt_extend(full, sequences)
-        np.testing.assert_array_equal(again, full)
-
-    def test_dependent_sequence_rejected(self):
-        basis = np.eye(4)[:2]
-        sequences = np.vstack([np.eye(4)[:2], np.eye(4)[0][None, :], np.eye(4)[3][None, :]])
-        with pytest.raises(LinearDependence):
-            schmidt_extend(basis, sequences)
-
-    def test_wrong_sequence_count_rejected(self):
-        with pytest.raises(InvalidInput):
-            schmidt_extend(np.eye(4)[:2], np.eye(4)[:3])
-
-
 class TestSynthesizeUnitary:
     def test_orthogonal_letters_map_sequences_to_labels(self):
         code = build_nn12_code(3)
         syn = synthesize_unitary(code, 0.0)
         assert syn.error_probability < 1e-12
-        sequences = codeword_states(
-            Code(n=3, codewords=extend_code_sequences(code)), 0.0
-        )
-        amps = sequences[:4] @ syn.U.T
+        amps = codeword_states(code, 0.0) @ syn.U.T
         for m, label in enumerate(syn.target_outcomes):
             assert abs(amps[m, label] ** 2 - 1.0) < 1e-12
 
@@ -212,10 +183,7 @@ class TestSynthesizeUnitary:
         code = build_simplex_code(2)
         kappa = 0.6
         syn = synthesize_unitary(code, kappa)
-        sequences = codeword_states(
-            Code(n=3, codewords=extend_code_sequences(code)), kappa
-        )
-        amps = sequences[:4] @ syn.U.T
+        amps = codeword_states(code, kappa) @ syn.U.T
         mass = (amps[:, list(syn.target_outcomes)] ** 2).sum(axis=1)
         np.testing.assert_allclose(mass, 1.0, atol=1e-10)
 
@@ -239,9 +207,7 @@ class TestSynthesizeUnitary:
     def test_assigned_rows_are_square_root_measurement_vectors(self, code, assignment):
         kappa = 0.5
         syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
-        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
-        m = code.num_codewords
-        meas, _ = square_root_measurement(gram(code, kappa), states=sequences[:m])
+        meas, _ = square_root_measurement(gram(code, kappa), states=codeword_states(code, kappa))
         np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas)
 
     @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
@@ -254,6 +220,16 @@ class TestSynthesizeUnitary:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidInput):
             synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=[0, 1, 2, 2])
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.2, 2.9, 3.1], [0, 1, 2, 3.5], [0, 1, 2, math.nan], [0, 1, 2, "3"]]
+    )
+    def test_non_integral_labels_rejected(self, labels):
+        # fractional labels used to be truncated to (0, 1, 2, 3)
+        with pytest.raises(InvalidInput):
+            synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=labels)
+        syn = synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=[0.0, 1, np.int64(2), 3])
+        assert syn.target_outcomes == (0, 1, 2, 3)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(InvalidInput):
@@ -398,8 +374,7 @@ class TestGroupSchedule:
 
     def test_ill_conditioned_measurement_refused(self):
         # every word of length 8 at kappa 0.95: the smallest Gram eigenvalue
-        # is 0.05**8, and the eigh rows are about 1e-5 from orthonormal,
-        # which the dense route's reck_decompose refused as well
+        # is 0.05**8, and the eigh rows are about 1e-5 from orthonormal
         code = linear_code(8, np.arange(256))
         with pytest.raises(InvalidInput):
             synthesize_unitary(code, 0.95)
@@ -422,12 +397,13 @@ class TestGroupSchedule:
     )
     def test_route_choice(self, monkeypatch, code, linear):
         calls = []
+        row_schedule = synth._row_schedule
 
-        def spy(u, *args, **kwargs):
+        def spy(*args):
             calls.append(1)
-            return reck_decompose(u, *args, **kwargs)
+            return row_schedule(*args)
 
-        monkeypatch.setattr(synth, "reck_decompose", spy)
+        monkeypatch.setattr(synth, "_row_schedule", spy)
         syn = synthesize_unitary(code, 0.5)
         assert len(calls) == (0 if linear else 1)
         assert abs(syn.error_probability - syn.collective_error) < 1e-12
@@ -442,18 +418,100 @@ class TestGroupSchedule:
         ],
     )
     def test_matches_dense_route(self, code, labels):
-        # the Schmidt-completion route gives the same measurement rows and
-        # the same errors; only the completing rows differ
+        # the dense route gave the measurement rows and the errors of the
+        # eigh measurement; only its completing rows differ
         kappa = 0.45
         syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
-        m = code.num_codewords
-        sequences = codeword_states(Code(n=code.n, codewords=extend_code_sequences(code)), kappa)
-        meas, channel = square_root_measurement(gram(code, kappa), states=sequences[:m])
+        states = codeword_states(code, kappa)
+        meas, channel = square_root_measurement(gram(code, kappa), states=states)
         rows = list(syn.target_outcomes)
         np.testing.assert_array_equal(syn.U[rows], meas)
-        correct = np.einsum("ij,ij->i", sequences[:m], meas)
+        correct = np.einsum("ij,ij->i", states, meas)
         assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
         assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+
+
+def row_bound(code):
+    """Codeword c, in label order, turns against at most 2**n - 1 - c axes."""
+    m = code.num_codewords
+    return m * 2**code.n - m * (m + 1) // 2
+
+
+class TestRowSchedule:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_label_rows_are_the_measurement(self, data):
+        n = data.draw(st.integers(1, 6))
+        dim = 2**n
+        if data.draw(st.booleans()):
+            values = list(range(dim))
+        else:
+            values = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+        m = len(values)
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        code = Code(n=n, codewords=int_bits(np.array(values), n), priors=np.array(weights) / sum(weights))
+        if linear_generators(code) is not None:
+            # equal priors after all: tilt them off the group route
+            code = Code(n=n, codewords=code.codewords, priors=np.arange(1, m + 1) / (m * (m + 1) / 2))
+        if linear_generators(code) is not None:
+            return
+        labels = list(data.draw(st.permutations(range(dim)))[:m])
+        kappa = data.draw(st.floats(0.0, 0.95))
+
+        states = codeword_states(code, kappa)
+        g = gram(code, kappa)
+        meas, channel = square_root_measurement(g, states=states)
+        try:
+            syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
+        except InvalidInput:
+            assert np.linalg.eigvalsh(g)[0] < 1e-5
+            return
+        assert syn.schedule.flip_last <= (m == dim)
+        assert len(syn.schedule.rotations) <= row_bound(code)
+        tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+        product = reconstruct_unitary(syn.schedule)
+        assert np.abs(product[labels] - meas).max() <= tol
+        assert syn.reconstruction_residual <= tol
+        np.testing.assert_array_equal(syn.U[labels], meas)
+        correct = np.einsum("ij,ij->i", states, meas)
+        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
+        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_code_trailing_flip(self, n):
+        # every axis is a label: the last pivot has nothing left to turn
+        # against, so a negative one goes to the trailing axis flip
+        dim = 2**n
+        rng = np.random.default_rng(n)
+        flips = set()
+        for _ in range(16):
+            priors = rng.random(dim) + 0.1
+            code = Code(n=n, codewords=int_bits(rng.permutation(dim), n), priors=priors / priors.sum())
+            labels = rng.permutation(dim).tolist()
+            syn = synthesize_unitary(code, 0.4, outcome_assignment=labels)
+            flips.add(syn.schedule.flip_last)
+            assert len(syn.schedule.rotations) <= dim * (dim - 1) // 2
+            product = reconstruct_unitary(syn.schedule)
+            meas, _ = square_root_measurement(gram(code, 0.4), states=codeword_states(code, 0.4))
+            assert np.abs(product[labels] - meas).max() <= 1e-12
+            assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
+        assert flips == {False, True}
+
+    def test_one_rotation_per_free_axis(self):
+        rng = np.random.default_rng(6)
+        values = rng.permutation(64)[:16]
+        code = Code(n=6, codewords=int_bits(values, 6), priors=np.full(16, 1 / 16))
+        syn = synthesize_unitary(code, 0.5, outcome_assignment=rng.permutation(64)[:16].tolist())
+        assert linear_generators(code) is None
+        assert len(syn.schedule.rotations) == row_bound(code) == 888
+        assert syn.reconstruction_residual <= 1e-14
+        assert syn.orthogonality_residual <= 1e-14
+        # each run is one pivot with ascending axes, as reconstruct_unitary reads it
+        runs = {}
+        for j, i, _ in syn.schedule.rotations:
+            runs.setdefault(i, []).append(j)
+        assert len(runs) == 16
+        assert all(axes == sorted(axes) for axes in runs.values())
 
 
 class TestReckDecompose:
@@ -607,11 +665,10 @@ class TestScheduleSerialization:
         assert restored.dim == 4
         assert restored.rotations == []
 
-    def test_unitary_text_round_trip(self):
-        from io import StringIO
-
+    def test_unitary_text_round_trip(self, tmp_path, monkeypatch):
         u = haar_orthogonal(np.random.default_rng(8), 6)
-        restored = np.loadtxt(StringIO(unitary_to_text(u)))
+        synth_unitary_file(tmp_path, monkeypatch, u)
+        restored = np.loadtxt(tmp_path / "unitary.txt")
         np.testing.assert_allclose(restored, u, atol=1e-15)
 
     @pytest.mark.parametrize(
@@ -676,12 +733,12 @@ class TestScheduleSerialization:
         u = reconstruct_unitary(restored)
         np.testing.assert_allclose(u, python_reconstruct(restored), rtol=0, atol=1e-15)
 
-    def test_text_matches_fstring_formatting(self):
+    def test_text_matches_fstring_formatting(self, tmp_path, monkeypatch):
         u = np.array(
             [[-0.0, 1e-300, 0.5], [1.0, -0.7071067811865476, 2.0 / 3.0], [np.pi, -1e-17, 0.0]]
         )
         expected = "\n".join(" ".join(f"{x:.17g}" for x in row) for row in u) + "\n"
-        assert unitary_to_text(u) == expected
+        assert synth_unitary_file(tmp_path, monkeypatch, u) == expected
 
     def test_csv_matches_fstring_formatting(self):
         u = haar_orthogonal(np.random.default_rng(9), 6)
