@@ -4,12 +4,6 @@ import math
 
 import numpy as np
 
-# a prefix product of cosines below this starts a new cumulative sum;
-# 1 / _RESTART stays far from overflow
-_RESTART = 2.0**-500
-# entries of one column chunk of a pivot run's rows (512 KiB of float64)
-_CHUNK = 1 << 16
-
 
 def mi_bits(xi, P):
     q = xi @ P
@@ -92,52 +86,14 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
     return V, np.array(errors), residual, sweeps
 
 
-def apply_rotations(w, pivot, rows, c, s, start=0):
-    """Apply one pivot run of plane rotations to the columns start: of w,
-    in place and in order k = 0, 1, ...
+def apply_rotations(w, pivots, rows, c, s, starts):
+    """Apply plane rotations to w in place, in order k = 0, 1, ...
 
-    Rotation k pairs the pivot row a with row x_k = w[rows[k]]:
-    a <- c_k a + s_k x_k and x_k <- -s_k a + c_k x_k. The rows must be
-    distinct and differ from the pivot. The pivot-row recurrence is one
-    cumulative sum scaled by prefix products of the cosines,
-    a_k = D_k (c_b a_(b-1) + sum_(m=b..k) s_m x_m / D_m) with
-    D_k = c_(b+1) ... c_k, where the segment start b moves on wherever D
-    would drop below _RESTART, so no division underflows or overflows.
-    Columns go in chunks of about _CHUNK entries, which bounds the
-    temporaries whatever the size of w.
+    Rotation k pairs the pivot row a = w[pivots[k]] with the row
+    x = w[rows[k]] over the columns starts[k]: and sets
+    a <- c_k a + s_k x and x <- -s_k a + c_k x. A row must differ from its
+    pivot.
     """
-    count = len(rows)
-    coef = np.empty(count)
-    # the pivot row after k rotations is scale[k] * hist[k]
-    scale = np.ones(count)
-    segments = []
-    b = 0
-    while b < count:
-        d = np.cumprod(np.concatenate(([1.0], c[b + 1 :])))
-        small = np.flatnonzero(np.abs(d) < _RESTART)
-        end = b + (int(small[0]) if small.size else d.size)
-        coef[b:end] = s[b:end] / d[: end - b]
-        scale[b + 1 : end] = d[: end - b - 1]
-        segments.append((b, end, d[end - b - 1]))
-        b = end
-    coef = coef[:, None]
-    factor = (s * scale)[:, None]
-    step = max(1, _CHUNK // (count + 1))
-    buffer = np.empty((count + 1, min(step, w.shape[1] - start)))
-    for lo in range(start, w.shape[1], step):
-        cols = slice(lo, lo + step)
-        x = w[rows, cols]
-        hist = buffer[:, : x.shape[1]]
-        hist[0] = w[pivot, cols]
-        np.multiply(x, coef, out=hist[1:])
-        for b, end, last in segments:
-            seg = hist[b + 1 : end + 1]
-            seg[0] += c[b] * hist[b]
-            np.cumsum(seg, axis=0, out=seg)
-            seg[-1] *= last
-        w[pivot, cols] = hist[count]
-        x *= c[:, None]
-        hist = hist[:count]
-        hist *= factor
-        x -= hist
-        w[rows, cols] = x
+    for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
+        a, x = w[i, lo:], w[j, lo:]
+        a[:], x[:] = ck * a + sk * x, ck * x - sk * a

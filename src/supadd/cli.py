@@ -450,15 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         sub.set_defaults(func=func)
 
-    synth = subparsers.add_parser("synth", help="synthesize and factor the decoder")
-    _add_common(synth)
+    # no abbreviations: --out would be read as --outdir
+    synth = subparsers.add_parser(
+        "synth", help="synthesize and factor the decoder", allow_abbrev=False
+    )
+    synth.add_argument("--n", default=None, help="block length")
+    synth.add_argument("--code", default=None, help="nn12, simplex, or a code file path")
+    synth.add_argument("--config", default=None, help="key=value file; flags win")
     synth.add_argument("--kappa", type=float, default=None)
     synth.add_argument("--outdir", default=None)
     synth.add_argument("--assign", default=None, help="comma-separated outcome labels")
     synth.set_defaults(func=cmd_synth)
 
     optimize = subparsers.add_parser("optimize", help="minimum-error measurement search")
-    _add_common(optimize)
+    optimize.add_argument("--out", default=None)
+    optimize.add_argument("--config", default=None, help="key=value file; flags win")
     optimize.add_argument("--kappa", type=float, default=None)
     optimize.add_argument("--xi1", type=float, default=None)
     optimize.add_argument("--priors", default=None, help="comma-separated priors")

@@ -32,9 +32,9 @@ from .fastcode import linear_generators
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
 # `synth --code` on a random code with M = 2**n / 4 and random priors takes
-# 1.0 s and 52 MB at n = 9, 4.9 s and 0.11 GB at n = 10 and 48 s and
+# about 2 s and 53 MB at n = 9, 8 s and 0.11 GB at n = 10 and 36-40 s and
 # 0.34 GB at n = 11 (dim 2048) on a 2-core machine, even-weight n = 11 on the
-# group route 4 s and 0.22 GB; n = 12 would take 8x the time and 4x the memory
+# group route 3.7 s and 0.22 GB; n = 12 would take 8x the time and 4x the memory
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
@@ -190,8 +190,8 @@ def _pivot_run(w, col, pivot, rows, start):
     rows, y = rows[keep], y[keep]
     norms = np.sqrt(value * value + np.cumsum(y * y))
     gammas = np.arctan2(y, np.concatenate(([value], norms[:-1])))
-    if rows.size:
-        apply_rotations(w, pivot, rows, np.cos(gammas), np.sin(gammas), start)
+    c, s = np.cos(gammas).tolist(), np.sin(gammas).tolist()
+    apply_rotations(w, [pivot] * rows.size, rows.tolist(), c, s, [start] * rows.size)
     return rows, gammas
 
 
@@ -327,34 +327,28 @@ def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     """Multiply the schedule back out (rotations in order, then the
     optional trailing axis flip).
 
-    The product is built from the right, one pivot run at a time: a
-    maximal stretch of rotations with one pivot i and ascending j. Rows
+    The product is built from the right: the identity, flipped if asked,
+    takes the inverse rotations, last first, through apply_rotations. Rows
     and columns below the smallest axis touched so far are still those of
-    the identity, so each run only updates the columns from that axis on.
+    the identity, so each rotation updates only the columns from that axis
+    on. Axes that are not two distinct integers in 1..dim, or an angle that
+    is not finite, raise InvalidInput.
     """
     dim = schedule.dim
     out = np.eye(dim)
-    low = dim
     if schedule.flip_last:
         out[dim - 1, dim - 1] = -1.0
-        low = dim - 1
-    table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)
-    axes = table[:, :2].astype(np.int64) - 1
-    if axes.size and (axes.min() < 0 or axes.max() >= dim):
-        raise InvalidInput(f"rotation axes must lie in 1..{dim}")
+    table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)[::-1]
+    axes = table[:, :2]
+    if not ((axes >= 1) & (axes <= dim) & (axes == np.floor(axes))).all():
+        raise InvalidInput(f"rotation axes must be integers in 1..{dim}")
     if not np.isfinite(table[:, 2]).all():
         raise InvalidInput("rotation angles must be finite")
-    js, iss = axes[:, 0], axes[:, 1]
-    c = np.cos(table[:, 2])
-    s = np.sin(table[:, 2])
-    fresh = np.ones(len(js), dtype=bool)
-    fresh[1:] = (iss[1:] != iss[:-1]) | (js[1:] <= js[:-1])
-    starts = np.flatnonzero(fresh).tolist()
-    for begin, end in zip(reversed(starts), reversed(starts[1:] + [len(js)])):
-        pivot, run = int(iss[begin]), slice(begin, end)
-        low = min(low, pivot, int(js[begin]))
-        # the run's inverse rotations, last first
-        apply_rotations(out, pivot, js[run][::-1], c[run][::-1], -s[run][::-1], low)
+    js, iss = axes.T.astype(np.int64) - 1
+    if (js == iss).any():
+        raise InvalidInput("a rotation must turn two distinct axes")
+    starts = np.minimum.accumulate(np.minimum(js, iss))
+    apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), starts)
     return out
 
 

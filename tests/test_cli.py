@@ -381,6 +381,34 @@ class TestNonNumericInput:
         self.check_rejected(capsys, ["fig2", "--config", str(path)])
 
 
+class TestUnreadFlags:
+    # synth and optimize used to accept the sweep flags and ignore them
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--kappa-min", "0.1"],
+            ["synth", "--kappa-max", "0.9"],
+            ["synth", "--steps", "5"],
+            ["synth", "--format", "json"],
+            ["synth", "--out", "x.txt"],
+            ["optimize", "--kappa-min", "0.1"],
+            ["optimize", "--kappa-max", "0.9"],
+            ["optimize", "--steps", "5"],
+            ["optimize", "--n", "3"],
+            ["optimize", "--code", "nn12"],
+            ["optimize", "--format", "json"],
+        ],
+    )
+    def test_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def scalar_kappa_star(n):
     """The crossing search with one block_gain call per grid point."""
     grid = np.linspace(0.01, 0.99, 99)

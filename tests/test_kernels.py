@@ -179,7 +179,8 @@ class TestApplyRotations:
     def check(self, w, pivot, rows, c, s, start=0, atol=1e-12):
         expected = python_rotation_run(w, pivot, rows, c, s, start)
         got = w.copy()
-        apply_rotations(got, pivot, np.asarray(rows), c, s, start)
+        count = len(rows)
+        apply_rotations(got, [pivot] * count, list(rows), c, s, [start] * count)
         np.testing.assert_array_equal(got[:, :start], w[:, :start])
         np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
 
@@ -192,16 +193,32 @@ class TestApplyRotations:
             w = rng.standard_normal((dim, dim))
             self.check(w, 4, rows, np.cos(gammas), np.sin(gammas), start)
 
+    def test_mixed_pivots_and_starts(self):
+        rng = np.random.default_rng(7)
+        dim, count = 10, 60
+        w = rng.standard_normal((dim, 13))
+        pivots = rng.integers(0, dim, size=count)
+        rows = (pivots + rng.integers(1, dim, size=count)) % dim
+        starts = rng.integers(0, 13, size=count)
+        gammas = rng.uniform(-np.pi, np.pi, size=count)
+        c, s = np.cos(gammas), np.sin(gammas)
+        expected = w
+        for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
+            expected = python_rotation_run(expected, i, [j], [ck], [sk], lo)
+        got = w.copy()
+        apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, starts.tolist())
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
     def test_empty_schedule_is_identity(self):
         out = np.eye(3)
         empty = np.empty(0)
-        apply_rotations(out, 0, np.empty(0, dtype=np.int64), empty, empty)
+        apply_rotations(out, [], [], empty, empty, [])
         np.testing.assert_array_equal(out, np.eye(3))
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-3])
     def test_underflowing_cosine_products(self, offset):
-        # cos(pi/2) is about 6e-17, so the prefix products of 60 such
-        # cosines underflow many times over
+        # cos(pi/2) is about 6e-17: each rotation all but swaps the two
+        # rows, and a product of the cosines along the run would underflow
         rng = np.random.default_rng(3)
         dim = 64
         gammas = np.pi / 2 + rng.choice([-1.0, 1.0], size=dim - 1) * offset
@@ -225,8 +242,8 @@ class TestApplyRotations:
         self.check(w, 0, rows, np.cos(gammas), np.sin(gammas), start=7, atol=1e-11)
 
     def test_several_column_chunks(self):
-        # 300 rows by 700 columns spans four column chunks, and the run of
-        # cosines near zero in the middle forces restarts inside each chunk
+        # a wide block, 300 rotations over 700 columns, with a stretch of
+        # cosines near zero in the middle of the run
         rng = np.random.default_rng(6)
         gammas = rng.uniform(-np.pi, np.pi, size=300)
         gammas[100:150] = np.pi / 2

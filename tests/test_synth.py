@@ -506,7 +506,7 @@ class TestRowSchedule:
         assert len(syn.schedule.rotations) == row_bound(code) == 888
         assert syn.reconstruction_residual <= 1e-14
         assert syn.orthogonality_residual <= 1e-14
-        # each run is one pivot with ascending axes, as reconstruct_unitary reads it
+        # one run per codeword, each against one pivot with ascending axes
         runs = {}
         for j, i, _ in syn.schedule.rotations:
             runs.setdefault(i, []).append(j)
@@ -714,6 +714,16 @@ class TestScheduleSerialization:
             schedule = RotationSchedule(dim=3, rotations=[(2, 1, 0.5), (3, 1, angle)], flip_last=False)
             with pytest.raises(InvalidInput):
                 reconstruct_unitary(schedule)
+
+    @pytest.mark.parametrize(
+        "rotation", [(2, 2, 0.3), (2.5, 1, 0.3), (3, 1.5, 0.3), (math.nan, 1, 0.3), (math.inf, 1, 0.3)]
+    )
+    def test_bad_axes_rejected_in_memory(self, rotation):
+        # (2, 2, 0.3) used to give a matrix 0.56 from orthogonal, and
+        # (2.5, 1, 0.3) was read as (2, 1, 0.3)
+        schedule = RotationSchedule(dim=3, rotations=[(2, 1, 0.5), rotation], flip_last=False)
+        with pytest.raises(InvalidInput):
+            reconstruct_unitary(schedule)
 
     def test_axis_outside_given_dimension_rejected_while_parsing(self):
         for body in ("5,1,0.3", "0,1,0.3", "2,-1,0.3", "2,5,0.3"):
