@@ -20,9 +20,11 @@ from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import eig_sym
 
 _SINGULAR_EIG = 1e-12
-# threshold_certificate costs O(2**(4n)): on a 2-core machine n = 8 takes
-# 1.4 s and n = 9 14 s, and each step in n costs about ten times more
-_MAX_CERT_N = 9
+# threshold_certificate holds a few 2**n x 2**n matrices and takes one
+# eigvalsh of that size: on a 2-core machine n = 11 takes 1.4 s and 182 MB,
+# n = 12 11 s and 573 MB, and n = 13 would take about 8 times the time and
+# 4 times the memory (2.3 GB), past a 5 minute / 1 GB budget
+_MAX_CERT_N = 12
 
 
 @dataclass(eq=False)
@@ -43,7 +45,7 @@ class OptimalityReport:
 
 class ThresholdCertificate(NamedTuple):
     cond_i_residual: float
-    tm_min_eig: float
+    cond_ii_min_eig: float
     error_probability: float
     expected_error: float
     passes: bool
@@ -131,20 +133,6 @@ def check_ensemble(states, priors):
     return states, priors
 
 
-def _tm_family_min_eig(measurement, states, priors) -> float:
-    """Smallest eigenvalue over the exhaustive risk-comparison family
-    T(m)[i, j] = xi_i X_ii X_ji - xi_m X_im X_jm (all m)."""
-    x = overlap_matrix(measurement, states)
-    priors = np.asarray(priors, dtype=np.float64)
-    base = (priors * np.diag(x))[:, None] * x.T
-    worst = np.inf
-    for m in range(x.shape[0]):
-        tm = base - priors[m] * np.outer(x[:, m], x[:, m])
-        tm = (tm + tm.T) / 2.0
-        worst = min(worst, float(np.linalg.eigvalsh(tm)[0]))
-    return worst
-
-
 def helstrom_binary(kappa: float, xi1: float):
     """Optimal binary projective measurement for the letter pair and its
     minimum error (1 - sqrt(1 - 4 xi1 xi2 kappa**2)) / 2."""
@@ -220,20 +208,19 @@ def threshold_certificate(
 ) -> ThresholdCertificate:
     """Certify that the product of single-letter optimal measurements is the
     minimum-error measurement for all 2**n sequences under product priors,
-    with error 1 - (1-p)**n. Raises ResourceLimit for n > 9, where the
-    O(2**(4n)) cost would pass two minutes, and InvalidInput for n < 1."""
+    with error 1 - (1-p)**n, through the same check as check_optimality.
+    Raises ResourceLimit for n > 12, whose 2**n x 2**n matrices would pass
+    1 GB, and InvalidInput for n < 1."""
     if n < 1:
         raise InvalidInput(f"threshold certificate needs n >= 1, got {n}")
     if n > _MAX_CERT_N:
         raise ResourceLimit(f"threshold certificate guarded at n <= {_MAX_CERT_N}, got {n}")
     code = _full_product_code(n, xi1)
-    states = codeword_states(code, kappa)
     base, p = helstrom_binary(kappa, xi1)
-    pom = _product_pom(base, n)
-    x = overlap_matrix(pom, states)
-    residual = bayes_residual(x, code.priors)
-    tm_min = _tm_family_min_eig(pom, states, code.priors)
-    error = 1.0 - float(np.sum(code.priors * np.diag(x) ** 2))
+    x = overlap_matrix(_product_pom(base, n), codeword_states(code, kappa))
+    report = _certify(x, code.priors, tol)
     expected = 1.0 - (1.0 - p) ** n
-    passes = bool(residual <= tol and tm_min >= -tol and abs(error - expected) <= tol)
-    return ThresholdCertificate(residual, tm_min, error, expected, passes)
+    passes = report.is_optimal and abs(report.error_probability - expected) <= tol
+    return ThresholdCertificate(
+        report.cond_i_residual, report.cond_ii_min_eig, report.error_probability, expected, passes
+    )

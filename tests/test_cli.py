@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from supadd import cli, ensembles, synth
-from supadd.cli import SweepConfig, _emit, main
+from supadd.cli import _emit, main
 from supadd.detection import helstrom_binary, square_root_measurement
 from supadd.ensembles import (
     Code,
@@ -276,6 +276,23 @@ class TestConfigHandling:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("fig2", "kapa_min=0.2\n"),  # a typo used to leave the default grid
+            ("fig3", "steps=5\n"),  # fig3 has no grid
+            ("fig2", "steps=3\nsteps=5\n"),
+            ("fig2", "kappa-min=0.2\nkappa_min=0.3\n"),
+        ],
+    )
+    def test_unread_or_repeated_key_rejected(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSynthCommand:
     def test_writes_artifacts_and_consistent_report(self, capsys, tmp_path):
@@ -316,13 +333,22 @@ class TestSynthCommand:
 
 class TestOptimizeCommand:
     def test_binary_matches_closed_form(self, capsys):
-        code, out, _ = run(capsys, ["optimize", "--kappa", "0.5", "--xi1", "0.9"])
+        code, out, _ = run(capsys, ["optimize", "--kappa", "0.5", "--priors", "0.9,0.1"])
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         _, expected = helstrom_binary(0.5, 0.9)
         assert abs(float(values["final_error"]) - expected) < 1e-9
         assert values["is_optimal"] == "true"
         assert float(values["improvement"]) > 0.0
+
+    @pytest.mark.parametrize("priors", ["0.9,0.1", "0.3,0.7"])
+    def test_closed_form_under_the_same_priors(self, capsys, priors):
+        # the closed form used to be printed for equal priors whatever
+        # --priors said
+        code, out, _ = run(capsys, ["optimize", "--priors", priors])
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert abs(float(values["closed_form_error"]) - float(values["final_error"])) < 1e-9
 
     def test_states_file(self, capsys, tmp_path):
         path = tmp_path / "states.txt"
@@ -380,9 +406,16 @@ class TestNonNumericInput:
         path.write_text(line + "\n")
         self.check_rejected(capsys, ["fig2", "--config", str(path)])
 
+    @pytest.mark.parametrize(
+        "argv", [["fig2", "--steps", "abc"], ["fig2", "--steps", "1.5"], ["fig2", "--format", "xml"]]
+    )
+    def test_flag_value(self, capsys, argv):
+        # flag text takes the conversion config text takes
+        self.check_rejected(capsys, argv)
+
 
 class TestUnreadFlags:
-    # synth and optimize used to accept the sweep flags and ignore them
+    # each command used to accept flags it never read and ignore them
     @pytest.mark.parametrize(
         "argv",
         [
@@ -397,6 +430,20 @@ class TestUnreadFlags:
             ["optimize", "--n", "3"],
             ["optimize", "--code", "nn12"],
             ["optimize", "--format", "json"],
+            ["fig3", "--steps", "5"],
+            ["fig3", "--kappa-min", "0.1"],
+            ["fig3", "--kappa-max", "0.9"],
+            ["fig3", "--code", "simplex"],
+            ["fig2", "--code", "simplex"],
+            ["fig4", "--code", "simplex"],
+            ["fig5", "--code", "simplex"],
+            ["fig6", "--n", "3"],
+            ["fig6", "--code", "simplex"],
+            ["fig7", "--n", "3"],
+            ["fig7", "--code", "simplex"],
+            ["fig8", "--n", "3"],
+            ["fig8", "--code", "simplex"],
+            ["optimize", "--xi1", "0.9"],
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, tmp_path, argv):
@@ -566,7 +613,7 @@ class TestColumnsMatchScalarLoops:
 
     def check(self, capsys, command, argv, grid_spec, fmt):
         columns, rows = oracle_table(command, grid_spec)
-        _emit(columns, rows, SweepConfig(format=fmt))
+        _emit(columns, rows, fmt, None)
         expected = capsys.readouterr().out
         code, out, _ = run(capsys, argv)
         assert code == 0

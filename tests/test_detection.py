@@ -5,7 +5,6 @@ from supadd import detection
 from supadd.detection import (
     _full_product_code,
     _product_pom,
-    _tm_family_min_eig,
     bayes_cost_reduction,
     check_optimality,
     helstrom_binary,
@@ -246,14 +245,14 @@ class TestProductPom:
 
     def test_dimension_guard(self, monkeypatch):
         # the certificate is the only caller of the 2**n x 2**n product
-        # measurement and states; it refuses n > 9 before building either
+        # measurement and states; it refuses n > 12 before building either
         def unreachable(*args, **kwargs):
             raise AssertionError("allocation reached")
 
         monkeypatch.setattr(detection, "codeword_states", unreachable)
         monkeypatch.setattr(detection, "_full_product_code", unreachable)
-        for n in (10, 15, 21):
-            with pytest.raises(ResourceLimit, match="n <= 9"):
+        for n in (13, 15, 21):
+            with pytest.raises(ResourceLimit, match="n <= 12"):
                 threshold_certificate(0.5, n)
 
 
@@ -263,7 +262,7 @@ class TestThresholdCertificate:
         cert = threshold_certificate(0.5, n)
         assert cert.passes
         assert cert.cond_i_residual <= 1e-12
-        assert cert.tm_min_eig >= -1e-12
+        assert cert.cond_ii_min_eig >= -1e-12
         assert abs(cert.error_probability - cert.expected_error) <= 1e-12
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -284,6 +283,21 @@ class TestThresholdCertificate:
         assert abs(code.priors[0] - 0.25**3) < 1e-15
 
 
+def tm_family_min_eig(measurement, states, priors) -> float:
+    """Smallest eigenvalue over the exhaustive risk-comparison family
+    T(m)[i, j] = xi_i X_ii X_ji - xi_m X_im X_jm (all m): condition (ii)
+    by M dense eigenvalue problems, as an independent route."""
+    x = overlap_matrix(measurement, states)
+    priors = np.asarray(priors, dtype=np.float64)
+    base = (priors * np.diag(x))[:, None] * x.T
+    worst = np.inf
+    for m in range(x.shape[0]):
+        tm = base - priors[m] * np.outer(x[:, m], x[:, m])
+        tm = (tm + tm.T) / 2.0
+        worst = min(worst, float(np.linalg.eigvalsh(tm)[0]))
+    return worst
+
+
 class TestTmFamily:
     def test_matches_pairwise_condition_for_optimum(self):
         kappa = 0.5
@@ -291,4 +305,24 @@ class TestTmFamily:
         g = gram(code, kappa)
         meas, _ = square_root_measurement(g)
         states = sqrt_psd(g)
-        assert _tm_family_min_eig(meas, states, code.priors) >= -1e-10
+        assert tm_family_min_eig(meas, states, code.priors) >= -1e-10
+        assert check_optimality(meas, states, code.priors).cond_ii_min_eig >= -1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kappa, xi1", [(0.5, 0.5), (0.9, 0.3), (0.3, 0.5)])
+    def test_certificate_agrees_with_family(self, n, kappa, xi1):
+        # with condition (i) the matrix U = (xi_i X_ii X_ji) is symmetric
+        # and T(m) is its Schur complement at m, so U >= 0 exactly when
+        # every T(m) >= 0; the letter-swapped product measurement also
+        # satisfies (i) and has the largest error, and both must reject it
+        code = _full_product_code(n, xi1)
+        states = codeword_states(code, kappa)
+        base, _ = helstrom_binary(kappa, xi1)
+        cert = threshold_certificate(kappa, n, xi1=xi1)
+        assert cert.passes
+        assert tm_family_min_eig(_product_pom(base, n), states, code.priors) >= -1e-12
+        worst = check_optimality(_product_pom(base[::-1], n), states, code.priors, tol=1e-12)
+        assert worst.cond_i_residual <= 1e-12
+        assert worst.cond_ii_min_eig < -1e-12
+        assert not worst.is_optimal
+        assert tm_family_min_eig(_product_pom(base[::-1], n), states, code.priors) < -1e-12
