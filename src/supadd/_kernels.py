@@ -59,31 +59,54 @@ def bayes_residual(X, xi):
     return float(res.max())
 
 
+def _rotate(a, x, c, s, ta, tx):
+    """One plane rotation of the rows a and x in place: a <- c a + s x and
+    x <- c x - s a. ta and tx are scratch rows of the same length."""
+    np.multiply(a, s, out=ta)
+    np.multiply(x, s, out=tx)
+    a *= c
+    a += tx
+    x *= c
+    x -= ta
+
+
 def bayes_sweeps(X, xi, tol, max_sweeps):
-    # X[i,j] = <mu_i|rho_j>, mutated in place; V accumulates the rotations
+    """Pairwise-rotation sweeps of the measurement toward the minimum-error
+    optimum, for the overlap matrix X[i, j] = <mu_i|rho_j> and priors xi.
+
+    A sweep turns every pair of rows i < j once, in lexicographic order
+    (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
+    sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
+    X is updated in place to the final overlaps. Returns (V, errors,
+    residual, sweeps): the accumulated orthogonal rotation V, the error
+    after each sweep, the last residual and the number of sweeps. V and X
+    equal, bit for bit, those of one scalar rotation at a time.
+    """
     M = X.shape[0]
-    V = np.eye(M)
+    # the overlaps and the rotation side by side: one row pair per rotation
+    XV = np.hstack([X, np.eye(M)])
+    overlaps = XV[:, : X.shape[1]]
+    rows = list(XV)
+    ta, tx = np.empty(XV.shape[1]), np.empty(XV.shape[1])
+    p = xi.tolist()
     errors = []
-    residual = bayes_residual(X, xi)
+    residual = bayes_residual(overlaps, xi)
     sweeps = 0
     while sweeps < max_sweeps and residual > tol:
         for i in range(M - 1):
             for j in range(i + 1, M):
-                v0, v1 = X[i, i], X[j, i]
-                w0, w1 = X[j, j], -X[i, j]
-                a = xi[i] * v0 * v0 + xi[j] * w0 * w0
-                b = xi[i] * v0 * v1 + xi[j] * w0 * w1
-                d = xi[i] * v1 * v1 + xi[j] * w1 * w1
+                v0, v1 = XV.item(i, i), XV.item(j, i)
+                w0, w1 = XV.item(j, j), -XV.item(i, j)
+                a = p[i] * v0 * v0 + p[j] * w0 * w0
+                b = p[i] * v0 * v1 + p[j] * w0 * w1
+                d = p[i] * v1 * v1 + p[j] * w1 * w1
                 theta = 0.5 * math.atan2(2.0 * b, a - d)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                rot = np.array([[c, s], [-s, c]])
-                X[[i, j], :] = rot @ X[[i, j], :]
-                V[[i, j], :] = rot @ V[[i, j], :]
-        errors.append(1.0 - float(np.sum(xi * np.diag(X) ** 2)))
+                _rotate(rows[i], rows[j], math.cos(theta), math.sin(theta), ta, tx)
+        errors.append(1.0 - float(np.sum(xi * np.diag(overlaps) ** 2)))
         sweeps += 1
-        residual = bayes_residual(X, xi)
-    return V, np.array(errors), residual, sweeps
+        residual = bayes_residual(overlaps, xi)
+    X[...] = overlaps
+    return XV[:, X.shape[1]:].copy(), np.array(errors), residual, sweeps
 
 
 def apply_rotations(w, pivots, rows, c, s, starts):
@@ -94,6 +117,6 @@ def apply_rotations(w, pivots, rows, c, s, starts):
     a <- c_k a + s_k x and x <- -s_k a + c_k x. A row must differ from its
     pivot.
     """
+    ta, tx = np.empty(w.shape[1]), np.empty(w.shape[1])
     for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
-        a, x = w[i, lo:], w[j, lo:]
-        a[:], x[:] = ck * a + sk * x, ck * x - sk * a
+        _rotate(w[i, lo:], w[j, lo:], ck, sk, ta[lo:], tx[lo:])

@@ -88,7 +88,10 @@ OPTIONS = {
     "kappa": Option(float, 0.5),
     "outdir": Option(str, "."),
     "assign": Option(_int_list, None, "comma-separated outcome labels"),
-    "priors": Option(_float_list, None, "comma-separated priors"),
+    "priors": Option(
+        _float_list, None,
+        "comma-separated priors; write a value with a leading minus as --priors=-0.5,1.5",
+    ),
     "states_file": Option(str, None, "one state row per line"),
     "tol": Option(float, 1e-10),
 }
@@ -350,14 +353,18 @@ def cmd_synth(o) -> int:
 def cmd_optimize(o) -> int:
     """Run square-root initialization plus pairwise-rotation optimization
     and print the certification report; for the binary letter pair, also
-    the closed-form minimum error under the same priors."""
+    the closed-form minimum error under the same priors. kappa picks the
+    letter pair, so a kappa given beside states_file is an input error."""
     if o.states_file is not None:
+        if o.kappa is not None:
+            raise InvalidInput("optimize reads kappa only for the letter pair, not with states_file")
         try:
             states = np.atleast_2d(np.loadtxt(o.states_file, dtype=np.float64))
         except ValueError as exc:
             raise InvalidInput(f"bad states file {o.states_file}: {exc}") from exc
     else:
-        states = np.vstack(embed_binary_letters(o.kappa))
+        kappa = OPTIONS["kappa"].default if o.kappa is None else o.kappa
+        states = np.vstack(embed_binary_letters(kappa))
     m = states.shape[0]
     priors = np.full(m, 1.0 / m) if o.priors is None else o.priors
     states, priors = check_ensemble(states, priors)
@@ -377,7 +384,7 @@ def cmd_optimize(o) -> int:
         f"is_optimal={_fmt(report.is_optimal)}",
     ]
     if o.states_file is None:
-        _, closed = helstrom_binary(o.kappa, priors[0])
+        _, closed = helstrom_binary(kappa, priors[0])
         lines.append(f"closed_form_error={_fmt(closed)}")
     _write("\n".join(lines) + "\n", o.out)
     return 0
@@ -406,7 +413,7 @@ COMMANDS = (
     ("synth", "synthesize and factor the decoder",
      cmd_synth, ("n", "code", "kappa", "outdir", "assign"), {}),
     ("optimize", "minimum-error measurement search",
-     cmd_optimize, ("out", "kappa", "priors", "states_file", "tol"), {}),
+     cmd_optimize, ("out", "kappa", "priors", "states_file", "tol"), {"kappa": None}),
 )
 
 

@@ -365,6 +365,43 @@ class TestOptimizeCommand:
         assert values["is_optimal"] == "true"
         assert float(values["final_error"]) <= float(values["initial_error"]) + 1e-12
 
+    def test_seeded_ensemble_pinned(self, capsys, tmp_path):
+        # sweeps and final_error as printed before the rotation kernel was
+        # rewritten; the pair order and the angle formula must not move them
+        rng = np.random.default_rng(16)
+        states = rng.standard_normal((16, 16))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        priors = rng.dirichlet(np.ones(16))
+        path = tmp_path / "states.txt"
+        np.savetxt(path, states, fmt="%.17g")
+        code, out, _ = run(
+            capsys,
+            ["optimize", "--states-file", str(path),
+             "--priors", ",".join(repr(float(p)) for p in priors)],
+        )
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert values["sweeps"] == "74"
+        assert values["final_error"] == "0.211499317294"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_kappa_with_states_file_rejected(self, capsys, tmp_path, source):
+        # kappa only picks the letter pair; with a states file it used to be
+        # accepted and ignored
+        path = tmp_path / "states.txt"
+        np.savetxt(path, np.eye(2))
+        argv = ["optimize", "--states-file", str(path)]
+        if source == "flag":
+            argv += ["--kappa", "0.9"]
+        else:
+            config = tmp_path / "opt.cfg"
+            config.write_text("kappa=0.9\n")
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "kappa" in err
+
     def test_priors_not_a_probability_vector(self, capsys, tmp_path):
         path = tmp_path / "identity.txt"
         np.savetxt(path, np.eye(2))

@@ -146,13 +146,18 @@ class TestBayesSweeps:
         return x.T.copy(), priors  # rows indexed by measurement vector
 
     def test_matches_scalar_loops(self):
-        x1, priors = self.build_case(5)
-        x2 = x1.copy()
-        v1, e1, r1, s1 = bayes_sweeps(x1, priors, 1e-10, 200)
-        v2, e2, r2, s2 = python_bayes_sweeps(x2, priors, 1e-10, 200)
-        np.testing.assert_allclose(v1, v2, atol=1e-9)
-        np.testing.assert_allclose(e1, e2, atol=1e-12)
-        assert s1 == s2
+        # the same rounded products and sums as one scalar rotation at a
+        # time, so V and the final overlaps agree bit for bit; the second
+        # case has more dimensions than states
+        for seed, m, dim in [(5, 4, 4), (9, 6, 9), (13, 8, 8)]:
+            x1, priors = self.build_case(seed, m, dim)
+            x2 = x1.copy()
+            v1, e1, r1, s1 = bayes_sweeps(x1, priors, 1e-10, 200)
+            v2, e2, r2, s2 = python_bayes_sweeps(x2, priors, 1e-10, 200)
+            assert np.array_equal(v1, v2)
+            assert np.array_equal(x1, x2)
+            np.testing.assert_allclose(e1, e2, atol=1e-12)
+            assert s1 == s2
 
     def test_error_monotone_and_converged(self):
         x, priors = self.build_case(11)
@@ -172,6 +177,15 @@ def python_rotation_run(w, pivot, rows, c, s, start):
     for j, ck, sk in zip(rows, c, s):
         rot = np.array([[ck, sk], [-sk, ck]])
         w[[pivot, j], start:] = rot @ w[[pivot, j], start:]
+    return w
+
+
+def python_rotation_scalars(w, pivots, rows, c, s, starts):
+    """One plane rotation at a time, one entry pair at a time."""
+    w = w.copy()
+    for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
+        for t in range(lo, w.shape[1]):
+            w[i, t], w[j, t] = ck * w[i, t] + sk * w[j, t], ck * w[j, t] - sk * w[i, t]
     return w
 
 
@@ -208,6 +222,20 @@ class TestApplyRotations:
         got = w.copy()
         apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, starts.tolist())
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_matches_scalar_entries_exactly(self):
+        rng = np.random.default_rng(8)
+        dim, count = 7, 40
+        w = rng.standard_normal((dim, 11))
+        pivots = rng.integers(0, dim, size=count)
+        rows = (pivots + rng.integers(1, dim, size=count)) % dim
+        starts = rng.integers(0, 11, size=count)
+        gammas = rng.uniform(-np.pi, np.pi, size=count)
+        c, s = np.cos(gammas), np.sin(gammas)
+        expected = python_rotation_scalars(w, pivots, rows, c, s, starts)
+        got = w.copy()
+        apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, starts.tolist())
+        assert np.array_equal(got, expected)
 
     def test_empty_schedule_is_identity(self):
         out = np.eye(3)
