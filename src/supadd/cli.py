@@ -44,12 +44,7 @@ from .fastcode import (
     nn12_mutual_information,
     simplex_profile,
 )
-from .information import (
-    binary_flip_probability,
-    c1_binary,
-    holevo_binary,
-    superadditivity_gain,
-)
+from .information import binary_flip_probability, c1_binary, code_information, holevo_binary
 from .synth import schedule_to_csv, synthesize_unitary
 
 
@@ -300,25 +295,23 @@ def sweep(o):
     """Generic per-letter information and gain sweep for a code family or a
     code file ('n M' header, bit rows, optional prior rows)."""
     grid = o.grid
+    c1 = c1_binary(grid)
     columns = ["kappa"]
     values = [grid]
     if o.code == "nn12":
-        c1 = c1_binary(grid)
         for n in o.n:
             columns += [f"i_n{n}_per_letter", f"gain_n{n}"]
             gain = block_gain(n, grid)
             values += [gain + c1, gain]
-    elif o.code == "simplex":
-        c1 = c1_binary(grid)
-        for r in o.n:
-            columns += [f"i_r{r}_per_letter", f"gain_r{r}"]
-            per = _simplex_per_letter(r)(grid)
-            values += [per, per - c1]
+        return columns, values
+    if o.code == "simplex":
+        per_letter = [(f"_r{r}", _simplex_per_letter(r)(grid)) for r in o.n]
     else:
         code = _resolve_code(o.code, o.n)
-        points = [superadditivity_gain(code, k) for k in grid]
-        columns += ["i_per_letter", "gain"]
-        values += [[point.in_per_letter for point in points], [point.gain for point in points]]
+        per_letter = [("", code_information(code, grid) / code.n)]
+    for tag, per in per_letter:
+        columns += [f"i{tag}_per_letter", f"gain{tag}"]
+        values += [per, per - c1]
     return columns, values
 
 
@@ -370,9 +363,9 @@ def cmd_optimize(o) -> int:
     states, priors = check_ensemble(states, priors)
 
     weighted = np.sqrt(priors)[:, None] * states
-    init, channel = square_root_measurement(weighted @ weighted.T, states=weighted)
+    _, channel = square_root_measurement(weighted @ weighted.T)
     initial_error = 1.0 - float(np.sum(priors * np.diag(channel)))
-    meas, report = bayes_cost_reduction(states, priors, init=init, tol=o.tol)
+    _, report = bayes_cost_reduction(states, priors, tol=o.tol)
     lines = [
         f"states={m}",
         f"initial_error={_fmt(initial_error)}",

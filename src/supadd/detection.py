@@ -150,28 +150,23 @@ def helstrom_binary(kappa: float, xi1: float):
     return np.vstack([omega1, omega2]), float(error)
 
 
-def bayes_cost_reduction(
-    states,
-    priors,
-    init=None,
-    tol: float = 1e-10,
-    max_sweeps: int = 500,
-):
+def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 500):
     """Drive a measurement basis to the minimum-error optimum by exact
     pairwise plane rotations (lexicographic pair order, repeated).
 
     Each step solves the two-state subproblem on the plane of one vector
     pair in closed form, so the average error never increases. Returns the
     optimized measurement and a report whose error_history holds the
-    average error after each sweep. `init` defaults to the square-root
-    measurement of the prior-weighted states. Raises Unconverged (carrying
-    the best iterate) if the residual tolerance is not met within
-    max_sweeps.
+    average error after each sweep. The sweeps start from the square-root
+    measurement of the prior-weighted states. Raises InvalidInput, before
+    any sweep, unless 0 <= tol < inf, and Unconverged (carrying the best
+    iterate) if the residual tolerance is not met within max_sweeps.
     """
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput(f"tol must be finite and at least 0, got {tol}")
     states, priors = check_ensemble(states, priors)
-    if init is None:
-        weighted = np.sqrt(priors)[:, None] * states
-        init, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
+    weighted = np.sqrt(priors)[:, None] * states
+    init, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
     x = overlap_matrix(init, states)
     v, history, residual, _ = bayes_sweeps(x, priors, tol, max_sweeps)
     meas = v @ init

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._kernels import fwht
 from .ensembles import Code
-from .errors import InvalidInput, NoRoot
+from .errors import InvalidInput, NoRoot, ResourceLimit
 from .information import (
     _h2,
     _kappa_array,
@@ -41,6 +41,10 @@ from .information import (
 
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
+# largest code dimension k the group route takes. A one-column fig2 (99
+# kappa) on a 2-core machine took 133 s and 194 MB at k = 22 (n = 23), and
+# 287-306 s at k = 23, which does not reliably fit a 5 minute budget
+_MAX_GROUP_K = 22
 # bracket width at which find_kappa_star stops bisecting
 _KAPPA_STAR_WIDTH = 1e-6
 
@@ -84,12 +88,28 @@ def linear_generators(code: Code):
 @functools.lru_cache(maxsize=64)
 def _span_weights(generators: tuple, n: int) -> np.ndarray:
     """Hamming weight of the codeword of every message, message bit i
-    selecting generator i."""
+    selecting generator i. Before allocating anything, raises InvalidInput
+    for n > 64, whose words do not fit 64 bits, or for generators that are
+    not independent n-bit words, and ResourceLimit for more than
+    _MAX_GROUP_K generators."""
+    if n > 64:
+        raise InvalidInput(f"the group route holds words of at most 64 letters, got n = {n}")
+    if len(generators) > _MAX_GROUP_K:
+        raise ResourceLimit(
+            f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
+            f"got k = {len(generators)}"
+        )
+    basis = []  # the generators reduced so far, each with its own leading bit
+    for g in generators:
+        in_range = 0 <= g < 1 << n
+        for b in basis:
+            g = min(g, g ^ b)
+        if not in_range or g == 0:
+            raise InvalidInput(f"generators must be independent {n}-bit words")
+        basis.append(g)
     words = np.zeros(1, dtype=np.uint64)
     for g in generators:
         words = np.concatenate([words, words ^ np.uint64(g)])
-    if int(words.max()) >> n or len(set(words.tolist())) != words.size:
-        raise InvalidInput(f"generators must be independent {n}-bit words")
     weights = np.bitwise_count(words)
     weights.flags.writeable = False
     return weights

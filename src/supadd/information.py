@@ -1,10 +1,10 @@
-"""Mutual information, first-order capacity, entropy bound, superadditivity
-gain, and the information of letter pairs read separately or collectively.
+"""Mutual information, first-order capacity, entropy bound, the
+information of a code under collective decoding, and the information of
+letter pairs read separately or collectively.
 
 All logarithms are base 2; every information quantity is in bits.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,18 +17,6 @@ from .errors import InvalidInput, LinearDependence
 
 class InfoResult(NamedTuple):
     mutual_information_bits: float
-
-
-@dataclass(eq=False)
-class CapacityPoint:
-    """Per-kappa comparison of block-coded information against the
-    single-use and entropy-bound references."""
-
-    kappa: float
-    c1: float
-    holevo: float
-    in_per_letter: float
-    gain: float
 
 
 def _scalar_or_array(x: np.ndarray):
@@ -89,32 +77,22 @@ def holevo_binary(kappa):
     return _h2((1.0 + _kappa_array(kappa)) / 2.0)
 
 
-def code_information(code: Code, kappa: float) -> float:
+def code_information(code: Code, kappa):
     """Mutual information of the code under square-root collective
     decoding, using the Walsh-Hadamard group route for linear codes with
-    equal priors and the explicit Gram route otherwise."""
+    equal priors and the explicit Gram route, one kappa at a time,
+    otherwise. Broadcasts over kappa."""
     from .fastcode import group_information, linear_generators
 
     generators = linear_generators(code)
     if generators is not None:
         return group_information(generators, code.n, kappa)
-    g = gram(code, kappa)
-    _, channel = square_root_measurement(g)
-    return mutual_information(code.priors, channel).mutual_information_bits
-
-
-def superadditivity_gain(code: Code, kappa: float) -> CapacityPoint:
-    """Per-letter block-coding information minus the single-use optimum."""
-    bits = code_information(code, kappa)
-    c1 = c1_binary(kappa)
-    per_letter = bits / code.n
-    return CapacityPoint(
-        kappa=kappa,
-        c1=c1,
-        holevo=holevo_binary(kappa),
-        in_per_letter=per_letter,
-        gain=per_letter - c1,
-    )
+    k = _kappa_array(kappa, collapse_at_one=True)
+    bits = np.empty(k.shape)
+    for index, value in np.ndenumerate(k):
+        _, channel = square_root_measurement(gram(code, value))
+        bits[index] = mutual_information(code.priors, channel).mutual_information_bits
+    return _scalar_or_array(bits)
 
 
 def separable_pair_info(kappa_a: float, kappa_b: float):

@@ -303,7 +303,7 @@ def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedu
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
 
 
-def reck_decompose(u, tol: float = _ORTHOGONAL_TOL) -> RotationSchedule:
+def reck_decompose(u) -> RotationSchedule:
     """Factor an orthogonal matrix into plane rotations by column-major
     elimination of below-diagonal entries; a leftover determinant of -1
     becomes the flip_last flag.
@@ -313,7 +313,7 @@ def reck_decompose(u, tol: float = _ORTHOGONAL_TOL) -> RotationSchedule:
     """
     w = np.array(u, dtype=np.float64)
     dim = w.shape[0]
-    if w.shape != (dim, dim) or np.abs(w @ w.T - np.eye(dim)).max() > tol:
+    if w.shape != (dim, dim) or np.abs(w @ w.T - np.eye(dim)).max() > _ORTHOGONAL_TOL:
         raise InvalidInput("input is not orthogonal within tolerance")
     rotations = []
     for i in range(dim - 1):

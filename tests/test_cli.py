@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from supadd import cli, ensembles, synth
+from supadd import cli, detection, ensembles, synth
 from supadd.cli import _emit, main
 from supadd.detection import helstrom_binary, square_root_measurement
 from supadd.ensembles import (
@@ -22,13 +22,32 @@ from supadd.fastcode import (
     nn12_mutual_information,
     simplex_profile,
 )
-from supadd.information import binary_flip_probability, c1_binary, holevo_binary
+from supadd.information import (
+    binary_flip_probability,
+    c1_binary,
+    code_information,
+    holevo_binary,
+)
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("reached a call the input should have stopped")
+
+
+def single_error(capsys, argv):
+    """Run argv and check it exits 2 with one error line and no output."""
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    return err
 
 
 def messages(k):
@@ -62,6 +81,13 @@ class TestFig2:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_group_route_guard(self, capsys, monkeypatch):
+        # n = 24 holds 2**23 roots per kappa, past the guard; it is refused
+        # before the span is built
+        monkeypatch.setattr(np, "concatenate", unreachable)
+        err = single_error(capsys, ["fig2", "--n", "24", "--steps", "2"])
+        assert "k <= 22" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -232,6 +258,12 @@ class TestSweep:
         assert out == ""
         assert "error:" in err
 
+    def test_simplex_past_64_letters_rejected(self, capsys, monkeypatch):
+        # rank 7 gives words of 127 letters, more than a uint64 holds
+        monkeypatch.setattr(np, "concatenate", unreachable)
+        err = single_error(capsys, ["sweep", "--code", "simplex", "--n", "7", "--steps", "2"])
+        assert "64 letters" in err
+
     def test_missing_code_file(self, capsys):
         code, _, err = run(capsys, ["sweep", "--code", "/nonexistent/code.txt"])
         assert code != 0
@@ -401,6 +433,14 @@ class TestOptimizeCommand:
         assert code == 2
         assert out == ""
         assert "kappa" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3"])
+    def test_tol_outside_range_rejected(self, capsys, monkeypatch, tol):
+        # an infinite or NaN tol would certify the unswept start, and a
+        # negative one can never be met
+        monkeypatch.setattr(detection, "bayes_sweeps", unreachable)
+        err = single_error(capsys, ["optimize", f"--tol={tol}"])
+        assert "tol" in err
 
     def test_priors_not_a_probability_vector(self, capsys, tmp_path):
         path = tmp_path / "identity.txt"
@@ -621,6 +661,18 @@ DEFAULT_N = {
     "sweep_simplex": (2, 3, 4),
 }
 FINE = (0.001, 0.999, 40)
+# one code file per route: a linear [6,3] code with equal priors (the group
+# route) and a non-linear one with unequal priors (the Gram route)
+CODE_FILES = {
+    "linear": Code(n=6, codewords=messages(3) @ np.array(
+        [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]) % 2),
+    "nonlinear": Code(
+        n=5,
+        codewords=np.array([[0, 0, 0, 1, 1], [0, 1, 0, 1, 0], [1, 1, 1, 0, 0],
+                            [1, 0, 1, 1, 1], [0, 1, 1, 0, 1]]),
+        priors=np.array([0.3, 0.2, 0.2, 0.15, 0.15]),
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -630,9 +682,9 @@ def oracle_table(command, grid_spec):
 
 
 class TestColumnsMatchScalarLoops:
-    """Each figure command and family sweep computes its columns over the
-    whole grid at once; its output equals, byte for byte, the same table
-    built one kappa at a time."""
+    """Each figure command and sweep, code files included, computes its
+    columns over the whole grid at once; its output equals, byte for byte,
+    the same table built one kappa at a time."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", FIGURE_DEFAULTS)
@@ -648,9 +700,30 @@ class TestColumnsMatchScalarLoops:
         ]
         self.check(capsys, command, argv, FINE, "csv")
 
+    @pytest.mark.parametrize("grid_spec", [None, FINE], ids=["default", "fine"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", CODE_FILES)
+    def test_code_file(self, capsys, tmp_path, name, fmt, grid_spec):
+        code = CODE_FILES[name]
+        path = tmp_path / "code.txt"
+        path.write_text(code_to_text(code))
+        argv = ["sweep", "--code", str(path), "--format", fmt]
+        if grid_spec is None:
+            grid_spec = (0.01, 0.99, 99)
+        else:
+            lo, hi, steps = grid_spec
+            argv += ["--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", str(steps)]
+        rows = []
+        for k in np.linspace(*grid_spec):
+            per = code_information(code, k) / code.n
+            rows.append([k, per, per - c1_binary(k)])
+        self.check_table(capsys, argv, (["kappa", "i_per_letter", "gain"], rows), fmt)
+
     def check(self, capsys, command, argv, grid_spec, fmt):
-        columns, rows = oracle_table(command, grid_spec)
-        _emit(columns, rows, fmt, None)
+        self.check_table(capsys, argv, oracle_table(command, grid_spec), fmt)
+
+    def check_table(self, capsys, argv, table, fmt):
+        _emit(*table, fmt, None)
         expected = capsys.readouterr().out
         code, out, _ = run(capsys, argv)
         assert code == 0

@@ -230,6 +230,15 @@ class TestBayesCostReduction:
         with pytest.raises(InvalidInput):
             bayes_cost_reduction(np.eye(3), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-3])
+    def test_tol_outside_range_rejected(self, monkeypatch, tol):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sweep reached")
+
+        monkeypatch.setattr(detection, "bayes_sweeps", unreachable)
+        with pytest.raises(InvalidInput, match="tol"):
+            bayes_cost_reduction(np.eye(2), np.array([0.5, 0.5]), tol=tol)
+
 
 class TestProductPom:
     def test_single_power_is_base(self):

@@ -5,7 +5,7 @@ from supadd import fastcode
 from supadd._kernels import fwht
 from supadd.detection import square_root_measurement
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
-from supadd.errors import InvalidInput, LinearDependence, NoRoot
+from supadd.errors import InvalidInput, LinearDependence, NoRoot, ResourceLimit
 from supadd.fastcode import (
     block_gain,
     find_kappa_star,
@@ -101,6 +101,33 @@ class TestProfile:
             group_root([3, 5, 6], 3, 0.5)
         with pytest.raises(InvalidInput):
             group_root([8], 3, 0.5)
+        with pytest.raises(InvalidInput):
+            group_root([-1], 3, 0.5)
+
+
+class TestGroupRouteGuards:
+    """_span_weights refuses what it cannot pack or hold before it builds
+    the span."""
+
+    @pytest.fixture(autouse=True)
+    def no_span(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocation reached")
+
+        monkeypatch.setattr(np, "concatenate", unreachable)
+
+    def test_generator_count_guard(self):
+        k = fastcode._MAX_GROUP_K
+        with pytest.raises(ResourceLimit, match=f"k <= {k}"):
+            nn12_mutual_information(k + 2, 0.5)
+        with pytest.raises(AssertionError, match="allocation reached"):
+            nn12_mutual_information(k + 1, 0.5)
+
+    def test_words_past_64_letters_rejected(self):
+        with pytest.raises(InvalidInput, match="64 letters"):
+            simplex_profile(7, 0.5)
+        with pytest.raises(InvalidInput, match="64 letters"):
+            group_root([1], 65, 0.5)
 
 
 class TestGroupRoute:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from supadd.cli import _threshold_error
 from supadd.detection import square_root_measurement
-from supadd.ensembles import build_nn12_code, build_simplex_code, gram
-from supadd.errors import InvalidInput
+from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
+from supadd.errors import InvalidInput, LinearDependence
+from supadd.fastcode import block_gain
 from supadd.information import (
     _h2,
     binary_flip_probability,
@@ -16,7 +17,6 @@ from supadd.information import (
     mutual_information,
     random_collective_max_info,
     separable_pair_info,
-    superadditivity_gain,
 )
 
 
@@ -175,25 +175,29 @@ class TestThresholdQuantities:
                 assert _threshold_error(p, n)[0] >= p[0] - 1e-15
 
 
+def per_letter_gain(code, kappa):
+    """The superadditivity gain I_n/n - C1 of a code; broadcasts over kappa."""
+    return code_information(code, kappa) / code.n - c1_binary(kappa)
+
+
 class TestSuperadditivityGain:
     def test_orthogonal_rate_limit(self):
         code = build_nn12_code(4)
-        point = superadditivity_gain(code, 0.0)
-        assert abs(point.gain - (3.0 / 4.0 - 1.0)) < 1e-12
+        assert abs(per_letter_gain(code, 0.0) - (3.0 / 4.0 - 1.0)) < 1e-12
 
     def test_negative_at_moderate_overlap(self):
-        point = superadditivity_gain(build_nn12_code(3), 0.5)
-        assert abs(point.gain - (-0.078869)) < 1e-4
-        assert point.gain < 0
+        gain = per_letter_gain(build_nn12_code(3), 0.5)
+        assert abs(gain - (-0.078869)) < 1e-4
+        assert gain < 0
 
     def test_positive_at_strong_overlap(self):
-        point = superadditivity_gain(build_nn12_code(3), 0.9)
-        assert point.gain > 0
+        assert per_letter_gain(build_nn12_code(3), 0.9) > 0
 
     def test_fields_consistent(self):
-        point = superadditivity_gain(build_nn12_code(5), 0.7)
-        assert abs(point.gain - (point.in_per_letter - point.c1)) < 1e-15
-        assert point.holevo >= point.in_per_letter - 1e-12
+        code = build_nn12_code(5)
+        per_letter = code_information(code, 0.7) / code.n
+        assert abs(per_letter_gain(code, 0.7) - block_gain(5, 0.7)) < 1e-15
+        assert holevo_binary(0.7) >= per_letter - 1e-12
 
     def test_fast_route_matches_explicit_route(self):
         code = build_nn12_code(4)
@@ -205,6 +209,41 @@ class TestSuperadditivityGain:
     def test_simplex_route(self):
         bits = code_information(build_simplex_code(3), 0.8)
         assert 0.0 < bits < 3.0
+
+
+
+class TestCodeInformationGrid:
+    """code_information takes kappa as a number or an array on both
+    routes, and an array gives bit for bit its entries taken one at a
+    time."""
+
+    NONLINEAR = Code(
+        n=5,
+        codewords=np.array([[0, 0, 0, 1, 1], [0, 1, 0, 1, 0], [1, 1, 1, 0, 0],
+                            [1, 0, 1, 1, 1], [0, 1, 1, 0, 1]]),
+        priors=np.array([0.3, 0.2, 0.2, 0.15, 0.15]),
+    )
+
+    @pytest.mark.parametrize("code", [NONLINEAR, build_nn12_code(4)], ids=["gram", "group"])
+    def test_array_matches_entries(self, code):
+        grid = np.linspace(0.0, 0.95, 12).reshape(3, 4)
+        bits = code_information(code, grid)
+        assert bits.shape == (3, 4)
+        assert np.array_equal(bits, np.vectorize(lambda k: code_information(code, k))(grid))
+        assert isinstance(code_information(code, 0.5), float)
+
+    def test_gram_route_matches_explicit(self):
+        _, channel = square_root_measurement(gram(self.NONLINEAR, 0.6))
+        explicit = mutual_information(self.NONLINEAR.priors, channel).mutual_information_bits
+        assert code_information(self.NONLINEAR, np.array([0.6]))[0] == explicit
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [([0.2, 1.0], LinearDependence), ([0.2, -0.1], InvalidInput), ([0.2, np.nan], InvalidInput)],
+    )
+    def test_bad_entry_rejected(self, grid, error):
+        with pytest.raises(error):
+            code_information(self.NONLINEAR, np.array(grid))
 
 
 class TestPairAdditivity:
