@@ -30,24 +30,44 @@ def hamming_matrix(code):
 
 def fwht(x):
     """Unnormalized Walsh-Hadamard transform along the last axis, whose
-    length must be a power of two; returns a new C-ordered float64 array
+    length N must be a power of two; returns a new C-ordered float64 array
     and leaves x untouched.
 
     The output is C-ordered whatever the order of x (a fancy-indexed
     x[..., idx] comes out Fortran-ordered), so a later sum along the last
     axis adds every row in the same order as for a lone vector, and a
     batch of rows gives bit for bit the rows transformed one at a time.
+
+    Every stage runs over the whole batch, flattened, as one add and one
+    subtract from one buffer into the other: the sum and the difference
+    of each adjacent pair (2j, 2j + 1) go to j and to j + size/2. Each
+    operand is then one run (stride 2 in, contiguous out), where a
+    butterfly in place at h = 1, 2, 4, ... works on runs of h entries.
+    The move takes the lowest bit of the flat index to the top, so stage
+    s pairs the entries whose column indices differ in bit s, as the
+    in-place stage h = 2**s does, and in the same order: every entry is
+    the same sum of the same pairs, so the bits are the same. After
+    log2 N stages the column bits are on top and the buffer holds the
+    transpose, (N, rows), which a last copy turns back. The work takes
+    two buffers the size of x.
     """
-    y = np.array(x, dtype=np.float64, order="C")
-    shape = y.shape
+    x = np.asarray(x)
+    shape = x.shape
+    rows = x.size // shape[-1]
+    half = x.size // 2
+    src = np.empty(x.size)
+    dst = np.empty(x.size)
+    np.copyto(src.reshape(shape), x)
     h = 1
     while h < shape[-1]:
-        y = y.reshape(-1, 2 * h)
-        even = y[:, :h].copy()
-        y[:, :h] += y[:, h:]
-        y[:, h:] = even - y[:, h:]
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src, dst = dst, src
         h *= 2
-    return y.reshape(shape)
+    if rows > 1:
+        np.copyto(dst.reshape(rows, -1), src.reshape(-1, rows).T)
+        src = dst
+    return src.reshape(shape)
 
 
 def bayes_residual(X, xi):

@@ -87,13 +87,22 @@ def gram(code: Code, kappa: float) -> np.ndarray:
     follows it take about 64 bytes per pair of codewords, so M <= 4096."""
     if not 0.0 <= kappa <= 1.0:
         raise InvalidInput(f"kappa must lie in [0, 1], got {kappa}")
+    return np.float_power(kappa, _distances(code))
+
+
+def _distances(code: Code) -> np.ndarray:
+    """Hamming distances of every pair of codewords, for the Gram matrix
+    of any kappa, in the narrowest unsigned dtype that holds n (float_power
+    gives the same float64 powers of any integer dtype). Raises
+    ResourceLimit, before allocating anything, when the Gram route would
+    pass 1 GiB, as gram documents."""
     m = code.num_codewords
     if m * m * _GRAM_ROUTE_BYTES > 8 * _MAX_ENTRIES:
         raise ResourceLimit(
             f"the Gram route for {m} codewords needs about {m * m * _GRAM_ROUTE_BYTES >> 20} MiB, "
             f"more than the guard of 1 GiB"
         )
-    return np.float_power(kappa, hamming_matrix(code.codewords))
+    return hamming_matrix(code.codewords).astype(np.min_scalar_type(code.n))
 
 
 def int_bits(values, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import mi_bits
 from .detection import helstrom_binary, square_root_measurement
-from .ensembles import Code, embed_binary_letters, gram
+from .ensembles import Code, _distances, embed_binary_letters
 from .errors import InvalidInput, LinearDependence
 
 
@@ -80,17 +80,19 @@ def holevo_binary(kappa):
 def code_information(code: Code, kappa):
     """Mutual information of the code under square-root collective
     decoding, using the Walsh-Hadamard group route for linear codes with
-    equal priors and the explicit Gram route, one kappa at a time,
-    otherwise. Broadcasts over kappa."""
+    equal priors and the explicit Gram route otherwise, which computes the
+    Hamming distances once and measures one kappa at a time. Broadcasts
+    over kappa."""
     from .fastcode import group_information, linear_generators
 
     generators = linear_generators(code)
     if generators is not None:
         return group_information(generators, code.n, kappa)
     k = _kappa_array(kappa, collapse_at_one=True)
+    distances = _distances(code)
     bits = np.empty(k.shape)
     for index, value in np.ndenumerate(k):
-        _, channel = square_root_measurement(gram(code, value))
+        _, channel = square_root_measurement(np.float_power(value, distances))
         bits[index] = mutual_information(code.priors, channel).mutual_information_bits
     return _scalar_or_array(bits)
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supadd import ensembles
+from supadd._kernels import hamming_matrix
 from supadd.cli import _threshold_error
 from supadd.detection import square_root_measurement
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
@@ -236,6 +238,17 @@ class TestCodeInformationGrid:
         _, channel = square_root_measurement(gram(self.NONLINEAR, 0.6))
         explicit = mutual_information(self.NONLINEAR.priors, channel).mutual_information_bits
         assert code_information(self.NONLINEAR, np.array([0.6]))[0] == explicit
+
+    def test_gram_route_computes_distances_once(self, monkeypatch):
+        calls = []
+
+        def counted(codewords):
+            calls.append(1)
+            return hamming_matrix(codewords)
+
+        monkeypatch.setattr(ensembles, "hamming_matrix", counted)
+        code_information(self.NONLINEAR, np.linspace(0.0, 0.9, 7))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "grid, error",

@@ -1,6 +1,7 @@
 """Each kernel against a plain-Python or dense-matrix reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,19 @@ def hadamard(order):
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]])
     return h
+
+
+def python_fwht(row):
+    """Radix-2 butterfly on a list of floats, one pair at a time, for
+    h = 1, 2, 4, ...: the stage order fwht keeps."""
+    y = list(row)
+    h = 1
+    while h < len(y):
+        for start in range(0, len(y), 2 * h):
+            for i in range(start, start + h):
+                y[i], y[i + h] = y[i] + y[i + h], y[i] - y[i + h]
+        h *= 2
+    return y
 
 
 def python_hamming(codewords):
@@ -124,7 +138,7 @@ class TestFwht:
         fwht(x)
         np.testing.assert_array_equal(x, saved)
 
-    @pytest.mark.parametrize("order", [1, 2, 8, 64])
+    @pytest.mark.parametrize("order", [1, 2, 8, 64, 128, 4096])
     def test_transforms_last_axis_of_a_batch(self, order):
         # a Fortran-ordered batch, as fancy indexing x[..., idx] returns
         x = np.asfortranarray(np.random.default_rng(order).normal(size=(3, 5, order)))
@@ -132,6 +146,35 @@ class TestFwht:
         assert out.shape == x.shape and out.flags.c_contiguous
         expected = np.array([fwht(row) for row in x.reshape(-1, order)]).reshape(x.shape)
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 32, 64, 128, 4096])
+    def test_matches_scalar_butterfly_exactly(self, order):
+        # a lone vector, which needs no transpose at the end, and batches in
+        # C order, in Fortran order and as a strided view
+        rng = np.random.default_rng(order)
+        batch = rng.normal(size=(3, 5, order))
+        wide = rng.normal(size=(3, 5, 2 * order))
+        for x in (rng.normal(size=order), batch, np.asfortranarray(batch), wide[::-1, :, ::2]):
+            expected = np.array([python_fwht(row) for row in x.reshape(-1, order).tolist()])
+            out = fwht(x)
+            assert out.shape == x.shape and out.flags.c_contiguous
+            assert np.array_equal(out, expected.reshape(x.shape))
+
+    def test_zero_rows(self):
+        out = fwht(np.empty((0, 8)))
+        assert out.shape == (0, 8) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(1, 2**16), (4, 2**14)])
+    def test_working_memory_is_two_buffers(self, shape):
+        # the input and two buffers its size, with no temporary per stage
+        tracemalloc.start()
+        try:
+            x = np.random.default_rng(0).normal(size=shape)
+            fwht(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes + 64 * 1024
 
 
 class TestBayesSweeps:
