@@ -293,7 +293,7 @@ def fig8(o):
 
 def sweep(o):
     """Generic per-letter information and gain sweep for a code family or a
-    code file ('n M' header, bit rows, optional prior rows)."""
+    code file ('n M' header, then M bit rows, then M prior rows)."""
     grid = o.grid
     c1 = c1_binary(grid)
     columns = ["kappa"]
@@ -313,6 +313,37 @@ def sweep(o):
         columns += [f"i{tag}_per_letter", f"gain{tag}"]
         values += [per, per - c1]
     return columns, values
+
+
+# entries per block of rows that _write_matrix formats at a time
+_TEXT_BLOCK = 1 << 14
+
+
+def _write_matrix(path, u: np.ndarray) -> None:
+    """Write the 2-D float64 array u with the bytes of
+    np.savetxt(path, u, fmt="%.17g"), one block of rows at a time.
+
+    A linear code's U repeats a few thousand values over 4^n entries, so a
+    block with at most half its entries distinct formats each distinct bit
+    pattern once (0.0 and -0.0 stay apart) and joins its rows from that
+    table. Any other block is formatted row by row, as savetxt does; the
+    sort that counts its distinct patterns is the only cost it adds."""
+    rows, cols = u.shape
+    step = max(1, _TEXT_BLOCK // cols)
+    line = " ".join(["%.17g"] * cols) + "\n"
+    with open(path, "w") as fh:
+        for start in range(0, rows, step):
+            block = np.ascontiguousarray(u[start : start + step], dtype=np.float64)
+            bits = block.view(np.uint64).ravel()
+            ordered = np.sort(bits)
+            distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+            if 2 * distinct > bits.size:
+                fh.write("".join([line % tuple(row) for row in block.tolist()]))
+                continue
+            patterns, index = np.unique(bits, return_inverse=True)
+            table = np.array(["%.17g" % x for x in patterns.view(np.float64).tolist()], dtype=object)
+            text = table[index].reshape(block.shape).tolist()
+            fh.write("".join([" ".join(row) + "\n" for row in text]))
 
 
 def cmd_synth(o) -> int:
@@ -335,7 +366,7 @@ def cmd_synth(o) -> int:
     }
     outdir = Path(o.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(outdir / "unitary.txt", syn.U, fmt="%.17g")
+    _write_matrix(outdir / "unitary.txt", syn.U)
     (outdir / "schedule.csv").write_text(schedule_to_csv(syn.schedule))
     text = json.dumps(report, indent=1) + "\n"
     (outdir / "report.json").write_text(text)

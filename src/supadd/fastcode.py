@@ -42,8 +42,9 @@ from .information import (
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
 # largest code dimension k the group route takes. A one-column fig2 (99
-# kappa) on a 2-core machine took 133 s and 194 MB at k = 22 (n = 23), and
-# 287-306 s at k = 23, which does not reliably fit a 5 minute budget
+# kappa) on a 2-core machine takes 72 s and 202 MB at k = 22 (n = 23).
+# k = 23 took 287-306 s with an earlier, slower transform, at the edge of a
+# 5 minute budget, and has not been measured with the current one
 _MAX_GROUP_K = 22
 # bracket width at which find_kappa_star stops bisecting
 _KAPPA_STAR_WIDTH = 1e-6

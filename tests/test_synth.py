@@ -12,6 +12,8 @@ from supadd.ensembles import (
     Code,
     build_nn12_code,
     build_simplex_code,
+    code_from_text,
+    code_to_text,
     codeword_states,
     embed_binary_letters,
     gram,
@@ -758,3 +760,72 @@ class TestScheduleSerialization:
         expected = "j,i,gamma\n" + "".join(f"{j},{i},{g:.17g}\n" for j, i, g in rotations)
         expected += f"6,6,{math.pi:.17g}\n"
         assert schedule_to_csv(schedule) == expected
+
+
+def savetxt_text(path, u):
+    np.savetxt(path, u, fmt="%.17g")
+    return path.read_text()
+
+
+def lines(text):
+    """The text as a list of its lines, newlines kept, so that a failing
+    comparison reports the first line that differs rather than a diff of
+    the whole file."""
+    return text.splitlines(keepends=True)
+
+
+def distinct_share(u):
+    """Distinct bit patterns per entry, so 0.0 and -0.0 count apart."""
+    return np.unique(np.ascontiguousarray(u).view(np.uint64)).size / u.size
+
+
+class TestUnitaryTextMatchesSavetxt:
+    """unitary.txt has the bytes np.savetxt(fmt="%.17g") gives, whether a
+    block of rows is written from a table of its distinct values or row by
+    row."""
+
+    def test_group_adaptor(self, tmp_path, monkeypatch):
+        u = synthesize_unitary(build_nn12_code(6), 0.5).U
+        assert distinct_share(u) <= 0.5  # the table path
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
+
+    def test_signed_zeros_in_repeated_blocks(self, tmp_path, monkeypatch):
+        rows_per_block = cli._TEXT_BLOCK // 64
+        values = [0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 1e-300, -2.0 / 3.0]
+        u = np.random.default_rng(12).choice(values, size=(rows_per_block + 44, 64))
+        assert u.shape[0] % rows_per_block != 0
+        assert distinct_share(u[:rows_per_block]) <= 0.5
+        assert distinct_share(u[rows_per_block:]) <= 0.5
+        assert np.any(np.signbit(u) & (u == 0.0))
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
+
+    def test_dense_haar_matrix(self, tmp_path, monkeypatch):
+        u = haar_orthogonal(np.random.default_rng(13), 200)
+        assert u.size > cli._TEXT_BLOCK and distinct_share(u) > 0.5  # row by row
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
+
+    @pytest.mark.parametrize("shape", [(1, 37), (37, 1)])
+    @pytest.mark.parametrize("repeated", [True, False])
+    def test_single_row_and_single_column(self, tmp_path, monkeypatch, shape, repeated):
+        rng = np.random.default_rng(14)
+        if repeated:
+            u = rng.choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=shape)
+        else:
+            u = rng.standard_normal(shape)
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
+
+    def test_nonlinear_code_file(self, tmp_path):
+        rng = np.random.default_rng(15)
+        words = int_bits(rng.choice(64, size=12, replace=False), 6)
+        code = Code(n=6, codewords=words, priors=rng.dirichlet(np.ones(12)))
+        path = tmp_path / "nonlinear.code"
+        path.write_text(code_to_text(code))
+        outdir = tmp_path / "out"
+        assert cli.main(["synth", "--code", str(path), "--kappa", "0.5", "--outdir", str(outdir)]) == 0
+        u = synthesize_unitary(code_from_text(path.read_text()), 0.5).U
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines((outdir / "unitary.txt").read_text()) == lines(expected)
