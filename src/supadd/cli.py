@@ -323,27 +323,24 @@ def _write_matrix(path, u: np.ndarray) -> None:
     """Write the 2-D float64 array u with the bytes of
     np.savetxt(path, u, fmt="%.17g"), one block of rows at a time.
 
-    A linear code's U repeats a few thousand values over 4^n entries, so a
-    block with at most half its entries distinct formats each distinct bit
-    pattern once (0.0 and -0.0 stay apart) and joins its rows from that
-    table. Any other block is formatted row by row, as savetxt does; the
-    sort that counts its distinct patterns is the only cost it adds."""
+    A linear code's U repeats a few thousand values over 4^n entries, so
+    each block formats its distinct bit patterns once (0.0 and -0.0 stay
+    apart), each into a 25-byte field: its text, at most 24 characters for
+    a float64, then zero bytes. The block's text is those fields gathered
+    in entry order, with each field's last byte made a space, or a newline
+    at a row's end, and the zero bytes dropped."""
     rows, cols = u.shape
     step = max(1, _TEXT_BLOCK // cols)
-    line = " ".join(["%.17g"] * cols) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for start in range(0, rows, step):
             block = np.ascontiguousarray(u[start : start + step], dtype=np.float64)
-            bits = block.view(np.uint64).ravel()
-            ordered = np.sort(bits)
-            distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-            if 2 * distinct > bits.size:
-                fh.write("".join([line % tuple(row) for row in block.tolist()]))
-                continue
-            patterns, index = np.unique(bits, return_inverse=True)
-            table = np.array(["%.17g" % x for x in patterns.view(np.float64).tolist()], dtype=object)
-            text = table[index].reshape(block.shape).tolist()
-            fh.write("".join([" ".join(row) + "\n" for row in text]))
+            patterns, index = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+            values = patterns.view(np.float64).tolist()
+            fields = ("%-24.17g " * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+            text = np.frombuffer(fields, "V25")[index].view(np.uint8).reshape(-1, 25)
+            text[:, 24] = ord(" ")
+            text[cols - 1 :: cols, 24] = ord("\n")
+            fh.write(text[text != 0].tobytes())
 
 
 def cmd_synth(o) -> int:

@@ -774,47 +774,44 @@ def lines(text):
     return text.splitlines(keepends=True)
 
 
-def distinct_share(u):
-    """Distinct bit patterns per entry, so 0.0 and -0.0 count apart."""
-    return np.unique(np.ascontiguousarray(u).view(np.uint64)).size / u.size
+def signed_zero_blocks():
+    """Entries from a few values, 0.0 and -0.0 among them, over one full
+    block of rows and a short last one. -tiny has the longest "%.17g" text
+    of a float64, 24 characters."""
+    rows = cli._TEXT_BLOCK // 64 + 44
+    tiny = np.finfo(np.float64).tiny
+    values = [0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 1e-300, -2.0 / 3.0, -tiny]
+    return np.random.default_rng(12).choice(values, size=(rows, 64))
 
 
 class TestUnitaryTextMatchesSavetxt:
-    """unitary.txt has the bytes np.savetxt(fmt="%.17g") gives, whether a
-    block of rows is written from a table of its distinct values or row by
-    row."""
+    """unitary.txt has the bytes np.savetxt(fmt="%.17g") gives, for matrices
+    whose row blocks repeat values and for those whose entries are all
+    distinct."""
 
-    def test_group_adaptor(self, tmp_path, monkeypatch):
-        u = synthesize_unitary(build_nn12_code(6), 0.5).U
-        assert distinct_share(u) <= 0.5  # the table path
-        expected = savetxt_text(tmp_path / "savetxt.txt", u)
-        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
-
-    def test_signed_zeros_in_repeated_blocks(self, tmp_path, monkeypatch):
-        rows_per_block = cli._TEXT_BLOCK // 64
-        values = [0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 1e-300, -2.0 / 3.0]
-        u = np.random.default_rng(12).choice(values, size=(rows_per_block + 44, 64))
-        assert u.shape[0] % rows_per_block != 0
-        assert distinct_share(u[:rows_per_block]) <= 0.5
-        assert distinct_share(u[rows_per_block:]) <= 0.5
-        assert np.any(np.signbit(u) & (u == 0.0))
-        expected = savetxt_text(tmp_path / "savetxt.txt", u)
-        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
-
-    def test_dense_haar_matrix(self, tmp_path, monkeypatch):
-        u = haar_orthogonal(np.random.default_rng(13), 200)
-        assert u.size > cli._TEXT_BLOCK and distinct_share(u) > 0.5  # row by row
-        expected = savetxt_text(tmp_path / "savetxt.txt", u)
-        assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
-
-    @pytest.mark.parametrize("shape", [(1, 37), (37, 1)])
-    @pytest.mark.parametrize("repeated", [True, False])
-    def test_single_row_and_single_column(self, tmp_path, monkeypatch, shape, repeated):
-        rng = np.random.default_rng(14)
-        if repeated:
-            u = rng.choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=shape)
-        else:
-            u = rng.standard_normal(shape)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synthesize_unitary(build_nn12_code(6), 0.5).U,
+            signed_zero_blocks,
+            lambda: haar_orthogonal(np.random.default_rng(13), 200),
+            lambda: np.random.default_rng(14).choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=(1, 37)),
+            lambda: np.random.default_rng(14).standard_normal((1, 37)),
+            lambda: np.random.default_rng(14).choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=(37, 1)),
+            lambda: np.random.default_rng(14).standard_normal((37, 1)),
+        ],
+        ids=[
+            "group_adaptor",
+            "signed_zeros_short_last_block",
+            "haar_200",
+            "row_repeated",
+            "row_distinct",
+            "column_repeated",
+            "column_distinct",
+        ],
+    )
+    def test_matches_savetxt(self, tmp_path, monkeypatch, make):
+        u = make()
         expected = savetxt_text(tmp_path / "savetxt.txt", u)
         assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
 
