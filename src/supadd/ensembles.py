@@ -87,13 +87,18 @@ def gram(code: Code, kappa: float) -> np.ndarray:
     follows it take about 64 bytes per pair of codewords, so M <= 4096."""
     if not 0.0 <= kappa <= 1.0:
         raise InvalidInput(f"kappa must lie in [0, 1], got {kappa}")
-    return np.float_power(kappa, _distances(code))
+    return _overlaps(kappa, _distances(code), code.n)
+
+
+def _overlaps(kappa, distances: np.ndarray, n: int) -> np.ndarray:
+    """kappa**distances for distances in 0..n, bit for bit as
+    np.float_power gives them, looked up in a table of the n + 1 powers."""
+    return np.float_power(kappa, np.arange(n + 1))[distances]
 
 
 def _distances(code: Code) -> np.ndarray:
     """Hamming distances of every pair of codewords, for the Gram matrix
-    of any kappa, in the narrowest unsigned dtype that holds n (float_power
-    gives the same float64 powers of any integer dtype). Raises
+    of any kappa, in the narrowest unsigned dtype that holds n. Raises
     ResourceLimit, before allocating anything, when the Gram route would
     pass 1 GiB, as gram documents."""
     m = code.num_codewords

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import mi_bits
 from .detection import helstrom_binary, square_root_measurement
-from .ensembles import Code, _distances, embed_binary_letters
+from .ensembles import Code, _distances, _overlaps, embed_binary_letters
 from .errors import InvalidInput, LinearDependence
 
 
@@ -92,7 +92,7 @@ def code_information(code: Code, kappa):
     distances = _distances(code)
     bits = np.empty(k.shape)
     for index, value in np.ndenumerate(k):
-        _, channel = square_root_measurement(np.float_power(value, distances))
+        _, channel = square_root_measurement(_overlaps(value, distances, code.n))
         bits[index] = mutual_information(code.priors, channel).mutual_information_bits
     return _scalar_or_array(bits)
 

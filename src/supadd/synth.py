@@ -10,6 +10,12 @@ measurement basis is the standard basis e_label, labels counting bits with
 the first letter most significant. The adaptor U therefore needs no solve:
 its rows at the assigned labels are the square-root measurement vectors.
 
+A linear code with equal priors takes those vectors from its group
+structure: sign flips of the zero word's state normalized on each class of
+axes, with no codeword states, Gram matrix or eigh. Any other code takes
+them from the eigh route (square_root_measurement), the only one whose
+rows an ill-conditioned Gram matrix can spoil.
+
 Only those rows carry meaning, so the schedule is built first and U is its
 product. For a linear code with equal priors the schedule is written down
 from the group structure (group_schedule); for any other code it is one
@@ -27,7 +33,7 @@ from ._kernels import apply_rotations
 from .detection import square_root_measurement
 from .ensembles import Code, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
-from .fastcode import linear_generators
+from .fastcode import group_root, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
@@ -75,17 +81,22 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     Codeword m's square-root measurement vector becomes row
     outcome_assignment[m] of U (default: labels 0..M-1), which must be M
     distinct integers in [0, 2**n). The product basis is the standard
-    basis, so U maps each measurement vector onto its label's axis. The
-    schedule comes first: group_schedule writes it down for a linear code
-    with equal priors, _row_schedule reads it off the measurement rows for
-    any other code. U is the schedule's product with the measurement rows
-    written at the labels, and the reconstruction residual is how far the
-    product's own rows there were from them. The returned error
-    probability is computed from the adapted states at their assigned
-    labels; it should match the collective error, read off the diagonal of
-    the measurement's channel. A U more than 1e-8 from orthogonal, which
-    the measurement rows of an ill-conditioned Gram matrix give, raises
-    InvalidInput.
+    basis, so U maps each measurement vector onto its label's axis.
+
+    A linear code with equal priors takes its measurement vectors from the
+    group structure, omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the
+    zero word's state normalized on the class of y (see group_schedule),
+    and group_schedule writes its schedule down. Its collective error is
+    1 - g[0]**2 from group_root. Any other code takes its vectors and the
+    diagonal of their channel from the eigh route, and _row_schedule reads
+    its schedule off the vectors.
+
+    U is the schedule's product with the measurement rows written at the
+    labels, and the reconstruction residual is how far the product's own
+    rows there were from them. The returned error probability is computed
+    from the states at their assigned rows; it should match the collective
+    error. A U more than 1e-8 from orthogonal, which only the eigh rows of
+    an ill-conditioned Gram matrix give, raises InvalidInput.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
@@ -107,14 +118,25 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     if min(labels) < 0 or max(labels) >= dim:
         raise InvalidInput("outcome labels must lie in [0, 2**n)")
 
-    states = codeword_states(code, kappa)
-    measurement, channel = square_root_measurement(gram(code, kappa), states=states)
     generators = linear_generators(code)
     if generators is None:
+        states = codeword_states(code, kappa)
+        measurement, channel = square_root_measurement(gram(code, kappa), states=states)
+        correct = np.einsum("ij,ij->i", states, measurement)
+        collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
         schedule = _row_schedule(measurement, labels)
     else:
-        zero = int(np.flatnonzero(~code.codewords.any(axis=1))[0])
-        schedule = group_schedule(code, generators, states[zero], labels)
+        zero_state = codeword_states(Code(n=code.n, codewords=np.zeros((1, code.n))), kappa)[0]
+        classes = _classes(generators, code.n)
+        row = zero_state / np.sqrt(np.bincount(classes, weights=zero_state**2))[classes] / np.sqrt(m)
+        # omega_c is row with the signs psi_c flips in psi_0, so psi_c .
+        # omega_c is psi_0 . row for every codeword
+        words = code.codewords @ (1 << np.arange(code.n - 1, -1, -1))
+        flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
+        measurement = np.where(flips == 1, -row, row)
+        correct = np.full(m, float(zero_state @ row))
+        collective = 1.0 - float(group_root(generators, code.n, kappa)[0] ** 2)
+        schedule = group_schedule(code, generators, zero_state, labels)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own
     residual = float(np.abs(u[labels] - measurement).max())
@@ -125,16 +147,14 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
             f"the adaptor is {orthogonality:.1e} from orthogonal: the square-root "
             f"measurement of this ill-conditioned Gram matrix is not accurate enough"
         )
-    correct = np.einsum("ij,ij->i", states, measurement)
-    error = 1.0 - float(np.sum(code.priors * correct**2))
     return SynthesizedUnitary(
         U=u,
         target_outcomes=tuple(labels),
         schedule=schedule,
         orthogonality_residual=orthogonality,
         reconstruction_residual=residual,
-        error_probability=error,
-        collective_error=1.0 - float(np.sum(code.priors * np.diag(channel))),
+        error_probability=1.0 - float(np.sum(code.priors * correct**2)),
+        collective_error=collective,
     )
 
 
@@ -221,12 +241,8 @@ def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedu
     """
     n, k = code.n, len(generators)
     dim, m = 2**code.n, 2**k
-    parity = np.bitwise_count(
-        np.arange(dim, dtype=np.uint64)[:, None] & np.array(generators, dtype=np.uint64)
-    ) & 1
-    classes = parity.astype(np.int64) @ (1 << np.arange(k))
     # row s: the axes of class s, ascending
-    members = np.argsort(classes, kind="stable").reshape(m, -1)
+    members = np.argsort(_classes(generators, n), kind="stable").reshape(m, -1)
     first = members[:, 0]
     words = np.zeros(1, dtype=np.int64)
     for g in generators:
@@ -301,6 +317,15 @@ def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedu
     pivots = np.repeat(first + 1, members.shape[1] - 1).tolist()
     rotations += zip(rows, pivots, gammas.ravel().tolist())
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+
+
+def _classes(generators, n: int) -> np.ndarray:
+    """Class of every axis y of the 2**n embedding: bit j is the parity of
+    y & generator j."""
+    parity = np.bitwise_count(
+        np.arange(2**n, dtype=np.uint64)[:, None] & np.array(generators, dtype=np.uint64)
+    ) & 1
+    return parity.astype(np.int64) @ (1 << np.arange(len(generators)))
 
 
 def reck_decompose(u) -> RotationSchedule:

@@ -18,6 +18,7 @@ from supadd.ensembles import (
 )
 from supadd.fastcode import (
     block_gain,
+    linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
     simplex_profile,
@@ -28,6 +29,7 @@ from supadd.information import (
     code_information,
     holevo_binary,
 )
+from test_synth import eigh_tolerance, group_vectors
 
 
 def run(capsys, argv):
@@ -747,9 +749,13 @@ class TestSynthMeasurementOnce:
         [
             ["--code", "nn12", "--n", "4"],
             ["--code", "simplex", "--n", "2", "--assign", "6,1,4,3"],
+            ["--code", "nonlinear.code", "--n", "4", "--assign", "6,1,4"],
         ],
     )
     def test_one_square_root_measurement_per_job(self, capsys, tmp_path, monkeypatch, argv):
+        # a linear code with equal priors takes none, any other code one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nonlinear.code").write_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n")
         calls = []
 
         def counting(*args, **kwargs):
@@ -758,21 +764,21 @@ class TestSynthMeasurementOnce:
 
         monkeypatch.setattr(synth, "square_root_measurement", counting)
         monkeypatch.setattr(cli, "square_root_measurement", counting)
-        code, out, _ = run(capsys, ["synth", *argv, "--kappa", "0.5", "--outdir", str(tmp_path)])
+        code, out, _ = run(capsys, ["synth", *argv, "--kappa", "0.5", "--outdir", "out"])
         assert code == 0
-        assert len(calls) == 1
+        code_obj = cli._resolve_code(argv[1], (int(argv[3]),))
+        assert len(calls) == (0 if linear_generators(code_obj) else 1)
         report = json.loads(out)
-        # the report's error fields, with the collective error computed
-        # from a second measurement as before
-        family, n = argv[1], int(argv[3])
-        code_obj = cli._resolve_code(family, (n,))
-        assignment = [6, 1, 4, 3] if "--assign" in argv else None
+        # the report's error fields, with the collective error of a second,
+        # dense measurement within 1e-12
+        assignment = [int(x) for x in argv[5].split(",")] if "--assign" in argv else None
         syn = synth.synthesize_unitary(code_obj, 0.5, outcome_assignment=assignment)
         _, channel = square_root_measurement(gram(code_obj, 0.5))
         collective = 1.0 - float(np.sum(code_obj.priors * np.diag(channel)))
         assert report["separate_error"] == cli._jsonval(syn.error_probability)
-        assert report["collective_error"] == cli._jsonval(collective)
-        assert report["error_mismatch"] == cli._jsonval(abs(syn.error_probability - collective))
+        assert report["collective_error"] == cli._jsonval(syn.collective_error)
+        assert report["error_mismatch"] == cli._jsonval(abs(syn.error_probability - syn.collective_error))
+        assert abs(syn.collective_error - collective) <= 1e-12
 
 
 def dense_synth_reference(code, kappa, labels):
@@ -821,6 +827,9 @@ class TestSynthAgreesWithDenseRoute:
     @pytest.mark.parametrize("assign", ["default", "reversed", "spread"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     def test_report_and_label_rows(self, capsys, tmp_path, kind, assign):
+        # the linear code takes its label rows and errors from the group
+        # structure, within the dense route's round-off; the non-linear one
+        # has the dense route's bytes
         path, code = self.code_file(kind, tmp_path)
         m, dim = code.num_codewords, 2**code.n
         labels = {
@@ -834,9 +843,20 @@ class TestSynthAgreesWithDenseRoute:
         assert run(capsys, argv)[0] == 0
         dense, dense_rows = dense_synth_reference(code, 0.55, labels)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        for key in ("target_outcomes", "separate_error", "collective_error", "error_mismatch"):
-            assert report[key] == dense[key]
+        assert report["target_outcomes"] == dense["target_outcomes"]
         assert report["rotations"] < dense["rotations"]
         assert report["reconstruction_residual"] <= 1e-12
         rows = (tmp_path / "out" / "unitary.txt").read_text().splitlines()
-        assert [rows[label] for label in labels] == [dense_rows[label] for label in labels]
+        rows = [rows[label] for label in labels]
+        if kind == "nonlinear":
+            for key in ("separate_error", "collective_error", "error_mismatch"):
+                assert report[key] == dense[key]
+            assert rows == [dense_rows[label] for label in labels]
+            return
+        for key in ("separate_error", "collective_error"):
+            assert abs(report[key] - dense[key]) <= 1e-12
+        assert report["error_mismatch"] <= 1e-12
+        assert rows == [" ".join(f"{x:.17g}" for x in row) for row in group_vectors(code, 0.55)]
+        dense_values = np.array([np.array(dense_rows[label].split(), dtype=float) for label in labels])
+        tol = eigh_tolerance(gram(code, 0.55))
+        assert np.abs(np.array([r.split() for r in rows], dtype=float) - dense_values).max() <= tol

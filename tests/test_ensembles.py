@@ -154,6 +154,21 @@ class TestGram:
             with pytest.raises(ResourceLimit):
                 gram(random_code(np.random.default_rng(n), n, 4097), 0.5)
 
+    def test_power_table_matches_float_power(self):
+        # the n + 1 powers looked up by distance are the powers float_power
+        # gives over the whole matrix, bit for bit
+        rng = np.random.default_rng(8)
+        kappas = [0.0, 1e-300, 0.9999999, 1.0, *rng.random(20)]
+        for n in (1, 5, 12, 64, 255):
+            distances = rng.integers(0, n + 1, size=(9, 9)).astype(np.min_scalar_type(n))
+            for kappa in kappas:
+                table = ensembles._overlaps(kappa, distances, n)
+                assert np.array_equal(table, np.float_power(kappa, distances))
+        code = random_code(rng, 9, 200)
+        dist = (code.codewords[:, None, :] ^ code.codewords[None, :, :]).sum(axis=2)
+        for kappa in kappas:
+            assert np.array_equal(gram(code, kappa), np.float_power(kappa, dist))
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_matches_explicit_states(self, n):
         rng = np.random.default_rng(n)

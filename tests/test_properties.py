@@ -30,6 +30,7 @@ from supadd.synth import (
     schedule_to_csv,
     synthesize_unitary,
 )
+from test_synth import eigh_tolerance, group_vectors
 
 TOL = 1e-9
 
@@ -87,27 +88,39 @@ def test_block_error_is_a_probability(code, kappa):
 @settings(max_examples=40, deadline=None)
 @given(codes(), kappas)
 def test_synthesis_agrees_with_the_dense_route(code, kappa):
-    """Linear codes with equal priors take the group schedule and every
-    other code one pivot run per codeword. Either way the label rows are
-    the square-root measurement, the errors are those of the dense route,
-    the schedule is shorter than a Reck mesh of U, and its product is U up
-    to the measurement's round-off."""
+    """Linear codes with equal priors take their label rows and schedule
+    from the group structure, and every other code takes the dense route's
+    rows and one pivot run per codeword. Either way the label rows are the
+    square-root measurement, the errors are those of the dense route, the
+    schedule is shorter than a Reck mesh of U, and its product is U up to
+    the dense route's round-off."""
     m, dim = code.num_codewords, 2**code.n
     g = gram(code, kappa)
+    linear = linear_generators(code) is not None
     try:
         syn = synthesize_unitary(code, kappa)
     except InvalidInput:
         # a U more than 1e-8 from orthogonal is refused; the eigh rows are
-        # off by about 1e-14 over the smallest Gram eigenvalue
+        # off by about 1e-14 over the smallest Gram eigenvalue, the group
+        # rows are exact
+        assert not linear
         assert np.linalg.eigvalsh(g)[0] < 1e-5
         return
     states = codeword_states(code, kappa)
     meas, channel = square_root_measurement(g, states=states)
-    np.testing.assert_array_equal(syn.U[:m], meas)
     correct = np.einsum("ij,ij->i", states, meas)
-    assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
-    assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
-    tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+    separate = 1.0 - float(np.sum(code.priors * correct**2))
+    collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
+    tol = eigh_tolerance(g)
+    if linear:
+        np.testing.assert_array_equal(syn.U[:m], group_vectors(code, kappa))
+        assert np.abs(syn.U[:m] - meas).max() <= tol
+        assert abs(syn.error_probability - separate) <= tol
+        assert abs(syn.collective_error - collective) <= tol
+    else:
+        np.testing.assert_array_equal(syn.U[:m], meas)
+        assert syn.error_probability == separate
+        assert syn.collective_error == collective
     assert syn.reconstruction_residual <= tol
     assert np.abs(reconstruct_unitary(syn.schedule) - syn.U).max() <= tol
     if linear_generators(code) is None:

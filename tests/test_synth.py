@@ -20,7 +20,7 @@ from supadd.ensembles import (
     int_bits,
 )
 from supadd.errors import InvalidInput, ResourceLimit
-from supadd.fastcode import linear_generators, nn12_error_probability
+from supadd.fastcode import group_root, linear_generators, nn12_error_probability
 from supadd.synth import (
     RotationSchedule,
     group_schedule,
@@ -91,6 +91,16 @@ def group_vectors(code, kappa):
     _, classes = np.unique(chars.T, axis=0, return_inverse=True)
     norms = np.sqrt(np.bincount(classes.ravel(), weights=psi0**2))
     return (1.0 - 2.0 * chars) * (psi0 / norms[classes.ravel()]) / np.sqrt(m)
+
+
+def eigh_tolerance(g):
+    """How far the eigh route's rows and errors may stray: about 1e-16
+    over the smallest Gram eigenvalue."""
+    return 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("the group route called the eigh route")
 
 
 def assert_group_rows(product, labels, code, kappa):
@@ -204,19 +214,30 @@ class TestSynthesizeUnitary:
             (build_nn12_code(3), None),
             (build_nn12_code(4), [9, 0, 15, 3, 4, 12, 1, 7]),
             (build_simplex_code(2), [6, 1, 4, 3]),
+            (linear_code(4, [0, 3, 12, 14]), [9, 2, 7, 0]),
         ],
     )
     def test_assigned_rows_are_square_root_measurement_vectors(self, code, assignment):
+        # a linear code's rows come from its group structure, equal to the
+        # eigh rows up to their round-off; any other code's are the eigh rows
         kappa = 0.5
         syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
-        meas, _ = square_root_measurement(gram(code, kappa), states=codeword_states(code, kappa))
-        np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], meas)
+        rows = syn.U[list(syn.target_outcomes)]
+        g = gram(code, kappa)
+        meas, _ = square_root_measurement(g, states=codeword_states(code, kappa))
+        if linear_generators(code) is None:
+            np.testing.assert_array_equal(rows, meas)
+        else:
+            np.testing.assert_array_equal(rows, group_vectors(code, kappa))
+            assert np.abs(rows - meas).max() <= eigh_tolerance(g)
 
     @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
     def test_collective_error_is_the_channel_diagonal(self, code):
         syn = synthesize_unitary(code, 0.5)
+        root = group_root(linear_generators(code), code.n, 0.5)
+        assert syn.collective_error == 1.0 - float(root[0] ** 2)
         _, channel = square_root_measurement(gram(code, 0.5))
-        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= 1e-12
         assert abs(syn.collective_error - syn.error_probability) < 1e-12
 
     def test_duplicate_labels_rejected(self):
@@ -354,38 +375,52 @@ class TestGroupSchedule:
         assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
         assert_group_rows(product, labels, code, kappa)
 
+        # the rows come from the group structure, never refused; the eigh
+        # route is the oracle within its round-off
+        syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
+        rows = syn.U[labels]
+        np.testing.assert_array_equal(rows, group_vectors(code, kappa))
+        assert syn.orthogonality_residual <= 1e-12
+        assert np.abs(syn.U @ syn.U.T - np.eye(dim)).max() <= 1e-12
+        assert np.abs(reconstruct_unitary(syn.schedule) - syn.U).max() <= 1e-12
+        assert syn.reconstruction_residual <= 1e-12
         g = gram(code, kappa)
+        tol = eigh_tolerance(g)
         meas, channel = square_root_measurement(g, states=states)
-        try:
-            syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
-        except InvalidInput:
-            # refused only where the eigh rows stray from orthonormal ones,
-            # by about 1e-14 over the smallest Gram eigenvalue
-            assert np.linalg.eigvalsh(g)[0] < 1e-5
-            return
-        np.testing.assert_array_equal(syn.U[labels], meas)
-        # the eigh route's rows carry round-off of about 1e-16 over the
-        # smallest Gram eigenvalue; the schedule's product has none
-        tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
-        assert np.abs(syn.U @ syn.U.T - np.eye(dim)).max() <= tol
-        assert np.abs(reconstruct_unitary(syn.schedule) - syn.U).max() <= tol
-        assert syn.reconstruction_residual <= tol
-        correct = np.einsum("ij,ij->i", states, meas)
-        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
-        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        assert np.abs(rows - meas).max() <= tol
+        # every codeword's state meets its row as the zero word's does
+        correct = np.einsum("ij,ij->i", states, rows)
+        assert (correct == correct[0]).all()
+        assert abs(syn.error_probability - (1.0 - float(np.sum(code.priors * correct**2)))) <= 1e-14
+        assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= tol
+        assert abs(syn.collective_error - syn.error_probability) <= tol
 
     def test_ill_conditioned_measurement_refused(self):
-        # every word of length 8 at kappa 0.95: the smallest Gram eigenvalue
-        # is 0.05**8, and the eigh rows are about 1e-5 from orthonormal
-        code = linear_code(8, np.arange(256))
+        # 255 of the 256 words of length 8 at kappa 0.95 are no linear code:
+        # their eigh rows are about 1e-6 from orthonormal, and refused
+        code = linear_code(8, np.arange(255))
+        assert linear_generators(code) is None
         with pytest.raises(InvalidInput):
             synthesize_unitary(code, 0.95)
-        syn = synthesize_unitary(code, 0.5)
+        # all 256 words take their rows from the group structure: exact
+        # where the eigh rows would be about 1e-5 from orthonormal
+        syn = synthesize_unitary(linear_code(8, np.arange(256)), 0.95)
         assert syn.reconstruction_residual <= 1e-12
         assert syn.orthogonality_residual <= 1e-12
-        # length 6 passes, 5.6e-9 from orthogonal
-        syn = synthesize_unitary(linear_code(6, np.arange(64)), 0.95)
-        assert 1e-12 < syn.orthogonality_residual <= 1e-8
+
+    @pytest.mark.parametrize("code", [build_nn12_code(8), build_simplex_code(3), linear_code(3, [0])])
+    def test_no_states_gram_or_eigh(self, monkeypatch, code):
+        # the state of the zero word is the only state built
+        sizes = []
+        states = synth.codeword_states
+        monkeypatch.setattr(
+            synth, "codeword_states", lambda c, kappa: sizes.append(c.num_codewords) or states(c, kappa)
+        )
+        monkeypatch.setattr(synth, "gram", unreachable)
+        monkeypatch.setattr(synth, "square_root_measurement", unreachable)
+        syn = synthesize_unitary(code, 0.5)
+        assert sizes == [1]
+        np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], group_vectors(code, 0.5))
 
     @pytest.mark.parametrize(
         "code, linear",
@@ -421,16 +456,19 @@ class TestGroupSchedule:
     )
     def test_matches_dense_route(self, code, labels):
         # the dense route gave the measurement rows and the errors of the
-        # eigh measurement; only its completing rows differ
+        # eigh measurement: the group rows and errors agree within its
+        # round-off
         kappa = 0.45
         syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
         states = codeword_states(code, kappa)
-        meas, channel = square_root_measurement(gram(code, kappa), states=states)
-        rows = list(syn.target_outcomes)
-        np.testing.assert_array_equal(syn.U[rows], meas)
+        g = gram(code, kappa)
+        meas, channel = square_root_measurement(g, states=states)
+        rows = syn.U[list(syn.target_outcomes)]
+        np.testing.assert_array_equal(rows, group_vectors(code, kappa))
+        assert np.abs(rows - meas).max() <= eigh_tolerance(g)
         correct = np.einsum("ij,ij->i", states, meas)
-        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
-        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        assert abs(syn.error_probability - (1.0 - float(np.sum(code.priors * correct**2)))) <= 1e-12
+        assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= 1e-12
 
 
 def row_bound(code):
@@ -470,7 +508,7 @@ class TestRowSchedule:
             return
         assert syn.schedule.flip_last <= (m == dim)
         assert len(syn.schedule.rotations) <= row_bound(code)
-        tol = 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+        tol = eigh_tolerance(g)
         product = reconstruct_unitary(syn.schedule)
         assert np.abs(product[labels] - meas).max() <= tol
         assert syn.reconstruction_residual <= tol
