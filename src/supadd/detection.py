@@ -15,15 +15,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import bayes_residual, bayes_sweeps
-from .ensembles import Code, codeword_states, embed_binary_letters, int_bits
+from .ensembles import _check_priors, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import eig_sym
 
 _SINGULAR_EIG = 1e-12
 # threshold_certificate holds a few 2**n x 2**n matrices and takes one
-# eigvalsh of that size: on a 2-core machine n = 11 takes 1.4 s and 182 MB,
-# n = 12 11 s and 573 MB, and n = 13 would take about 8 times the time and
-# 4 times the memory (2.3 GB), past a 5 minute / 1 GB budget
+# eigvalsh of that size: on a 2-core machine n = 11 takes 1.1 s and 160 MB,
+# n = 12 7.4 s and 545 MB, and n = 13 would take about 8 times the time and
+# 4 times the memory (2.2 GB), past a 5 minute / 1 GB budget
 _MAX_CERT_N = 12
 
 
@@ -109,10 +109,7 @@ def check_optimality(measurement, states, priors, tol: float = 1e-10) -> Optimal
     1 - sum_i xi_i X_ii**2.
     """
     x = overlap_matrix(measurement, states)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape[0] != x.shape[0]:
-        raise InvalidInput("priors length does not match measurement size")
-    return _certify(x, priors, tol)
+    return _certify(x, _check_priors(priors, x.shape[0]), tol)
 
 
 def check_ensemble(states, priors):
@@ -120,12 +117,9 @@ def check_ensemble(states, priors):
     are a finite probability vector and the states finite unit rows, one
     per prior."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    priors = np.asarray(priors, dtype=np.float64)
-    m = priors.size
-    if states.ndim != 2 or priors.ndim != 1 or states.shape[0] != m or m == 0:
-        raise InvalidInput(f"got {m} priors for {states.shape[0]} states")
-    if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:
-        raise InvalidInput("priors must be a probability vector")
+    if states.ndim != 2:
+        raise InvalidInput(f"states must be a 2-D array, got {states.ndim} axes")
+    priors = _check_priors(priors, states.shape[0])
     if not np.isfinite(states).all():
         raise InvalidInput("states must be finite")
     if np.abs(np.linalg.norm(states, axis=1) - 1.0).max() > 1e-9:
@@ -136,8 +130,6 @@ def check_ensemble(states, priors):
 def helstrom_binary(kappa: float, xi1: float):
     """Optimal binary projective measurement for the letter pair and its
     minimum error (1 - sqrt(1 - 4 xi1 xi2 kappa**2)) / 2."""
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1), got {kappa}")
     if not 0.0 < xi1 < 1.0:
         raise InvalidInput(f"xi1 must lie in (0, 1), got {xi1}")
     xi2 = 1.0 - xi1
@@ -181,39 +173,25 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 5
     return meas, report
 
 
-def _product_pom(base, n: int) -> np.ndarray:
-    """Tensor-power measurement: outcome (i_1..i_n) gets the Kronecker
-    product of the base vectors, first factor most significant."""
-    vectors = np.array([[1.0]])
-    for _ in range(n):
-        vectors = np.kron(vectors, base)
-    return vectors
-
-
-def _full_product_code(n: int, xi1: float = 0.5) -> Code:
-    """All 2**n sequences as codewords with product priors from (xi1, 1-xi1)."""
-    bits = int_bits(np.arange(2**n), n)
-    ones = bits.sum(axis=1)
-    priors = xi1 ** (n - ones) * (1.0 - xi1) ** ones
-    return Code(n=n, codewords=bits, priors=priors)
-
-
 def threshold_certificate(
     kappa: float, n: int, xi1: float = 0.5, tol: float = 1e-12
 ) -> ThresholdCertificate:
     """Certify that the product of single-letter optimal measurements is the
     minimum-error measurement for all 2**n sequences under product priors,
     with error 1 - (1-p)**n, through the same check as check_optimality.
+    Their overlaps and priors are the n-th Kronecker powers of the letters'.
     Raises ResourceLimit for n > 12, whose 2**n x 2**n matrices would pass
     1 GB, and InvalidInput for n < 1."""
     if n < 1:
         raise InvalidInput(f"threshold certificate needs n >= 1, got {n}")
     if n > _MAX_CERT_N:
         raise ResourceLimit(f"threshold certificate guarded at n <= {_MAX_CERT_N}, got {n}")
-    code = _full_product_code(n, xi1)
     base, p = helstrom_binary(kappa, xi1)
-    x = overlap_matrix(_product_pom(base, n), codeword_states(code, kappa))
-    report = _certify(x, code.priors, tol)
+    letter = base @ np.stack(embed_binary_letters(kappa)).T
+    x, priors = np.ones((1, 1)), np.ones(1)
+    for _ in range(n):
+        x, priors = np.kron(x, letter), np.kron(priors, [xi1, 1.0 - xi1])
+    report = _certify(x, priors, tol)
     expected = 1.0 - (1.0 - p) ** n
     passes = report.is_optimal and abs(report.error_probability - expected) <= tol
     return ThresholdCertificate(

@@ -40,16 +40,22 @@ class Code:
             raise InvalidInput("codewords must be distinct")
         if self.priors is None:
             self.priors = np.full(m, 1.0 / m)
-        self.priors = np.asarray(self.priors, dtype=np.float64)
-        p = self.priors
-        if p.shape != (m,) or not np.isfinite(p).all() or p.min() < 0:
-            raise InvalidInput("priors must be M finite nonnegative numbers")
-        if abs(self.priors.sum() - 1.0) > 1e-12:
-            raise InvalidInput("priors must sum to 1")
+        self.priors = _check_priors(self.priors, m)
 
     @property
     def num_codewords(self) -> int:
         return self.codewords.shape[0]
+
+
+def _check_priors(priors, m: int) -> np.ndarray:
+    """priors as a float64 array; InvalidInput unless they are m >= 1
+    finite nonnegative numbers summing to 1 within 1e-12."""
+    priors = np.asarray(priors, dtype=np.float64)
+    if priors.shape != (m,) or m == 0:
+        raise InvalidInput(f"got {priors.size} priors for {m} states")
+    if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:
+        raise InvalidInput("priors must be a probability vector")
+    return priors
 
 
 def embed_binary_letters(kappa: float):

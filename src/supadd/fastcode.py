@@ -62,6 +62,19 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return x * np.log2(safe)
 
 
+def _independent(words):
+    """For each word in turn, whether it is outside the GF(2) span of the
+    words before it: whether it reduces to nonzero against their XOR basis,
+    whose leading bits are distinct."""
+    basis = []
+    for word in words:
+        for b in basis:
+            word = min(word, word ^ b)
+        if word:
+            basis.append(word)
+        yield word != 0
+
+
 def linear_generators(code: Code):
     """Generator words of the code as ints (first letter most significant),
     or None unless the code is linear with equal priors. Linear means the
@@ -74,15 +87,13 @@ def linear_generators(code: Code):
         return None
     shifts = np.arange(code.n - 1, -1, -1, dtype=np.uint64)
     words = np.bitwise_or.reduce(code.codewords.astype(np.uint64) << shifts, axis=1)
-    span = {0}
+    distinct = list(set(words.tolist()))
     generators = []
-    for word in set(words.tolist()):
-        if word in span:
-            continue
-        span |= {s ^ word for s in span}
-        if len(span) > m:
-            return None
-        generators.append(word)
+    for word, new in zip(distinct, _independent(distinct)):
+        if new:
+            generators.append(word)
+            if 1 << len(generators) > m:
+                return None
     return tuple(generators)
 
 
@@ -100,14 +111,8 @@ def _span_weights(generators: tuple, n: int) -> np.ndarray:
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
             f"got k = {len(generators)}"
         )
-    basis = []  # the generators reduced so far, each with its own leading bit
-    for g in generators:
-        in_range = 0 <= g < 1 << n
-        for b in basis:
-            g = min(g, g ^ b)
-        if not in_range or g == 0:
-            raise InvalidInput(f"generators must be independent {n}-bit words")
-        basis.append(g)
+    if not all(0 <= g < 1 << n for g in generators) or not all(_independent(generators)):
+        raise InvalidInput(f"generators must be independent {n}-bit words")
     words = np.zeros(1, dtype=np.uint64)
     for g in generators:
         words = np.concatenate([words, words ^ np.uint64(g)])

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import mi_bits
 from .detection import helstrom_binary, square_root_measurement
-from .ensembles import Code, _distances, _overlaps, embed_binary_letters
+from .ensembles import Code, _check_priors, _distances, _overlaps, embed_binary_letters
 from .errors import InvalidInput, LinearDependence
 
 
@@ -49,18 +49,22 @@ def _h2(p):
 def binary_flip_probability(kappa):
     """Minimum-error flip probability of the equiprobable letter pair;
     broadcasts over kappa."""
-    return 0.5 * (1.0 - np.sqrt(1.0 - kappa * kappa))
+    k = _kappa_array(kappa)
+    return _scalar_or_array(0.5 * (1.0 - np.sqrt(1.0 - k * k)))
 
 
 def mutual_information(priors, channel) -> InfoResult:
     """I = sum_i xi_i sum_j P(j|i) log2[P(j|i) / sum_k xi_k P(j|k)],
-    with 0 log 0 = 0."""
-    priors = np.asarray(priors, dtype=np.float64)
+    with 0 log 0 = 0. Raises InvalidInput unless the priors are a
+    probability vector and the channel a finite row-stochastic matrix with
+    one row per prior."""
     channel = np.asarray(channel, dtype=np.float64)
-    if channel.ndim != 2 or priors.shape[0] != channel.shape[0]:
-        raise InvalidInput("priors and channel dimensions disagree")
-    if channel.min() < -1e-12 or np.abs(channel.sum(axis=1) - 1.0).max() > 1e-8:
-        raise InvalidInput("channel must be row-stochastic")
+    if channel.ndim != 2:
+        raise InvalidInput("channel must be a 2-D array")
+    priors = _check_priors(priors, channel.shape[0])
+    sums = channel.sum(axis=1)
+    if not np.isfinite(sums).all() or channel.min() < -1e-12 or np.abs(sums - 1.0).max() > 1e-8:
+        raise InvalidInput("channel must be finite and row-stochastic")
     return InfoResult(mutual_information_bits=mi_bits(priors, channel))
 
 
@@ -68,7 +72,7 @@ def c1_binary(kappa):
     """Best single-use information of the binary letter pair: the symmetric
     channel at the minimum-error measurement, 1 - h2(p). Broadcasts over
     kappa."""
-    return 1.0 - _h2(binary_flip_probability(_kappa_array(kappa)))
+    return 1.0 - _h2(binary_flip_probability(kappa))
 
 
 def holevo_binary(kappa):
@@ -100,9 +104,7 @@ def code_information(code: Code, kappa):
 def separable_pair_info(kappa_a: float, kappa_b: float):
     """Information of two letter pairs read by the product of their optimal
     single-use measurements, with the additive reference C1(a) + C1(b)."""
-    va = embed_binary_letters(kappa_a)
-    vb = embed_binary_letters(kappa_b)
-    states = np.array([np.kron(x, y) for x in va for y in vb])
+    states = np.kron(*(np.stack(embed_binary_letters(k)) for k in (kappa_a, kappa_b)))
     ma, _ = helstrom_binary(kappa_a, 0.5)
     mb, _ = helstrom_binary(kappa_b, 0.5)
     vectors = np.kron(ma, mb)
@@ -118,9 +120,7 @@ def random_collective_max_info(
 ) -> float:
     """Largest information over random orthonormal collective measurements
     of the two-pair ensemble (Haar bases via QR of Gaussian matrices)."""
-    va = embed_binary_letters(kappa_a)
-    vb = embed_binary_letters(kappa_b)
-    states = np.array([np.kron(x, y) for x in va for y in vb])
+    states = np.kron(*(np.stack(embed_binary_letters(k)) for k in (kappa_a, kappa_b)))
     priors = np.full(4, 0.25)
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -10,16 +10,13 @@ measurement basis is the standard basis e_label, labels counting bits with
 the first letter most significant. The adaptor U therefore needs no solve:
 its rows at the assigned labels are the square-root measurement vectors.
 
-A linear code with equal priors takes those vectors from its group
-structure: sign flips of the zero word's state normalized on each class of
-axes, with no codeword states, Gram matrix or eigh. Any other code takes
-them from the eigh route (square_root_measurement), the only one whose
-rows an ill-conditioned Gram matrix can spoil.
-
 Only those rows carry meaning, so the schedule is built first and U is its
-product. For a linear code with equal priors the schedule is written down
-from the group structure (group_schedule); for any other code it is one
-pivot run per codeword, read off the measurement rows (_row_schedule).
+product. A linear code with equal priors takes its vectors and schedule
+from one pass over its group structure (group_schedule), with no Gram
+matrix, eigh or state but the zero word's. Any other code takes its
+vectors from the eigh route (square_root_measurement), the only one whose
+rows an ill-conditioned Gram matrix can spoil, and its schedule is one
+pivot run per codeword, read off those rows (_row_schedule).
 reck_decompose factors any orthogonal matrix into a full triangular mesh.
 """
 
@@ -83,11 +80,11 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     distinct integers in [0, 2**n). The product basis is the standard
     basis, so U maps each measurement vector onto its label's axis.
 
-    A linear code with equal priors takes its measurement vectors from the
-    group structure, omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the
-    zero word's state normalized on the class of y (see group_schedule),
-    and group_schedule writes its schedule down. Its collective error is
-    1 - g[0]**2 from group_root. Any other code takes its vectors and the
+    A linear code with equal priors takes its measurement vectors, their
+    overlaps with the states and its schedule from group_schedule:
+    omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the zero word's state
+    normalized on the class of y. Its collective error is 1 - g[0]**2
+    from group_root. Any other code takes its vectors and the
     diagonal of their channel from the eigh route, and _row_schedule reads
     its schedule off the vectors.
 
@@ -126,17 +123,8 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
         schedule = _row_schedule(measurement, labels)
     else:
-        zero_state = codeword_states(Code(n=code.n, codewords=np.zeros((1, code.n))), kappa)[0]
-        classes = _classes(generators, code.n)
-        row = zero_state / np.sqrt(np.bincount(classes, weights=zero_state**2))[classes] / np.sqrt(m)
-        # omega_c is row with the signs psi_c flips in psi_0, so psi_c .
-        # omega_c is psi_0 . row for every codeword
-        words = code.codewords @ (1 << np.arange(code.n - 1, -1, -1))
-        flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
-        measurement = np.where(flips == 1, -row, row)
-        correct = np.full(m, float(zero_state @ row))
+        measurement, correct, schedule = group_schedule(code, generators, kappa, labels)
         collective = 1.0 - float(group_root(generators, code.n, kappa)[0] ** 2)
-        schedule = group_schedule(code, generators, zero_state, labels)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own
     residual = float(np.abs(u[labels] - measurement).max())
@@ -215,18 +203,19 @@ def _pivot_run(w, col, pivot, rows, start):
     return rows, gammas
 
 
-def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedule:
-    """Rotation schedule of the adaptor of a linear code with equal
-    priors, written down from its group structure (Eldar & Forney, IEEE
-    TIT 47, 858, 2001); zero_state is the state of the zero word and
-    labels the axis of each codeword.
+def group_schedule(code: Code, generators, kappa, labels):
+    """Square-root measurement rows omega_c of a linear code with equal
+    priors, each codeword's overlap psi_c . omega_c, and the rotation
+    schedule of the adaptor with row labels[c] equal to omega_c, all from
+    its group structure (Eldar & Forney, IEEE TIT 47, 858, 2001).
 
     Letter 1 is Z letter 0, so psi_c[y] = (-1)**(c.y) psi_0[y]. Bit j of
     the class s of axis y is the parity of y & generator j, so
     c.y = m(c).s for the message m(c) of c, and the square-root vector of
     c is omega_c = sum_s (-1)**(m(c).s) a_s / sqrt(M), where a_s is psi_0
-    restricted to class s and normalized. The product U has row
-    labels[c] equal to omega_c; applied to e_label, in order:
+    restricted to class s and normalized: omega_c has the signs psi_c
+    flips in psi_0, so every psi_c . omega_c is psi_0 . omega_0. The
+    schedule, applied to e_label, does in order:
     - pi/2 rotations move each label axis to the first axis of the class
       numbered by its codeword's message, with the sign the butterfly
       needs there; pi rotations fix the signs that closing a cycle of
@@ -241,15 +230,20 @@ def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedu
     """
     n, k = code.n, len(generators)
     dim, m = 2**code.n, 2**k
+    bits = 1 << np.arange(k)
+    zero_state = codeword_states(Code(n=n, codewords=np.zeros((1, n))), kappa)[0]
+    parity = np.bitwise_count(np.arange(dim)[:, None] & np.array(generators, dtype=np.int64)) & 1
+    classes = parity @ bits
     # row s: the axes of class s, ascending
-    members = np.argsort(_classes(generators, n), kind="stable").reshape(m, -1)
+    members = np.argsort(classes, kind="stable").reshape(m, -1)
     first = members[:, 0]
-    words = np.zeros(1, dtype=np.int64)
-    for g in generators:
-        words = np.concatenate([words, words ^ g])
-    message = np.empty(dim, dtype=np.int64)
-    message[words] = np.arange(m)
-    messages = message[code.codewords @ (1 << np.arange(n - 1, -1, -1))]
+    row = zero_state / np.sqrt(np.bincount(classes, weights=zero_state**2))[classes] / np.sqrt(m)
+    words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
+    flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
+    measurement = np.where(flips == 1, -row, row)
+    correct = np.full(words.size, float(zero_state @ row))
+    # flips[c, y] = m(c).s(y), so bit j of m(c) is flips[c] on class 2**j's first axis
+    messages = flips[:, first[bits]] @ bits
     landings = first[messages].tolist()
     signs = 1 - 2 * (np.bitwise_count(messages) & 1).astype(np.int64)
     target = dict(zip(labels, zip(landings, signs.tolist())))
@@ -316,16 +310,7 @@ def group_schedule(code: Code, generators, zero_state, labels) -> RotationSchedu
     rows = (members[:, 1:] + 1).ravel().tolist()
     pivots = np.repeat(first + 1, members.shape[1] - 1).tolist()
     rotations += zip(rows, pivots, gammas.ravel().tolist())
-    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
-
-
-def _classes(generators, n: int) -> np.ndarray:
-    """Class of every axis y of the 2**n embedding: bit j is the parity of
-    y & generator j."""
-    parity = np.bitwise_count(
-        np.arange(2**n, dtype=np.uint64)[:, None] & np.array(generators, dtype=np.uint64)
-    ) & 1
-    return parity.astype(np.int64) @ (1 << np.arange(len(generators)))
+    return measurement, correct, RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
 
 
 def reck_decompose(u) -> RotationSchedule:
@@ -363,18 +348,29 @@ def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     out = np.eye(dim)
     if schedule.flip_last:
         out[dim - 1, dim - 1] = -1.0
-    table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)[::-1]
+    table = _rotation_table(schedule.rotations, dim)[::-1]
+    js, iss = table[:, :2].T.astype(np.int64) - 1
+    starts = np.minimum.accumulate(np.minimum(js, iss))
+    apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), starts)
+    return out
+
+
+def _rotation_table(rotations, dim: int) -> np.ndarray:
+    """The rotations (j, i, gamma) as a (count, 3) float64 table, after
+    checking that each turns two distinct integer axes in 1..dim by a
+    finite angle; raises InvalidInput otherwise."""
+    try:
+        table = np.array(rotations, dtype=np.float64).reshape(-1, 3)
+    except OverflowError as exc:
+        raise InvalidInput("a rotation axis is past the float64 range") from exc
     axes = table[:, :2]
     if not ((axes >= 1) & (axes <= dim) & (axes == np.floor(axes))).all():
         raise InvalidInput(f"rotation axes must be integers in 1..{dim}")
     if not np.isfinite(table[:, 2]).all():
         raise InvalidInput("rotation angles must be finite")
-    js, iss = axes.T.astype(np.int64) - 1
-    if (js == iss).any():
+    if (axes[:, 0] == axes[:, 1]).any():
         raise InvalidInput("a rotation must turn two distinct axes")
-    starts = np.minimum.accumulate(np.minimum(js, iss))
-    apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), starts)
-    return out
+    return table
 
 
 def schedule_to_csv(schedule: RotationSchedule) -> str:
@@ -403,19 +399,15 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
         if len(parts) != 3:
             raise InvalidInput(f"bad schedule line: {line!r}")
         try:
-            rotation = (int(parts[0]), int(parts[1]), float(parts[2]))
+            rotations.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise InvalidInput(f"bad schedule line {line!r}: {exc}") from exc
-        if not math.isfinite(rotation[2]):
-            raise InvalidInput(f"schedule angle must be finite: {line!r}")
-        rotations.append(rotation)
     flip_dim = None
     if rotations and rotations[-1][0] == rotations[-1][1]:
         flip_dim, _, angle = rotations.pop()
-        if abs(angle - math.pi) > 1e-12:
+        # "not <=" so that a NaN angle fails too
+        if not abs(angle - math.pi) <= 1e-12:
             raise InvalidInput(f"axis flip line {flip_dim},{flip_dim} has angle {angle!r}, not pi")
-    if any(j == i for j, i, _ in rotations):
-        raise InvalidInput("a j == i line is allowed only last, as the axis flip")
     axes = [a for j, i, _ in rotations for a in (j, i)]
     if dim is None:
         candidates = axes + ([flip_dim] if flip_dim is not None else [])
@@ -426,7 +418,6 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
         raise InvalidInput(f"schedule dimension must be at least 1, got {dim}")
     if flip_dim is not None and flip_dim != dim:
         raise InvalidInput(f"axis flip line names axis {flip_dim}, not the last axis {dim}")
-    if axes and not 1 <= min(axes) <= max(axes) <= dim:
-        raise InvalidInput(f"rotation axes must lie in 1..{dim}")
+    _rotation_table(rotations, dim)
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
 

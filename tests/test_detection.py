@@ -3,8 +3,6 @@ import pytest
 
 from supadd import detection
 from supadd.detection import (
-    _full_product_code,
-    _product_pom,
     bayes_cost_reduction,
     check_optimality,
     helstrom_binary,
@@ -13,11 +11,13 @@ from supadd.detection import (
     threshold_certificate,
 )
 from supadd.ensembles import (
+    Code,
     build_nn12_code,
     build_simplex_code,
     codeword_states,
     embed_binary_letters,
     gram,
+    int_bits,
 )
 from supadd.errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from supadd.psdlinalg import sqrt_psd
@@ -29,6 +29,23 @@ def verify_sqm_orthonormal(gram) -> float:
     for the measurement of the states with coordinate rows sqrt_psd(gram)."""
     meas, _ = square_root_measurement(gram, states=sqrt_psd(gram))
     return float(np.abs(meas @ meas.T - np.eye(meas.shape[0])).max())
+
+
+def _product_pom(base, n: int) -> np.ndarray:
+    """Tensor-power measurement: outcome (i_1..i_n) gets the Kronecker
+    product of the base vectors, first factor most significant."""
+    vectors = np.array([[1.0]])
+    for _ in range(n):
+        vectors = np.kron(vectors, base)
+    return vectors
+
+
+def _full_product_code(n: int, xi1: float = 0.5) -> Code:
+    """All 2**n sequences as codewords with product priors from (xi1, 1-xi1)."""
+    bits = int_bits(np.arange(2**n), n)
+    ones = bits.sum(axis=1)
+    priors = xi1 ** (n - ones) * (1.0 - xi1) ** ones
+    return Code(n=n, codewords=bits, priors=priors)
 
 
 def random_ensemble(rng, m, dim):
@@ -148,6 +165,12 @@ class TestCheckOptimality:
         with pytest.raises(InvalidInput):
             check_optimality(np.eye(3), np.eye(3), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("priors", [[3.0, -2.0], [0.3, 0.3], [np.nan, 0.5], [np.inf, 0.0]])
+    def test_not_a_probability_vector_rejected(self, priors):
+        # [3, -2] was certified before
+        with pytest.raises(InvalidInput, match="probability vector"):
+            check_optimality(np.eye(2), np.eye(2), priors)
+
 
 class TestHelstromBinary:
     def test_zero_overlap_zero_error(self):
@@ -253,13 +276,13 @@ class TestProductPom:
         assert np.abs(pom @ pom.T - np.eye(8)).max() < 1e-12
 
     def test_dimension_guard(self, monkeypatch):
-        # the certificate is the only caller of the 2**n x 2**n product
-        # measurement and states; it refuses n > 12 before building either
+        # the certificate refuses n > 12 before it builds its letter
+        # overlaps, and so before any 2**n x 2**n Kronecker power
         def unreachable(*args, **kwargs):
             raise AssertionError("allocation reached")
 
-        monkeypatch.setattr(detection, "codeword_states", unreachable)
-        monkeypatch.setattr(detection, "_full_product_code", unreachable)
+        monkeypatch.setattr(detection, "helstrom_binary", unreachable)
+        monkeypatch.setattr(np, "kron", unreachable)
         for n in (13, 15, 21):
             with pytest.raises(ResourceLimit, match="n <= 12"):
                 threshold_certificate(0.5, n)
@@ -335,3 +358,19 @@ class TestTmFamily:
         assert worst.cond_ii_min_eig < -1e-12
         assert not worst.is_optimal
         assert tm_family_min_eig(_product_pom(base[::-1], n), states, code.priors) < -1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kappa", [0.1, 0.6, 0.99])
+    @pytest.mark.parametrize("xi1", [0.3, 0.5])
+    def test_certificate_matches_dense_route(self, n, kappa, xi1):
+        # the Kronecker-power overlaps and priors against the product
+        # measurement and states built in full
+        code = _full_product_code(n, xi1)
+        base, _ = helstrom_binary(kappa, xi1)
+        states = codeword_states(code, kappa)
+        dense = check_optimality(_product_pom(base, n), states, code.priors, tol=1e-12)
+        cert = threshold_certificate(kappa, n, xi1=xi1)
+        assert abs(cert.cond_i_residual - dense.cond_i_residual) <= 2e-15
+        assert abs(cert.cond_ii_min_eig - dense.cond_ii_min_eig) <= 2e-15
+        assert abs(cert.error_probability - dense.error_probability) <= 2e-15
+        assert cert.passes == dense.is_optimal

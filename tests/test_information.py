@@ -83,6 +83,22 @@ class TestMutualInformation:
         with pytest.raises(InvalidInput):
             mutual_information(np.array([0.5, 0.5]), np.array([[0.9, 0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "priors, channel",
+        [
+            ([2.0, -1.0], [[0.9, 0.1], [0.2, 0.8]]),
+            ([0.3, 0.3], [[0.9, 0.1], [0.2, 0.8]]),
+            ([np.nan, 0.5], [[0.9, 0.1], [0.2, 0.8]]),
+            ([0.5, 0.5], [[np.nan, 0.1], [0.2, 0.8]]),
+            ([0.5, 0.5, 0.0], [[0.9, 0.1], [0.2, 0.8]]),
+            ([], np.zeros((0, 2))),
+        ],
+    )
+    def test_not_a_probability_vector_or_finite_channel_rejected(self, priors, channel):
+        # each gave a number before: -1.49 bits, 0.68 bits, 0.0 and a pass
+        with pytest.raises(InvalidInput):
+            mutual_information(priors, channel)
+
 
 class TestSingleUseCapacity:
     def test_orthogonal_letters(self):
@@ -295,12 +311,12 @@ class TestBroadcasting:
         np.testing.assert_array_equal(_h2(np.array([0.0, 1.0, -0.5, 2.0])), 0.0)
         assert _h2(0.5) == 1.0
 
-    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary, _h2])
+    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary, _h2, binary_flip_probability])
     def test_scalar_in_scalar_out(self, fn):
         for kappa in (0.5, np.float64(0.5), np.array(0.5)):
-            assert isinstance(fn(kappa), float)
+            assert type(fn(kappa)) is float
 
-    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary])
+    @pytest.mark.parametrize("fn", [c1_binary, holevo_binary, binary_flip_probability])
     @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan])
     def test_out_of_range_entry_rejected(self, fn, bad):
         with pytest.raises(InvalidInput):

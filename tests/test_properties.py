@@ -61,6 +61,30 @@ def codes(draw):
 kappas = st.floats(min_value=0.0, max_value=0.95)
 
 
+def closure_generators(code):
+    """linear_generators by set closure: each distinct word, in set order,
+    that the span of the words kept before it misses, and None once that
+    span passes M words or the priors are unequal."""
+    m = code.num_codewords
+    if np.abs(code.priors - 1.0 / m).max() > 1e-12:
+        return None
+    words = code.codewords.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1))
+    span, generators = {0}, []
+    for word in set(words.tolist()):
+        if word not in span:
+            span |= {s ^ word for s in span}
+            if len(span) > m:
+                return None
+            generators.append(word)
+    return tuple(generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes())
+def test_linear_generators_match_set_closure(code):
+    assert linear_generators(code) == closure_generators(code)
+
+
 @settings(max_examples=60, deadline=None)
 @given(codes(), kappas)
 def test_square_root_channel_row_stochastic(code, kappa):

@@ -323,7 +323,6 @@ class TestGroupSchedule:
         # words that span it, with labels on the first axes of the classes
         code = build_nn12_code(4)
         words = [int(w) for w in code.codewords @ (1 << np.arange(3, -1, -1)) if w]
-        states = codeword_states(code, 0.6)
         labels = list(range(7, -1, -1))
         bases = 0
         for a in words:
@@ -331,7 +330,7 @@ class TestGroupSchedule:
                 for c in words:
                     if len({0, a, b, c, a ^ b, a ^ c, b ^ c, a ^ b ^ c}) < 8:
                         continue
-                    schedule = group_schedule(code, (a, b, c), states[0], labels)
+                    _, _, schedule = group_schedule(code, (a, b, c), 0.6, labels)
                     product = reconstruct_unitary(schedule)
                     assert_group_rows(product, labels, code, 0.6)
                     bases += 1
@@ -368,8 +367,9 @@ class TestGroupSchedule:
         kappa = data.draw(st.floats(0.0, 0.95))
 
         states = codeword_states(code, kappa)
-        zero = int(np.flatnonzero(~code.codewords.any(axis=1))[0])
-        schedule = group_schedule(code, tuple(basis), states[zero], labels)
+        rows, correct, schedule = group_schedule(code, tuple(basis), kappa, labels)
+        np.testing.assert_array_equal(rows, group_vectors(code, kappa))
+        assert np.abs(correct - np.einsum("ij,ij->i", states, rows)).max() <= 1e-14
         assert len(schedule.rotations) <= rotation_bound(code)
         product = reconstruct_unitary(schedule)
         assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
@@ -718,6 +718,7 @@ class TestScheduleSerialization:
             f"2,1,0.5\n3,3,{math.pi!r}\n",  # flip line on axis 3 of 4
             "2,1,0.5\n4,4,0.3\n",  # flip line with an angle that is not pi
             f"4,4,{math.pi!r}\n2,1,0.5\n",  # flip line before a rotation
+            "2,1,0.5\n4,4,nan\n",  # flip line with a NaN angle
         ],
     )
     def test_misplaced_flip_line_rejected(self, body):
@@ -766,9 +767,13 @@ class TestScheduleSerialization:
             reconstruct_unitary(schedule)
 
     def test_axis_outside_given_dimension_rejected_while_parsing(self):
-        for body in ("5,1,0.3", "0,1,0.3", "2,-1,0.3", "2,5,0.3"):
+        huge = "1" + "0" * 400 + ",1,0.3"
+        for body in ("5,1,0.3", "0,1,0.3", "2,-1,0.3", "2,5,0.3", huge):
             with pytest.raises(InvalidInput):
                 schedule_from_csv("j,i,gamma\n" + body + "\n", dim=4)
+        # an axis past float range, which no dimension can hold
+        with pytest.raises(InvalidInput):
+            schedule_from_csv("j,i,gamma\n" + huge + "\n")
 
     @pytest.mark.parametrize("axis", [0, -1])
     def test_flip_line_on_a_non_positive_axis_rejected(self, axis):
