@@ -12,6 +12,10 @@ wins over the same key in the optional key=value config file (--config),
 which wins over the default. Flag and config text go through the same
 conversion, and a config key the command does not read, or one given
 twice, is an input error.
+
+main builds the parser of the one command its argv names: the others stay
+out, but the usage line still lists all of them, so help text, errors and
+exit codes are those of the full parser (build_parser()).
 """
 
 import argparse
@@ -112,14 +116,15 @@ def _load_config(path):
 
 def _options(args) -> argparse.Namespace:
     """The options the command reads, each from its flag if given, else
-    from the config file, else its default. Raises InvalidInput for a
+    from the config file, else its default; `given` holds the keys taken
+    from a flag or the config file. Raises InvalidInput for a
     config key the command does not read and for a value its conversion
     rejects."""
     config = _load_config(args.config)
     unread = sorted(set(config) - set(args.keys))
     if unread:
         raise InvalidInput(f"{args.command} does not read config key(s): {', '.join(unread)}")
-    opts = argparse.Namespace()
+    opts = argparse.Namespace(given=set())
     for key in args.keys:
         text = getattr(args, key)
         if text is None:
@@ -127,6 +132,7 @@ def _options(args) -> argparse.Namespace:
         if text is None:
             value = args.defaults.get(key, OPTIONS[key].default)
         else:
+            opts.given.add(key)
             try:
                 value = OPTIONS[key].convert(text)
             except ValueError as exc:
@@ -174,15 +180,22 @@ def _write(text: str, path) -> None:
         Path(path).write_text(text)
 
 
-def _resolve_code(code_family: str, n_list) -> Code:
-    if code_family in ("nn12", "simplex") and len(n_list) != 1:
+def _resolve_code(code_family: str, n_list, n_given: bool = True) -> Code:
+    """The code --code names: a family at its one block length, or a code
+    file, which sets its own length; an n_list given for it must repeat
+    that length."""
+    if code_family not in ("nn12", "simplex"):
+        code = code_from_text(Path(code_family).read_text())
+        if n_given and tuple(n_list) != (code.n,):
+            raise InvalidInput(
+                f"n = {','.join(map(str, n_list))} does not match the code file's length {code.n}"
+            )
+        return code
+    if len(n_list) != 1:
         raise InvalidInput(f"--code {code_family} needs one block length, got {len(n_list)}")
-    n = n_list[0]
     if code_family == "nn12":
-        return build_nn12_code(n)
-    if code_family == "simplex":
-        return build_simplex_code(n)
-    return code_from_text(Path(code_family).read_text())
+        return build_nn12_code(n_list[0])
+    return build_simplex_code(n_list[0])
 
 
 def _run_columns(build, o) -> int:
@@ -307,7 +320,7 @@ def sweep(o):
     if o.code == "simplex":
         per_letter = [(f"_r{r}", _simplex_per_letter(r)(grid)) for r in o.n]
     else:
-        code = _resolve_code(o.code, o.n)
+        code = _resolve_code(o.code, o.n, "n" in o.given)
         per_letter = [("", code_information(code, grid) / code.n)]
     for tag, per in per_letter:
         columns += [f"i{tag}_per_letter", f"gain{tag}"]
@@ -346,7 +359,7 @@ def _write_matrix(path, u: np.ndarray) -> None:
 def cmd_synth(o) -> int:
     """Synthesize the decoding adaptor for a code, factor it into plane
     rotations, and write unitary.txt, schedule.csv, and report.json."""
-    code = _resolve_code(o.code, o.n)
+    code = _resolve_code(o.code, o.n, "n" in o.given)
     syn = synthesize_unitary(code, o.kappa, outcome_assignment=o.assign)
     report = {
         "n": code.n,
@@ -438,13 +451,21 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command's name, of that one
+    alone: it parses, and prints usage, help and errors for, an argv
+    starting with that name exactly as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="supadd",
         description="Block-coding gain, decoding error, and decoder synthesis sweeps.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    # the usage line lists the commands the parser holds; holding one, it
+    # spells out all of them as the full parser's choices do
+    metavar = None if command is None else "{" + ",".join(c[0] for c in COMMANDS) + "}"
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, blurb, run, keys, defaults in COMMANDS:
+        if command not in (None, name):
+            continue
         # no abbreviations: synth would read --out as --outdir
         sub = subparsers.add_parser(name, help=blurb, allow_abbrev=False)
         for key in keys:
@@ -455,7 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.run(_options(args))
     except (SupaddError, OSError) as exc:

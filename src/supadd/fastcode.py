@@ -23,6 +23,7 @@ time.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -229,20 +230,53 @@ def block_gain(n: int, kappa):
 
 
 def find_kappa_star(n: int) -> float:
-    """Zero crossing of the per-letter gain: scans a 99-point grid for the
-    first sign change, then bisects to width 1e-6."""
+    """Zero crossing of the per-letter gain: the first sign change on a
+    99-point grid, bisected to width 1e-6.
+
+    block_gain of an array gives each entry's scalar bits, so the search
+    takes its points in array calls of at most _BLOCK // M kappa (M = 2**(n-1)
+    codewords, one block of the root reductions) and returns the bits of a
+    search that takes them one at a time. The scan evaluates the grid one
+    block at a time, each block's sign test taking in the last point of the
+    block before, and stops at the first block holding a crossing. Each
+    bisection call evaluates the midpoints of the next d levels at once,
+    2**d - 1 points, each 0.5 * (lo + hi) of a bracket the one-point loop
+    may reach, then descends by sign; d spreads the levels still needed
+    evenly over the fewest calls whose points fit a block."""
     if n < 2:
         raise InvalidInput(f"crossing search needs n >= 2, got {n}")
+    rows = max(1, _BLOCK >> (n - 1))
     grid = np.linspace(0.01, 0.99, 99)
-    values = block_gain(n, grid)
-    change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
-    if change.size == 0:
+    values = np.empty_like(grid)
+    for start in range(0, grid.size, rows):
+        stop = min(start + rows, grid.size)
+        values[start:stop] = block_gain(n, grid[start:stop])
+        change = np.flatnonzero((values[: stop - 1] <= 0.0) & (values[1:stop] > 0.0))
+        if change.size:
+            break
+    else:
         raise NoRoot(f"gain has no negative-to-positive crossing for n={n}")
     lo, hi = grid[change[0]], grid[change[0] + 1]
+    most_levels = (rows + 1).bit_length() - 1
     while hi - lo > _KAPPA_STAR_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if block_gain(n, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+        levels = math.ceil(math.log2((hi - lo) / _KAPPA_STAR_WIDTH))
+        calls = -(-levels // most_levels)
+        depth = -(-levels // calls)
+        # the tree of midpoints, level by level: level j holds 2**j of them
+        ends = np.array([lo, hi])
+        mids = []
+        for _ in range(depth):
+            mids.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.insert(ends, np.arange(1, ends.size), mids[-1])
+        mids = np.concatenate(mids)
+        gains = block_gain(n, mids)
+        node = 0
+        for level in range(depth):
+            if not hi - lo > _KAPPA_STAR_WIDTH:
+                break
+            at = (1 << level) - 1 + node
+            if gains[at] > 0.0:
+                hi, node = mids[at], 2 * node
+            else:
+                lo, node = mids[at], 2 * node + 1
     return 0.5 * (lo + hi)

@@ -535,6 +535,65 @@ class TestUnreadFlags:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
+class TestOneCommandParser:
+    # main builds only the named command's parser; what the user sees must
+    # be what the full parser prints
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["nope"],
+            ["fig2", "--bogus"],
+            ["fig3", "--help"],
+            ["synth", "--out", "x"],
+        ],
+    )
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        seen = capsys.readouterr(), exc.value.code
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert seen == (capsys.readouterr(), exc.value.code)
+
+    def test_full_parser_lists_every_command(self):
+        usage = cli.build_parser().format_usage()
+        assert "{" + ",".join(c[0] for c in cli.COMMANDS) + "}" in usage
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["supadd", "fig3", "--n", "4,5"])
+        assert run(capsys, None) == run(capsys, ["fig3", "--n", "4,5"])
+
+
+class TestCodeFileLength:
+    # a code file's --n used to be ignored
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n")
+        return str(path)
+
+    @pytest.mark.parametrize("n", ["7,9", "5", "4,4"])
+    def test_sweep_length_mismatch(self, capsys, path, n):
+        err = single_error(capsys, ["sweep", "--code", path, "--n", n, "--steps", "3"])
+        assert "length 4" in err
+
+    def test_synth_length_mismatch(self, capsys, tmp_path, path):
+        single_error(capsys, ["synth", "--code", path, "--n", "5", "--outdir", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    def test_config_length_mismatch(self, capsys, tmp_path, path):
+        config = tmp_path / "n.cfg"
+        config.write_text("n=5\n")
+        single_error(capsys, ["sweep", "--code", path, "--config", str(config), "--steps", "3"])
+
+    def test_matching_length_changes_nothing(self, capsys, path):
+        argv = ["sweep", "--code", path, "--steps", "3"]
+        assert run(capsys, argv + ["--n", "4"]) == run(capsys, argv)
+
+
 def scalar_kappa_star(n):
     """The crossing search with one block_gain call per grid point."""
     grid = np.linspace(0.01, 0.99, 99)

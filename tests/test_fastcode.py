@@ -427,9 +427,10 @@ class TestBatchedRoute:
         with pytest.raises(LinearDependence):
             nn12_mutual_information(4, np.array([1.0, -0.1]))
 
-    @pytest.mark.parametrize("n", range(3, 14))
+    @pytest.mark.parametrize("n", range(3, 17))
     def test_crossing_matches_per_point_scan(self, n):
-        # the scan over the grid used to be one block_gain call per point
+        # the scan over the grid used to be one block_gain call per point;
+        # n >= 15 takes one kappa per call
         grid = np.linspace(0.01, 0.99, 99)
         values = np.array([block_gain(n, k) for k in grid])
         change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
@@ -441,3 +442,25 @@ class TestBatchedRoute:
             else:
                 lo = mid
         assert find_kappa_star(n) == 0.5 * (lo + hi)
+
+    def test_crossing_search_calls(self, monkeypatch):
+        # n = 13: 4 kappa per call; the scan ends at the block holding the
+        # crossing, and each bisection call takes 2 levels (3 points)
+        n, rows = 13, fastcode._BLOCK >> 12
+        grid = np.linspace(0.01, 0.99, 99)
+        values = block_gain(n, grid)
+        cross = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
+        calls = []
+
+        def counting(n, kappa):
+            calls.append(np.array(kappa))
+            return block_gain(n, kappa)
+
+        monkeypatch.setattr(fastcode, "block_gain", counting)
+        find_kappa_star(n)
+        scanned = (cross + 1) // rows + 1
+        assert np.array_equal(np.concatenate(calls[:scanned]), grid[: scanned * rows])
+        levels = int(np.ceil(np.log2((grid[cross + 1] - grid[cross]) / 1e-6)))
+        depth = int(np.log2(rows + 1))
+        assert all(call.size <= rows for call in calls)
+        assert len(calls) - scanned <= -(-levels // depth)
