@@ -161,11 +161,8 @@ def _jsonval(value):
 
 def _emit(columns, rows, fmt: str, out) -> None:
     if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[_jsonval(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=1) + "\n"
+        table = [[_jsonval(v) for v in row] for row in rows]
+        text = json.dumps({"columns": list(columns), "rows": table}, indent=1) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -390,15 +387,14 @@ def cmd_optimize(o) -> int:
     the closed-form minimum error under the same priors. kappa picks the
     letter pair, so a kappa given beside states_file is an input error."""
     if o.states_file is not None:
-        if o.kappa is not None:
+        if "kappa" in o.given:
             raise InvalidInput("optimize reads kappa only for the letter pair, not with states_file")
         try:
             states = np.atleast_2d(np.loadtxt(o.states_file, dtype=np.float64))
         except ValueError as exc:
             raise InvalidInput(f"bad states file {o.states_file}: {exc}") from exc
     else:
-        kappa = OPTIONS["kappa"].default if o.kappa is None else o.kappa
-        states = np.vstack(embed_binary_letters(kappa))
+        states = np.vstack(embed_binary_letters(o.kappa))
     m = states.shape[0]
     priors = np.full(m, 1.0 / m) if o.priors is None else o.priors
     states, priors = check_ensemble(states, priors)
@@ -418,7 +414,7 @@ def cmd_optimize(o) -> int:
         f"is_optimal={_fmt(report.is_optimal)}",
     ]
     if o.states_file is None:
-        _, closed = helstrom_binary(kappa, priors[0])
+        _, closed = helstrom_binary(o.kappa, priors[0])
         lines.append(f"closed_form_error={_fmt(closed)}")
     _write("\n".join(lines) + "\n", o.out)
     return 0
@@ -447,7 +443,7 @@ COMMANDS = (
     ("synth", "synthesize and factor the decoder",
      cmd_synth, ("n", "code", "kappa", "outdir", "assign"), {}),
     ("optimize", "minimum-error measurement search",
-     cmd_optimize, ("out", "kappa", "priors", "states_file", "tol"), {"kappa": None}),
+     cmd_optimize, ("out", "kappa", "priors", "states_file", "tol"), {}),
 )
 
 

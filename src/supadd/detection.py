@@ -87,6 +87,12 @@ def overlap_matrix(measurement, states) -> np.ndarray:
     return vectors @ states.T
 
 
+def _check_tol(tol) -> None:
+    """InvalidInput unless 0 <= tol < inf: inf certifies all, NaN or < 0 none."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput(f"tol must be finite and at least 0, got {tol}")
+
+
 def _certify(x, priors, tol, history=()) -> OptimalityReport:
     """Minimum-error certificate of the overlap matrix x under priors."""
     residual = bayes_residual(x, priors)
@@ -106,8 +112,9 @@ def check_optimality(measurement, states, priors, tol: float = 1e-10) -> Optimal
 
     Checks the pairwise balance residual and positive semidefiniteness of
     the symmetrized (xi_i X_ii X_ji) matrix; reports the average error
-    1 - sum_i xi_i X_ii**2.
+    1 - sum_i xi_i X_ii**2. Raises InvalidInput unless 0 <= tol < inf.
     """
+    _check_tol(tol)
     x = overlap_matrix(measurement, states)
     return _certify(x, _check_priors(priors, x.shape[0]), tol)
 
@@ -154,8 +161,7 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 5
     any sweep, unless 0 <= tol < inf, and Unconverged (carrying the best
     iterate) if the residual tolerance is not met within max_sweeps.
     """
-    if not 0.0 <= tol < np.inf:
-        raise InvalidInput(f"tol must be finite and at least 0, got {tol}")
+    _check_tol(tol)
     states, priors = check_ensemble(states, priors)
     weighted = np.sqrt(priors)[:, None] * states
     init, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
@@ -181,7 +187,8 @@ def threshold_certificate(
     with error 1 - (1-p)**n, through the same check as check_optimality.
     Their overlaps and priors are the n-th Kronecker powers of the letters'.
     Raises ResourceLimit for n > 12, whose 2**n x 2**n matrices would pass
-    1 GB, and InvalidInput for n < 1."""
+    1 GB, and InvalidInput for n < 1 or unless 0 <= tol < inf."""
+    _check_tol(tol)
     if n < 1:
         raise InvalidInput(f"threshold certificate needs n >= 1, got {n}")
     if n > _MAX_CERT_N:

@@ -28,11 +28,13 @@ class Code:
     priors: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.codewords = np.ascontiguousarray(self.codewords, dtype=np.uint8)
-        if self.codewords.ndim != 2 or self.codewords.shape[1] != self.n:
+        given = np.asarray(self.codewords)
+        if given.ndim != 2 or given.shape[1] != self.n:
             raise InvalidInput("codewords must be an (M, n) bit array")
-        if self.codewords.max(initial=0) > 1:
+        # on the entries as given: a cast to uint8 would truncate 0.5 to 0
+        if not ((given == 0) | (given == 1)).all():
             raise InvalidInput("codewords must be 0/1 valued")
+        self.codewords = np.ascontiguousarray(given, dtype=np.uint8)
         m = self.codewords.shape[0]
         if m > 2**self.n:
             raise InvalidInput("more codewords than sequences of length n")
@@ -154,11 +156,8 @@ def build_simplex_code(r: int) -> Code:
     r-bit vectors."""
     if r < 2:
         raise InvalidInput(f"rank must be at least 2, got {r}")
-    n = 2**r - 1
     cols = int_bits(np.arange(1, 2**r), r).T
-    messages = int_bits(np.arange(2**r), r)
-    codewords = (messages @ cols) % 2
-    return Code(n=n, codewords=codewords.astype(np.uint8))
+    return Code(n=2**r - 1, codewords=int_bits(np.arange(2**r), r) @ cols % 2)
 
 
 def code_to_text(code: Code) -> str:

@@ -31,21 +31,15 @@ import numpy as np
 from ._kernels import fwht
 from .ensembles import Code
 from .errors import InvalidInput, NoRoot, ResourceLimit
-from .information import (
-    _h2,
-    _kappa_array,
-    _scalar_or_array,
-    binary_flip_probability,
-    c1_binary,
-)
+from .information import _kappa_array, _scalar_or_array, c1_binary
 
 
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
 # largest code dimension k the group route takes. A one-column fig2 (99
-# kappa) on a 2-core machine takes 72 s and 202 MB at k = 22 (n = 23).
-# k = 23 took 287-306 s with an earlier, slower transform, at the edge of a
-# 5 minute budget, and has not been measured with the current one
+# kappa) on a 2-core machine takes 72 s and 202 MB at k = 22 (n = 23), and
+# 128.6 s and 366 MB at k = 23 with the guard lifted; the guard is raised
+# together with the planned positive-sum spectrum, and re-measured on it
 _MAX_GROUP_K = 22
 # bracket width at which find_kappa_star stops bisecting
 _KAPPA_STAR_WIDTH = 1e-6
@@ -210,22 +204,15 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
     )
 
 
-def _pair_block_information(kappa):
-    """Information of the two-codeword length-2 block {00, 11} under its
-    minimum-error measurement (a binary symmetric channel on overlap
-    kappa**2); broadcasts over kappa."""
-    k = _kappa_array(kappa, collapse_at_one=True)
-    return 1.0 - _h2(binary_flip_probability(k * k))
-
-
 def block_gain(n: int, kappa):
     """Per-letter information of the length-n reference code minus the
-    single-use optimum (n=2 is the two-codeword block, n>=3 the
-    even-weight family); broadcasts over kappa."""
+    single-use optimum; broadcasts over kappa. n >= 3 is the even-weight
+    family, n = 2 the block {00, 11}: one letter pair of overlap kappa**2."""
     if n < 2:
         raise InvalidInput(f"block gain needs n >= 2, got {n}")
     if n == 2:
-        return _pair_block_information(kappa) / 2.0 - c1_binary(kappa)
+        k = _kappa_array(kappa, collapse_at_one=True)
+        return c1_binary(k * k) / 2.0 - c1_binary(k)
     return nn12_mutual_information(n, kappa) / n - c1_binary(kappa)
 
 
@@ -233,16 +220,18 @@ def find_kappa_star(n: int) -> float:
     """Zero crossing of the per-letter gain: the first sign change on a
     99-point grid, bisected to width 1e-6.
 
-    block_gain of an array gives each entry's scalar bits, so the search
-    takes its points in array calls of at most _BLOCK // M kappa (M = 2**(n-1)
-    codewords, one block of the root reductions) and returns the bits of a
-    search that takes them one at a time. The scan evaluates the grid one
-    block at a time, each block's sign test taking in the last point of the
-    block before, and stops at the first block holding a crossing. Each
-    bisection call evaluates the midpoints of the next d levels at once,
-    2**d - 1 points, each 0.5 * (lo + hi) of a bracket the one-point loop
-    may reach, then descends by sign; d spreads the levels still needed
-    evenly over the fewest calls whose points fit a block."""
+    The search calls block_gain on arrays of at most _BLOCK // M kappa
+    (M = 2**(n-1), one block of the root reductions), whose entries have
+    their scalar bits. The scan takes the grid a block at a time, each
+    block's sign test taking in the last point of the block before, and
+    stops at the first block holding a crossing. Each bisection call splits
+    the bracket d times, each new end 0.5 * (lo + hi) of its neighbours, and
+    keeps the interval ending at the first of the 2**d - 1 interior points
+    with positive gain (the last one if none is); d spreads the levels still
+    needed evenly over the fewest calls that fit a block. Those points are
+    the midpoints a one-point bisection reaches in d steps, so where their
+    signs are monotone, as when the gain crosses once inside the scan's
+    0.01-wide bracket, the result has that bisection's bits."""
     if n < 2:
         raise InvalidInput(f"crossing search needs n >= 2, got {n}")
     rows = max(1, _BLOCK >> (n - 1))
@@ -262,21 +251,11 @@ def find_kappa_star(n: int) -> float:
         levels = math.ceil(math.log2((hi - lo) / _KAPPA_STAR_WIDTH))
         calls = -(-levels // most_levels)
         depth = -(-levels // calls)
-        # the tree of midpoints, level by level: level j holds 2**j of them
         ends = np.array([lo, hi])
-        mids = []
         for _ in range(depth):
-            mids.append(0.5 * (ends[:-1] + ends[1:]))
-            ends = np.insert(ends, np.arange(1, ends.size), mids[-1])
-        mids = np.concatenate(mids)
-        gains = block_gain(n, mids)
-        node = 0
-        for level in range(depth):
-            if not hi - lo > _KAPPA_STAR_WIDTH:
-                break
-            at = (1 << level) - 1 + node
-            if gains[at] > 0.0:
-                hi, node = mids[at], 2 * node
-            else:
-                lo, node = mids[at], 2 * node + 1
+            ends = np.insert(ends, np.arange(1, ends.size), 0.5 * (ends[:-1] + ends[1:]))
+        # the first positive interior point ends the kept interval; with
+        # none, the appended end does
+        j = np.argmax(np.append(block_gain(n, ends[1:-1]) > 0.0, True))
+        lo, hi = ends[j], ends[j + 1]
     return 0.5 * (lo + hi)

@@ -105,13 +105,9 @@ def separable_pair_info(kappa_a: float, kappa_b: float):
     """Information of two letter pairs read by the product of their optimal
     single-use measurements, with the additive reference C1(a) + C1(b)."""
     states = np.kron(*(np.stack(embed_binary_letters(k)) for k in (kappa_a, kappa_b)))
-    ma, _ = helstrom_binary(kappa_a, 0.5)
-    mb, _ = helstrom_binary(kappa_b, 0.5)
-    vectors = np.kron(ma, mb)
-    x = vectors @ states.T
-    channel = (x.T) ** 2
-    priors = np.full(4, 0.25)
-    info = mutual_information(priors, channel).mutual_information_bits
+    vectors = np.kron(*(helstrom_binary(k, 0.5)[0] for k in (kappa_a, kappa_b)))
+    channel = (vectors @ states.T).T ** 2
+    info = mutual_information(np.full(4, 0.25), channel).mutual_information_bits
     return info, c1_binary(kappa_a) + c1_binary(kappa_b)
 
 

@@ -226,7 +226,8 @@ def group_schedule(code: Code, generators, kappa, labels):
       Walsh-Hadamard transform with input signs (-1)**|m|;
     - one pivot run per class turns its first axis onto a_s.
     That is 2**n - M + k*M/2 rotations, at most M moves and at most
-    M/2 + 1 sign fixes.
+    M/2 + 1 sign fixes. The rows and the runs' angles divide psi_0 by the
+    same class norms, so the runs turn onto the a_s the rows hold.
     """
     n, k = code.n, len(generators)
     dim, m = 2**code.n, 2**k
@@ -237,7 +238,8 @@ def group_schedule(code: Code, generators, kappa, labels):
     # row s: the axes of class s, ascending
     members = np.argsort(classes, kind="stable").reshape(m, -1)
     first = members[:, 0]
-    row = zero_state / np.sqrt(np.bincount(classes, weights=zero_state**2))[classes] / np.sqrt(m)
+    norms = np.sqrt(np.bincount(classes, weights=zero_state**2))
+    row = zero_state / norms[classes] / np.sqrt(m)
     words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
     flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
     measurement = np.where(flips == 1, -row, row)
@@ -301,8 +303,7 @@ def group_schedule(code: Code, generators, kappa, labels):
         gammas = np.where(turned, math.pi / 4, -math.pi / 4)
         rotations += zip((b + 1).tolist(), (a + 1).tolist(), gammas.tolist())
 
-    t = zero_state[members]
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    t = zero_state[members] / norms[:, None]
     # squared norm of the entries after each non-pivot entry of a class
     after = np.zeros_like(t[:, 1:])
     after[:, :-1] = np.cumsum(t[:, :1:-1] ** 2, axis=1)[:, ::-1]

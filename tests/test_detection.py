@@ -165,6 +165,17 @@ class TestCheckOptimality:
         with pytest.raises(InvalidInput):
             check_optimality(np.eye(3), np.eye(3), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_tol_outside_range_rejected(self, tol):
+        # with tol = inf this wrong measurement (two rows of the optimal
+        # one swapped) was certified optimal
+        code = build_nn12_code(3)
+        g = gram(code, 0.9)
+        wrong = np.eye(4)[[1, 0, 2, 3]]
+        assert not check_optimality(wrong, sqrt_psd(g), code.priors).is_optimal
+        with pytest.raises(InvalidInput, match="tol must be finite and at least 0"):
+            check_optimality(wrong, sqrt_psd(g), code.priors, tol=tol)
+
     @pytest.mark.parametrize("priors", [[3.0, -2.0], [0.3, 0.3], [np.nan, 0.5], [np.inf, 0.0]])
     def test_not_a_probability_vector_rejected(self, priors):
         # [3, -2] was certified before
@@ -302,6 +313,12 @@ class TestThresholdCertificate:
         # n = 0 used to pass on an empty product, n = -1 to overflow
         with pytest.raises(InvalidInput):
             threshold_certificate(0.5, n)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_tol_outside_range_rejected(self, tol):
+        # inf passed whatever the residuals; NaN or a negative tol never passes
+        with pytest.raises(InvalidInput, match="tol must be finite and at least 0"):
+            threshold_certificate(0.5, 2, tol=tol)
 
     def test_skewed_letter_priors(self):
         cert = threshold_certificate(0.6, 2, xi1=0.3)

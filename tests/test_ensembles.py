@@ -303,6 +303,22 @@ class TestTextFormat:
 
 
 class TestCodeValidation:
+    @pytest.mark.parametrize(
+        "codewords",
+        [[[0.5, 1], [1, 1.7]], [[-0.3, 0]], [[np.nan, 1]], [[2, 0]], [[1, 257]]],
+    )
+    def test_non_binary_entries_rejected(self, codewords):
+        # a uint8 cast used to truncate 0.5 to 0 and -0.3 to 0, and NaN
+        # raised numpy's ValueError
+        with pytest.raises(InvalidInput, match="0/1"):
+            Code(n=2, codewords=codewords)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float64, np.uint8])
+    def test_binary_entries_of_any_dtype_kept(self, dtype):
+        code = Code(n=2, codewords=np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert code.codewords.dtype == np.uint8
+        assert code.codewords.tolist() == [[0, 1], [1, 1]]
+
     def test_duplicate_codewords_rejected(self):
         with pytest.raises(InvalidInput):
             Code(n=2, codewords=np.array([[0, 1], [0, 1]], dtype=np.uint8))

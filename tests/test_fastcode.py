@@ -270,10 +270,13 @@ class TestSimplexProfile:
 
 class TestGainAndCrossing:
     def test_pair_block_reference(self):
+        # the block {00, 11} is a binary symmetric channel on overlap kappa**2
         kappa = 0.5
         p2 = 0.5 * (1.0 - np.sqrt(1.0 - kappa**4))
         h2 = -p2 * np.log2(p2) - (1 - p2) * np.log2(1 - p2)
-        assert abs(fastcode._pair_block_information(kappa) - (1.0 - h2)) < 1e-12
+        p1 = 0.5 * (1.0 - np.sqrt(1.0 - kappa**2))
+        h1 = -p1 * np.log2(p1) - (1 - p1) * np.log2(1 - p1)
+        assert abs(block_gain(2, kappa) - ((1.0 - h2) / 2.0 - (1.0 - h1))) < 1e-12
 
     def test_two_letter_gain_never_positive(self):
         for kappa in np.linspace(0.01, 0.99, 99):
@@ -364,8 +367,8 @@ class TestBatchedRoute:
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     def test_pair_block_information(self, grid):
         assert np.array_equal(
-            fastcode._pair_block_information(grid),
-            stacked(fastcode._pair_block_information, grid),
+            block_gain(2, grid),
+            stacked(lambda k: block_gain(2, k), grid),
         )
 
     @pytest.mark.parametrize(
@@ -377,7 +380,7 @@ class TestBatchedRoute:
             lambda k: nn12_error_probability(4, k),
             lambda k: simplex_profile(3, k).info_bits,
             lambda k: group_information(nn12_generators(3), 3, k),
-            pytest.param(fastcode._pair_block_information, id="pair_block_information"),
+            pytest.param(lambda k: block_gain(2, k), id="pair_block_information"),
         ],
     )
     def test_scalar_in_scalar_out(self, fn):
@@ -409,7 +412,7 @@ class TestBatchedRoute:
             lambda k: nn12_mutual_information(4, k),
             lambda k: nn12_error_probability(4, k),
             lambda k: simplex_profile(3, k),
-            lambda k: fastcode._pair_block_information(k),
+            lambda k: block_gain(2, k),
             lambda k: block_gain(6, k),
         ],
     )
