@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .detection import (
+    _threshold_error,
     bayes_cost_reduction,
     check_ensemble,
     helstrom_binary,
@@ -255,13 +256,6 @@ def fig5(o):
         columns += [f"code_error_n{n}", f"threshold_error_n{n}"]
         values += [nn12_error_probability(n, o.grid), _threshold_error(p, n)]
     return columns, values
-
-
-def _threshold_error(p: np.ndarray, n: int) -> list:
-    """1 - (1 - p)**n, one kappa at a time: numpy's vectorized power may
-    round the last bit differently from the scalar one, and at small kappa
-    that bit shows in the printed digits."""
-    return [1.0 - (1.0 - x) ** n for x in p]
 
 
 def _simplex_per_letter(r: int):

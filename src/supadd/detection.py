@@ -134,6 +134,17 @@ def check_ensemble(states, priors):
     return states, priors
 
 
+def _helstrom_error(kappa, xi1):
+    """helstrom_binary's error, as 2 xi1 xi2 kappa**2 / (1 + sqrt(...))."""
+    q = 4.0 * xi1 * (1.0 - xi1) * kappa * kappa
+    return 0.5 * q / (1.0 + np.sqrt(1.0 - q))
+
+
+def _threshold_error(p, n: int):
+    """1 - (1 - p)**n with no cancellation, as -expm1(n log1p(-p))."""
+    return -np.expm1(n * np.log1p(-p))
+
+
 def helstrom_binary(kappa: float, xi1: float):
     """Optimal binary projective measurement for the letter pair and its
     minimum error (1 - sqrt(1 - 4 xi1 xi2 kappa**2)) / 2."""
@@ -145,8 +156,7 @@ def helstrom_binary(kappa: float, xi1: float):
     _, q = np.linalg.eigh(w)
     omega1 = q[:, 1] * np.sign(q[:, 1] @ v1)
     omega2 = q[:, 0] * np.sign(q[:, 0] @ v2)
-    error = 0.5 * (1.0 - np.sqrt(1.0 - 4.0 * xi1 * xi2 * kappa * kappa))
-    return np.vstack([omega1, omega2]), float(error)
+    return np.vstack([omega1, omega2]), float(_helstrom_error(kappa, xi1))
 
 
 def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 500):
@@ -199,7 +209,7 @@ def threshold_certificate(
     for _ in range(n):
         x, priors = np.kron(x, letter), np.kron(priors, [xi1, 1.0 - xi1])
     report = _certify(x, priors, tol)
-    expected = 1.0 - (1.0 - p) ** n
+    expected = float(_threshold_error(p, n))
     passes = report.is_optimal and abs(report.error_probability - expected) <= tol
     return ThresholdCertificate(
         report.cond_i_residual, report.cond_ii_min_eig, report.error_probability, expected, passes

@@ -36,8 +36,8 @@ class Code:
             raise InvalidInput("codewords must be 0/1 valued")
         self.codewords = np.ascontiguousarray(given, dtype=np.uint8)
         m = self.codewords.shape[0]
-        if m > 2**self.n:
-            raise InvalidInput("more codewords than sequences of length n")
+        if not 1 <= m <= 2**self.n:
+            raise InvalidInput(f"a code of length n holds 1 to 2**n codewords, got {m}")
         if len({tuple(row) for row in self.codewords.tolist()}) != m:
             raise InvalidInput("codewords must be distinct")
         if self.priors is None:
@@ -125,29 +125,23 @@ def int_bits(values, n: int) -> np.ndarray:
     return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
-def _nn12_pair(n: int):
-    """Codeword bit rows (gamma) and their odd-weight companions (lambda)
-    for the [[n, n-1, 2]] family, built by the prefix co-recursion
-    gamma(n) = [0*gamma(n-1); 1*lambda(n-1)], lambda(n) = [1*gamma; 0*lambda]."""
-    g = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8)
-    l = 1 - g
-    for _ in range(4, n + 1):
-        zeros = np.zeros((g.shape[0], 1), dtype=np.uint8)
-        ones = np.ones((g.shape[0], 1), dtype=np.uint8)
-        g, l = (
-            np.vstack([np.hstack([zeros, g]), np.hstack([ones, l])]),
-            np.vstack([np.hstack([ones, g]), np.hstack([zeros, l])]),
-        )
-    return g, l
+def _xor_span(words) -> np.ndarray:
+    """XOR of the words each index selects, index bit t selecting words[t]."""
+    span = np.zeros(1, dtype=np.int64)
+    for word in words:
+        span = np.concatenate([span, span ^ word])
+    return span
 
 
 def build_nn12_code(n: int) -> Code:
     """The [[n, n-1, 2]] even-weight code (2**(n-1) codewords, min
-    distance 2) with equal priors."""
+    distance 2) with equal priors: the XOR span of 011, 101, 1111 and
+    11 << (m - 2) for m = 5..n, in the order of a prefix co-recursion
+    (tests/test_ensembles.py::nn12_pair)."""
     if n < 3:
         raise InvalidInput(f"block length must be at least 3, got {n}")
-    g, _ = _nn12_pair(n)
-    return Code(n=n, codewords=g)
+    generators = [3, 5, 15] + [3 << m for m in range(3, n - 1)]
+    return Code(n=n, codewords=int_bits(_xor_span(generators[: n - 1]), n))
 
 
 def build_simplex_code(r: int) -> Code:

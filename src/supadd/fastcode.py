@@ -5,12 +5,12 @@ priors, in O(M log M) and without building any Gram matrix or
 The codewords of a linear code are the span of k generator words, so the
 Gram entry kappa**wt(x ^ y) depends only on the message x ^ y: the Gram
 matrix is a convolution over the group Z_2^k and the Walsh-Hadamard
-transform diagonalizes it. Its eigenvalues are the transform of
-kappa**wt(span); the first row g of its square root is the transform of
-their square roots over M. Every channel row of the square-root
-measurement is a permutation of g**2, and that measurement is the
-minimum-error one for such geometrically uniform states (Eldar & Forney,
-IEEE TIT 47, 858, 2001). The even-weight [[n, n-1, 2]] and simplex
+transform diagonalizes it. Its eigenvalues are M times the class measure of
+the zero word's state, psi_0**2 summed per class of axes; the first row g
+of its square root is the transform of their square roots over M. Every
+channel row of the square-root measurement, the minimum-error one for such
+geometrically uniform states (Eldar & Forney, IEEE TIT 47, 858, 2001), is
+a permutation of g**2. The even-weight [[n, n-1, 2]] and simplex
 [[2**r - 1, r, 2**(r-1)]] families are two generator lists.
 
 Every function here takes kappa as a number or as an array of any shape.
@@ -29,17 +29,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import fwht
-from .ensembles import Code
+from .ensembles import Code, _xor_span
 from .errors import InvalidInput, NoRoot, ResourceLimit
 from .information import _kappa_array, _scalar_or_array, c1_binary
 
 
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
-# largest code dimension k the group route takes. A one-column fig2 (99
-# kappa) on a 2-core machine takes 72 s and 202 MB at k = 22 (n = 23), and
-# 128.6 s and 366 MB at k = 23 with the guard lifted; the guard is raised
-# together with the planned positive-sum spectrum, and re-measured on it
+# largest code dimension k the group route takes: a one-column fig2 (99
+# kappa) takes 57 s and 262 MB at k = 22 (n = 23) on a 2-core machine;
+# k = 23 has not been measured on the class-measure spectrum
 _MAX_GROUP_K = 22
 # bracket width at which find_kappa_star stops bisecting
 _KAPPA_STAR_WIDTH = 1e-6
@@ -50,11 +49,6 @@ class SimplexProfile(NamedTuple):
     v: float
     info_bits: float
     error_probability: float
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    safe = np.where(x > 0.0, x, 1.0)
-    return x * np.log2(safe)
 
 
 def _independent(words):
@@ -92,13 +86,16 @@ def linear_generators(code: Code):
     return tuple(generators)
 
 
+def _columns(generators, n: int) -> list:
+    """Each letter's column of the generator matrix, bit j from generator j."""
+    return [sum((g >> (n - 1 - i) & 1) << j for j, g in enumerate(generators)) for i in range(n)]
+
+
 @functools.lru_cache(maxsize=64)
-def _span_weights(generators: tuple, n: int) -> np.ndarray:
-    """Hamming weight of the codeword of every message, message bit i
-    selecting generator i. Before allocating anything, raises InvalidInput
-    for n > 64, whose words do not fit 64 bits, or for generators that are
-    not independent n-bit words, and ResourceLimit for more than
-    _MAX_GROUP_K generators."""
+def _layout(generators: tuple, n: int):
+    """Each class's weight over the first k independent columns, and the
+    other nonzero columns. Raises, before allocating, InvalidInput for n > 64
+    or non-independent n-bit generators, ResourceLimit for k > _MAX_GROUP_K."""
     if n > 64:
         raise InvalidInput(f"the group route holds words of at most 64 letters, got n = {n}")
     if len(generators) > _MAX_GROUP_K:
@@ -108,52 +105,67 @@ def _span_weights(generators: tuple, n: int) -> np.ndarray:
         )
     if not all(0 <= g < 1 << n for g in generators) or not all(_independent(generators)):
         raise InvalidInput(f"generators must be independent {n}-bit words")
-    words = np.zeros(1, dtype=np.uint64)
-    for g in generators:
-        words = np.concatenate([words, words ^ np.uint64(g)])
-    weights = np.bitwise_count(words)
+    columns = _columns(generators, n)
+    new = list(_independent(columns))
+    basis = [c for c, first in zip(columns, new) if first]
+    weights = np.empty(1 << len(basis), dtype=np.uint8)
+    weights[_xor_span(basis)] = np.bitwise_count(np.arange(weights.size))
     weights.flags.writeable = False
-    return weights
+    return weights, tuple(c for c, first in zip(columns, new) if c and not first)
 
 
-def _roots(weights: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
-    spectrum = fwht((k[..., None] ** np.arange(n + 1))[..., weights])
-    return fwht(np.sqrt(np.clip(spectrum, 0.0, None))) / weights.size
+def _roots(layout, k: np.ndarray):
+    """Roots sqrt(mu / M) of the class measure mu = *_i (a**2 delta_0 + b**2
+    delta_{c_i}), c_i letter i's column, and their transform g, each shaped
+    k.shape + (M,). a**2 + b**2 = 1 exactly: mu is that of a kappa within
+    1.1e-16 of k, and sums to 1 up to the rounding of its products."""
+    weights, rest = layout
+    a2 = ((1.0 + k) / 2.0)[..., None]
+    b2 = 1.0 - a2
+    powers = np.arange(weights.size.bit_length())
+    # np.take keeps rows C-ordered, so each sums as it would alone
+    mu = np.take(a2 ** powers[::-1] * b2**powers, weights, axis=-1)
+    for c in rest:
+        mu = a2 * mu + b2 * np.take(mu, np.arange(weights.size) ^ c, axis=-1)
+    root = np.sqrt(mu / weights.size)
+    return root, fwht(root)
 
 
 def group_root(generators, n: int, kappa) -> np.ndarray:
     """First row g of the Gram square root of the linear code spanned by
     `generators` (n-bit ints), indexed by message: the channel row is g**2,
-    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2.
-    Eigenvalues below zero from round-off are clipped. For an array of
-    kappa the roots stack along the leading axes, shape kappa.shape + (M,)."""
+    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2. For
+    an array of kappa the roots stack along the leading axes, shape
+    kappa.shape + (M,)."""
     k = _kappa_array(kappa, collapse_at_one=True)
-    return _roots(_span_weights(tuple(generators), n), n, k)
+    return _roots(_layout(tuple(generators), n), k)[1]
 
 
 def _reduce_roots(generators, n: int, kappa, *reductions):
-    """Each reduction (a block of roots, shape (b, M), to b numbers) over
-    the roots of every kappa, computed and reduced at most _BLOCK root
-    entries at a time. One result per reduction, shaped like kappa (a
-    float for a scalar kappa)."""
+    """Each reduction (a block's roots and root rows, (b, M) each, to b
+    numbers) over every kappa, at most _BLOCK root entries at a time. One
+    result per reduction, shaped like kappa (a float for a scalar kappa)."""
     k = _kappa_array(kappa, collapse_at_one=True)
-    weights = _span_weights(tuple(generators), n)
+    layout = _layout(tuple(generators), n)
     flat = k.reshape(-1)
     out = np.empty((len(reductions), flat.size))
-    rows = max(1, _BLOCK // weights.size)
+    rows = max(1, _BLOCK // layout[0].size)
     for lo in range(0, flat.size, rows):
-        g = _roots(weights, n, flat[lo : lo + rows])
+        root, g = _roots(layout, flat[lo : lo + rows])
         for column, reduce in zip(out, reductions):
-            column[lo : lo + rows] = reduce(g)
+            column[lo : lo + rows] = reduce(root, g)
     return [_scalar_or_array(column.reshape(k.shape)) for column in out]
 
 
-def _root_information(g: np.ndarray) -> np.ndarray:
-    return np.log2(g.shape[-1]) + np.sum(_xlog2x(g * g), axis=-1)
+def _root_information(root: np.ndarray, g: np.ndarray) -> np.ndarray:
+    p = g * g
+    return np.log2(g.shape[-1]) + np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
-def _root_error(g: np.ndarray) -> np.ndarray:
-    return 1.0 - g[:, 0] ** 2
+def _root_error(root: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """1 - g[0]**2 as M sum (root - mean root)**2, equal since sum mu = 1,
+    with no cancellation where g[0] is near 1."""
+    return root.shape[-1] * np.sum((root - root.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
 
 
 def group_information(generators, n: int, kappa):
@@ -191,17 +203,8 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
     if r < 2:
         raise InvalidInput(f"rank must be at least 2, got {r}")
     generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
-    return SimplexProfile(
-        *_reduce_roots(
-            generators,
-            2**r - 1,
-            kappa,
-            lambda g: g[:, 0],
-            lambda g: g[:, 1],
-            _root_information,
-            _root_error,
-        )
-    )
+    fields = (lambda root, g: g[:, 0], lambda root, g: g[:, 1], _root_information, _root_error)
+    return SimplexProfile(*_reduce_roots(generators, 2**r - 1, kappa, *fields))
 
 
 def block_gain(n: int, kappa):

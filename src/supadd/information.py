@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import mi_bits
-from .detection import helstrom_binary, square_root_measurement
+from .detection import _helstrom_error, helstrom_binary, square_root_measurement
 from .ensembles import Code, _check_priors, _distances, _overlaps, embed_binary_letters
 from .errors import InvalidInput, LinearDependence
 
@@ -47,10 +47,9 @@ def _h2(p):
 
 
 def binary_flip_probability(kappa):
-    """Minimum-error flip probability of the equiprobable letter pair;
-    broadcasts over kappa."""
-    k = _kappa_array(kappa)
-    return _scalar_or_array(0.5 * (1.0 - np.sqrt(1.0 - k * k)))
+    """Minimum-error flip probability of the equiprobable letter pair,
+    helstrom_binary's error at xi1 = 1/2; broadcasts over kappa."""
+    return _scalar_or_array(_helstrom_error(_kappa_array(kappa), 0.5))
 
 
 def mutual_information(priors, channel) -> InfoResult:

@@ -28,9 +28,9 @@ import numpy as np
 
 from ._kernels import apply_rotations
 from .detection import square_root_measurement
-from .ensembles import Code, codeword_states, gram
+from .ensembles import Code, _xor_span, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
-from .fastcode import group_root, linear_generators
+from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
@@ -83,10 +83,10 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     A linear code with equal priors takes its measurement vectors, their
     overlaps with the states and its schedule from group_schedule:
     omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the zero word's state
-    normalized on the class of y. Its collective error is 1 - g[0]**2
-    from group_root. Any other code takes its vectors and the
-    diagonal of their channel from the eigh route, and _row_schedule reads
-    its schedule off the vectors.
+    normalized on the class of y. Its collective error is 1 - g[0]**2,
+    which fastcode takes as the spread of the roots of the class measure.
+    Any other code takes its vectors and the diagonal of their channel from
+    the eigh route, and _row_schedule reads its schedule off the vectors.
 
     U is the schedule's product with the measurement rows written at the
     labels, and the reconstruction residual is how far the product's own
@@ -124,7 +124,7 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         schedule = _row_schedule(measurement, labels)
     else:
         measurement, correct, schedule = group_schedule(code, generators, kappa, labels)
-        collective = 1.0 - float(group_root(generators, code.n, kappa)[0] ** 2)
+        (collective,) = _reduce_roots(generators, code.n, kappa, _root_error)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own
     residual = float(np.abs(u[labels] - measurement).max())
@@ -233,8 +233,7 @@ def group_schedule(code: Code, generators, kappa, labels):
     dim, m = 2**code.n, 2**k
     bits = 1 << np.arange(k)
     zero_state = codeword_states(Code(n=n, codewords=np.zeros((1, n))), kappa)[0]
-    parity = np.bitwise_count(np.arange(dim)[:, None] & np.array(generators, dtype=np.int64)) & 1
-    classes = parity @ bits
+    classes = _xor_span(_columns(generators, n)[::-1])
     # row s: the axes of class s, ascending
     members = np.argsort(classes, kind="stable").reshape(m, -1)
     first = members[:, 0]

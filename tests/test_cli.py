@@ -654,7 +654,7 @@ def scalar_oracle(command, grid, n_list):
             p = binary_flip_probability(k)
             row = [k, p]
             for n in n_list:
-                row += [nn12_error_probability(n, k), 1.0 - (1.0 - p) ** n]
+                row += [nn12_error_probability(n, k), -np.expm1(n * np.log1p(-p))]
             rows.append(row)
         return columns, rows
     if command == "fig6":
@@ -672,7 +672,7 @@ def scalar_oracle(command, grid, n_list):
             p = binary_flip_probability(k)
             rows.append(
                 [k, p, simplex_profile(3, k).error_probability, nn12_error_probability(7, k),
-                 1.0 - (1.0 - p) ** 7]
+                 -np.expm1(7 * np.log1p(-p))]
             )
         return columns, rows
     if command == "fig8":

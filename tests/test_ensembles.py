@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from supadd import ensembles
 from supadd.ensembles import (
     Code,
-    _nn12_pair,
     build_nn12_code,
     build_simplex_code,
     code_from_text,
@@ -177,6 +176,22 @@ class TestGram:
         np.testing.assert_allclose(gram(code, 0.7), states @ states.T, atol=1e-10)
 
 
+def nn12_pair(n):
+    """Even-weight codewords (gamma) and their odd-weight companions
+    (lambda) by the prefix co-recursion gamma(n) = [0*gamma(n-1);
+    1*lambda(n-1)], lambda(n) = [1*gamma(n-1); 0*lambda(n-1)]."""
+    g = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8)
+    l = 1 - g
+    for _ in range(4, n + 1):
+        zeros = np.zeros((g.shape[0], 1), dtype=np.uint8)
+        ones = np.ones((g.shape[0], 1), dtype=np.uint8)
+        g, l = (
+            np.vstack([np.hstack([zeros, g]), np.hstack([ones, l])]),
+            np.vstack([np.hstack([ones, g]), np.hstack([zeros, l])]),
+        )
+    return g, l
+
+
 class TestEvenWeightFamily:
     def test_base_codewords_in_order(self):
         code = build_nn12_code(3)
@@ -185,11 +200,15 @@ class TestEvenWeightFamily:
 
     def test_four_letter_extension(self):
         code = build_nn12_code(4)
-        g3, l3 = _nn12_pair(3)
+        g3, l3 = nn12_pair(3)
         np.testing.assert_array_equal(code.codewords[:4, 0], 0)
         np.testing.assert_array_equal(code.codewords[:4, 1:], g3)
         np.testing.assert_array_equal(code.codewords[4:, 0], 1)
         np.testing.assert_array_equal(code.codewords[4:, 1:], l3)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_codewords_in_co_recursion_order(self, n):
+        np.testing.assert_array_equal(build_nn12_code(n).codewords, nn12_pair(n)[0])
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_even_weight_and_size(self, n):
@@ -206,7 +225,7 @@ class TestEvenWeightFamily:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_companions_are_odd_weight_complement_set(self, n):
-        g, l = _nn12_pair(n)
+        g, l = nn12_pair(n)
         assert np.all(l.sum(axis=1) % 2 == 1)
         union = np.vstack([g, l])
         weights = 1 << np.arange(n - 1, -1, -1)
@@ -221,7 +240,7 @@ class TestEvenWeightFamily:
         kappa = 0.7
         g_n = gram(build_nn12_code(n), kappa)
         g_prev = gram(build_nn12_code(n - 1), kappa)
-        prev_g, prev_l = _nn12_pair(n - 1)
+        prev_g, prev_l = nn12_pair(n - 1)
         dist = (prev_g[:, None, :] != prev_l[None, :, :]).sum(axis=2)
         cross = np.float_power(kappa, dist) / kappa
         half = 2 ** (n - 2)
@@ -230,7 +249,7 @@ class TestEvenWeightFamily:
         np.testing.assert_allclose(g_n[:half, half:], kappa**2 * cross, atol=1e-12)
 
     def test_base_cross_gram_closed_form(self):
-        g3, l3 = _nn12_pair(3)
+        g3, l3 = nn12_pair(3)
         kappa = 0.7
         dist = (g3[:, None, :] != l3[None, :, :]).sum(axis=2)
         cross = np.float_power(kappa, dist) / kappa
@@ -318,6 +337,11 @@ class TestCodeValidation:
         code = Code(n=2, codewords=np.array([[0, 1], [1, 1]], dtype=dtype))
         assert code.codewords.dtype == np.uint8
         assert code.codewords.tolist() == [[0, 1], [1, 1]]
+
+    def test_empty_code_rejected(self):
+        # refused before the default priors 1/M are built
+        with pytest.raises(InvalidInput, match="1 to 2\\*\\*n codewords"):
+            Code(n=3, codewords=np.zeros((0, 3)))
 
     def test_duplicate_codewords_rejected(self):
         with pytest.raises(InvalidInput):

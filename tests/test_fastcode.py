@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,42 @@ class TestGroupRouteGuards:
             simplex_profile(7, 0.5)
         with pytest.raises(InvalidInput, match="64 letters"):
             group_root([1], 65, 0.5)
+
+
+def all_words_error(kappa):
+    """1 - g[0]**2 of all 2**8 words of length 8 to 50 digits: their Gram
+    matrix is the 8th Kronecker power of [[1, kappa], [kappa, 1]], whose
+    square root has diagonal (sqrt(1 + kappa) + sqrt(1 - kappa)) / 2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k = Decimal(kappa)
+        return 1 - (((1 + k).sqrt() + (1 - k).sqrt()) ** 8 / 256) ** 2
+
+
+class TestExactReferences:
+    """The group route's error against 50-digit decimal references, where
+    1 - g[0]**2 is a small difference or g comes from nearly singular
+    Gram matrices."""
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.02, 0.1])
+    def test_simplex_error_at_small_kappa(self, kappa):
+        # the simplex code r = 3 is equidistant at distance 4: its Gram
+        # eigenvalues are 1 + 7 kappa**4 once and 1 - kappa**4 seven times
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = Decimal(kappa) ** 4
+            exact = 1 - (((1 + 7 * x).sqrt() + 7 * (1 - x).sqrt()) / 8) ** 2
+            error = Decimal(simplex_profile(3, kappa).error_probability)
+            assert abs(error - exact) <= Decimal("1e-8") * exact
+
+    @pytest.mark.parametrize("kappa", [0.9, 0.95, 0.99])
+    def test_all_words_near_full_overlap(self, kappa):
+        generators = [1 << i for i in range(8)]
+        exact = all_words_error(kappa)
+        g = group_root(generators, 8, kappa)
+        (error,) = fastcode._reduce_roots(generators, 8, kappa, fastcode._root_error)
+        for value in (1.0 - g[0] ** 2, error):
+            assert abs(Decimal(float(value)) - exact) <= Decimal("1e-15")
 
 
 class TestGroupRoute:
@@ -392,10 +430,10 @@ class TestBatchedRoute:
         sizes = []
         roots = fastcode._roots
 
-        def counting(weights, n, k):
-            out = roots(weights, n, k)
-            sizes.append(out.size)
-            return out
+        def counting(layout, k):
+            root, g = roots(layout, k)
+            sizes.append(g.size)
+            return root, g
 
         monkeypatch.setattr(fastcode, "_roots", counting)
         nn12_mutual_information(13, GRID)

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from supadd import ensembles
 from supadd._kernels import hamming_matrix
 from supadd.cli import _threshold_error
-from supadd.detection import square_root_measurement
+from supadd.detection import helstrom_binary, square_root_measurement, threshold_certificate
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput, LinearDependence
 from supadd.fastcode import block_gain
@@ -185,6 +187,26 @@ class TestThresholdQuantities:
     def test_single_use_reduction(self):
         p = binary_flip_probability(np.array([0.1, 0.5, 0.9]))
         np.testing.assert_allclose(_threshold_error(p, 1), p, rtol=0, atol=1e-15)
+
+    def test_against_decimal(self):
+        # 1 - sqrt(1 - kappa**2) and 1 - (1 - p)**n cancel at small kappa;
+        # the forms used carry no cancellation
+        grid = np.linspace(0.001, 0.999, 40)
+        p = binary_flip_probability(grid)
+        errors = {n: _threshold_error(p, n) for n in (3, 7, 13)}
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for i, kappa in enumerate(grid.tolist()):
+                k = Decimal(kappa)
+                exact = (1 - (1 - k * k).sqrt()) / 2
+                assert abs(Decimal(p[i]) - exact) <= Decimal("1e-15") * exact
+                assert helstrom_binary(kappa, 0.5)[1] == p[i]
+                for n, error in errors.items():
+                    reference = 1 - (1 - exact) ** n
+                    assert abs(Decimal(error[i]) - reference) <= Decimal("1e-15") * reference
+            expected = threshold_certificate(0.01, 3).expected_error
+            reference = 1 - (1 - (1 - (1 - Decimal(0.01) ** 2).sqrt()) / 2) ** 3
+            assert abs(Decimal(expected) - reference) <= Decimal("1e-15") * reference
 
     def test_threshold_error_at_least_single_letter(self):
         for kappa in (0.1, 0.5, 0.9):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from supadd.ensembles import (
     int_bits,
 )
 from supadd.errors import InvalidInput, ResourceLimit
-from supadd.fastcode import group_root, linear_generators, nn12_error_probability
+from supadd.fastcode import _reduce_roots, _root_error, linear_generators, nn12_error_probability
 from supadd.synth import (
     RotationSchedule,
     group_schedule,
@@ -30,6 +31,7 @@ from supadd.synth import (
     schedule_to_csv,
     synthesize_unitary,
 )
+from test_fastcode import all_words_error
 
 
 def letter_frame(kappa):
@@ -234,8 +236,8 @@ class TestSynthesizeUnitary:
     @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
     def test_collective_error_is_the_channel_diagonal(self, code):
         syn = synthesize_unitary(code, 0.5)
-        root = group_root(linear_generators(code), code.n, 0.5)
-        assert syn.collective_error == 1.0 - float(root[0] ** 2)
+        (error,) = _reduce_roots(linear_generators(code), code.n, 0.5, _root_error)
+        assert syn.collective_error == error
         _, channel = square_root_measurement(gram(code, 0.5))
         assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= 1e-12
         assert abs(syn.collective_error - syn.error_probability) < 1e-12
@@ -407,6 +409,15 @@ class TestGroupSchedule:
         syn = synthesize_unitary(linear_code(8, np.arange(256)), 0.95)
         assert syn.reconstruction_residual <= 1e-12
         assert syn.orthogonality_residual <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.9, 0.95, 0.99])
+    def test_all_words_errors_agree_near_full_overlap(self, kappa):
+        # the separate error from the rows and the collective error from the
+        # class measure both reach the 50-digit reference
+        syn = synthesize_unitary(linear_code(8, np.arange(256)), kappa)
+        exact = all_words_error(kappa)
+        assert abs(Decimal(syn.collective_error) - exact) <= Decimal("1e-15")
+        assert abs(syn.error_probability - syn.collective_error) <= 1e-15
 
     @pytest.mark.parametrize("code", [build_nn12_code(8), build_simplex_code(3), linear_code(3, [0])])
     def test_no_states_gram_or_eigh(self, monkeypatch, code):
