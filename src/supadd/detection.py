@@ -2,6 +2,10 @@
 optimality certification, pairwise-rotation optimization, and the
 threshold-point certificate of product measurements.
 
+The square-root measurement takes one route per input: its channel comes
+from the Gram matrix's root, its rows in the states' coordinates from
+their polar factor, orthonormal to round-off whatever the conditioning.
+
 A measurement is an (M, dim) array of orthonormal row vectors omega_i, in
 the coordinates of the states it is applied to. For the overlap matrix
 X[i, j] = <omega_i | rho_j>, the channel is P(j|i) = X[j, i]**2 / Gram[i, i]
@@ -17,7 +21,7 @@ import numpy as np
 from ._kernels import bayes_residual, bayes_sweeps
 from .ensembles import _check_priors, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
-from .psdlinalg import eig_sym
+from .psdlinalg import _psd_root
 
 _SINGULAR_EIG = 1e-12
 # threshold_certificate holds a few 2**n x 2**n matrices and takes one
@@ -51,39 +55,46 @@ class ThresholdCertificate(NamedTuple):
     passes: bool
 
 
-def square_root_measurement(gram, states=None):
-    """Measurement with vectors rho_hat**(-1/2) |rho_i> and its channel.
-
-    `gram` may be the unweighted or the prior-weighted Gram matrix; when
-    `states` is given its rows must carry the same weighting and the
-    returned vectors are in the coordinates of those rows. Without `states`
-    the vectors are the identity: coordinates in the measurement's own
-    orthonormal basis of the span, where the states have coordinate rows
-    sqrt_psd(gram).
+def square_root_measurement(gram):
+    """Square-root measurement of the states with Gram matrix `gram` (the
+    unweighted or the prior-weighted one) and its channel, in the
+    measurement's own basis: the vectors are the identity, the states have
+    coordinate rows sqrt_psd(gram) and the channel is their square over the
+    diagonal of `gram`. Rows in the states' coordinates are _polar_rows.
     Raises InvalidInput for a Gram matrix that is not square, finite and
     symmetric, and LinearDependence when it is numerically singular.
     """
-    dec = eig_sym(gram)
-    if dec.values[0] <= _SINGULAR_EIG:
+    min_eig, root = _psd_root(gram)
+    if min_eig <= _SINGULAR_EIG:
         raise LinearDependence(
-            f"gram matrix is numerically singular (min eigenvalue {dec.values[0]:.3e})"
+            f"gram matrix is numerically singular (min eigenvalue {min_eig:.3e})"
         )
-    root = np.sqrt(dec.values)
     diag = np.diag(np.asarray(gram, dtype=np.float64))
-    channel = dec.apply(root) ** 2 / diag[:, None]
-    if states is None:
-        return np.eye(root.size), channel
-    return dec.apply(1.0 / root) @ np.asarray(states), channel
+    # in place: one more (M, M) array raised a 1,024-word sweep's peak RSS by 2 MB
+    return np.eye(root.shape[0]), np.divide(np.square(root, out=root), diag[:, None], out=root)
+
+
+def _polar_rows(states) -> np.ndarray:
+    """Square-root measurement rows of the state rows Psi, in their
+    coordinates: the polar factor U V^T of the thin SVD U S V^T. These are
+    the rows (Psi Psi^T)**(-1/2) Psi, S**2 being the Gram eigenvalues, and
+    the least-squares measurement (Eldar & Forney, IEEE TIT 47, 858, 2001),
+    but orthonormal to round-off whatever the conditioning (Higham,
+    Functions of Matrices, SIAM 2008, ch. 8). Raises LinearDependence for
+    more states than dimensions or S**2 at or below the Gram threshold."""
+    u, s, vt = np.linalg.svd(states, full_matrices=False)
+    if states.shape[0] > s.size or s[-1] ** 2 <= _SINGULAR_EIG:
+        raise LinearDependence(f"{states.shape[0]} states are numerically dependent")
+    return u @ vt
 
 
 def overlap_matrix(measurement, states) -> np.ndarray:
-    """X[i, j] = <omega_i | rho_j> for measurement rows and state rows."""
+    """X[i, j] = <omega_i | rho_j> for measurement rows and state rows, one
+    of each per outcome; InvalidInput unless both are 2-D of one shape."""
     vectors = np.asarray(measurement, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
-    if vectors.shape[1] != states.shape[1]:
-        raise InvalidInput(
-            f"measurement dim {vectors.shape[1]} != state dim {states.shape[1]}"
-        )
+    if vectors.ndim != 2 or vectors.shape != states.shape:
+        raise InvalidInput(f"measurement shape {vectors.shape} != states shape {states.shape}")
     return vectors @ states.T
 
 
@@ -173,8 +184,7 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 5
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
-    weighted = np.sqrt(priors)[:, None] * states
-    init, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
+    init = _polar_rows(np.sqrt(priors)[:, None] * states)
     x = overlap_matrix(init, states)
     v, history, residual, _ = bayes_sweeps(x, priors, tol, max_sweeps)
     meas = v @ init

@@ -1,14 +1,10 @@
-"""Dense real-symmetric linear algebra behind every square-root
-measurement.
-
-`eig_sym` is the one eigendecomposition: it validates its input (square,
-finite, symmetric up to round-off) before LAPACK reads only one triangle,
-and `EigenDecomp.apply` is the one Q f(Lambda) Q^T formula. `sqrt_psd` and
-`detection.square_root_measurement` (root and inverse root) go through
-both.
+"""Dense real-symmetric square root behind every Gram-matrix square-root
+measurement. `_psd_root` is the one eigendecomposition: it validates its
+input (square, finite, symmetric up to round-off) before LAPACK reads only
+one triangle, and returns the smallest eigenvalue and the symmetrized root.
+`sqrt_psd` and `detection.square_root_measurement` each check that
+eigenvalue their own way.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,17 +12,6 @@ from .errors import InvalidInput, NotPSD
 
 # eigenvalues in [-_CLAMP_TOL, 0) are round-off and clamp to zero in sqrt_psd
 _CLAMP_TOL = 1e-10
-
-
-class EigenDecomp(NamedTuple):
-    values: np.ndarray  # ascending
-    vectors: np.ndarray  # orthogonal, columns are eigenvectors
-
-    def apply(self, f_values) -> np.ndarray:
-        """Q diag(f_values) Q^T, symmetrized; f_values holds f of each
-        eigenvalue."""
-        s = (self.vectors * f_values) @ self.vectors.T
-        return (s + s.T) / 2.0
 
 
 def _as_symmetric(m):
@@ -43,10 +28,12 @@ def _as_symmetric(m):
     return m
 
 
-def eig_sym(m) -> EigenDecomp:
-    """Eigendecomposition of a real symmetric matrix, values ascending."""
+def _psd_root(m):
+    """Smallest eigenvalue of a real symmetric matrix and its symmetrized
+    root Q sqrt(max(Lambda, 0)) Q^T."""
     values, vectors = np.linalg.eigh(_as_symmetric(m))
-    return EigenDecomp(values, vectors)
+    s = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    return float(values[0]), (s + s.T) / 2.0
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -55,7 +42,7 @@ def sqrt_psd(m) -> np.ndarray:
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
     NotPSD (the signature of linearly dependent states).
     """
-    dec = eig_sym(m)
-    if dec.values[0] < -_CLAMP_TOL:
-        raise NotPSD(f"eigenvalue {dec.values[0]:.3e} below -{_CLAMP_TOL:.1e}")
-    return dec.apply(np.sqrt(np.clip(dec.values, 0.0, None)))
+    min_eig, root = _psd_root(m)
+    if min_eig < -_CLAMP_TOL:
+        raise NotPSD(f"eigenvalue {min_eig:.3e} below -{_CLAMP_TOL:.1e}")
+    return root

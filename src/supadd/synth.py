@@ -14,9 +14,9 @@ Only those rows carry meaning, so the schedule is built first and U is its
 product. A linear code with equal priors takes its vectors and schedule
 from one pass over its group structure (group_schedule), with no Gram
 matrix, eigh or state but the zero word's. Any other code takes its
-vectors from the eigh route (square_root_measurement), the only one whose
-rows an ill-conditioned Gram matrix can spoil, and its schedule is one
-pivot run per codeword, read off those rows (_row_schedule).
+vectors as the polar factor of its states (detection._polar_rows),
+orthonormal to round-off whatever the conditioning, and its schedule is
+one pivot run per codeword, read off those rows (_row_schedule).
 reck_decompose factors any orthogonal matrix into a full triangular mesh.
 """
 
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ._kernels import apply_rotations
-from .detection import square_root_measurement
+from .detection import _polar_rows, square_root_measurement
 from .ensembles import Code, _xor_span, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
 from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
@@ -85,15 +85,16 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the zero word's state
     normalized on the class of y. Its collective error is 1 - g[0]**2,
     which fastcode takes as the spread of the roots of the class measure.
-    Any other code takes its vectors and the diagonal of their channel from
-    the eigh route, and _row_schedule reads its schedule off the vectors.
+    Any other code takes its vectors from the states' polar factor, its
+    collective error from the Gram route's channel, an independent
+    computation, and _row_schedule reads its schedule off the vectors.
 
     U is the schedule's product with the measurement rows written at the
     labels, and the reconstruction residual is how far the product's own
     rows there were from them. The returned error probability is computed
     from the states at their assigned rows; it should match the collective
-    error. A U more than 1e-8 from orthogonal, which only the eigh rows of
-    an ill-conditioned Gram matrix give, raises InvalidInput.
+    error. A U more than 1e-8 from orthogonal raises InvalidInput; neither
+    route's rows should give one.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
@@ -118,7 +119,8 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     generators = linear_generators(code)
     if generators is None:
         states = codeword_states(code, kappa)
-        measurement, channel = square_root_measurement(gram(code, kappa), states=states)
+        measurement = _polar_rows(states)
+        _, channel = square_root_measurement(gram(code, kappa))
         correct = np.einsum("ij,ij->i", states, measurement)
         collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
         schedule = _row_schedule(measurement, labels)
@@ -132,8 +134,8 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     orthogonality = float(np.abs(u @ u.T - np.eye(dim)).max())
     if orthogonality > _ORTHOGONAL_TOL:
         raise InvalidInput(
-            f"the adaptor is {orthogonality:.1e} from orthogonal: the square-root "
-            f"measurement of this ill-conditioned Gram matrix is not accurate enough"
+            f"the adaptor is {orthogonality:.1e} from orthogonal: its measurement "
+            f"rows or rotation schedule lost accuracy"
         )
     return SynthesizedUnitary(
         U=u,

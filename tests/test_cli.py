@@ -7,7 +7,7 @@ import pytest
 
 from supadd import cli, detection, ensembles, synth
 from supadd.cli import _emit, main
-from supadd.detection import helstrom_binary, square_root_measurement
+from supadd.detection import _polar_rows, helstrom_binary, square_root_measurement
 from supadd.ensembles import (
     Code,
     build_nn12_code,
@@ -857,7 +857,8 @@ def dense_synth_reference(code, kappa, labels):
     matrix."""
     m, dim = code.num_codewords, 2**code.n
     states = codeword_states(code, kappa)
-    meas, channel = square_root_measurement(gram(code, kappa), states=states)
+    meas = _polar_rows(states)
+    _, channel = square_root_measurement(gram(code, kappa))
     u = np.empty((dim, dim))
     u[labels] = meas
     u[[y for y in range(dim) if y not in labels]] = np.linalg.qr(meas.T, mode="complete")[0][:, m:].T

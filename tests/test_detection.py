@@ -3,6 +3,7 @@ import pytest
 
 from supadd import detection
 from supadd.detection import (
+    _polar_rows,
     bayes_cost_reduction,
     check_optimality,
     helstrom_binary,
@@ -21,13 +22,14 @@ from supadd.ensembles import (
 )
 from supadd.errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from supadd.psdlinalg import sqrt_psd
+from test_synth import eigh_rows, eigh_tolerance, linear_code
 
 
 def verify_sqm_orthonormal(gram) -> float:
     """Largest deviation of the square-root measurement's Gram matrix from
     the identity (linear independence makes the vectors orthonormal),
-    for the measurement of the states with coordinate rows sqrt_psd(gram)."""
-    meas, _ = square_root_measurement(gram, states=sqrt_psd(gram))
+    for the polar rows of the states with coordinate rows sqrt_psd(gram)."""
+    meas = _polar_rows(sqrt_psd(gram))
     return float(np.abs(meas @ meas.T - np.eye(meas.shape[0])).max())
 
 
@@ -79,8 +81,7 @@ class TestSquareRootMeasurement:
 
     def test_embedding_vectors_orthonormal(self):
         code = build_nn12_code(4)
-        states = codeword_states(code, 0.6)
-        meas, _ = square_root_measurement(gram(code, 0.6), states=states)
+        meas = _polar_rows(codeword_states(code, 0.6))
         prods = meas @ meas.T
         assert np.abs(prods - np.eye(8)).max() < 1e-10
 
@@ -98,11 +99,11 @@ class TestSquareRootMeasurement:
         code = build_nn12_code(3)
         g = gram(code, 0.7)
         states = codeword_states(code, 0.7)
+        # the Gram route's channel, from the span's own basis, against the
+        # squared overlaps of the states with their polar rows
         _, span_channel = square_root_measurement(g)
-        meas, emb_channel = square_root_measurement(g, states=states)
-        np.testing.assert_allclose(span_channel, emb_channel, atol=1e-12)
-        x = overlap_matrix(meas, states)
-        np.testing.assert_allclose(x**2, emb_channel, atol=1e-12)
+        x = overlap_matrix(_polar_rows(states), states)
+        np.testing.assert_allclose(x**2, span_channel, atol=1e-12)
 
     @pytest.mark.parametrize(
         "bad",
@@ -117,9 +118,56 @@ class TestSquareRootMeasurement:
         with pytest.raises(InvalidInput):
             square_root_measurement(bad)
         with pytest.raises(InvalidInput):
-            square_root_measurement(bad, states=np.eye(bad.shape[0]))
-        with pytest.raises(InvalidInput):
             verify_sqm_orthonormal(bad)
+
+    def test_channel_is_the_squared_root(self):
+        # the channel is sqrt_psd's root, bit for bit, over the diagonal
+        g = gram(Code(n=5, codewords=int_bits(np.array([3, 9, 17, 30, 12]), 5)), 0.7)
+        _, channel = square_root_measurement(g)
+        np.testing.assert_array_equal(channel, sqrt_psd(g) ** 2 / np.diag(g)[:, None])
+
+
+class TestPolarRows:
+    @pytest.mark.parametrize(
+        "code, kappa",
+        [
+            (build_nn12_code(4), 0.5),
+            (build_nn12_code(8), 0.6),
+            (build_simplex_code(3), 0.5),
+            (linear_code(4, [0, 3, 12, 14]), 0.7),
+            (Code(n=8, codewords=int_bits(np.random.default_rng(8).permutation(256)[:64], 8),
+                  priors=np.random.default_rng(9).dirichlet(np.ones(64))), 0.5),
+        ],
+        ids=["nn12_n4", "nn12_n8", "simplex_r3", "nonlinear_n4", "nonlinear_n8"],
+    )
+    def test_match_the_eigh_rows(self, code, kappa):
+        # on a well-conditioned code the polar rows are G**(-1/2) Psi
+        states = codeword_states(code, kappa)
+        g = gram(code, kappa)
+        rows = _polar_rows(states)
+        assert np.abs(rows - eigh_rows(g, states)).max() <= eigh_tolerance(g)
+        assert np.abs(rows @ rows.T - np.eye(code.num_codewords)).max() <= 1e-14
+
+    def test_orthonormal_where_the_gram_is_ill_conditioned(self):
+        # 255 of the 256 words of length 8 at kappa 0.95: cond(Psi) is about
+        # 1e6, and the eigh rows G**(-1/2) Psi are 5.2e-7 from orthonormal
+        rows = _polar_rows(codeword_states(linear_code(8, np.arange(255)), 0.95))
+        assert np.abs(rows @ rows.T - np.eye(255)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            np.eye(3)[[0, 1, 0]],
+            np.vstack([np.eye(3)[:2], [1.0, 0.0, 1e-8] / np.hypot(1.0, 1e-8)]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
+        ],
+        ids=["repeated_state", "nearly_repeated_state", "more_states_than_dims"],
+    )
+    def test_dependent_states_rejected(self, states):
+        with pytest.raises(LinearDependence):
+            _polar_rows(states)
+        with pytest.raises(LinearDependence):
+            bayes_cost_reduction(states, np.full(3, 1.0 / 3.0))
 
 
 class TestVerifySqmOrthonormal:
@@ -154,8 +202,7 @@ class TestCheckOptimality:
     def test_skewed_priors_sqm_not_optimal(self):
         states = np.vstack(embed_binary_letters(0.5))
         priors = np.array([0.9, 0.1])
-        weighted = np.sqrt(priors)[:, None] * states
-        meas, _ = square_root_measurement(weighted @ weighted.T, states=weighted)
+        meas = _polar_rows(np.sqrt(priors)[:, None] * states)
         report = check_optimality(meas, states, priors)
         _, best = helstrom_binary(0.5, 0.9)
         assert not report.is_optimal
@@ -164,6 +211,25 @@ class TestCheckOptimality:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             check_optimality(np.eye(3), np.eye(3), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "measurement, states",
+        [
+            (np.ones(2), np.eye(2)),
+            (np.eye(2), np.ones(2)),
+            (np.ones((2, 2, 2)), np.eye(2)),
+            (np.eye(3)[:, :2], np.eye(2)),
+            (np.eye(2), np.eye(3)[:, :2]),
+        ],
+        ids=["1d_measurement", "1d_states", "3d_measurement", "3_rows_2_states", "2_rows_3_states"],
+    )
+    def test_bad_shapes_rejected(self, measurement, states):
+        # numpy's own IndexError or broadcasting ValueError must not escape
+        m = max(len(measurement), len(states))
+        with pytest.raises(InvalidInput):
+            check_optimality(measurement, states, np.full(m, 1.0 / m))
+        with pytest.raises(InvalidInput):
+            overlap_matrix(measurement, states)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
     def test_tol_outside_range_rejected(self, tol):
@@ -211,7 +277,8 @@ class TestHelstromBinary:
         kappa = 0.5
         states = np.vstack(embed_binary_letters(kappa))
         g = states @ states.T
-        meas_sqm, channel = square_root_measurement(g, states=states)
+        meas_sqm = _polar_rows(states)
+        _, channel = square_root_measurement(g)
         _, err = helstrom_binary(kappa, 0.5)
         sqm_error = 1.0 - 0.5 * (channel[0, 0] + channel[1, 1])
         assert abs(sqm_error - err) < 1e-12

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supadd.detection import square_root_measurement
+from supadd.detection import _polar_rows, square_root_measurement
 from supadd.ensembles import (
     Code,
     code_from_text,
@@ -30,7 +30,7 @@ from supadd.synth import (
     schedule_to_csv,
     synthesize_unitary,
 )
-from test_synth import eigh_tolerance, group_vectors
+from test_synth import eigh_rows, eigh_tolerance, group_vectors
 
 TOL = 1e-9
 
@@ -113,7 +113,7 @@ def test_block_error_is_a_probability(code, kappa):
 @given(codes(), kappas)
 def test_synthesis_agrees_with_the_dense_route(code, kappa):
     """Linear codes with equal priors take their label rows and schedule
-    from the group structure, and every other code takes the dense route's
+    from the group structure, and every other code takes its states' polar
     rows and one pivot run per codeword. Either way the label rows are the
     square-root measurement, the errors are those of the dense route, the
     schedule is shorter than a Reck mesh of U, and its product is U up to
@@ -121,21 +121,17 @@ def test_synthesis_agrees_with_the_dense_route(code, kappa):
     m, dim = code.num_codewords, 2**code.n
     g = gram(code, kappa)
     linear = linear_generators(code) is not None
-    try:
-        syn = synthesize_unitary(code, kappa)
-    except InvalidInput:
-        # a U more than 1e-8 from orthogonal is refused; the eigh rows are
-        # off by about 1e-14 over the smallest Gram eigenvalue, the group
-        # rows are exact
-        assert not linear
-        assert np.linalg.eigvalsh(g)[0] < 1e-5
-        return
+    # the group rows are exact and the polar rows orthonormal to round-off,
+    # so no code is refused
+    syn = synthesize_unitary(code, kappa)
     states = codeword_states(code, kappa)
-    meas, channel = square_root_measurement(g, states=states)
+    meas = _polar_rows(states)
+    _, channel = square_root_measurement(g)
     correct = np.einsum("ij,ij->i", states, meas)
     separate = 1.0 - float(np.sum(code.priors * correct**2))
     collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
     tol = eigh_tolerance(g)
+    assert np.abs(meas - eigh_rows(g, states)).max() <= tol
     if linear:
         np.testing.assert_array_equal(syn.U[:m], group_vectors(code, kappa))
         assert np.abs(syn.U[:m] - meas).max() <= tol

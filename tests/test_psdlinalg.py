@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd.errors import InvalidInput, NotPSD
-from supadd.psdlinalg import eig_sym, sqrt_psd
+from supadd.psdlinalg import _psd_root, sqrt_psd
 from test_kernels import hadamard
 
 
@@ -14,47 +14,62 @@ def random_symmetric(rng, dim):
 
 
 class TestEigSym:
+    """The one symmetric eigendecomposition, _psd_root: the smallest
+    eigenvalue and the symmetrized root Q sqrt(max(Lambda, 0)) Q^T."""
+
     def test_identity(self):
-        dec = eig_sym(np.eye(3))
-        np.testing.assert_allclose(dec.values, [1.0, 1.0, 1.0], atol=1e-12)
+        min_eig, root = _psd_root(np.eye(3))
+        assert abs(min_eig - 1.0) <= 1e-12
+        np.testing.assert_allclose(root, np.eye(3), atol=1e-12)
 
     def test_two_dim_overlap_matrix(self):
         k2 = 0.25
-        dec = eig_sym(np.array([[1.0, k2], [k2, 1.0]]))
-        np.testing.assert_allclose(dec.values, [0.75, 1.25], atol=1e-12)
+        min_eig, root = _psd_root(np.array([[1.0, k2], [k2, 1.0]]))
+        assert abs(min_eig - 0.75) <= 1e-12
+        np.testing.assert_allclose(np.linalg.eigvalsh(root), np.sqrt([0.75, 1.25]), atol=1e-12)
 
     def test_distance_two_gram(self):
         # unit diagonal, all off-diagonal 0.25: triple 1 - k^2 and single 1 + 3k^2
         g = np.full((4, 4), 0.25)
         np.fill_diagonal(g, 1.0)
-        dec = eig_sym(g)
-        np.testing.assert_allclose(dec.values, [0.75, 0.75, 0.75, 1.75], atol=1e-12)
+        min_eig, root = _psd_root(g)
+        assert abs(min_eig - 0.75) <= 1e-12
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(root), np.sqrt([0.75, 0.75, 0.75, 1.75]), atol=1e-12
+        )
 
     def test_values_ascending_and_reconstruction(self):
+        # an indefinite matrix: the smallest eigenvalue is reported as it
+        # is, and the root is that of the part with the negative ones cut
         rng = np.random.default_rng(3)
         m = random_symmetric(rng, 6)
-        dec = eig_sym(m)
-        assert np.all(np.diff(dec.values) >= -1e-14)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.abs(recon - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
-        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(6)).max() <= 1e-10
+        min_eig, root = _psd_root(m)
+        values, vectors = np.linalg.eigh(m)
+        assert min_eig == values[0] < 0.0
+        positive = (vectors * np.clip(values, 0.0, None)) @ vectors.T
+        assert np.abs(root @ root - positive).max() <= 1e-10 * max(1.0, np.abs(m).max())
+        assert np.array_equal(root, root.T)
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InvalidInput):
-            eig_sym(bad)
+            _psd_root(bad)
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(InvalidInput):
-            eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            _psd_root(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
     def test_eigenvalue_sum_equals_trace(self, dim, seed):
-        m = random_symmetric(np.random.default_rng(seed), dim)
-        dec = eig_sym(m)
+        # the root of a PSD matrix squares back to its trace, and the
+        # smallest eigenvalue is eigvalsh's
+        a = np.random.default_rng(seed).normal(size=(dim, dim))
+        m = a @ a.T
+        min_eig, root = _psd_root(m)
         trace = np.trace(m)
-        assert abs(dec.values.sum() - trace) <= 1e-10 * max(1.0, abs(trace))
+        assert abs(np.sum(root * root) - trace) <= 1e-10 * max(1.0, abs(trace))
+        assert abs(min_eig - np.linalg.eigvalsh(m)[0]) <= 1e-10 * max(1.0, abs(trace))
 
 
 class TestSqrtPsd:

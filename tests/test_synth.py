@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd import cli, synth
-from supadd.detection import square_root_measurement
+from supadd.detection import _polar_rows, square_root_measurement
 from supadd.ensembles import (
     Code,
     build_nn12_code,
@@ -99,6 +99,13 @@ def eigh_tolerance(g):
     """How far the eigh route's rows and errors may stray: about 1e-16
     over the smallest Gram eigenvalue."""
     return 1e-12 + 1e-13 / np.linalg.eigvalsh(g)[0]
+
+
+def eigh_rows(g, states):
+    """The square-root measurement rows G**(-1/2) Psi through numpy's eigh:
+    an oracle independent of the polar factor synth and the optimizer take."""
+    values, vectors = np.linalg.eigh(g)
+    return (vectors / np.sqrt(values)) @ vectors.T @ states
 
 
 def unreachable(*args, **kwargs):
@@ -220,18 +227,19 @@ class TestSynthesizeUnitary:
         ],
     )
     def test_assigned_rows_are_square_root_measurement_vectors(self, code, assignment):
-        # a linear code's rows come from its group structure, equal to the
-        # eigh rows up to their round-off; any other code's are the eigh rows
+        # a linear code's rows come from its group structure, any other
+        # code's are its states' polar factor; both equal the eigh rows up to
+        # their round-off
         kappa = 0.5
         syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
         rows = syn.U[list(syn.target_outcomes)]
         g = gram(code, kappa)
-        meas, _ = square_root_measurement(g, states=codeword_states(code, kappa))
+        states = codeword_states(code, kappa)
         if linear_generators(code) is None:
-            np.testing.assert_array_equal(rows, meas)
+            np.testing.assert_array_equal(rows, _polar_rows(states))
         else:
             np.testing.assert_array_equal(rows, group_vectors(code, kappa))
-            assert np.abs(rows - meas).max() <= eigh_tolerance(g)
+        assert np.abs(rows - eigh_rows(g, states)).max() <= eigh_tolerance(g)
 
     @pytest.mark.parametrize("code", [build_nn12_code(4), build_simplex_code(3)])
     def test_collective_error_is_the_channel_diagonal(self, code):
@@ -388,8 +396,8 @@ class TestGroupSchedule:
         assert syn.reconstruction_residual <= 1e-12
         g = gram(code, kappa)
         tol = eigh_tolerance(g)
-        meas, channel = square_root_measurement(g, states=states)
-        assert np.abs(rows - meas).max() <= tol
+        _, channel = square_root_measurement(g)
+        assert np.abs(rows - eigh_rows(g, states)).max() <= tol
         # every codeword's state meets its row as the zero word's does
         correct = np.einsum("ij,ij->i", states, rows)
         assert (correct == correct[0]).all()
@@ -397,13 +405,16 @@ class TestGroupSchedule:
         assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= tol
         assert abs(syn.collective_error - syn.error_probability) <= tol
 
-    def test_ill_conditioned_measurement_refused(self):
+    def test_ill_conditioned_code_synthesizes(self):
         # 255 of the 256 words of length 8 at kappa 0.95 are no linear code:
-        # their eigh rows are about 1e-6 from orthonormal, and refused
+        # their eigh rows are about 1e-6 from orthonormal, past the 1e-8
+        # guard, and their polar rows orthonormal to round-off
         code = linear_code(8, np.arange(255))
         assert linear_generators(code) is None
-        with pytest.raises(InvalidInput):
-            synthesize_unitary(code, 0.95)
+        syn = synthesize_unitary(code, 0.95)
+        assert syn.reconstruction_residual <= 1e-12
+        assert syn.orthogonality_residual <= 1e-12
+        assert abs(syn.error_probability - syn.collective_error) <= 1e-9
         # all 256 words take their rows from the group structure: exact
         # where the eigh rows would be about 1e-5 from orthonormal
         syn = synthesize_unitary(linear_code(8, np.arange(256)), 0.95)
@@ -473,7 +484,8 @@ class TestGroupSchedule:
         syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
         states = codeword_states(code, kappa)
         g = gram(code, kappa)
-        meas, channel = square_root_measurement(g, states=states)
+        meas = eigh_rows(g, states)
+        _, channel = square_root_measurement(g)
         rows = syn.U[list(syn.target_outcomes)]
         np.testing.assert_array_equal(rows, group_vectors(code, kappa))
         assert np.abs(rows - meas).max() <= eigh_tolerance(g)
@@ -511,12 +523,10 @@ class TestRowSchedule:
 
         states = codeword_states(code, kappa)
         g = gram(code, kappa)
-        meas, channel = square_root_measurement(g, states=states)
-        try:
-            syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
-        except InvalidInput:
-            assert np.linalg.eigvalsh(g)[0] < 1e-5
-            return
+        meas = _polar_rows(states)
+        _, channel = square_root_measurement(g)
+        # the polar rows are orthonormal whatever the conditioning: never refused
+        syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
         assert syn.schedule.flip_last <= (m == dim)
         assert len(syn.schedule.rotations) <= row_bound(code)
         tol = eigh_tolerance(g)
@@ -543,7 +553,7 @@ class TestRowSchedule:
             flips.add(syn.schedule.flip_last)
             assert len(syn.schedule.rotations) <= dim * (dim - 1) // 2
             product = reconstruct_unitary(syn.schedule)
-            meas, _ = square_root_measurement(gram(code, 0.4), states=codeword_states(code, 0.4))
+            meas = _polar_rows(codeword_states(code, 0.4))
             assert np.abs(product[labels] - meas).max() <= 1e-12
             assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
         assert flips == {False, True}
