@@ -36,6 +36,7 @@ from .detection import (
 )
 from .ensembles import (
     Code,
+    _check_int,
     build_nn12_code,
     build_simplex_code,
     code_from_text,
@@ -178,7 +179,7 @@ def _write(text: str, path) -> None:
         Path(path).write_text(text)
 
 
-def _resolve_code(code_family: str, n_list, n_given: bool = True) -> Code:
+def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
     """The code --code names: a family at its one block length, or a code
     file, which sets its own length; an n_list given for it must repeat
     that length."""
@@ -205,9 +206,7 @@ def _run_columns(build, o) -> int:
             raise InvalidInput(
                 f"need 0 <= kappa_min < kappa_max < 1, got [{o.kappa_min}, {o.kappa_max}]"
             )
-        if o.steps < 2:
-            raise InvalidInput(f"need at least 2 grid points, got {o.steps}")
-        o.grid = np.linspace(o.kappa_min, o.kappa_max, o.steps)
+        o.grid = np.linspace(o.kappa_min, o.kappa_max, _check_int(o.steps, 2, "steps"))
     columns, values = build(o)
     _emit(columns, zip(*values), o.format, o.out)
     return 0

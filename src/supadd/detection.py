@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import bayes_residual, bayes_sweeps
-from .ensembles import _check_priors, embed_binary_letters
+from .ensembles import _check_int, _check_priors, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import _psd_root
 
@@ -29,6 +29,7 @@ _SINGULAR_EIG = 1e-12
 # n = 12 7.4 s and 545 MB, and n = 13 would take about 8 times the time and
 # 4 times the memory (2.2 GB), past a 5 minute / 1 GB budget
 _MAX_CERT_N = 12
+_MAX_SWEEPS = 500
 
 
 @dataclass(eq=False)
@@ -170,7 +171,7 @@ def helstrom_binary(kappa: float, xi1: float):
     return np.vstack([omega1, omega2]), float(_helstrom_error(kappa, xi1))
 
 
-def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 500):
+def bayes_cost_reduction(states, priors, tol: float = 1e-10):
     """Drive a measurement basis to the minimum-error optimum by exact
     pairwise plane rotations (lexicographic pair order, repeated).
 
@@ -180,19 +181,19 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10, max_sweeps: int = 5
     average error after each sweep. The sweeps start from the square-root
     measurement of the prior-weighted states. Raises InvalidInput, before
     any sweep, unless 0 <= tol < inf, and Unconverged (carrying the best
-    iterate) if the residual tolerance is not met within max_sweeps.
+    iterate) if the residual tolerance is not met within _MAX_SWEEPS sweeps.
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
     init = _polar_rows(np.sqrt(priors)[:, None] * states)
     x = overlap_matrix(init, states)
-    v, history, residual, _ = bayes_sweeps(x, priors, tol, max_sweeps)
+    v, history, residual, _ = bayes_sweeps(x, priors, tol, _MAX_SWEEPS)
     meas = v @ init
     # x holds the final overlap matrix; certify it directly
     report = _certify(x, priors, tol, history.tolist())
     if residual > tol:
         raise Unconverged(
-            f"residual {residual:.3e} > tol {tol:.1e} after {max_sweeps} sweeps",
+            f"residual {residual:.3e} > tol {tol:.1e} after {_MAX_SWEEPS} sweeps",
             measurement=meas,
             report=report,
         )
@@ -207,10 +208,9 @@ def threshold_certificate(
     with error 1 - (1-p)**n, through the same check as check_optimality.
     Their overlaps and priors are the n-th Kronecker powers of the letters'.
     Raises ResourceLimit for n > 12, whose 2**n x 2**n matrices would pass
-    1 GB, and InvalidInput for n < 1 or unless 0 <= tol < inf."""
+    1 GB, and InvalidInput unless n >= 1 is an integer and 0 <= tol < inf."""
     _check_tol(tol)
-    if n < 1:
-        raise InvalidInput(f"threshold certificate needs n >= 1, got {n}")
+    n = _check_int(n, 1, "block length")
     if n > _MAX_CERT_N:
         raise ResourceLimit(f"threshold certificate guarded at n <= {_MAX_CERT_N}, got {n}")
     base, p = helstrom_binary(kappa, xi1)

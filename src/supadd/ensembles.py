@@ -28,6 +28,7 @@ class Code:
     priors: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        self.n = _check_int(self.n, 0, "code length")
         given = np.asarray(self.codewords)
         if given.ndim != 2 or given.shape[1] != self.n:
             raise InvalidInput("codewords must be an (M, n) bit array")
@@ -58,6 +59,16 @@ def _check_priors(priors, m: int) -> np.ndarray:
     if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:
         raise InvalidInput("priors must be a probability vector")
     return priors
+
+
+def _check_int(value, lo: int, name: str) -> int:
+    """value as an int; InvalidInput unless it is at least lo and a Python
+    or numpy integer (not a bool) or a float of integral value."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise InvalidInput(f"{name} must be an integer of at least {lo}, got {value!r}")
+    return int(value)
 
 
 def embed_binary_letters(kappa: float):
@@ -138,8 +149,7 @@ def build_nn12_code(n: int) -> Code:
     distance 2) with equal priors: the XOR span of 011, 101, 1111 and
     11 << (m - 2) for m = 5..n, in the order of a prefix co-recursion
     (tests/test_ensembles.py::nn12_pair)."""
-    if n < 3:
-        raise InvalidInput(f"block length must be at least 3, got {n}")
+    n = _check_int(n, 3, "block length")
     generators = [3, 5, 15] + [3 << m for m in range(3, n - 1)]
     return Code(n=n, codewords=int_bits(_xor_span(generators[: n - 1]), n))
 
@@ -148,8 +158,7 @@ def build_simplex_code(r: int) -> Code:
     """The [[2**r - 1, r, 2**(r-1)]] code: 2**r equidistant codewords with
     equal priors, generated by the matrix whose columns are all nonzero
     r-bit vectors."""
-    if r < 2:
-        raise InvalidInput(f"rank must be at least 2, got {r}")
+    r = _check_int(r, 2, "rank")
     cols = int_bits(np.arange(1, 2**r), r).T
     return Code(n=2**r - 1, codewords=int_bits(np.arange(2**r), r) @ cols % 2)
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import fwht
-from .ensembles import Code, _xor_span
+from .ensembles import Code, _check_int, _xor_span
 from .errors import InvalidInput, NoRoot, ResourceLimit
 from .information import _kappa_array, _scalar_or_array, c1_binary
 
@@ -91,8 +91,14 @@ def _columns(generators, n: int) -> list:
     return [sum((g >> (n - 1 - i) & 1) << j for j, g in enumerate(generators)) for i in range(n)]
 
 
+def _layout(generators, n):
+    """_span_layout of the generator words and n, checked as ints >= 0."""
+    words = tuple(_check_int(g, 0, "generator word") for g in generators)
+    return _span_layout(words, _check_int(n, 0, "code length"))
+
+
 @functools.lru_cache(maxsize=64)
-def _layout(generators: tuple, n: int):
+def _span_layout(generators: tuple, n: int):
     """Each class's weight over the first k independent columns, and the
     other nonzero columns. Raises, before allocating, InvalidInput for n > 64
     or non-independent n-bit generators, ResourceLimit for k > _MAX_GROUP_K."""
@@ -103,7 +109,7 @@ def _layout(generators: tuple, n: int):
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
             f"got k = {len(generators)}"
         )
-    if not all(0 <= g < 1 << n for g in generators) or not all(_independent(generators)):
+    if not all(g < 1 << n for g in generators) or not all(_independent(generators)):
         raise InvalidInput(f"generators must be independent {n}-bit words")
     columns = _columns(generators, n)
     new = list(_independent(columns))
@@ -138,7 +144,7 @@ def group_root(generators, n: int, kappa) -> np.ndarray:
     an array of kappa the roots stack along the leading axes, shape
     kappa.shape + (M,)."""
     k = _kappa_array(kappa, collapse_at_one=True)
-    return _roots(_layout(tuple(generators), n), k)[1]
+    return _roots(_layout(generators, n), k)[1]
 
 
 def _reduce_roots(generators, n: int, kappa, *reductions):
@@ -146,7 +152,7 @@ def _reduce_roots(generators, n: int, kappa, *reductions):
     numbers) over every kappa, at most _BLOCK root entries at a time. One
     result per reduction, shaped like kappa (a float for a scalar kappa)."""
     k = _kappa_array(kappa, collapse_at_one=True)
-    layout = _layout(tuple(generators), n)
+    layout = _layout(generators, n)
     flat = k.reshape(-1)
     out = np.empty((len(reductions), flat.size))
     rows = max(1, _BLOCK // layout[0].size)
@@ -177,9 +183,7 @@ def group_information(generators, n: int, kappa):
 
 
 def _nn12_generators(n: int) -> list:
-    if n < 3:
-        raise InvalidInput(f"block length must be at least 3, got {n}")
-    return [1 | 1 << i for i in range(1, n)]
+    return [1 | 1 << i for i in range(1, _check_int(n, 3, "block length"))]
 
 
 def nn12_mutual_information(n: int, kappa):
@@ -200,8 +204,7 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
     code: the diagonal root entry u, the common off-diagonal entry v, the
     information and the block error, all from one pass over the roots.
     Each field broadcasts over kappa."""
-    if r < 2:
-        raise InvalidInput(f"rank must be at least 2, got {r}")
+    r = _check_int(r, 2, "rank")
     generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
     fields = (lambda root, g: g[:, 0], lambda root, g: g[:, 1], _root_information, _root_error)
     return SimplexProfile(*_reduce_roots(generators, 2**r - 1, kappa, *fields))
@@ -211,8 +214,7 @@ def block_gain(n: int, kappa):
     """Per-letter information of the length-n reference code minus the
     single-use optimum; broadcasts over kappa. n >= 3 is the even-weight
     family, n = 2 the block {00, 11}: one letter pair of overlap kappa**2."""
-    if n < 2:
-        raise InvalidInput(f"block gain needs n >= 2, got {n}")
+    n = _check_int(n, 2, "block length")
     if n == 2:
         k = _kappa_array(kappa, collapse_at_one=True)
         return c1_binary(k * k) / 2.0 - c1_binary(k)
@@ -235,8 +237,7 @@ def find_kappa_star(n: int) -> float:
     the midpoints a one-point bisection reaches in d steps, so where their
     signs are monotone, as when the gain crosses once inside the scan's
     0.01-wide bracket, the result has that bisection's bits."""
-    if n < 2:
-        raise InvalidInput(f"crossing search needs n >= 2, got {n}")
+    n = _check_int(n, 2, "block length")
     rows = max(1, _BLOCK >> (n - 1))
     grid = np.linspace(0.01, 0.99, 99)
     values = np.empty_like(grid)

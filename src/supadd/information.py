@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import mi_bits
 from .detection import _helstrom_error, helstrom_binary, square_root_measurement
-from .ensembles import Code, _check_priors, _distances, _overlaps, embed_binary_letters
+from .ensembles import Code, _check_int, _check_priors, _distances, _overlaps, embed_binary_letters
 from .errors import InvalidInput, LinearDependence
 
 
@@ -114,12 +114,13 @@ def random_collective_max_info(
     kappa_a: float, kappa_b: float, trials: int = 10000, seed: int = 20240817
 ) -> float:
     """Largest information over random orthonormal collective measurements
-    of the two-pair ensemble (Haar bases via QR of Gaussian matrices)."""
+    of the two-pair ensemble (Haar bases via QR of Gaussian matrices);
+    InvalidInput unless trials >= 1 and seed >= 0 are integers."""
     states = np.kron(*(np.stack(embed_binary_letters(k)) for k in (kappa_a, kappa_b)))
     priors = np.full(4, 0.25)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, 0, "seed"))
     best = 0.0
-    for _ in range(trials):
+    for _ in range(_check_int(trials, 1, "trials")):
         q, r = np.linalg.qr(rng.standard_normal((4, 4)))
         q = q * np.sign(np.diag(r))
         channel = (q @ states.T).T ** 2

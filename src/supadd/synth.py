@@ -28,16 +28,14 @@ import numpy as np
 
 from ._kernels import apply_rotations
 from .detection import _polar_rows, square_root_measurement
-from .ensembles import Code, _xor_span, codeword_states, gram
+from .ensembles import Code, _check_int, _xor_span, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
 from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
-# `synth --code` on a random code with M = 2**n / 4 and random priors takes
-# about 2 s and 53 MB at n = 9, 8 s and 0.11 GB at n = 10 and 36-40 s and
-# 0.34 GB at n = 11 (dim 2048) on a 2-core machine, even-weight n = 11 on the
-# group route 3.7 s and 0.22 GB; n = 12 would take 8x the time and 4x the memory
+# the largest block length `synth` finishes within 5 minutes and 1 GB; the
+# README's "Limits and conventions" gives the timings it rests on
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
@@ -103,18 +101,9 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     if outcome_assignment is None:
         labels = list(range(m))
     else:
-        given = list(outcome_assignment)
-        try:
-            labels = [int(x) for x in given]
-            integral = labels == given
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise InvalidInput(f"outcome labels must be integers, got {given!r}")
-    if len(labels) != m or len(set(labels)) != m:
-        raise InvalidInput("outcome assignment must be M distinct labels")
-    if min(labels) < 0 or max(labels) >= dim:
-        raise InvalidInput("outcome labels must lie in [0, 2**n)")
+        labels = [_check_int(x, 0, "outcome label") for x in outcome_assignment]
+    if len(labels) != m or len(set(labels)) != m or max(labels) >= dim:
+        raise InvalidInput(f"outcome assignment must be {m} distinct labels in [0, 2**n)")
 
     generators = linear_generators(code)
     if generators is None:
@@ -343,26 +332,29 @@ def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     takes the inverse rotations, last first, through apply_rotations. Rows
     and columns below the smallest axis touched so far are still those of
     the identity, so each rotation updates only the columns from that axis
-    on. Axes that are not two distinct integers in 1..dim, or an angle that
-    is not finite, raise InvalidInput.
+    on. A schedule that _rotation_table refuses raises InvalidInput.
     """
-    dim = schedule.dim
+    dim, table = _rotation_table(schedule)
     out = np.eye(dim)
     if schedule.flip_last:
         out[dim - 1, dim - 1] = -1.0
-    table = _rotation_table(schedule.rotations, dim)[::-1]
+    table = table[::-1]
     js, iss = table[:, :2].T.astype(np.int64) - 1
     starts = np.minimum.accumulate(np.minimum(js, iss))
     apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), starts)
     return out
 
 
-def _rotation_table(rotations, dim: int) -> np.ndarray:
-    """The rotations (j, i, gamma) as a (count, 3) float64 table, after
-    checking that each turns two distinct integer axes in 1..dim by a
-    finite angle; raises InvalidInput otherwise."""
+def _rotation_table(schedule: RotationSchedule):
+    """The schedule's dim as an int and its rotations (j, i, gamma) as a
+    (count, 3) float64 table; InvalidInput unless dim is an integer >= 1,
+    flip_last a bool and each rotation turns two distinct integer axes in
+    1..dim by a finite angle."""
+    dim = _check_int(schedule.dim, 1, "schedule dimension")
+    if not isinstance(schedule.flip_last, (bool, np.bool_)):
+        raise InvalidInput(f"flip_last must be a bool, got {schedule.flip_last!r}")
     try:
-        table = np.array(rotations, dtype=np.float64).reshape(-1, 3)
+        table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)
     except OverflowError as exc:
         raise InvalidInput("a rotation axis is past the float64 range") from exc
     axes = table[:, :2]
@@ -372,16 +364,18 @@ def _rotation_table(rotations, dim: int) -> np.ndarray:
         raise InvalidInput("rotation angles must be finite")
     if (axes[:, 0] == axes[:, 1]).any():
         raise InvalidInput("a rotation must turn two distinct axes")
-    return table
+    return dim, table
 
 
 def schedule_to_csv(schedule: RotationSchedule) -> str:
     """One "j,i,gamma" line per rotation (1-based); a line with j == i ==
-    dim and gamma = pi records the trailing axis flip."""
+    dim and gamma = pi records the trailing axis flip. A schedule that
+    _rotation_table refuses raises InvalidInput."""
+    dim, _ = _rotation_table(schedule)
     lines = ["j,i,gamma"]
     lines += ["%d,%d,%.17g" % t for t in schedule.rotations]
     if schedule.flip_last:
-        lines.append(f"{schedule.dim},{schedule.dim},{math.pi:.17g}")
+        lines.append(f"{dim},{dim},{math.pi:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -390,8 +384,9 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
     flip only when it is the last data line, names axis dim and carries the
     angle pi (within 1e-12); any other j == i line raises InvalidInput, as
     do non-integer axes, axes outside 1..dim and non-finite angles. Without
-    dim, the largest axis named is the dimension. Only the first non-blank
-    line may be a header (one starting with a letter)."""
+    dim, the largest axis named is the dimension, so an empty schedule is
+    refused. Only the first non-blank line may be a header (one starting
+    with a letter)."""
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if lines and lines[0][0].isalpha():
         lines = lines[1:]
@@ -410,16 +405,11 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
         # "not <=" so that a NaN angle fails too
         if not abs(angle - math.pi) <= 1e-12:
             raise InvalidInput(f"axis flip line {flip_dim},{flip_dim} has angle {angle!r}, not pi")
-    axes = [a for j, i, _ in rotations for a in (j, i)]
     if dim is None:
-        candidates = axes + ([flip_dim] if flip_dim is not None else [])
-        if not candidates:
-            raise InvalidInput("cannot infer dimension from an empty schedule")
-        dim = max(candidates)
-    if dim < 1:
-        raise InvalidInput(f"schedule dimension must be at least 1, got {dim}")
-    if flip_dim is not None and flip_dim != dim:
+        dim = max([a for j, i, _ in rotations for a in (j, i)] + [flip_dim or 0])
+    schedule = RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
+    schedule.dim, _ = _rotation_table(schedule)
+    if flip_dim not in (None, schedule.dim):
         raise InvalidInput(f"axis flip line names axis {flip_dim}, not the last axis {dim}")
-    _rotation_table(rotations, dim)
-    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
+    return schedule
 

@@ -1,0 +1,227 @@
+"""Integer and flag arguments of the exported callables.
+
+Every length, rank, count, label, generator word, seed and schedule field
+goes through one check, ensembles._check_int: a malformed value raises
+InvalidInput, never a bare Python or numpy exception and never a number
+computed from it. The sweep feeds each such parameter malformed values of
+its kind; ACCEPTED lists what is taken on purpose and what it must give.
+"""
+
+import inspect
+import math
+from functools import partial
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import supadd
+from supadd import (
+    Code,
+    InvalidInput,
+    RotationSchedule,
+    block_gain,
+    build_nn12_code,
+    build_simplex_code,
+    code_to_text,
+    find_kappa_star,
+    gram,
+    group_information,
+    group_root,
+    nn12_error_probability,
+    nn12_mutual_information,
+    random_collective_max_info,
+    reconstruct_unitary,
+    schedule_from_csv,
+    schedule_to_csv,
+    simplex_profile,
+    synthesize_unitary,
+    threshold_certificate,
+)
+
+
+class Case(NamedTuple):
+    """One integer or flag parameter: the exported callable and parameter
+    it stands for, a call that passes the value to it and returns something
+    comparable, the smallest value it takes (None for a flag) and a value it
+    takes."""
+
+    name: str
+    param: str
+    call: Callable
+    lo: int | None
+    good: object
+
+
+def _schedule(dim=3, flip_last=True):
+    return RotationSchedule(dim=dim, rotations=[(1, 2, 0.25), (3, 1, -0.5)], flip_last=flip_last)
+
+
+def _synth_labels(label):
+    syn = synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=[0, 1, 2, label])
+    return syn.target_outcomes, syn.U.tolist()
+
+
+def _from_csv(dim):
+    schedule = schedule_from_csv("j,i,gamma\n1,2,0.25\n3,3,3.1415926535897931\n", dim=dim)
+    return type(schedule.dim), schedule.dim, schedule.rotations, schedule.flip_last
+
+
+CASES = [
+    Case("Code", "n", lambda v: code_to_text(Code(n=v, codewords=[[0, 0, 1], [1, 1, 0]])), 0, 3),
+    Case("build_nn12_code", "n", lambda v: code_to_text(build_nn12_code(v)), 3, 4),
+    Case("build_simplex_code", "r", lambda v: code_to_text(build_simplex_code(v)), 2, 3),
+    Case("block_gain", "n", lambda v: block_gain(v, 0.6), 2, 4),
+    Case("find_kappa_star", "n", find_kappa_star, 2, 3),
+    Case("nn12_mutual_information", "n", lambda v: nn12_mutual_information(v, 0.6), 3, 5),
+    Case("nn12_error_probability", "n", lambda v: nn12_error_probability(v, 0.6), 3, 5),
+    Case("simplex_profile", "r", lambda v: tuple(simplex_profile(v, 0.6)), 2, 3),
+    Case("group_root", "n", lambda v: group_root([3, 5], v, 0.6).tolist(), 0, 3),
+    Case("group_root", "generators", lambda v: group_root([3, v], 3, 0.6).tolist(), 0, 5),
+    Case("group_information", "n", lambda v: group_information([3, 5], v, 0.6), 0, 3),
+    Case("group_information", "generators", lambda v: group_information([v, 5], 3, 0.6), 0, 3),
+    Case("threshold_certificate", "n", lambda v: tuple(threshold_certificate(0.6, v)), 1, 3),
+    Case("random_collective_max_info", "trials",
+         lambda v: random_collective_max_info(0.3, 0.7, trials=v), 1, 3),
+    Case("random_collective_max_info", "seed",
+         lambda v: random_collective_max_info(0.3, 0.7, trials=3, seed=v), 0, 7),
+    Case("RotationSchedule", "dim",
+         lambda v: reconstruct_unitary(_schedule(dim=v)).tolist(), 1, 3),
+    Case("RotationSchedule", "dim", lambda v: schedule_to_csv(_schedule(dim=v)), 1, 3),
+    Case("RotationSchedule", "flip_last",
+         lambda v: reconstruct_unitary(_schedule(flip_last=v)).tolist(), None, True),
+    Case("RotationSchedule", "flip_last", lambda v: schedule_to_csv(_schedule(flip_last=v)),
+         None, True),
+    Case("schedule_from_csv", "dim", _from_csv, 1, 3),
+    Case("synthesize_unitary", "outcome_assignment", _synth_labels, 0, 3),
+]
+# exported records whose integer and flag fields are results, not arguments
+RESULTS = {"OptimalityReport", "ThresholdCertificate"}
+
+
+def _case_id(case):
+    return f"{case.name}.{case.param}-{CASES.index(case)}"
+
+
+def test_every_integer_and_flag_parameter_is_swept():
+    annotated = set()
+    for name in supadd.__all__:
+        obj = getattr(supadd, name)
+        if name in RESULTS or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.annotation in (int, bool, int | None):
+                annotated.add((name, param.name))
+    assert annotated <= {(case.name, case.param) for case in CASES}
+
+
+def _malformed(case):
+    """Values of the parameter's kind that it must refuse: non-integral,
+    NaN and infinite floats, strings and arrays; for an integer, bools and
+    integers below its least value too, and for a flag, integers."""
+    kinds = [
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+        st.sampled_from([math.nan, math.inf, -math.inf, np.float64(2.5)]),
+        st.text(max_size=4),
+        st.lists(st.integers(0, 9), max_size=3).map(np.array),
+    ]
+    if case.lo is None:
+        kinds.append(st.integers(-3, 3))
+    else:
+        kinds += [st.sampled_from([True, False, np.True_]), st.integers(max_value=case.lo - 1)]
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_malformed_value_refused(case, data):
+    value = data.draw(_malformed(case))
+    with pytest.raises(InvalidInput):
+        case.call(value)
+
+
+def _accepted_forms(case):
+    if case.lo is None:
+        return [np.bool_(case.good)]
+    return [float(case.good), np.int64(case.good), np.uint8(case.good), np.float64(case.good)]
+
+
+# inputs accepted on purpose, each with a call that gives the result it must
+# match: an integral float or a numpy integer gives the int's result, and
+# gram takes kappa = 1, where the other routes raise LinearDependence, as
+# the all-ones matrix
+ACCEPTED = [
+    (f"{_case_id(case)}={form!r}", partial(case.call, form), partial(case.call, case.good))
+    for case in CASES
+    for form in _accepted_forms(case)
+] + [
+    ("gram-kappa=1", lambda: gram(build_nn12_code(3), 1.0).tolist(), lambda: [[1.0] * 4] * 4),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected", [accepted[1:] for accepted in ACCEPTED], ids=[a[0] for a in ACCEPTED]
+)
+def test_accepted_on_purpose(call, expected):
+    assert call() == expected()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: block_gain(3.5, 0.5),
+        lambda: build_simplex_code(2.5),
+        lambda: threshold_certificate(0.5, 3.5),
+        lambda: group_root([3, 5], 3.5, 0.5),
+        lambda: group_root([3.5, 5], 3, 0.5),
+        lambda: threshold_certificate(0.5, True),
+        lambda: random_collective_max_info(0.3, 0.7, trials=0),
+        lambda: random_collective_max_info(0.3, 0.7, trials=-5),
+        lambda: Code(n=True, codewords=[[0], [1]]),
+        lambda: reconstruct_unitary(RotationSchedule(0, [], False)),
+        lambda: schedule_to_csv(RotationSchedule(2.5, [], "yes")),
+        lambda: schedule_from_csv("j,i,gamma\n1,2,0.5\n", dim=2.5),
+    ],
+    ids=[
+        "block_gain-n=3.5",
+        "build_simplex_code-r=2.5",
+        "threshold_certificate-n=3.5",
+        "group_root-n=3.5",
+        "group_root-word=3.5",
+        "threshold_certificate-n=True",
+        "random_collective_max_info-trials=0",
+        "random_collective_max_info-trials=-5",
+        "Code-n=True",
+        "reconstruct_unitary-dim=0",
+        "schedule_to_csv-dim=2.5-flip_last=yes",
+        "schedule_from_csv-dim=2.5",
+    ],
+)
+def test_malformed_argument_regression(call):
+    # each returned a number or raised a bare TypeError before the one check
+    with pytest.raises(InvalidInput):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: find_kappa_star(3.0), lambda: find_kappa_star(3)),
+        (lambda: tuple(simplex_profile(3.0, 0.5)), lambda: tuple(simplex_profile(3, 0.5))),
+        (lambda: code_to_text(build_nn12_code(4.0)), lambda: code_to_text(build_nn12_code(4))),
+        (
+            lambda: synthesize_unitary(Code(n=2.0, codewords=[[0, 0], [1, 1]]), 0.5).U.tolist(),
+            lambda: synthesize_unitary(Code(n=2, codewords=[[0, 0], [1, 1]]), 0.5).U.tolist(),
+        ),
+    ],
+    ids=["find_kappa_star-n=3.0", "simplex_profile-r=3.0", "build_nn12_code-n=4.0",
+         "Code-n=2.0-synthesizes"],
+)
+def test_integral_float_regression(call, expected):
+    # each raised a bare TypeError before the one check
+    assert call() == expected()

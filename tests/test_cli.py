@@ -835,7 +835,7 @@ class TestSynthMeasurementOnce:
         monkeypatch.setattr(cli, "square_root_measurement", counting)
         code, out, _ = run(capsys, ["synth", *argv, "--kappa", "0.5", "--outdir", "out"])
         assert code == 0
-        code_obj = cli._resolve_code(argv[1], (int(argv[3]),))
+        code_obj = cli._resolve_code(argv[1], (int(argv[3]),), True)
         assert len(calls) == (0 if linear_generators(code_obj) else 1)
         report = json.loads(out)
         # the report's error fields, with the collective error of a second,

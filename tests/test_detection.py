@@ -315,11 +315,12 @@ class TestBayesCostReduction:
         history = np.array(report.error_history)
         assert np.all(np.diff(history) <= 1e-12)
 
-    def test_unconverged_carries_best_iterate(self):
+    def test_unconverged_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(detection, "_MAX_SWEEPS", 0)
         rng = np.random.default_rng(42)
         states, priors = random_ensemble(rng, 4, 4)
         with pytest.raises(Unconverged) as info:
-            bayes_cost_reduction(states, priors, max_sweeps=0)
+            bayes_cost_reduction(states, priors)
         exc = info.value
         assert exc.measurement.shape == (4, 4)
         again = check_optimality(exc.measurement, states, priors)

@@ -108,7 +108,7 @@ class TestProfile:
 
 
 class TestGroupRouteGuards:
-    """_span_weights refuses what it cannot pack or hold before it builds
+    """_span_layout refuses what it cannot pack or hold before it builds
     the span."""
 
     @pytest.fixture(autouse=True)
