@@ -90,6 +90,13 @@ def _rotate(a, x, c, s, ta, tx):
     x -= ta
 
 
+def _antidiagonals(m):
+    """The pairs i < j of range(m) as one (i, j) pair of index arrays per
+    anti-diagonal t = i + j, t = 1 ... 2m - 3, i increasing."""
+    starts = [(t, np.arange(max(0, t - m + 1), (t + 1) // 2)) for t in range(1, 2 * m - 2)]
+    return [(i, t - i) for t, i in starts]
+
+
 def bayes_sweeps(X, xi, tol, max_sweeps):
     """Pairwise-rotation sweeps of the measurement toward the minimum-error
     optimum, for the overlap matrix X[i, j] = <mu_i|rho_j> and priors xi.
@@ -100,28 +107,36 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
     X is updated in place to the final overlaps. Returns (V, errors,
     residual, sweeps): the accumulated orthogonal rotation V, the error
     after each sweep, the last residual and the number of sweeps. V and X
-    equal, bit for bit, those of one scalar rotation at a time.
+    equal, bit for bit, those of one scalar rotation at a time: the pairs
+    of an anti-diagonal t = i + j turn at once, on disjoint rows, and row
+    i meets its pairs in lexicographic order on t = i, ..., 2i - 1, 2i + 1,
+    ..., i + M - 1. The angles take math's trig (numpy's SIMD loops may
+    differ in the last bit); (-s) a + c x has the bits of c x - s a.
     """
-    M = X.shape[0]
+    M, W = X.shape[0], X.shape[0] + X.shape[1]
     # the overlaps and the rotation side by side: one row pair per rotation
     XV = np.hstack([X, np.eye(M)])
     overlaps = XV[:, : X.shape[1]]
-    rows = list(XV)
-    ta, tx = np.empty(XV.shape[1]), np.empty(XV.shape[1])
-    p = xi.tolist()
+    batches = []
+    for i, j in _antidiagonals(M):
+        # X[i, i], X[j, i], X[j, j], X[i, j] of each pair, then its rows
+        entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
+        batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
     errors = []
     residual = bayes_residual(overlaps, xi)
     sweeps = 0
     while sweeps < max_sweeps and residual > tol:
-        for i in range(M - 1):
-            for j in range(i + 1, M):
-                v0, v1 = XV.item(i, i), XV.item(j, i)
-                w0, w1 = XV.item(j, j), -XV.item(i, j)
-                a = p[i] * v0 * v0 + p[j] * w0 * w0
-                b = p[i] * v0 * v1 + p[j] * w0 * w1
-                d = p[i] * v1 * v1 + p[j] * w1 * w1
-                theta = 0.5 * math.atan2(2.0 * b, a - d)
-                _rotate(rows[i], rows[j], math.cos(theta), math.sin(theta), ta, tx)
+        for entries, pair, pi, pj in batches:
+            thetas = []
+            for p, q, v0, v1, w0, u in zip(pi, pj, *XV.take(entries).tolist()):
+                a = p * v0 * v0 + q * w0 * w0
+                b = p * v0 * v1 + q * w0 * -u
+                d = p * v1 * v1 + q * -u * -u
+                thetas.append(0.5 * math.atan2(2.0 * b, a - d))
+            cs, ss = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
+            coef = np.array(cs + ss + [-s for s in ss] + cs).reshape(2, 2, -1, 1)
+            out = coef * XV.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
+            XV[pair] = out[:, 0] + out[:, 1]
         errors.append(1.0 - float(np.sum(xi * np.diag(overlaps) ** 2)))
         sweeps += 1
         residual = bayes_residual(overlaps, xi)

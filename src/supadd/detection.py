@@ -99,10 +99,15 @@ def overlap_matrix(measurement, states) -> np.ndarray:
     return vectors @ states.T
 
 
+def _is_real(value) -> bool:
+    """Whether value is a Python or numpy real scalar other than a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_tol(tol) -> None:
-    """InvalidInput unless 0 <= tol < inf: inf certifies all, NaN or < 0 none."""
-    if not 0.0 <= tol < np.inf:
-        raise InvalidInput(f"tol must be finite and at least 0, got {tol}")
+    """InvalidInput unless tol is real and 0 <= tol < inf: inf certifies all, NaN or < 0 none."""
+    if not (_is_real(tol) and 0.0 <= tol < np.inf):
+        raise InvalidInput(f"tol must be finite and at least 0, got {tol!r}")
 
 
 def _certify(x, priors, tol, history=()) -> OptimalityReport:
@@ -160,8 +165,8 @@ def _threshold_error(p, n: int):
 def helstrom_binary(kappa: float, xi1: float):
     """Optimal binary projective measurement for the letter pair and its
     minimum error (1 - sqrt(1 - 4 xi1 xi2 kappa**2)) / 2."""
-    if not 0.0 < xi1 < 1.0:
-        raise InvalidInput(f"xi1 must lie in (0, 1), got {xi1}")
+    if not (_is_real(xi1) and 0.0 < xi1 < 1.0):
+        raise InvalidInput(f"xi1 must be a real number in (0, 1), got {xi1!r}")
     xi2 = 1.0 - xi1
     v1, v2 = embed_binary_letters(kappa)
     w = xi1 * np.outer(v1, v1) - xi2 * np.outer(v2, v2)

@@ -231,10 +231,11 @@ class TestCheckOptimality:
         with pytest.raises(InvalidInput):
             overlap_matrix(measurement, states)
 
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "x", True])
     def test_tol_outside_range_rejected(self, tol):
         # with tol = inf this wrong measurement (two rows of the optimal
-        # one swapped) was certified optimal
+        # one swapped) was certified optimal; "x" raised a bare TypeError
+        # and True was taken as 1
         code = build_nn12_code(3)
         g = gram(code, 0.9)
         wrong = np.eye(4)[[1, 0, 2, 3]]
@@ -271,6 +272,13 @@ class TestHelstromBinary:
         achieved = 1.0 - (xi1 * x[0, 0] ** 2 + (1 - xi1) * x[1, 1] ** 2)
         assert abs(achieved - err) < 1e-12
         assert np.abs(meas @ meas.T - np.eye(2)).max() < 1e-12
+
+    @pytest.mark.parametrize("xi1", ["x", np.array([0.3, 0.4])], ids=["str", "array"])
+    def test_non_real_prior_rejected(self, xi1):
+        # "x" raised a bare TypeError and the array a ValueError ("truth
+        # value of an array ... is ambiguous") from the range comparison
+        with pytest.raises(InvalidInput, match="xi1 must be a real number"):
+            helstrom_binary(0.5, xi1)
 
     def test_equiprobable_matches_sqm(self):
         # equal diagonal of the 2x2 root makes the square-root measurement optimal
@@ -332,7 +340,7 @@ class TestBayesCostReduction:
         with pytest.raises(InvalidInput):
             bayes_cost_reduction(np.eye(3), np.array([0.5, 0.5]))
 
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-3])
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-3, None])
     def test_tol_outside_range_rejected(self, monkeypatch, tol):
         def unreachable(*args, **kwargs):
             raise AssertionError("sweep reached")
@@ -387,6 +395,11 @@ class TestThresholdCertificate:
         # inf passed whatever the residuals; NaN or a negative tol never passes
         with pytest.raises(InvalidInput, match="tol must be finite and at least 0"):
             threshold_certificate(0.5, 2, tol=tol)
+
+    def test_non_real_letter_prior_rejected(self):
+        # reached helstrom_binary's comparison and raised a bare TypeError
+        with pytest.raises(InvalidInput, match="xi1"):
+            threshold_certificate(0.5, 3, xi1="x")
 
     def test_skewed_letter_priors(self):
         cert = threshold_certificate(0.6, 2, xi1=0.3)

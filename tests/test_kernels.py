@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supadd._kernels import (
+    _antidiagonals,
     apply_rotations,
     bayes_sweeps,
     fwht,
@@ -190,17 +193,44 @@ class TestBayesSweeps:
 
     def test_matches_scalar_loops(self):
         # the same rounded products and sums as one scalar rotation at a
-        # time, so V and the final overlaps agree bit for bit; the second
-        # case has more dimensions than states
-        for seed, m, dim in [(5, 4, 4), (9, 6, 9), (13, 8, 8)]:
+        # time, so V and the final overlaps agree bit for bit; (9, 6, 9)
+        # has more dimensions than states. m = 1 has no pair and takes no
+        # sweep, m = 2 and 3 have one pair per anti-diagonal, m = 5 is odd
+        # and m = 16, capped at 3 sweeps, has up to 8 pairs per batch
+        cases = [(5, 4, 4, 200), (9, 6, 9, 200), (13, 8, 8, 200), (3, 1, 1, 200),
+                 (7, 2, 2, 200), (21, 3, 3, 200), (23, 5, 5, 200), (29, 16, 16, 3)]
+        for seed, m, dim, max_sweeps in cases:
             x1, priors = self.build_case(seed, m, dim)
             x2 = x1.copy()
-            v1, e1, r1, s1 = bayes_sweeps(x1, priors, 1e-10, 200)
-            v2, e2, r2, s2 = python_bayes_sweeps(x2, priors, 1e-10, 200)
+            v1, e1, r1, s1 = bayes_sweeps(x1, priors, 1e-10, max_sweeps)
+            v2, e2, r2, s2 = python_bayes_sweeps(x2, priors, 1e-10, max_sweeps)
             assert np.array_equal(v1, v2)
             assert np.array_equal(x1, x2)
             np.testing.assert_allclose(e1, e2, atol=1e-12)
             assert s1 == s2
+            assert m > 1 or s1 == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 40))
+    def test_antidiagonal_schedule(self, m):
+        # the batches of one sweep: every pair i < j once, disjoint rows
+        # within a batch, and the pair before each one on either of its
+        # rows, in lexicographic order, in an earlier batch
+        batch_of = {}
+        for t, (i, j) in enumerate(_antidiagonals(m)):
+            rows = i.tolist() + j.tolist()
+            assert len(set(rows)) == len(rows)
+            for pair in zip(i.tolist(), j.tolist()):
+                assert pair not in batch_of
+                batch_of[pair] = t
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        assert sorted(batch_of) == pairs
+        last = {}
+        for pair in pairs:
+            for row in pair:
+                if row in last:
+                    assert batch_of[last[row]] < batch_of[pair]
+                last[row] = pair
 
     def test_error_monotone_and_converged(self):
         x, priors = self.build_case(11)
