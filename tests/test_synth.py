@@ -108,6 +108,13 @@ def eigh_rows(g, states):
     return (vectors / np.sqrt(values)) @ vectors.T @ states
 
 
+def exact_overlaps(states, rows):
+    """Each state's overlap with its row, correctly rounded: a summed dot
+    product, as einsum's, may be some 1e-15 off at 2**8 entries, half the
+    error tolerance once squared."""
+    return np.array([math.fsum(products) for products in states * rows])
+
+
 def unreachable(*args, **kwargs):
     raise AssertionError("the group route called the eigh route")
 
@@ -379,7 +386,7 @@ class TestGroupSchedule:
         states = codeword_states(code, kappa)
         rows, correct, schedule = group_schedule(code, tuple(basis), kappa, labels)
         np.testing.assert_array_equal(rows, group_vectors(code, kappa))
-        assert np.abs(correct - np.einsum("ij,ij->i", states, rows)).max() <= 1e-14
+        assert np.abs(correct - exact_overlaps(states, rows)).max() <= 1e-14
         assert len(schedule.rotations) <= rotation_bound(code)
         product = reconstruct_unitary(schedule)
         assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
@@ -399,7 +406,7 @@ class TestGroupSchedule:
         _, channel = square_root_measurement(g)
         assert np.abs(rows - eigh_rows(g, states)).max() <= tol
         # every codeword's state meets its row as the zero word's does
-        correct = np.einsum("ij,ij->i", states, rows)
+        correct = exact_overlaps(states, rows)
         assert (correct == correct[0]).all()
         assert abs(syn.error_probability - (1.0 - float(np.sum(code.priors * correct**2)))) <= 1e-14
         assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= tol
