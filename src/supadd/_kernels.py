@@ -79,17 +79,6 @@ def bayes_residual(X, xi):
     return float(res.max())
 
 
-def _rotate(a, x, c, s, ta, tx):
-    """One plane rotation of the rows a and x in place: a <- c a + s x and
-    x <- c x - s a. ta and tx are scratch rows of the same length."""
-    np.multiply(a, s, out=ta)
-    np.multiply(x, s, out=tx)
-    a *= c
-    a += tx
-    x *= c
-    x -= ta
-
-
 def _antidiagonals(m):
     """The pairs i < j of range(m) as one (i, j) pair of index arrays per
     anti-diagonal t = i + j, t = 1 ... 2m - 3, i increasing."""
@@ -105,8 +94,9 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
     (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
     sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
     X is updated in place to the final overlaps. Returns (V, errors,
-    residual, sweeps): the accumulated orthogonal rotation V, the error
-    after each sweep, the last residual and the number of sweeps. V and X
+    residual, sweeps): the accumulated orthogonal rotation V, the error of
+    the starting overlaps and then after each sweep, the last residual and
+    the number of sweeps. V and X
     equal, bit for bit, those of one scalar rotation at a time: the pairs
     of an anti-diagonal t = i + j turn at once, on disjoint rows, and row
     i meets its pairs in lexicographic order on t = i, ..., 2i - 1, 2i + 1,
@@ -122,7 +112,7 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
         # X[i, i], X[j, i], X[j, j], X[i, j] of each pair, then its rows
         entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
         batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
-    errors = []
+    errors = [1.0 - float(np.sum(xi * np.diag(overlaps) ** 2))]
     residual = bayes_residual(overlaps, xi)
     sweeps = 0
     while sweeps < max_sweeps and residual > tol:
@@ -149,9 +139,15 @@ def apply_rotations(w, pivots, rows, c, s, starts):
 
     Rotation k pairs the pivot row a = w[pivots[k]] with the row
     x = w[rows[k]] over the columns starts[k]: and sets
-    a <- c_k a + s_k x and x <- -s_k a + c_k x. A row must differ from its
-    pivot.
+    a <- c_k a + s_k x and x <- c_k x - s_k a, in place through two
+    scratch rows. A row must differ from its pivot.
     """
-    ta, tx = np.empty(w.shape[1]), np.empty(w.shape[1])
+    scratch_a, scratch_x = np.empty(w.shape[1]), np.empty(w.shape[1])
     for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
-        _rotate(w[i, lo:], w[j, lo:], ck, sk, ta[lo:], tx[lo:])
+        a, x, ta, tx = w[i, lo:], w[j, lo:], scratch_a[lo:], scratch_x[lo:]
+        np.multiply(a, sk, out=ta)
+        np.multiply(x, sk, out=tx)
+        a *= ck
+        a += tx
+        x *= ck
+        x -= ta

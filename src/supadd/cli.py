@@ -27,13 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detection import (
-    _threshold_error,
-    bayes_cost_reduction,
-    check_ensemble,
-    helstrom_binary,
-    square_root_measurement,
-)
+from .detection import _threshold_error, bayes_cost_reduction, helstrom_binary
 from .ensembles import (
     Code,
     _check_int,
@@ -390,18 +384,14 @@ def cmd_optimize(o) -> int:
         states = np.vstack(embed_binary_letters(o.kappa))
     m = states.shape[0]
     priors = np.full(m, 1.0 / m) if o.priors is None else o.priors
-    states, priors = check_ensemble(states, priors)
-
-    weighted = np.sqrt(priors)[:, None] * states
-    _, channel = square_root_measurement(weighted @ weighted.T)
-    initial_error = 1.0 - float(np.sum(priors * np.diag(channel)))
     _, report = bayes_cost_reduction(states, priors, tol=o.tol)
+    initial_error = report.error_history[0]
     lines = [
         f"states={m}",
         f"initial_error={_fmt(initial_error)}",
         f"final_error={_fmt(report.error_probability)}",
         f"improvement={_fmt(initial_error - report.error_probability)}",
-        f"sweeps={len(report.error_history)}",
+        f"sweeps={len(report.error_history) - 1}",
         f"cond_i_residual={_fmt(report.cond_i_residual)}",
         f"cond_ii_min_eig={_fmt(report.cond_ii_min_eig)}",
         f"is_optimal={_fmt(report.is_optimal)}",

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import bayes_residual, bayes_sweeps
-from .ensembles import _check_int, _check_priors, embed_binary_letters
+from .ensembles import _check_int, _check_priors, _is_real, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import _psd_root
 
@@ -97,11 +97,6 @@ def overlap_matrix(measurement, states) -> np.ndarray:
     if vectors.ndim != 2 or vectors.shape != states.shape:
         raise InvalidInput(f"measurement shape {vectors.shape} != states shape {states.shape}")
     return vectors @ states.T
-
-
-def _is_real(value) -> bool:
-    """Whether value is a Python or numpy real scalar other than a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _check_tol(tol) -> None:
@@ -183,10 +178,11 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10):
     Each step solves the two-state subproblem on the plane of one vector
     pair in closed form, so the average error never increases. Returns the
     optimized measurement and a report whose error_history holds the
-    average error after each sweep. The sweeps start from the square-root
-    measurement of the prior-weighted states. Raises InvalidInput, before
-    any sweep, unless 0 <= tol < inf, and Unconverged (carrying the best
-    iterate) if the residual tolerance is not met within _MAX_SWEEPS sweeps.
+    average error of the start, the square-root measurement of the
+    prior-weighted states, and then after each sweep. Raises InvalidInput,
+    before any sweep, unless 0 <= tol < inf, and Unconverged (carrying the
+    best iterate) if the residual tolerance is not met within _MAX_SWEEPS
+    sweeps.
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)

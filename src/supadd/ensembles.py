@@ -71,11 +71,17 @@ def _check_int(value, lo: int, name: str) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """Whether value is a Python or numpy real scalar other than a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def embed_binary_letters(kappa: float):
     """Concrete 2-dim coordinates for the letter pair with overlap kappa:
-    (cos t, +/- sin t) with cos(2t) = kappa."""
-    if not 0.0 <= kappa < 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1), got {kappa}")
+    (cos t, +/- sin t) with cos(2t) = kappa. Raises InvalidInput unless
+    kappa is a real scalar in [0, 1)."""
+    if not (_is_real(kappa) and 0.0 <= kappa < 1.0):
+        raise InvalidInput(f"kappa must be a real number in [0, 1), got {kappa!r}")
     t = 0.5 * np.arccos(kappa)
     plus = np.array([np.cos(t), np.sin(t)])
     minus = np.array([np.cos(t), -np.sin(t)])
@@ -103,9 +109,10 @@ def gram(code: Code, kappa: float) -> np.ndarray:
     """Gram matrix of the codeword states: kappa**(Hamming distance).
     Raises ResourceLimit, before allocating anything, when the Gram route
     would pass 1 GiB: this matrix and the square-root measurement that
-    follows it take about 64 bytes per pair of codewords, so M <= 4096."""
-    if not 0.0 <= kappa <= 1.0:
-        raise InvalidInput(f"kappa must lie in [0, 1], got {kappa}")
+    follows it take about 64 bytes per pair of codewords, so M <= 4096.
+    Raises InvalidInput unless kappa is a real scalar in [0, 1]."""
+    if not (_is_real(kappa) and 0.0 <= kappa <= 1.0):
+        raise InvalidInput(f"kappa must be a real number in [0, 1], got {kappa!r}")
     return _overlaps(kappa, _distances(code), code.n)
 
 

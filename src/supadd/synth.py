@@ -17,7 +17,8 @@ matrix, eigh or state but the zero word's. Any other code takes its
 vectors as the polar factor of its states (detection._polar_rows),
 orthonormal to round-off whatever the conditioning, and its schedule is
 one pivot run per codeword, read off those rows (_row_schedule).
-reck_decompose factors any orthogonal matrix into a full triangular mesh.
+reck_decompose is that elimination with every axis a label: the full
+triangular mesh of any orthogonal matrix.
 """
 
 from dataclasses import dataclass
@@ -144,7 +145,9 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
     The elimination G turns each measurement vector onto its label axis,
     codewords in increasing label order: one pivot run per codeword turns
     its column, already rotated by the runs before, against every axis not
-    yet a pivot, in descending order. Entries on earlier pivots are
+    yet a pivot, in descending order. Rotation (row, pivot) turns entry
+    w[row, col] into the running pivot, gamma = atan2(w[row, col], pivot),
+    and goes to the later columns only. Entries on earlier pivots are
     rounding noise, since the columns are orthonormal. Then G has the
     measurement rows at the labels, and the schedule is G reversed with
     negated angles, each run's axes ascending. When every axis is a label
@@ -159,7 +162,22 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
     runs = []
     for col, pivot in enumerate(sorted(labels)):
         free[pivot] = False
-        runs.append((pivot, *_pivot_run(w, col, pivot, np.flatnonzero(free)[::-1], col + 1)))
+        rows = np.flatnonzero(free)[::-1]
+        y, value = w[rows, col], w[pivot, col]
+        # an entry at or below 1e-14 is rounding noise in a unit column, and
+        # atan2 of two noise values would be a large rotation that
+        # eliminates nothing
+        keep = np.abs(y) > _SKIP
+        # with every entry left but the pivot negative, the first row turns
+        # by about pi so that the pivot ends positive
+        if value < 0.0 and keep.size and not keep.any():
+            keep[0] = True
+        rows, y = rows[keep], y[keep]
+        norms = np.sqrt(value * value + np.cumsum(y * y))
+        gammas = np.arctan2(y, np.concatenate(([value], norms[:-1])))
+        c, s = np.cos(gammas).tolist(), np.sin(gammas).tolist()
+        apply_rotations(w, [pivot] * rows.size, rows.tolist(), c, s, [col + 1] * rows.size)
+        runs.append((pivot, rows, gammas))
     flip_last = bool(m == dim and w[dim - 1, dim - 1] < 0.0)
     rotations = []
     for pivot, rows, gammas in reversed(runs):
@@ -167,31 +185,6 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
         gammas = np.where(flip_last & (rows == dim - 1), gammas, -gammas)[::-1]
         rotations += zip((rows[::-1] + 1).tolist(), [pivot + 1] * rows.size, gammas.tolist())
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
-
-
-def _pivot_run(w, col, pivot, rows, start):
-    """One pivot run of a column elimination: rotation (row, pivot) turns
-    entry w[row, col] into the running pivot, gamma = atan2(w[row, col],
-    pivot), for the rows in the given order; the rotations go to the
-    columns start: of w in place. Returns the rows turned and their angles.
-
-    An entry with |w[row, col]| <= 1e-14 is left in place: the column has
-    unit norm, so such an entry is rounding noise, and turning by atan2 of
-    two noise values would be a large rotation that eliminates nothing.
-    When every entry is left but the pivot is negative, the first row is
-    turned by about pi so that the pivot ends positive.
-    """
-    y = w[rows, col]
-    value = w[pivot, col]
-    keep = np.abs(y) > _SKIP
-    if value < 0.0 and keep.size and not keep.any():
-        keep[0] = True
-    rows, y = rows[keep], y[keep]
-    norms = np.sqrt(value * value + np.cumsum(y * y))
-    gammas = np.arctan2(y, np.concatenate(([value], norms[:-1])))
-    c, s = np.cos(gammas).tolist(), np.sin(gammas).tolist()
-    apply_rotations(w, [pivot] * rows.size, rows.tolist(), c, s, [start] * rows.size)
-    return rows, gammas
 
 
 def group_schedule(code: Code, generators, kappa, labels):
@@ -305,23 +298,20 @@ def group_schedule(code: Code, generators, kappa, labels):
 
 
 def reck_decompose(u) -> RotationSchedule:
-    """Factor an orthogonal matrix into plane rotations by column-major
-    elimination of below-diagonal entries; a leftover determinant of -1
-    becomes the flip_last flag.
-
-    Column i is one pivot run (_pivot_run) against pivot i, with rows
-    j > i ascending.
-    """
+    """Factor an orthogonal matrix into at most dim(dim - 1)/2 plane
+    rotations (j, i, gamma) with j > i, the triangular mesh of Reck et al.
+    (PRL 73, 58, 1994); a determinant of -1 becomes the flip_last flag.
+    This is _row_schedule with every axis a label. Raises InvalidInput
+    unless u is a finite, non-empty square matrix within 1e-8 of
+    orthogonal."""
     w = np.array(u, dtype=np.float64)
-    dim = w.shape[0]
-    if w.shape != (dim, dim) or np.abs(w @ w.T - np.eye(dim)).max() > _ORTHOGONAL_TOL:
+    dim = w.shape[0] if w.ndim == 2 else 0
+    # finite first: a NaN entry would pass the tolerance test below
+    if not (dim and w.shape == (dim, dim) and np.isfinite(w).all()):
+        raise InvalidInput(f"input must be a finite, non-empty square matrix, got shape {w.shape}")
+    if np.abs(w @ w.T - np.eye(dim)).max() > _ORTHOGONAL_TOL:
         raise InvalidInput("input is not orthogonal within tolerance")
-    rotations = []
-    for i in range(dim - 1):
-        rows, gammas = _pivot_run(w, i, i, np.arange(i + 1, dim), i + 1)
-        rotations += zip((rows + 1).tolist(), [i + 1] * rows.size, gammas.tolist())
-    flip_last = bool(w[dim - 1, dim - 1] < 0.0)
-    return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+    return _row_schedule(w, range(dim))
 
 
 def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:

@@ -1,10 +1,15 @@
-"""Integer and flag arguments of the exported callables.
+"""Integer, flag and kappa arguments of the exported callables.
 
 Every length, rank, count, label, generator word, seed and schedule field
 goes through one check, ensembles._check_int: a malformed value raises
 InvalidInput, never a bare Python or numpy exception and never a number
 computed from it. The sweep feeds each such parameter malformed values of
 its kind; ACCEPTED lists what is taken on purpose and what it must give.
+
+Every kappa goes through embed_binary_letters or gram, which take a real
+scalar, or through information._kappa_array, which takes a number or an
+array of them: KAPPA_CASES feeds each kappa parameter a string, None, a
+bool and, on the scalar routes, an array.
 """
 
 import inspect
@@ -22,20 +27,28 @@ from supadd import (
     Code,
     InvalidInput,
     RotationSchedule,
+    binary_flip_probability,
     block_gain,
     build_nn12_code,
     build_simplex_code,
+    c1_binary,
+    code_information,
     code_to_text,
+    codeword_states,
+    embed_binary_letters,
     find_kappa_star,
     gram,
     group_information,
     group_root,
+    helstrom_binary,
+    holevo_binary,
     nn12_error_probability,
     nn12_mutual_information,
     random_collective_max_info,
     reconstruct_unitary,
     schedule_from_csv,
     schedule_to_csv,
+    separable_pair_info,
     simplex_profile,
     synthesize_unitary,
     threshold_certificate,
@@ -225,3 +238,82 @@ def test_malformed_argument_regression(call):
 def test_integral_float_regression(call, expected):
     # each raised a bare TypeError before the one check
     assert call() == expected()
+
+
+class KappaCase(NamedTuple):
+    """One kappa parameter: the exported callable and parameter it stands
+    for, a call that passes the value to it, and whether that parameter
+    takes only a scalar."""
+
+    name: str
+    param: str
+    call: Callable
+    scalar: bool
+
+
+# a linear code (the group route) and a non-linear one (the Gram route)
+_LINEAR = build_nn12_code(3)
+_NONLINEAR = Code(n=3, codewords=[[0, 0, 0], [0, 1, 1], [1, 1, 1]])
+
+KAPPA_CASES = [
+    KappaCase("embed_binary_letters", "kappa", embed_binary_letters, True),
+    KappaCase("gram", "kappa", lambda v: gram(_NONLINEAR, v), True),
+    KappaCase("codeword_states", "kappa", lambda v: codeword_states(_LINEAR, v), True),
+    KappaCase("helstrom_binary", "kappa", lambda v: helstrom_binary(v, 0.5), True),
+    KappaCase("threshold_certificate", "kappa", lambda v: threshold_certificate(v, 3), True),
+    KappaCase("synthesize_unitary", "kappa", lambda v: synthesize_unitary(_LINEAR, v), True),
+    KappaCase("synthesize_unitary", "kappa", lambda v: synthesize_unitary(_NONLINEAR, v), True),
+    KappaCase("separable_pair_info", "kappa_a", lambda v: separable_pair_info(v, 0.5), True),
+    KappaCase("separable_pair_info", "kappa_b", lambda v: separable_pair_info(0.5, v), True),
+    KappaCase("random_collective_max_info", "kappa_a",
+              lambda v: random_collective_max_info(v, 0.5, trials=3), True),
+    KappaCase("random_collective_max_info", "kappa_b",
+              lambda v: random_collective_max_info(0.5, v, trials=3), True),
+    KappaCase("block_gain", "kappa", lambda v: block_gain(2, v), False),
+    KappaCase("block_gain", "kappa", lambda v: block_gain(3, v), False),
+    KappaCase("group_information", "kappa", lambda v: group_information([3, 5], 3, v), False),
+    KappaCase("group_root", "kappa", lambda v: group_root([3, 5], 3, v), False),
+    KappaCase("nn12_error_probability", "kappa", lambda v: nn12_error_probability(3, v), False),
+    KappaCase("nn12_mutual_information", "kappa", lambda v: nn12_mutual_information(3, v), False),
+    KappaCase("simplex_profile", "kappa", lambda v: simplex_profile(2, v), False),
+    KappaCase("binary_flip_probability", "kappa", binary_flip_probability, False),
+    KappaCase("c1_binary", "kappa", c1_binary, False),
+    KappaCase("holevo_binary", "kappa", holevo_binary, False),
+    KappaCase("code_information", "kappa", lambda v: code_information(_LINEAR, v), False),
+    KappaCase("code_information", "kappa", lambda v: code_information(_NONLINEAR, v), False),
+]
+
+# each used to raise a bare TypeError or ValueError, to take "0.5" as 0.5,
+# or to take False as 0 and True as 1
+KAPPA_MALFORMED = ["abc", "0.5", "", None, True, False, np.True_, [None], np.array(["0.5"]),
+                   np.array([False, True])]
+# each raised a bare ValueError on a scalar route, or gave letters of the
+# wrong shape
+KAPPA_ARRAYS = [np.array([0.5, 0.6]), np.array([0.5]), np.array(0.5), [0.5]]
+
+
+def _kappa_id(case):
+    return f"{case.name}.{case.param}-{KAPPA_CASES.index(case)}"
+
+
+def test_every_kappa_parameter_is_swept():
+    named = set()
+    for name in supadd.__all__:
+        obj = getattr(supadd, name)
+        if name in RESULTS or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        named |= {(name, p) for p in inspect.signature(obj).parameters if p.startswith("kappa")}
+    assert named == {(case.name, case.param) for case in KAPPA_CASES}
+
+
+@pytest.mark.parametrize("case", KAPPA_CASES, ids=_kappa_id)
+def test_malformed_kappa_refused(case):
+    values = KAPPA_MALFORMED + (KAPPA_ARRAYS if case.scalar else [])
+    for value in values:
+        with pytest.raises(InvalidInput):
+            case.call(value)
+    # the call itself is sound: a real kappa, as a float or a numpy scalar
+    case.call(0.5)
+    case.call(np.float64(0.5))

@@ -64,10 +64,11 @@ def python_mi_bits(priors, channel):
 
 
 def python_bayes_sweeps(X, xi, tol, max_sweeps):
-    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time."""
+    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time;
+    the errors start with that of the starting overlaps."""
     M = X.shape[0]
     V = np.eye(M)
-    errors = []
+    errors = [1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M))]
 
     def residual():
         return max(
@@ -77,7 +78,7 @@ def python_bayes_sweeps(X, xi, tol, max_sweeps):
         )
 
     res = residual()
-    while len(errors) < max_sweeps and res > tol:
+    while len(errors) <= max_sweeps and res > tol:
         for i in range(M - 1):
             for j in range(i + 1, M):
                 v0, v1 = X[i, i], X[j, i]
@@ -92,7 +93,7 @@ def python_bayes_sweeps(X, xi, tol, max_sweeps):
                     V[i, t], V[j, t] = c * V[i, t] + s * V[j, t], -s * V[i, t] + c * V[j, t]
         errors.append(1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M)))
         res = residual()
-    return V, np.array(errors), res, len(errors)
+    return V, np.array(errors), res, len(errors) - 1
 
 
 class TestHamming:

@@ -62,23 +62,49 @@ def python_reconstruct(schedule):
     return out
 
 
-def python_reck(u):
-    """Column-major elimination one rotation at a time, with the skip rule
-    of reck_decompose: entries at or below 1e-14 stay, except that a
-    negative pivot with nothing else to turn is turned against entry i + 1."""
-    w = np.array(u, dtype=np.float64)
-    dim = w.shape[0]
-    rotations = []
-    for i in range(dim - 1):
-        lone_negative = w[i, i] < 0.0 and np.abs(w[i + 1 :, i]).max() <= 1e-14
-        for j in range(i + 1, dim):
-            if abs(w[j, i]) <= 1e-14 and not (lone_negative and j == i + 1):
+def python_row_schedule(measurement, labels):
+    """The elimination of _row_schedule one rotation at a time, on whole
+    rows: each measurement vector in increasing label order, already turned
+    by the runs before, is turned onto its label axis against each axis not
+    yet a pivot, in descending order, by gamma = atan2(entry, pivot), the
+    pivot being the norm of the entries turned into it so far. Entries at
+    or below 1e-14 stay, except that a negative pivot with nothing else to
+    turn is turned against the first of those axes. Returns the schedule,
+    the elimination reversed with its angles negated (those on the last
+    axis keep theirs under the trailing flip), 0-based, and flip_last."""
+    order = np.argsort(labels)
+    w = np.array(measurement, dtype=np.float64)[order].T
+    dim, m = w.shape
+    pivots = sorted(labels)
+    eliminated = []
+    for col, pivot in enumerate(pivots):
+        axes = [a for a in range(dim - 1, -1, -1) if a not in pivots[: col + 1]]
+        value = w[pivot, col]
+        lone_negative = value < 0.0 and all(abs(w[a, col]) <= 1e-14 for a in axes)
+        squares = value * value
+        for a in axes:
+            if abs(w[a, col]) <= 1e-14 and not (lone_negative and a == axes[0]):
                 continue
-            gamma = math.atan2(w[j, i], w[i, i])
+            gamma = math.atan2(w[a, col], value)
+            squares += w[a, col] * w[a, col]
+            value = math.sqrt(squares)
             c, s = math.cos(gamma), math.sin(gamma)
-            w[[i, j], :] = np.array([[c, s], [-s, c]]) @ w[[i, j], :]
-            rotations.append((j, i, gamma))
-    return rotations, bool(w[dim - 1, dim - 1] < 0.0)
+            w[pivot], w[a] = c * w[pivot] + s * w[a], c * w[a] - s * w[pivot]
+            eliminated.append((a, pivot, gamma))
+    flip_last = bool(m == dim and w[dim - 1, dim - 1] < 0.0)
+    rotations = [
+        (a, pivot, gamma if flip_last and a == dim - 1 else -gamma)
+        for a, pivot, gamma in reversed(eliminated)
+    ]
+    return rotations, flip_last
+
+
+def assert_matches_one_rotation_at_a_time(schedule, measurement, labels):
+    rotations, flip_last = python_row_schedule(measurement, labels)
+    assert schedule.flip_last == flip_last
+    assert [(j, i) for j, i, _ in schedule.rotations] == [(j + 1, i + 1) for j, i, _ in rotations]
+    gaps = [abs(a[2] - b[2]) for a, b in zip(schedule.rotations, rotations)]
+    assert max(gaps, default=0.0) <= 1e-12
 
 
 def group_vectors(code, kappa):
@@ -170,6 +196,27 @@ def edge_case_matrices():
 
 
 EDGE_CASES = edge_case_matrices()
+
+
+def row_cases():
+    """Measurement rows and labels as _row_schedule takes them: the polar
+    rows of non-linear codes with random priors, every axis a label in the
+    last, and rows of Haar matrices at labels drawn apart from them."""
+    rng = np.random.default_rng(22)
+    cases = {}
+    for n, m in ((4, 3), (5, 7), (6, 12), (3, 8)):
+        values = rng.permutation(2**n)[:m]
+        code = Code(n=n, codewords=int_bits(values, n), priors=rng.dirichlet(np.ones(m)))
+        labels = rng.permutation(2**n)[:m].tolist()
+        cases[f"code_{n}_{m}"] = (_polar_rows(codeword_states(code, 0.6)), labels)
+    for dim in (17, 100):
+        rows = rng.permutation(dim)[: dim // 3]
+        labels = rng.permutation(dim)[: rows.size].tolist()
+        cases[f"haar{dim}_rows"] = (haar_orthogonal(rng, dim)[rows], labels)
+    return cases
+
+
+ROW_CASES = row_cases()
 
 
 class TestLetterFrame:
@@ -628,6 +675,18 @@ class TestReckDecompose:
         with pytest.raises(InvalidInput):
             reck_decompose(np.full((3, 3), 0.5))
 
+    @pytest.mark.parametrize(
+        "u",
+        [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([1.0, np.nan]), np.float64(1.0),
+         np.zeros((0, 0)), np.eye(3)[:2], np.ones(2)],
+        ids=["nan", "inf", "nan_entry", "scalar", "empty", "wide", "vector"],
+    )
+    def test_malformed_matrix_rejected(self, u):
+        # a NaN matrix used to give the empty schedule, a scalar an
+        # IndexError and an empty matrix a ValueError
+        with pytest.raises(InvalidInput):
+            reck_decompose(u)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=12),
@@ -655,20 +714,41 @@ class TestPivotRunKernel:
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_matches_one_rotation_at_a_time(self, name):
         u = EDGE_CASES[name]
-        schedule = reck_decompose(u)
-        rotations, flip_last = python_reck(u)
-        assert schedule.flip_last == flip_last
-        assert [(j, i) for j, i, _ in schedule.rotations] == [(j + 1, i + 1) for j, i, _ in rotations]
-        gaps = [abs(a[2] - b[2]) for a, b in zip(schedule.rotations, rotations)]
-        assert max(gaps, default=0.0) <= 1e-12
+        assert_matches_one_rotation_at_a_time(reck_decompose(u), u, range(u.shape[0]))
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_rows_match_one_rotation_at_a_time(self, name):
+        measurement, labels = ROW_CASES[name]
+        schedule = synth._row_schedule(measurement, labels)
+        assert_matches_one_rotation_at_a_time(schedule, measurement, labels)
+        assert np.abs(reconstruct_unitary(schedule)[labels] - measurement).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_rows_round_trip(self, name):
+        # a third of the rows at labels drawn apart from them; the adaptors'
+        # columns hold rounding noise near 1e-14 after the first runs, so the
+        # angles of the few rotations that turn it are noise too, and only
+        # the product is compared
+        u = EDGE_CASES[name]
+        dim = u.shape[0]
+        rng = np.random.default_rng(dim)
+        rows = rng.permutation(dim)[: max(1, dim // 3)]
+        labels = rng.permutation(dim)[: rows.size].tolist()
+        schedule = synth._row_schedule(u[rows], labels)
+        assert np.abs(reconstruct_unitary(schedule)[labels] - u[rows]).max() <= 1e-12
 
     def test_no_rotation_turns_rounding_noise(self):
         # the simplex r=3 adaptor at kappa 0.5 has pivots at rounding level;
-        # atan2 of two noise values used to give hundreds of large rotations
+        # atan2 of two noise values used to give hundreds of large rotations.
+        # The elimination turns the rows of u, as columns, in the schedule's
+        # reverse order by its negated angles (under the trailing flip, those
+        # on the last axis keep theirs)
         u = EDGE_CASES["simplex_adaptor"]
         schedule = reck_decompose(u)
-        w = u.copy()
-        for j, i, g in schedule.rotations:
+        dim = u.shape[0]
+        w = u.T.copy()
+        for j, i, g in reversed(schedule.rotations):
+            g = g if schedule.flip_last and j == dim else -g
             rows = [i - 1, j - 1]
             assert abs(w[j - 1, i - 1]) > 1e-14 or w[i - 1, i - 1] < -0.5
             c, s = math.cos(g), math.sin(g)
