@@ -94,14 +94,14 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
     (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
     sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
     X is updated in place to the final overlaps. Returns (V, errors,
-    residual, sweeps): the accumulated orthogonal rotation V, the error of
-    the starting overlaps and then after each sweep, the last residual and
-    the number of sweeps. V and X
-    equal, bit for bit, those of one scalar rotation at a time: the pairs
-    of an anti-diagonal t = i + j turn at once, on disjoint rows, and row
-    i meets its pairs in lexicographic order on t = i, ..., 2i - 1, 2i + 1,
-    ..., i + M - 1. The angles take math's trig (numpy's SIMD loops may
-    differ in the last bit); (-s) a + c x has the bits of c x - s a.
+    residual): the accumulated orthogonal rotation V, the error of the
+    starting overlaps and then after each sweep (so len(errors) - 1 sweeps
+    ran) and the last residual. V and X equal, bit for bit, those of one
+    scalar rotation at a time: the pairs of an anti-diagonal t = i + j
+    turn at once, on disjoint rows, and row i meets its pairs in
+    lexicographic order on t = i, ..., 2i - 1, 2i + 1, ..., i + M - 1.
+    The angles take math's trig (numpy's SIMD loops may differ in the
+    last bit); (-s) a + c x has the bits of c x - s a.
     """
     M, W = X.shape[0], X.shape[0] + X.shape[1]
     # the overlaps and the rotation side by side: one row pair per rotation
@@ -114,8 +114,7 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
         batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
     errors = [1.0 - float(np.sum(xi * np.diag(overlaps) ** 2))]
     residual = bayes_residual(overlaps, xi)
-    sweeps = 0
-    while sweeps < max_sweeps and residual > tol:
+    while len(errors) <= max_sweeps and residual > tol:
         for entries, pair, pi, pj in batches:
             thetas = []
             for p, q, v0, v1, w0, u in zip(pi, pj, *XV.take(entries).tolist()):
@@ -128,10 +127,9 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
             out = coef * XV.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
             XV[pair] = out[:, 0] + out[:, 1]
         errors.append(1.0 - float(np.sum(xi * np.diag(overlaps) ** 2)))
-        sweeps += 1
         residual = bayes_residual(overlaps, xi)
     X[...] = overlaps
-    return XV[:, X.shape[1]:].copy(), np.array(errors), residual, sweeps
+    return XV[:, X.shape[1]:].copy(), np.array(errors), residual
 
 
 def apply_rotations(w, pivots, rows, c, s, starts):

@@ -226,17 +226,15 @@ def fig3(o):
 
 def _capacity_columns(grid, code_columns):
     """Shared layout: kappa, holevo, per-letter info per code, c1; each
-    code column is a function of the whole kappa grid."""
-    values = [grid, holevo_binary(grid)] + [fn(grid) for _, fn in code_columns] + [c1_binary(grid)]
+    code column is a (name, values over the kappa grid) pair."""
+    values = [grid, holevo_binary(grid)] + [v for _, v in code_columns] + [c1_binary(grid)]
     columns = ["kappa", "holevo"] + [name for name, _ in code_columns] + ["c1"]
     return columns, values
 
 
 def fig4(o):
     """Holevo limit, block per-letter information, and single-use capacity."""
-    code_columns = [
-        (f"i_n{n}_per_letter", lambda k, n=n: nn12_mutual_information(n, k) / n) for n in o.n
-    ]
+    code_columns = [(f"i_n{n}_per_letter", nn12_mutual_information(n, o.grid) / n) for n in o.n]
     return _capacity_columns(o.grid, code_columns)
 
 
@@ -251,16 +249,11 @@ def fig5(o):
     return columns, values
 
 
-def _simplex_per_letter(r: int):
-    length = 2**r - 1
-    return lambda k: simplex_profile(r, k).info_bits / length
-
-
 def fig6(o):
     """Per-letter information: length-7 simplex code versus even-weight code."""
     code_columns = [
-        ("simplex_7_3_per_letter", _simplex_per_letter(3)),
-        ("code_7_6_per_letter", lambda k: nn12_mutual_information(7, k) / 7),
+        ("simplex_7_3_per_letter", simplex_profile(3, o.grid).info_bits / 7),
+        ("code_7_6_per_letter", nn12_mutual_information(7, o.grid) / 7),
     ]
     return _capacity_columns(o.grid, code_columns)
 
@@ -282,8 +275,8 @@ def fig7(o):
 def fig8(o):
     """Per-letter information: length-7 simplex versus the length-3 code."""
     code_columns = [
-        ("simplex_7_3_per_letter", _simplex_per_letter(3)),
-        ("code_3_2_per_letter", lambda k: nn12_mutual_information(3, k) / 3),
+        ("simplex_7_3_per_letter", simplex_profile(3, o.grid).info_bits / 7),
+        ("code_3_2_per_letter", nn12_mutual_information(3, o.grid) / 3),
     ]
     return _capacity_columns(o.grid, code_columns)
 
@@ -302,7 +295,7 @@ def sweep(o):
             values += [gain + c1, gain]
         return columns, values
     if o.code == "simplex":
-        per_letter = [(f"_r{r}", _simplex_per_letter(r)(grid)) for r in o.n]
+        per_letter = [(f"_r{r}", simplex_profile(r, grid).info_bits / (2**r - 1)) for r in o.n]
     else:
         code = _resolve_code(o.code, o.n, "n" in o.given)
         per_letter = [("", code_information(code, grid) / code.n)]

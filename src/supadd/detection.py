@@ -188,7 +188,7 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10):
     states, priors = check_ensemble(states, priors)
     init = _polar_rows(np.sqrt(priors)[:, None] * states)
     x = overlap_matrix(init, states)
-    v, history, residual, _ = bayes_sweeps(x, priors, tol, _MAX_SWEEPS)
+    v, history, residual = bayes_sweeps(x, priors, tol, _MAX_SWEEPS)
     meas = v @ init
     # x holds the final overlap matrix; certify it directly
     report = _certify(x, priors, tol, history.tolist())

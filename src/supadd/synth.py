@@ -200,11 +200,13 @@ def group_schedule(code: Code, generators, kappa, labels):
     restricted to class s and normalized: omega_c has the signs psi_c
     flips in psi_0, so every psi_c . omega_c is psi_0 . omega_0. The
     schedule, applied to e_label, does in order:
-    - pi/2 rotations move each label axis to the first axis of the class
-      numbered by its codeword's message, with the sign the butterfly
-      needs there; pi rotations fix the signs that closing a cycle of
-      moves leaves wrong, in pairs, the odd one out with an axis no
-      codeword lands on or, when every axis is a codeword's, with the
+    - the labels in codeword order: each label's vector takes one pi/2
+      rotation onto its landing, the first axis of the class numbered by
+      its codeword's message, with the sign the butterfly needs there,
+      which sends whatever was on the landing back to where the vector
+      was; a vector already on its landing only has its sign checked. pi
+      rotations fix the wrong signs in pairs, the odd one out with an axis
+      no codeword lands on or, when every axis is a codeword's, with the
       trailing axis flip;
     - the k-level butterfly of pi/4 rotations on the M first axes is the
       Walsh-Hadamard transform with input signs (-1)**|m|;
@@ -231,44 +233,29 @@ def group_schedule(code: Code, generators, kappa, labels):
     messages = flips[:, first[bits]] @ bits
     landings = first[messages].tolist()
     signs = 1 - 2 * (np.bitwise_count(messages) & 1).astype(np.int64)
-    target = dict(zip(labels, zip(landings, signs.tolist())))
-    landing = set(landings)
 
-    rotations = []
-    moved = set()
-    # a chain of moves that starts at a label no codeword lands on ends on
-    # an axis that is no label; its last move goes first
-    for start in labels:
-        if start in landing:
+    rotations, wrong = [], []
+    # at[label]: the axis label's vector is on and its sign there;
+    # held[axis]: the label not yet placed whose vector is there
+    at = {label: (label, 1) for label in labels}
+    held = {label: label for label in labels}
+    for label, landing, sign in zip(labels, landings, signs.tolist()):
+        axis, now = at[label]
+        del held[axis]
+        if axis == landing:
+            if now != sign:
+                wrong.append(axis)
             continue
-        chain = [start]
-        while chain[-1] in target:
-            chain.append(target[chain[-1]][0])
-        for src, dst in zip(chain[-2::-1], chain[:0:-1]):
-            rotations.append((dst + 1, src + 1, -target[src][1] * math.pi / 2))
-        moved.update(chain)
-    # the other labels form cycles, each moved through its start axis: a
-    # move sends the start's vector on with the sign it needs and brings
-    # the next one back with the opposite sign, so only the last can land
-    # with the wrong sign
-    wrong = []
-    for start in labels:
-        if start in moved:
-            continue
-        cycle = [start]
-        while target[cycle[-1]][0] != start:
-            cycle.append(target[cycle[-1]][0])
-        moved.update(cycle)
-        sign = 1
-        for src, dst in zip(cycle, cycle[1:]):
-            sign *= -target[src][1]
-            rotations.append((dst + 1, start + 1, sign * math.pi / 2))
-        if sign != target[cycle[-1]][1]:
-            wrong.append(start)
+        # e_axis -> now*sign e_landing and e_landing -> -now*sign e_axis
+        rotations.append((landing + 1, axis + 1, -now * sign * math.pi / 2))
+        if landing in held:
+            other = held.pop(landing)
+            at[other] = (axis, -now * sign * at[other][1])
+            held[axis] = other
     flip_last = False
     if len(wrong) % 2:
         if m < dim:
-            wrong.append(next(y for y in range(dim) if y not in landing))
+            wrong.append(min(set(range(dim)).difference(landings)))
         else:
             # the trailing flip passes back through the butterfly gates on
             # the last axis, turning their angles, onto the vector there

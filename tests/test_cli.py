@@ -338,6 +338,10 @@ class TestConfigHandling:
         assert err.startswith("error:")
 
 
+# every word of length 8 with equal priors: every axis is a label
+ALL_WORDS_8 = "8 256\n" + "".join(f"{w:08b}\n" for w in range(256)) + "0.00390625\n" * 256
+
+
 class TestSynthCommand:
     def test_writes_artifacts_and_consistent_report(self, capsys, tmp_path):
         outdir = tmp_path / "synth"
@@ -356,6 +360,46 @@ class TestSynthCommand:
         schedule_lines = (outdir / "schedule.csv").read_text().strip().splitlines()
         assert schedule_lines[0] == "j,i,gamma"
         assert len(schedule_lines) - 1 >= report["rotations"]
+
+    @pytest.mark.parametrize(
+        "argv, code_text",
+        [
+            (["--n", "6"], None),
+            (["--n", "6", "--assign", ",".join(map(str, range(31, -1, -1)))], None),
+            (["--code", "simplex", "--n", "3"], None),
+            (["--code", "simplex", "--n", "2", "--assign", "6,1,4,3"], None),
+            (["--kappa", "0.95"], ALL_WORDS_8),
+            # labels 0 and 1 swapped: an odd count of wrong signs, so flip_last
+            (["--kappa", "0.95", "--assign", ",".join(map(str, [1, 0, *range(2, 256)]))],
+             ALL_WORDS_8),
+            ([], "4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"),
+        ],
+        ids=["even6", "even6-reversed", "simplex3", "simplex2-assigned", "all256", "all256-flip",
+             "nonlinear"],
+    )
+    def test_written_files_agree(self, capsys, tmp_path, argv, code_text):
+        # schedule.csv, read back and multiplied out, rebuilds unitary.txt:
+        # bit for bit off the labels, within the reported residual on them
+        if code_text is not None:
+            path = tmp_path / "words.code"
+            path.write_text(code_text)
+            argv = ["--code", str(path)] + argv
+        outdir = tmp_path / "out"
+        code, out, _ = run(capsys, ["synth", *argv, "--outdir", str(outdir)])
+        assert code == 0
+        report = json.loads(out)
+        u = np.loadtxt(outdir / "unitary.txt")
+        schedule = synth.schedule_from_csv((outdir / "schedule.csv").read_text(), len(u))
+        product = synth.reconstruct_unitary(schedule)
+        labels = report["target_outcomes"]
+        off = np.setdiff1d(np.arange(len(u)), labels)
+        assert np.array_equal(product[off].view(np.uint64), u[off].view(np.uint64))
+        # the report rounds the residual to 12 significant digits
+        assert report["reconstruction_residual"] <= 1e-12
+        residual = np.abs(product[labels] - u[labels]).max()
+        assert residual <= report["reconstruction_residual"] * (1 + 1e-11)
+        assert len(schedule.rotations) == report["rotations"]
+        assert schedule.flip_last == report["flip_last"]
 
     def test_several_block_lengths_rejected(self, capsys, tmp_path):
         code, _, err = run(

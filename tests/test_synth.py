@@ -151,10 +151,10 @@ def assert_group_rows(product, labels, code, kappa):
 
 
 def rotation_bound(code):
-    """2**n - M rotations for the class runs, k*M/2 for the butterfly and
-    at most 2M moves and sign fixes."""
+    """2**n - M rotations for the class runs, k*M/2 for the butterfly, at
+    most M moves and at most M/2 + 1 sign fixes."""
     m = code.num_codewords
-    return 2**code.n - m + int(np.log2(m)) * m // 2 + 2 * m
+    return 2**code.n - m + int(np.log2(m)) * m // 2 + m + m // 2 + 1
 
 
 def synth_unitary_file(tmp_path, monkeypatch, u):
@@ -435,6 +435,8 @@ class TestGroupSchedule:
         np.testing.assert_array_equal(rows, group_vectors(code, kappa))
         assert np.abs(correct - exact_overlaps(states, rows)).max() <= 1e-14
         assert len(schedule.rotations) <= rotation_bound(code)
+        # one move per codeword at most
+        assert sum(abs(abs(g) - math.pi / 2) < 1e-12 for _, _, g in schedule.rotations) <= m
         product = reconstruct_unitary(schedule)
         assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
         assert_group_rows(product, labels, code, kappa)
