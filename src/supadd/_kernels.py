@@ -74,9 +74,7 @@ def bayes_residual(X, xi):
     """Largest violation of the pairwise balance xi_i X_ii X_ji = xi_j X_ij X_jj
     for the overlap matrix X[i, j] = <omega_i|rho_j>."""
     lhs = (xi * np.diag(X))[:, None] * X.T
-    res = np.abs(lhs - lhs.T)
-    np.fill_diagonal(res, 0.0)
-    return float(res.max())
+    return float(np.abs(lhs - lhs.T).max())
 
 
 def _antidiagonals(m):
@@ -86,27 +84,26 @@ def _antidiagonals(m):
     return [(i, t - i) for t, i in starts]
 
 
-def bayes_sweeps(X, xi, tol, max_sweeps):
-    """Pairwise-rotation sweeps of the measurement toward the minimum-error
-    optimum, for the overlap matrix X[i, j] = <mu_i|rho_j> and priors xi.
+def bayes_sweeps(X, rows, xi, tol, max_sweeps):
+    """Pairwise-rotation sweeps of the measurement rows mu_i toward the
+    minimum-error optimum, for X[i, j] = <mu_i|rho_j> and priors xi.
 
     A sweep turns every pair of rows i < j once, in lexicographic order
     (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
     sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
-    X is updated in place to the final overlaps. Returns (V, errors,
-    residual): the accumulated orthogonal rotation V, the error of the
-    starting overlaps and then after each sweep (so len(errors) - 1 sweeps
-    ran) and the last residual. V and X equal, bit for bit, those of one
-    scalar rotation at a time: the pairs of an anti-diagonal t = i + j
+    X and rows are turned together and updated in place. Returns the
+    errors: that of the starting overlaps and then after each sweep (so
+    len(errors) - 1 sweeps ran). X and rows equal, bit for bit, those of
+    one scalar rotation at a time: the pairs of an anti-diagonal t = i + j
     turn at once, on disjoint rows, and row i meets its pairs in
     lexicographic order on t = i, ..., 2i - 1, 2i + 1, ..., i + M - 1.
     The angles take math's trig (numpy's SIMD loops may differ in the
     last bit); (-s) a + c x has the bits of c x - s a.
     """
-    M, W = X.shape[0], X.shape[0] + X.shape[1]
-    # the overlaps and the rotation side by side: one row pair per rotation
-    XV = np.hstack([X, np.eye(M)])
-    overlaps = XV[:, : X.shape[1]]
+    M, W = X.shape[0], X.shape[1] + rows.shape[1]
+    # the overlaps and the rows side by side: one row pair per rotation
+    XR = np.hstack([X, rows])
+    overlaps = XR[:, : X.shape[1]]
     batches = []
     for i, j in _antidiagonals(M):
         # X[i, i], X[j, i], X[j, j], X[i, j] of each pair, then its rows
@@ -117,19 +114,20 @@ def bayes_sweeps(X, xi, tol, max_sweeps):
     while len(errors) <= max_sweeps and residual > tol:
         for entries, pair, pi, pj in batches:
             thetas = []
-            for p, q, v0, v1, w0, u in zip(pi, pj, *XV.take(entries).tolist()):
+            for p, q, v0, v1, w0, u in zip(pi, pj, *XR.take(entries).tolist()):
                 a = p * v0 * v0 + q * w0 * w0
                 b = p * v0 * v1 + q * w0 * -u
                 d = p * v1 * v1 + q * -u * -u
                 thetas.append(0.5 * math.atan2(2.0 * b, a - d))
             cs, ss = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
             coef = np.array(cs + ss + [-s for s in ss] + cs).reshape(2, 2, -1, 1)
-            out = coef * XV.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
-            XV[pair] = out[:, 0] + out[:, 1]
+            out = coef * XR.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
+            XR[pair] = out[:, 0] + out[:, 1]
         errors.append(1.0 - float(np.sum(xi * np.diag(overlaps) ** 2)))
         residual = bayes_residual(overlaps, xi)
     X[...] = overlaps
-    return XV[:, X.shape[1]:].copy(), np.array(errors), residual
+    rows[...] = XR[:, X.shape[1]:]
+    return np.array(errors)
 
 
 def apply_rotations(w, pivots, rows, c, s, starts):

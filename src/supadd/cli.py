@@ -249,11 +249,12 @@ def fig5(o):
     return columns, values
 
 
-def fig6(o):
-    """Per-letter information: length-7 simplex code versus even-weight code."""
+def _simplex_versus_even(n, o):
+    """Per-letter information: the length-7 simplex code versus the
+    length-n even-weight code (fig6 takes n = 7, fig8 n = 3)."""
     code_columns = [
         ("simplex_7_3_per_letter", simplex_profile(3, o.grid).info_bits / 7),
-        ("code_7_6_per_letter", nn12_mutual_information(7, o.grid) / 7),
+        (f"code_{n}_{n - 1}_per_letter", nn12_mutual_information(n, o.grid) / n),
     ]
     return _capacity_columns(o.grid, code_columns)
 
@@ -270,15 +271,6 @@ def fig7(o):
         _threshold_error(p, 7),
     ]
     return columns, values
-
-
-def fig8(o):
-    """Per-letter information: length-7 simplex versus the length-3 code."""
-    code_columns = [
-        ("simplex_7_3_per_letter", simplex_profile(3, o.grid).info_bits / 7),
-        ("code_3_2_per_letter", nn12_mutual_information(3, o.grid) / 3),
-    ]
-    return _capacity_columns(o.grid, code_columns)
 
 
 def sweep(o):
@@ -409,11 +401,11 @@ COMMANDS = (
     ("fig5", "block decoding error vs threshold error",
      partial(_run_columns, fig5), GRID + ("n", "format", "out"), {"n": (3, 5, 7, 9, 11, 13)}),
     ("fig6", "length-7 simplex vs length-7 even-weight info",
-     partial(_run_columns, fig6), GRID + ("format", "out"), {}),
+     partial(_run_columns, partial(_simplex_versus_even, 7)), GRID + ("format", "out"), {}),
     ("fig7", "length-7 code decoding errors",
      partial(_run_columns, fig7), GRID + ("format", "out"), {}),
     ("fig8", "length-7 simplex vs length-3 even-weight info",
-     partial(_run_columns, fig8), GRID + ("format", "out"), {}),
+     partial(_run_columns, partial(_simplex_versus_even, 3)), GRID + ("format", "out"), {}),
     ("sweep", "generic per-letter info and gain sweep",
      partial(_run_columns, sweep), GRID + ("n", "code", "format", "out"), {}),
     ("synth", "synthesize and factor the decoder",

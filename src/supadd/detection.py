@@ -89,16 +89,6 @@ def _polar_rows(states) -> np.ndarray:
     return u @ vt
 
 
-def overlap_matrix(measurement, states) -> np.ndarray:
-    """X[i, j] = <omega_i | rho_j> for measurement rows and state rows, one
-    of each per outcome; InvalidInput unless both are 2-D of one shape."""
-    vectors = np.asarray(measurement, dtype=np.float64)
-    states = np.asarray(states, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape != states.shape:
-        raise InvalidInput(f"measurement shape {vectors.shape} != states shape {states.shape}")
-    return vectors @ states.T
-
-
 def _check_tol(tol) -> None:
     """InvalidInput unless tol is real and 0 <= tol < inf: inf certifies all, NaN or < 0 none."""
     if not (_is_real(tol) and 0.0 <= tol < np.inf):
@@ -122,12 +112,18 @@ def _certify(x, priors, tol, history=()) -> OptimalityReport:
 def check_optimality(measurement, states, priors, tol: float = 1e-10) -> OptimalityReport:
     """Certify a measurement against the minimum-error conditions.
 
-    Checks the pairwise balance residual and positive semidefiniteness of
-    the symmetrized (xi_i X_ii X_ji) matrix; reports the average error
-    1 - sum_i xi_i X_ii**2. Raises InvalidInput unless 0 <= tol < inf.
+    For X[i, j] = <omega_i | rho_j>, checks the pairwise balance residual
+    and positive semidefiniteness of the symmetrized (xi_i X_ii X_ji)
+    matrix; reports the average error 1 - sum_i xi_i X_ii**2. Raises
+    InvalidInput unless 0 <= tol < inf and the measurement and the states
+    are rows of one 2-D shape, one of each per outcome.
     """
     _check_tol(tol)
-    x = overlap_matrix(measurement, states)
+    vectors = np.asarray(measurement, dtype=np.float64)
+    states = np.asarray(states, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape != states.shape:
+        raise InvalidInput(f"measurement shape {vectors.shape} != states shape {states.shape}")
+    x = vectors @ states.T
     return _certify(x, _check_priors(priors, x.shape[0]), tol)
 
 
@@ -176,29 +172,28 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10):
     pairwise plane rotations (lexicographic pair order, repeated).
 
     Each step solves the two-state subproblem on the plane of one vector
-    pair in closed form, so the average error never increases. Returns the
-    optimized measurement and a report whose error_history holds the
-    average error of the start, the square-root measurement of the
-    prior-weighted states, and then after each sweep. Raises InvalidInput,
-    before any sweep, unless 0 <= tol < inf, and Unconverged (carrying the
-    best iterate) if the residual tolerance is not met within _MAX_SWEEPS
-    sweeps.
+    pair in closed form, so the average error never increases. The sweeps
+    start from the square-root measurement of the prior-weighted states
+    and turn its rows themselves. Returns the optimized measurement and a
+    report whose error_history holds the average error of the start and
+    then after each sweep. Raises InvalidInput, before any sweep, unless
+    0 <= tol < inf, and Unconverged (carrying the best iterate) if the
+    report's residual is above tol after _MAX_SWEEPS sweeps.
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
-    init = _polar_rows(np.sqrt(priors)[:, None] * states)
-    x = overlap_matrix(init, states)
-    v, history, residual = bayes_sweeps(x, priors, tol, _MAX_SWEEPS)
-    meas = v @ init
+    rows = _polar_rows(np.sqrt(priors)[:, None] * states)
+    x = rows @ states.T
+    history = bayes_sweeps(x, rows, priors, tol, _MAX_SWEEPS)
     # x holds the final overlap matrix; certify it directly
     report = _certify(x, priors, tol, history.tolist())
-    if residual > tol:
+    if report.cond_i_residual > tol:
         raise Unconverged(
-            f"residual {residual:.3e} > tol {tol:.1e} after {_MAX_SWEEPS} sweeps",
-            measurement=meas,
+            f"residual {report.cond_i_residual:.3e} > tol {tol:.1e} after {_MAX_SWEEPS} sweeps",
+            measurement=rows,
             report=report,
         )
-    return meas, report
+    return rows, report
 
 
 def threshold_certificate(

@@ -85,15 +85,16 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     normalized on the class of y. Its collective error is 1 - g[0]**2,
     which fastcode takes as the spread of the roots of the class measure.
     Any other code takes its vectors from the states' polar factor, its
-    collective error from the Gram route's channel, an independent
-    computation, and _row_schedule reads its schedule off the vectors.
+    collective error as sum_i xi_i sum_{j != i} P(j|i) over the Gram
+    route's channel, an independent computation, and _row_schedule reads
+    its schedule off the vectors.
 
     U is the schedule's product with the measurement rows written at the
     labels, and the reconstruction residual is how far the product's own
-    rows there were from them. The returned error probability is computed
-    from the states at their assigned rows; it should match the collective
-    error. A U more than 1e-8 from orthogonal raises InvalidInput; neither
-    route's rows should give one.
+    rows there were from them. The returned error probability is the
+    priors times the _misses of the states at their assigned rows; it
+    should match the collective error. A U more than 1e-8 from orthogonal
+    raises InvalidInput; neither route's rows should give one.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
@@ -111,11 +112,13 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         states = codeword_states(code, kappa)
         measurement = _polar_rows(states)
         _, channel = square_root_measurement(gram(code, kappa))
-        correct = np.einsum("ij,ij->i", states, measurement)
-        collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        misses = _misses(states, measurement)
+        # sum_i xi_i sum_{j != i} P(j|i): no cancellation against the diagonal
+        np.fill_diagonal(channel, 0.0)
+        collective = float(np.sum(code.priors * channel.sum(axis=1)))
         schedule = _row_schedule(measurement, labels)
     else:
-        measurement, correct, schedule = group_schedule(code, generators, kappa, labels)
+        measurement, misses, schedule = group_schedule(code, generators, kappa, labels)
         (collective,) = _reduce_roots(generators, code.n, kappa, _root_error)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own
@@ -133,9 +136,17 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         schedule=schedule,
         orthogonality_residual=orthogonality,
         reconstruction_residual=residual,
-        error_probability=1.0 - float(np.sum(code.priors * correct**2)),
+        error_probability=float(np.sum(code.priors * misses)),
         collective_error=collective,
     )
+
+
+def _misses(states, rows) -> np.ndarray:
+    """Each state's chance to miss its unit row, 1 - x**2 for x = psi . omega,
+    as (1 + x) |psi - omega|**2 / 2: no term is below 0, where 1 - x**2
+    is when x rounds above 1."""
+    correct = np.einsum("ij,ij->i", states, rows)
+    return (1.0 + correct) * np.sum((states - rows) ** 2, axis=1) / 2.0
 
 
 def _row_schedule(measurement, labels) -> RotationSchedule:
@@ -189,17 +200,18 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
 
 def group_schedule(code: Code, generators, kappa, labels):
     """Square-root measurement rows omega_c of a linear code with equal
-    priors, each codeword's overlap psi_c . omega_c, and the rotation
-    schedule of the adaptor with row labels[c] equal to omega_c, all from
-    its group structure (Eldar & Forney, IEEE TIT 47, 858, 2001).
+    priors, each codeword's miss (1 + x) |psi_c - omega_c|**2 / 2 with
+    x = psi_c . omega_c (see _misses), and the rotation schedule of the
+    adaptor with row labels[c] equal to omega_c, all from its group
+    structure (Eldar & Forney, IEEE TIT 47, 858, 2001).
 
     Letter 1 is Z letter 0, so psi_c[y] = (-1)**(c.y) psi_0[y]. Bit j of
     the class s of axis y is the parity of y & generator j, so
     c.y = m(c).s for the message m(c) of c, and the square-root vector of
     c is omega_c = sum_s (-1)**(m(c).s) a_s / sqrt(M), where a_s is psi_0
     restricted to class s and normalized: omega_c has the signs psi_c
-    flips in psi_0, so every psi_c . omega_c is psi_0 . omega_0. The
-    schedule, applied to e_label, does in order:
+    flips in psi_0, so every miss is that of psi_0 and omega_0, taken
+    once. The schedule, applied to e_label, does in order:
     - the labels in codeword order: each label's vector takes one pi/2
       rotation onto its landing, the first axis of the class numbered by
       its codeword's message, with the sign the butterfly needs there,
@@ -228,7 +240,7 @@ def group_schedule(code: Code, generators, kappa, labels):
     words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
     flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
     measurement = np.where(flips == 1, -row, row)
-    correct = np.full(words.size, float(zero_state @ row))
+    misses = np.full(words.size, _misses(zero_state[None], row[None])[0])
     # flips[c, y] = m(c).s(y), so bit j of m(c) is flips[c] on class 2**j's first axis
     messages = flips[:, first[bits]] @ bits
     landings = first[messages].tolist()
@@ -281,7 +293,7 @@ def group_schedule(code: Code, generators, kappa, labels):
     rows = (members[:, 1:] + 1).ravel().tolist()
     pivots = np.repeat(first + 1, members.shape[1] - 1).tolist()
     rotations += zip(rows, pivots, gammas.ravel().tolist())
-    return measurement, correct, RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
+    return measurement, misses, RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
 
 
 def reck_decompose(u) -> RotationSchedule:

@@ -30,7 +30,7 @@ from supadd.information import (
     code_information,
     holevo_binary,
 )
-from test_synth import eigh_tolerance, group_vectors
+from test_synth import collective_error, eigh_tolerance, group_vectors, separate_error
 
 
 def run(capsys, argv):
@@ -292,6 +292,15 @@ class TestConfigHandling:
         assert len(rows) == 3
         assert abs(float(rows[0][0]) - 0.2) < 1e-12
         assert abs(float(rows[-1][0]) - 0.4) < 1e-12
+
+    def test_comment_and_blank_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("steps=3\nn=3\n")
+        _, plain, _ = run(capsys, ["fig2", "--config", str(cfg)])
+        cfg.write_text("# a three-point grid\n\n   \nsteps=3  # points\n\nn=3\n")
+        code, out, _ = run(capsys, ["fig2", "--config", str(cfg)])
+        assert code == 0
+        assert out == plain
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -909,9 +918,8 @@ def dense_synth_reference(code, kappa, labels):
     u[labels] = meas
     u[[y for y in range(dim) if y not in labels]] = np.linalg.qr(meas.T, mode="complete")[0][:, m:].T
     schedule = synth.reck_decompose(u)
-    correct = np.einsum("ij,ij->i", states, meas)
-    separate = 1.0 - float(np.sum(code.priors * correct**2))
-    collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
+    separate = separate_error(code.priors, states, meas)
+    collective = collective_error(code.priors, channel)
     report = {
         "target_outcomes": labels,
         "separate_error": cli._jsonval(separate),

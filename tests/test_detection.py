@@ -7,7 +7,6 @@ from supadd.detection import (
     bayes_cost_reduction,
     check_optimality,
     helstrom_binary,
-    overlap_matrix,
     square_root_measurement,
     threshold_certificate,
 )
@@ -102,7 +101,7 @@ class TestSquareRootMeasurement:
         # the Gram route's channel, from the span's own basis, against the
         # squared overlaps of the states with their polar rows
         _, span_channel = square_root_measurement(g)
-        x = overlap_matrix(_polar_rows(states), states)
+        x = _polar_rows(states) @ states.T
         np.testing.assert_allclose(x**2, span_channel, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -228,8 +227,6 @@ class TestCheckOptimality:
         m = max(len(measurement), len(states))
         with pytest.raises(InvalidInput):
             check_optimality(measurement, states, np.full(m, 1.0 / m))
-        with pytest.raises(InvalidInput):
-            overlap_matrix(measurement, states)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, "x", True])
     def test_tol_outside_range_rejected(self, tol):
@@ -268,7 +265,7 @@ class TestHelstromBinary:
         kappa, xi1 = 0.6, 0.7
         meas, err = helstrom_binary(kappa, xi1)
         states = np.vstack(embed_binary_letters(kappa))
-        x = overlap_matrix(meas, states)
+        x = meas @ states.T
         achieved = 1.0 - (xi1 * x[0, 0] ** 2 + (1 - xi1) * x[1, 1] ** 2)
         assert abs(achieved - err) < 1e-12
         assert np.abs(meas @ meas.T - np.eye(2)).max() < 1e-12
@@ -339,6 +336,19 @@ class TestBayesCostReduction:
     def test_mismatched_priors_rejected(self):
         with pytest.raises(InvalidInput):
             bayes_cost_reduction(np.eye(3), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            (np.ones((2, 2, 2)) / 2.0, "2-D array"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
+        ],
+        ids=["3d", "nan", "inf"],
+    )
+    def test_malformed_states_rejected(self, states, message):
+        with pytest.raises(InvalidInput, match=message):
+            bayes_cost_reduction(states, np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-3, None])
     def test_tol_outside_range_rejected(self, monkeypatch, tol):
@@ -417,7 +427,7 @@ def tm_family_min_eig(measurement, states, priors) -> float:
     """Smallest eigenvalue over the exhaustive risk-comparison family
     T(m)[i, j] = xi_i X_ii X_ji - xi_m X_im X_jm (all m): condition (ii)
     by M dense eigenvalue problems, as an independent route."""
-    x = overlap_matrix(measurement, states)
+    x = measurement @ states.T
     priors = np.asarray(priors, dtype=np.float64)
     base = (priors * np.diag(x))[:, None] * x.T
     worst = np.inf

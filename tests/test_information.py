@@ -94,10 +94,12 @@ class TestMutualInformation:
             ([0.5, 0.5], [[np.nan, 0.1], [0.2, 0.8]]),
             ([0.5, 0.5, 0.0], [[0.9, 0.1], [0.2, 0.8]]),
             ([], np.zeros((0, 2))),
+            ([0.5, 0.5], [0.5, 0.5]),
         ],
     )
     def test_not_a_probability_vector_or_finite_channel_rejected(self, priors, channel):
-        # each gave a number before: -1.49 bits, 0.68 bits, 0.0 and a pass
+        # each gave a number before: -1.49 bits, 0.68 bits, 0.0 and a pass;
+        # the last, a 1-D channel, is no matrix at all
         with pytest.raises(InvalidInput):
             mutual_information(priors, channel)
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from supadd._kernels import (
     _antidiagonals,
     apply_rotations,
+    bayes_residual,
     bayes_sweeps,
     fwht,
     hamming_matrix,
     mi_bits,
 )
+from supadd.detection import _polar_rows
 from supadd.errors import InvalidInput
 
 
@@ -63,11 +65,11 @@ def python_mi_bits(priors, channel):
     return total
 
 
-def python_bayes_sweeps(X, xi, tol, max_sweeps):
-    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time;
-    the errors start with that of the starting overlaps."""
+def python_bayes_sweeps(X, rows, xi, tol, max_sweeps):
+    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time,
+    turning the rows with the overlaps; the errors start with that of the
+    starting overlaps."""
     M = X.shape[0]
-    V = np.eye(M)
     errors = [1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M))]
 
     def residual():
@@ -88,12 +90,12 @@ def python_bayes_sweeps(X, xi, tol, max_sweeps):
                 d = xi[i] * v1 * v1 + xi[j] * w1 * w1
                 theta = 0.5 * math.atan2(2.0 * b, a - d)
                 c, s = math.cos(theta), math.sin(theta)
-                for t in range(M):
-                    X[i, t], X[j, t] = c * X[i, t] + s * X[j, t], -s * X[i, t] + c * X[j, t]
-                    V[i, t], V[j, t] = c * V[i, t] + s * V[j, t], -s * V[i, t] + c * V[j, t]
+                for W in (X, rows):
+                    for t in range(W.shape[1]):
+                        W[i, t], W[j, t] = c * W[i, t] + s * W[j, t], -s * W[i, t] + c * W[j, t]
         errors.append(1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M)))
         res = residual()
-    return V, np.array(errors), res
+    return np.array(errors)
 
 
 class TestHamming:
@@ -192,24 +194,43 @@ class TestBayesSweeps:
         x = states @ q[:, :m]  # overlap with an arbitrary orthonormal init
         return x.T.copy(), priors  # rows indexed by measurement vector
 
+    def polar_case(self, seed, m, dim):
+        """The optimizer's start: the polar rows of the prior-weighted
+        states, dim wide, and their overlaps with the states."""
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(m, dim))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        priors = rng.random(m) + 0.1
+        priors /= priors.sum()
+        rows = _polar_rows(np.sqrt(priors)[:, None] * states)
+        return rows @ states.T, rows, priors
+
     def test_matches_scalar_loops(self):
         # the same rounded products and sums as one scalar rotation at a
-        # time, so V and the final overlaps agree bit for bit; (9, 6, 9)
-        # has more dimensions than states. m = 1 has no pair and takes no
-        # sweep, m = 2 and 3 have one pair per anti-diagonal, m = 5 is odd
-        # and m = 16, capped at 3 sweeps, has up to 8 pairs per batch
+        # time, so the rows and the final overlaps agree bit for bit;
+        # (9, 6, 9) has more dimensions than states. m = 1 has no pair and
+        # takes no sweep, m = 2 and 3 have one pair per anti-diagonal, m = 5
+        # is odd and m = 16, capped at 3 sweeps, has up to 8 pairs per
+        # batch. The identity rows turn into the accumulated rotation; the
+        # last case turns 6 polar rows 9 entries wide
         cases = [(5, 4, 4, 200), (9, 6, 9, 200), (13, 8, 8, 200), (3, 1, 1, 200),
                  (7, 2, 2, 200), (21, 3, 3, 200), (23, 5, 5, 200), (29, 16, 16, 3)]
-        for seed, m, dim, max_sweeps in cases:
-            x1, priors = self.build_case(seed, m, dim)
-            x2 = x1.copy()
-            v1, e1, r1 = bayes_sweeps(x1, priors, 1e-10, max_sweeps)
-            v2, e2, r2 = python_bayes_sweeps(x2, priors, 1e-10, max_sweeps)
-            assert np.array_equal(v1, v2)
+        inputs = [(*self.build_case(seed, m, dim), np.eye(m), max_sweeps)
+                  for seed, m, dim, max_sweeps in cases]
+        x, rows, priors = self.polar_case(31, 6, 9)
+        start = rows.copy()
+        inputs.append((x, priors, rows, 200))
+        for x1, priors, rows1, max_sweeps in inputs:
+            x2, rows2 = x1.copy(), rows1.copy()
+            e1 = bayes_sweeps(x1, rows1, priors, 1e-10, max_sweeps)
+            e2 = python_bayes_sweeps(x2, rows2, priors, 1e-10, max_sweeps)
+            assert np.array_equal(rows1, rows2)
             assert np.array_equal(x1, x2)
             assert len(e1) == len(e2)
             np.testing.assert_allclose(e1, e2, atol=1e-12)
-            assert m > 1 or len(e1) == 1
+            assert len(x1) > 1 or len(e1) == 1
+        # the polar case, last, sweeps: its rows did turn
+        assert len(e1) > 1 and not np.array_equal(rows, start)
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 40))
@@ -235,13 +256,14 @@ class TestBayesSweeps:
 
     def test_error_monotone_and_converged(self):
         x, priors = self.build_case(11)
-        _, errors, residual = bayes_sweeps(x, priors, 1e-10, 500)
+        errors = bayes_sweeps(x, np.eye(len(x)), priors, 1e-10, 500)
         assert np.all(np.diff(errors) <= 1e-12)
-        assert residual <= 1e-10
+        assert bayes_residual(x, priors) <= 1e-10
 
     def test_rotation_matrix_orthogonal(self):
         x, priors = self.build_case(17)
-        v, _, _ = bayes_sweeps(x, priors, 1e-10, 500)
+        v = np.eye(len(x))
+        bayes_sweeps(x, v, priors, 1e-10, 500)
         assert np.abs(v @ v.T - np.eye(v.shape[0])).max() < 1e-10
 
 

@@ -30,7 +30,13 @@ from supadd.synth import (
     schedule_to_csv,
     synthesize_unitary,
 )
-from test_synth import eigh_rows, eigh_tolerance, group_vectors
+from test_synth import (
+    collective_error,
+    eigh_rows,
+    eigh_tolerance,
+    group_vectors,
+    separate_error,
+)
 
 TOL = 1e-9
 
@@ -127,11 +133,12 @@ def test_synthesis_agrees_with_the_dense_route(code, kappa):
     states = codeword_states(code, kappa)
     meas = _polar_rows(states)
     _, channel = square_root_measurement(g)
-    correct = np.einsum("ij,ij->i", states, meas)
-    separate = 1.0 - float(np.sum(code.priors * correct**2))
-    collective = 1.0 - float(np.sum(code.priors * np.diag(channel)))
+    separate = separate_error(code.priors, states, meas)
+    collective = collective_error(code.priors, channel)
     tol = eigh_tolerance(g)
     assert np.abs(meas - eigh_rows(g, states)).max() <= tol
+    # sums of non-negative terms, so never below 0
+    assert syn.error_probability >= 0.0 and syn.collective_error >= 0.0
     if linear:
         np.testing.assert_array_equal(syn.U[:m], group_vectors(code, kappa))
         assert np.abs(syn.U[:m] - meas).max() <= tol

@@ -55,6 +55,16 @@ class TestEigSym:
         with pytest.raises(InvalidInput):
             _psd_root(bad)
 
+    def test_round_off_asymmetry_symmetrized(self):
+        # an entry one ulp off its mirror is round-off: the root is that of
+        # the mean of the matrix and its transpose, and symmetric
+        m = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        skew = m.copy()
+        skew[0, 1] = np.nextafter(0.3, 1.0)
+        root = sqrt_psd(skew)
+        assert np.array_equal(root, sqrt_psd((skew + skew.T) / 2.0))
+        assert np.array_equal(root, root.T)
+
     def test_nonsymmetric_rejected(self):
         with pytest.raises(InvalidInput):
             _psd_root(np.array([[1.0, 2.0], [0.0, 1.0]]))

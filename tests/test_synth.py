@@ -134,11 +134,28 @@ def eigh_rows(g, states):
     return (vectors / np.sqrt(values)) @ vectors.T @ states
 
 
-def exact_overlaps(states, rows):
-    """Each state's overlap with its row, correctly rounded: a summed dot
-    product, as einsum's, may be some 1e-15 off at 2**8 entries, half the
-    error tolerance once squared."""
-    return np.array([math.fsum(products) for products in states * rows])
+def exact_misses(states, rows):
+    """Each state's miss (1 + x) |psi - omega|**2 / 2 of its row, with
+    x = psi . omega and the squared distance correctly rounded: a summed
+    dot product, as einsum's, may be some 1e-15 off at 2**8 entries."""
+    x = np.array([math.fsum(products) for products in states * rows])
+    distance = np.array([math.fsum(squares) for squares in (states - rows) ** 2])
+    return (1.0 + x) * distance / 2.0
+
+
+def separate_error(priors, states, rows):
+    """The separate-readout error of the rows as synth forms it, the sum of
+    xi_c (1 + x_c) |psi_c - omega_c|**2 / 2 with x_c = psi_c . omega_c:
+    1 - sum_c xi_c x_c**2 for unit rows, with no term below 0."""
+    x = np.einsum("ij,ij->i", states, rows)
+    return float(np.sum(priors * ((1.0 + x) * np.sum((states - rows) ** 2, axis=1) / 2.0)))
+
+
+def collective_error(priors, channel):
+    """sum_i xi_i sum_{j != i} P(j|i) over the channel's off-diagonal
+    entries, as synth forms it for the Gram route's channel."""
+    off = np.where(np.eye(len(channel), dtype=bool), 0.0, channel)
+    return float(np.sum(priors * off.sum(axis=1)))
 
 
 def unreachable(*args, **kwargs):
@@ -322,6 +339,33 @@ class TestSynthesizeUnitary:
         with pytest.raises(InvalidInput):
             synthesize_unitary(build_nn12_code(3), 0.5, outcome_assignment=[0, 1, 2, 8])
 
+    def test_non_orthogonal_adaptor_rejected(self, monkeypatch):
+        # rows skewed 1e-6 off orthonormal put U past the 1e-8 guard
+        def skewed(states):
+            rows = _polar_rows(states)
+            rows[0] += 1e-6 * rows[1]
+            return rows
+
+        monkeypatch.setattr(synth, "_polar_rows", skewed)
+        code = code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n")
+        with pytest.raises(InvalidInput, match="from orthogonal"):
+            synthesize_unitary(code, 0.5)
+
+    @pytest.mark.parametrize(
+        "code, kappa",
+        [
+            # the group route's rows came out some 1e-15 too long here, and
+            # 1 - x**2 gave -9.3e-15
+            (Code(n=8, codewords=np.zeros((1, 8))), 0.7763885466718076),
+            (code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"), 0.0),
+        ],
+        ids=["one_word_n8", "nonlinear_kappa0"],
+    )
+    def test_errors_not_negative(self, code, kappa):
+        syn = synthesize_unitary(code, kappa)
+        assert 0.0 <= syn.error_probability <= 1e-15
+        assert 0.0 <= syn.collective_error <= 1e-15
+
     def test_block_length_guard(self):
         words = np.zeros((2, 13), dtype=np.uint8)
         words[1, 0] = 1
@@ -431,9 +475,9 @@ class TestGroupSchedule:
         kappa = data.draw(st.floats(0.0, 0.95))
 
         states = codeword_states(code, kappa)
-        rows, correct, schedule = group_schedule(code, tuple(basis), kappa, labels)
+        rows, misses, schedule = group_schedule(code, tuple(basis), kappa, labels)
         np.testing.assert_array_equal(rows, group_vectors(code, kappa))
-        assert np.abs(correct - exact_overlaps(states, rows)).max() <= 1e-14
+        assert np.abs(misses - exact_misses(states, rows)).max() <= 1e-14
         assert len(schedule.rotations) <= rotation_bound(code)
         # one move per codeword at most
         assert sum(abs(abs(g) - math.pi / 2) < 1e-12 for _, _, g in schedule.rotations) <= m
@@ -455,10 +499,10 @@ class TestGroupSchedule:
         _, channel = square_root_measurement(g)
         assert np.abs(rows - eigh_rows(g, states)).max() <= tol
         # every codeword's state meets its row as the zero word's does
-        correct = exact_overlaps(states, rows)
-        assert (correct == correct[0]).all()
-        assert abs(syn.error_probability - (1.0 - float(np.sum(code.priors * correct**2)))) <= 1e-14
-        assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= tol
+        misses = exact_misses(states, rows)
+        assert (misses == misses[0]).all()
+        assert abs(syn.error_probability - float(np.sum(code.priors * misses))) <= 1e-14
+        assert abs(syn.collective_error - collective_error(code.priors, channel)) <= tol
         assert abs(syn.collective_error - syn.error_probability) <= tol
 
     def test_ill_conditioned_code_synthesizes(self):
@@ -590,9 +634,8 @@ class TestRowSchedule:
         assert np.abs(product[labels] - meas).max() <= tol
         assert syn.reconstruction_residual <= tol
         np.testing.assert_array_equal(syn.U[labels], meas)
-        correct = np.einsum("ij,ij->i", states, meas)
-        assert syn.error_probability == 1.0 - float(np.sum(code.priors * correct**2))
-        assert syn.collective_error == 1.0 - float(np.sum(code.priors * np.diag(channel)))
+        assert syn.error_probability == separate_error(code.priors, states, meas)
+        assert syn.collective_error == collective_error(code.priors, channel)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_code_trailing_flip(self, n):
