@@ -120,11 +120,11 @@ def _span_layout(generators: tuple, n: int):
     return weights, tuple(c for c, first in zip(columns, new) if c and not first)
 
 
-def _roots(layout, k: np.ndarray):
+def _class_roots(layout, k: np.ndarray):
     """Roots sqrt(mu / M) of the class measure mu = *_i (a**2 delta_0 + b**2
-    delta_{c_i}), c_i letter i's column, and their transform g, each shaped
-    k.shape + (M,). a**2 + b**2 = 1 exactly: mu is that of a kappa within
-    1.1e-16 of k, and sums to 1 up to the rounding of its products."""
+    delta_{c_i}), c_i letter i's column, shaped k.shape + (M,).
+    a**2 + b**2 = 1 exactly: mu is that of a kappa within 1.1e-16 of k, and
+    sums to 1 up to the rounding of its products."""
     weights, rest = layout
     a2 = ((1.0 + k) / 2.0)[..., None]
     b2 = 1.0 - a2
@@ -133,7 +133,12 @@ def _roots(layout, k: np.ndarray):
     mu = np.take(a2 ** powers[::-1] * b2**powers, weights, axis=-1)
     for c in rest:
         mu = a2 * mu + b2 * np.take(mu, np.arange(weights.size) ^ c, axis=-1)
-    root = np.sqrt(mu / weights.size)
+    return np.sqrt(mu / weights.size)
+
+
+def _roots(layout, k: np.ndarray):
+    """_class_roots and their transform g, each shaped k.shape + (M,)."""
+    root = _class_roots(layout, k)
     return root, fwht(root)
 
 
@@ -150,14 +155,20 @@ def group_root(generators, n: int, kappa) -> np.ndarray:
 def _reduce_roots(generators, n: int, kappa, *reductions):
     """Each reduction (a block's roots and root rows, (b, M) each, to b
     numbers) over every kappa, at most _BLOCK root entries at a time. One
-    result per reduction, shaped like kappa (a float for a scalar kappa)."""
+    result per reduction, shaped like kappa (a float for a scalar kappa).
+    When _root_error, which reads only the roots, is the only reduction,
+    the rows are None and no transform is taken."""
     k = _kappa_array(kappa, collapse_at_one=True)
     layout = _layout(generators, n)
     flat = k.reshape(-1)
     out = np.empty((len(reductions), flat.size))
     rows = max(1, _BLOCK // layout[0].size)
+    transform = any(reduce is not _root_error for reduce in reductions)
     for lo in range(0, flat.size, rows):
-        root, g = _roots(layout, flat[lo : lo + rows])
+        if transform:
+            root, g = _roots(layout, flat[lo : lo + rows])
+        else:
+            root, g = _class_roots(layout, flat[lo : lo + rows]), None
         for column, reduce in zip(out, reductions):
             column[lo : lo + rows] = reduce(root, g)
     return [_scalar_or_array(column.reshape(k.shape)) for column in out]

@@ -35,8 +35,14 @@ from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
+# rows of U per block of the orthogonality and reconstruction checks (2 MB
+# of float64 at n = 11)
+_CHECK_ROWS = 128
 # the largest block length `synth` finishes within 5 minutes and 1 GB; the
-# README's "Limits and conventions" gives the timings it rests on
+# README's "Limits and conventions" gives the timings it rests on. The
+# checks hold one block beside U and the measurement rows, so even-weight
+# n = 11 peaks at about 86 MB; n = 12 took 244 MB and 2.6 s with this
+# guard lifted, and waits for a limit split by route
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
@@ -121,10 +127,17 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         measurement, misses, schedule = group_schedule(code, generators, kappa, labels)
         (collective,) = _reduce_roots(generators, code.n, kappa, _root_error)
     u = reconstruct_unitary(schedule)
-    # the only rows of U that are not the product's own
-    residual = float(np.abs(u[labels] - measurement).max())
-    u[labels] = measurement
-    orthogonality = float(np.abs(u @ u.T - np.eye(dim)).max())
+    # the only rows of U that are not the product's own, a block at a time
+    at = np.array(labels)
+    residual = 0.0
+    for lo in range(0, m, _CHECK_ROWS):
+        rows = u[at[lo : lo + _CHECK_ROWS]]
+        rows -= measurement[lo : lo + _CHECK_ROWS]
+        residual = max(residual, float(np.abs(rows, out=rows).max()))
+        # freed before the next block is taken
+        del rows
+    u[at] = measurement
+    orthogonality = _orthogonality_residual(u)
     if orthogonality > _ORTHOGONAL_TOL:
         raise InvalidInput(
             f"the adaptor is {orthogonality:.1e} from orthogonal: its measurement "
@@ -139,6 +152,24 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         error_probability=float(np.sum(code.priors * misses)),
         collective_error=collective,
     )
+
+
+def _orthogonality_residual(u) -> float:
+    """max |U U^T - I| over the upper triangle, which holds the maximum
+    since U U^T is symmetric (numpy's dense u @ u.T is a SYRK that mirrors
+    one triangle). It goes _CHECK_ROWS rows at a time: each block, the
+    product of its rows with the rows from its first on, takes 1 off its
+    diagonal and its absolute value in its own buffer, so the check holds
+    one block beside U. A full-width block would run a GEMM over twice the
+    entries. NaN entries give NaN."""
+    worst = 0.0
+    for lo in range(0, u.shape[0], _CHECK_ROWS):
+        block = u[lo : lo + _CHECK_ROWS] @ u[lo:].T
+        diagonal = np.arange(block.shape[0])
+        block[diagonal, diagonal] -= 1.0
+        worst = np.maximum(worst, np.abs(block, out=block).max())
+        del block
+    return float(worst)
 
 
 def _misses(states, rows) -> np.ndarray:
@@ -237,8 +268,10 @@ def group_schedule(code: Code, generators, kappa, labels):
     first = members[:, 0]
     norms = np.sqrt(np.bincount(classes, weights=zero_state**2))
     row = zero_state / norms[classes] / np.sqrt(m)
-    words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
-    flips = np.bitwise_count(words[:, None] & np.arange(dim)) & 1
+    # the parity in the narrowest unsigned dtype that holds dim - 1
+    axes = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
+    words = (code.codewords @ (1 << np.arange(n - 1, -1, -1))).astype(axes.dtype)
+    flips = np.bitwise_count(words[:, None] & axes) & 1
     measurement = np.where(flips == 1, -row, row)
     misses = np.full(words.size, _misses(zero_state[None], row[None])[0])
     # flips[c, y] = m(c).s(y), so bit j of m(c) is flips[c] on class 2**j's first axis
@@ -308,7 +341,7 @@ def reck_decompose(u) -> RotationSchedule:
     # finite first: a NaN entry would pass the tolerance test below
     if not (dim and w.shape == (dim, dim) and np.isfinite(w).all()):
         raise InvalidInput(f"input must be a finite, non-empty square matrix, got shape {w.shape}")
-    if np.abs(w @ w.T - np.eye(dim)).max() > _ORTHOGONAL_TOL:
+    if _orthogonality_residual(w) > _ORTHOGONAL_TOL:
         raise InvalidInput("input is not orthogonal within tolerance")
     return _row_schedule(w, range(dim))
 

@@ -443,6 +443,21 @@ class TestBatchedRoute:
         simplex_profile(2, GRID)
         assert sizes == [GRID.size * 4]
 
+    def test_error_alone_takes_no_transform(self, monkeypatch):
+        # _root_error reads only the roots; beside a reduction that reads
+        # the rows, it gets the same roots
+        expected = fastcode._reduce_roots(
+            nn12_generators(9), 9, GRID, fastcode._root_information, fastcode._root_error
+        )[1]
+
+        def unreachable(x):
+            raise AssertionError("transform taken")
+
+        monkeypatch.setattr(fastcode, "fwht", unreachable)
+        assert np.array_equal(nn12_error_probability(9, GRID), expected)
+        with pytest.raises(AssertionError, match="transform taken"):
+            nn12_mutual_information(9, 0.5)
+
     @pytest.mark.parametrize(
         "fn",
         [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 
@@ -379,6 +380,100 @@ class TestSynthesizeUnitary:
         words[1, :2] = 1
         with pytest.raises(ResourceLimit):
             synthesize_unitary(Code(n=12, codewords=words), 0.5)
+
+
+def dense_orthogonality_residual(u):
+    return float(np.abs(u @ u.T - np.eye(len(u))).max())
+
+
+def random_nonlinear_code(seed, n, m):
+    rng = np.random.default_rng(seed)
+    values = rng.permutation(2**n)[:m]
+    return Code(n=n, codewords=int_bits(values, n), priors=rng.dirichlet(np.ones(m)))
+
+
+def orthogonality_cases():
+    """Adaptors of each route, and Haar matrices below, at and past one
+    block of synth._CHECK_ROWS rows."""
+    all_words = linear_code(8, np.arange(256))
+    labels = np.random.default_rng(2).permutation(256).tolist()
+    adaptors = {
+        "nn12_n5": (build_nn12_code(5), 0.5, None),
+        "nn12_n7": (build_nn12_code(7), 0.93, None),
+        "nn12_n9": (build_nn12_code(9), 0.5, None),
+        "simplex_r2": (build_simplex_code(2), 0.5, None),
+        "simplex_r3": (build_simplex_code(3), 0.5, None),
+        "nonlinear_n4": (code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"), 0.5, None),
+        "nonlinear_n6": (random_nonlinear_code(31, 6, 12), 0.6, None),
+        "nonlinear_n8": (random_nonlinear_code(32, 8, 40), 0.5, None),
+        # these labels leave an odd number of wrong signs: the trailing flip
+        "all_words_flip_last": (all_words, 0.95, labels),
+    }
+    cases = {}
+    for name, (code, kappa, assignment) in adaptors.items():
+        syn = synthesize_unitary(code, kappa, outcome_assignment=assignment)
+        cases[name] = (syn.U, syn)
+    assert cases["all_words_flip_last"][1].schedule.flip_last
+    rng = np.random.default_rng(33)
+    for dim in (100, synth._CHECK_ROWS, 300):
+        cases[f"haar{dim}"] = (haar_orthogonal(rng, dim), None)
+    return cases
+
+
+ORTHOGONALITY_CASES = orthogonality_cases()
+
+
+class TestBlockedChecks:
+    @pytest.mark.parametrize("name", ORTHOGONALITY_CASES)
+    def test_matches_dense_check(self, name):
+        u, syn = ORTHOGONALITY_CASES[name]
+        residual = synth._orthogonality_residual(u)
+        assert residual == dense_orthogonality_residual(u)
+        if syn is not None:
+            assert syn.orthogonality_residual == residual
+
+    @pytest.mark.parametrize("name", ["nn12_n9", "nonlinear_n8", "all_words_flip_last"])
+    def test_reconstruction_residual_matches_dense(self, name):
+        # 256 label rows (two blocks) or 40 (part of one)
+        _, syn = ORTHOGONALITY_CASES[name]
+        labels = list(syn.target_outcomes)
+        dense = np.abs(reconstruct_unitary(syn.schedule)[labels] - syn.U[labels]).max()
+        assert syn.reconstruction_residual == dense > 0.0
+
+    def test_dims_around_one_block(self):
+        dims = {len(u) for u, _ in ORTHOGONALITY_CASES.values()}
+        assert min(dims) < synth._CHECK_ROWS
+        assert synth._CHECK_ROWS in dims
+        assert max(dims) > 2 * synth._CHECK_ROWS
+
+    @pytest.mark.parametrize("row", [0, 200, 299], ids=["first", "middle_block", "last"])
+    def test_reck_refuses_perturbed_row(self, row):
+        u, _ = ORTHOGONALITY_CASES["haar300"]
+        reck_decompose(u)
+        skewed = u.copy()
+        # moves only the entry (row - 1, row) of U U^T, or (0, 299), by 1e-6
+        skewed[row] += 1e-6 * u[row - 1]
+        assert synth._orthogonality_residual(skewed) > 1e-7
+        with pytest.raises(InvalidInput, match="not orthogonal"):
+            reck_decompose(skewed)
+
+    def test_nan_in_a_later_block_is_not_lost(self):
+        u = np.eye(300)
+        u[299, 299] = np.nan
+        assert np.isnan(synth._orthogonality_residual(u))
+
+    def test_synthesis_holds_one_block_beside_its_arrays(self):
+        # U and the measurement rows, plus one block of rows at a time
+        code = build_nn12_code(10)
+        synthesize_unitary(code, 0.5)
+        tracemalloc.start()
+        try:
+            syn = synthesize_unitary(code, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m, dim = code.num_codewords, 2**code.n
+        assert peak <= 1.5 * (syn.U.nbytes + m * dim * 8)
 
 
 class TestGroupSchedule:
