@@ -277,20 +277,15 @@ def sweep(o):
     """Generic per-letter information and gain sweep for a code family or a
     code file ('n M' header, then M bit rows, then M prior rows)."""
     grid = o.grid
-    c1 = c1_binary(grid)
-    columns = ["kappa"]
-    values = [grid]
     if o.code == "nn12":
-        for n in o.n:
-            columns += [f"i_n{n}_per_letter", f"gain_n{n}"]
-            gain = block_gain(n, grid)
-            values += [gain + c1, gain]
-        return columns, values
-    if o.code == "simplex":
+        per_letter = [(f"_n{n}", nn12_mutual_information(n, grid) / n) for n in o.n]
+    elif o.code == "simplex":
         per_letter = [(f"_r{r}", simplex_profile(r, grid).info_bits / (2**r - 1)) for r in o.n]
     else:
         code = _resolve_code(o.code, o.n, "n" in o.given)
         per_letter = [("", code_information(code, grid) / code.n)]
+    c1 = c1_binary(grid)
+    columns, values = ["kappa"], [grid]
     for tag, per in per_letter:
         columns += [f"i{tag}_per_letter", f"gain{tag}"]
         values += [per, per - c1]

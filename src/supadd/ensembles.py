@@ -153,10 +153,10 @@ def _xor_span(words) -> np.ndarray:
 
 def build_nn12_code(n: int) -> Code:
     """The [[n, n-1, 2]] even-weight code (2**(n-1) codewords, min
-    distance 2) with equal priors: the XOR span of 011, 101, 1111 and
-    11 << (m - 2) for m = 5..n, in the order of a prefix co-recursion
-    (tests/test_ensembles.py::nn12_pair)."""
-    n = _check_int(n, 3, "block length")
+    distance 2) with equal priors, n >= 2: the XOR span of the first n - 1
+    of 11, 101, 1111 and 11 << (m - 2) for m = 5..n ({00, 11} at n = 2), in
+    prefix co-recursion order (tests/test_ensembles.py::nn12_pair)."""
+    n = _check_int(n, 2, "block length")
     generators = [3, 5, 15] + [3 << m for m in range(3, n - 1)]
     return Code(n=n, codewords=int_bits(_xor_span(generators[: n - 1]), n))
 

@@ -194,7 +194,7 @@ def group_information(generators, n: int, kappa):
 
 
 def _nn12_generators(n: int) -> list:
-    return [1 | 1 << i for i in range(1, _check_int(n, 3, "block length"))]
+    return [1 | 1 << i for i in range(1, _check_int(n, 2, "block length"))]
 
 
 def nn12_mutual_information(n: int, kappa):
@@ -222,13 +222,9 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
 
 
 def block_gain(n: int, kappa):
-    """Per-letter information of the length-n reference code minus the
-    single-use optimum; broadcasts over kappa. n >= 3 is the even-weight
-    family, n = 2 the block {00, 11}: one letter pair of overlap kappa**2."""
-    n = _check_int(n, 2, "block length")
-    if n == 2:
-        k = _kappa_array(kappa, collapse_at_one=True)
-        return c1_binary(k * k) / 2.0 - c1_binary(k)
+    """Per-letter information of the even-weight code of length n >= 2
+    minus the single-use optimum; broadcasts over kappa. At n = 2 the code
+    is {00, 11}, one letter pair of overlap kappa**2, which gains nothing."""
     return nn12_mutual_information(n, kappa) / n - c1_binary(kappa)
 
 

@@ -32,6 +32,7 @@ from .detection import _polar_rows, square_root_measurement
 from .ensembles import Code, _check_int, _xor_span, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
 from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
+from .information import _kappa_array
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
@@ -100,10 +101,12 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     rows there were from them. The returned error probability is the
     priors times the _misses of the states at their assigned rows; it
     should match the collective error. A U more than 1e-8 from orthogonal
-    raises InvalidInput; neither route's rows should give one.
+    raises InvalidInput; neither route's rows should give one. kappa = 1
+    raises LinearDependence, as in code_information, before any state.
     """
     if code.n > _MAX_SYNTH_N:
         raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
+    _kappa_array(kappa, collapse_at_one=True)
     m = code.num_codewords
     dim = 2**code.n
     if outcome_assignment is None:

@@ -84,12 +84,12 @@ def _from_csv(dim):
 
 CASES = [
     Case("Code", "n", lambda v: code_to_text(Code(n=v, codewords=[[0, 0, 1], [1, 1, 0]])), 0, 3),
-    Case("build_nn12_code", "n", lambda v: code_to_text(build_nn12_code(v)), 3, 4),
+    Case("build_nn12_code", "n", lambda v: code_to_text(build_nn12_code(v)), 2, 4),
     Case("build_simplex_code", "r", lambda v: code_to_text(build_simplex_code(v)), 2, 3),
     Case("block_gain", "n", lambda v: block_gain(v, 0.6), 2, 4),
     Case("find_kappa_star", "n", find_kappa_star, 2, 3),
-    Case("nn12_mutual_information", "n", lambda v: nn12_mutual_information(v, 0.6), 3, 5),
-    Case("nn12_error_probability", "n", lambda v: nn12_error_probability(v, 0.6), 3, 5),
+    Case("nn12_mutual_information", "n", lambda v: nn12_mutual_information(v, 0.6), 2, 5),
+    Case("nn12_error_probability", "n", lambda v: nn12_error_probability(v, 0.6), 2, 5),
     Case("simplex_profile", "r", lambda v: tuple(simplex_profile(v, 0.6)), 2, 3),
     Case("group_root", "n", lambda v: group_root([3, 5], v, 0.6).tolist(), 0, 3),
     Case("group_root", "generators", lambda v: group_root([3, v], 3, 0.6).tolist(), 0, 5),

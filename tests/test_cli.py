@@ -210,6 +210,23 @@ class TestSweep:
         ]
         assert len(rows) == 4
 
+    def test_even_weight_columns_are_fig4_and_fig2(self, capsys):
+        # one column path: the family's per-letter information is fig4's and
+        # its gain fig2's, n = 2 included
+        lengths = ",".join(map(str, range(2, 14)))
+        _, out, _ = run(capsys, ["sweep", "--code", "nn12", "--n", lengths])
+        header, rows = parse_csv(out)
+        columns = dict(zip(header, zip(*rows)))
+        _, out, _ = run(capsys, ["fig4", "--n", lengths])
+        header, rows = parse_csv(out)
+        fig4 = dict(zip(header, zip(*rows)))
+        _, out, _ = run(capsys, ["fig2"])
+        header, rows = parse_csv(out)
+        fig2 = dict(zip(header, zip(*rows)))
+        for n in range(2, 14):
+            assert columns[f"i_n{n}_per_letter"] == fig4[f"i_n{n}_per_letter"]
+            assert columns[f"gain_n{n}"] == fig2[f"gain_n{n}"]
+
     def test_simplex_family(self, capsys):
         code, out, _ = run(
             capsys, ["sweep", "--code", "simplex", "--n", "2,3", "--steps", "3"]
@@ -417,6 +434,11 @@ class TestSynthCommand:
         )
         assert code == 2
         assert "error:" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_full_overlap_exits_2(self, capsys, tmp_path):
+        err = single_error(capsys, ["synth", "--kappa", "1", "--outdir", str(tmp_path)])
+        assert "collapses" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_block_length_guard_maps_to_exit_code(self, capsys, tmp_path):
@@ -655,6 +677,38 @@ class TestCodeFileLength:
     def test_matching_length_changes_nothing(self, capsys, path):
         argv = ["sweep", "--code", path, "--steps", "3"]
         assert run(capsys, argv + ["--n", "4"]) == run(capsys, argv)
+
+
+class TestPairBlock:
+    """The block {00, 11} is the even-weight family's first member, so every
+    command that takes the family's n takes 2, and none takes 1."""
+
+    @pytest.mark.parametrize("command", ["fig2", "fig4", "fig5", "synth"])
+    def test_every_command_takes_n_2(self, capsys, tmp_path, command):
+        argv = [command, "--n", "2"]
+        if command == "synth":
+            argv += ["--outdir", str(tmp_path)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        if command == "synth":
+            report = json.loads(out)
+            assert (report["n"], report["codewords"]) == (2, 2)
+            # the letter pair of overlap kappa**2 under its Helstrom
+            # measurement; the report prints 12 significant digits
+            expected = binary_flip_probability(0.5**2)
+            assert report["collective_error"] == pytest.approx(expected, rel=1e-11)
+            assert report["separate_error"] == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2"], ["fig3"], ["fig4"], ["fig5"], ["sweep"], ["sweep", "--code", "simplex"],
+         ["synth"]],
+        ids=["fig2", "fig3", "fig4", "fig5", "sweep", "sweep-simplex", "synth"],
+    )
+    def test_n_1_exits_2(self, capsys, tmp_path, argv):
+        if argv[0] == "synth":
+            argv = argv + ["--outdir", str(tmp_path)]
+        single_error(capsys, argv + ["--n", "1"])
 
 
 def scalar_kappa_star(n):

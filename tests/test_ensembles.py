@@ -259,7 +259,13 @@ class TestEvenWeightFamily:
 
     def test_short_block_rejected(self):
         with pytest.raises(InvalidInput):
-            build_nn12_code(2)
+            build_nn12_code(1)
+
+    def test_pair_block_is_the_first_member(self):
+        # n = 2 is the block {00, 11}: gamma(2) = [0*gamma(1); 1*lambda(1)]
+        code = build_nn12_code(2)
+        np.testing.assert_array_equal(code.codewords, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(code.priors, [0.5, 0.5])
 
 
 class TestSimplexFamily:

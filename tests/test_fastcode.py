@@ -19,7 +19,12 @@ from supadd.fastcode import (
     SimplexProfile,
     simplex_profile,
 )
-from supadd.information import c1_binary, code_information, mutual_information
+from supadd.information import (
+    binary_flip_probability,
+    c1_binary,
+    code_information,
+    mutual_information,
+)
 from supadd.psdlinalg import sqrt_psd
 
 
@@ -253,11 +258,25 @@ class TestInformationAndError:
 
     def test_short_block_rejected(self):
         with pytest.raises(InvalidInput):
-            nn12_mutual_information(2, 0.5)
+            nn12_mutual_information(1, 0.5)
         with pytest.raises(InvalidInput):
-            nn12_error_probability(2, 0.5)
+            nn12_error_probability(1, 0.5)
         with pytest.raises(InvalidInput):
             simplex_profile(1, 0.5)
+
+    def test_pair_block_error(self):
+        # {00, 11} is one letter pair of overlap kappa**2: its block error is
+        # the pair's flip probability there. On the figure grid the two agree
+        # within 1e-15; toward kappa = 1 the gap follows the slope of
+        # P(kappa) = (1 - sqrt(1 - kappa**4)) / 2, since the group route's
+        # class measure is that of a kappa within 1.1e-16 of the given one
+        grid = np.linspace(0.01, 0.99, 99)
+        gap = np.abs(nn12_error_probability(2, grid) - binary_flip_probability(grid**2))
+        assert gap.max() <= 1e-15
+        grid = np.linspace(0.0, 0.999, 1001)
+        gap = np.abs(nn12_error_probability(2, grid) - binary_flip_probability(grid**2))
+        slope = grid**3 / np.sqrt(1.0 - grid**4)
+        assert np.all(gap <= 1e-15 + 1.1e-16 * slope)
 
     def test_error_grows_with_block_length(self):
         errors = [nn12_error_probability(n, 0.5) for n in range(3, 14)]
@@ -315,6 +334,13 @@ class TestGainAndCrossing:
         p1 = 0.5 * (1.0 - np.sqrt(1.0 - kappa**2))
         h1 = -p1 * np.log2(p1) - (1 - p1) * np.log2(1 - p1)
         assert abs(block_gain(2, kappa) - ((1.0 - h2) / 2.0 - (1.0 - h1))) < 1e-12
+
+    def test_pair_block_matches_its_closed_form(self):
+        # n = 2 takes the family's group route, and must agree with the
+        # closed form of one letter pair of overlap kappa**2
+        grid = np.linspace(0.0, 0.999, 1001)
+        closed = c1_binary(grid**2) / 2.0 - c1_binary(grid)
+        assert np.abs(block_gain(2, grid) - closed).max() <= 1e-15
 
     def test_two_letter_gain_never_positive(self):
         for kappa in np.linspace(0.01, 0.99, 99):

@@ -21,8 +21,9 @@ from supadd.ensembles import (
     gram,
     int_bits,
 )
-from supadd.errors import InvalidInput, ResourceLimit
+from supadd.errors import InvalidInput, LinearDependence, ResourceLimit
 from supadd.fastcode import _reduce_roots, _root_error, linear_generators, nn12_error_probability
+from supadd.information import code_information
 from supadd.synth import (
     RotationSchedule,
     group_schedule,
@@ -366,6 +367,23 @@ class TestSynthesizeUnitary:
         syn = synthesize_unitary(code, kappa)
         assert 0.0 <= syn.error_probability <= 1e-15
         assert 0.0 <= syn.collective_error <= 1e-15
+
+    @pytest.mark.parametrize(
+        "code",
+        [build_nn12_code(3), code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n")],
+        ids=["group", "polar"],
+    )
+    def test_full_overlap_collapses(self, monkeypatch, code):
+        # kappa = 1 collapses the states on either route, as code_information
+        # says, and is refused before any state is built
+        def built(*args):
+            raise AssertionError("a state was built at kappa = 1")
+
+        monkeypatch.setattr(synth, "codeword_states", built)
+        with pytest.raises(LinearDependence):
+            synthesize_unitary(code, 1.0)
+        with pytest.raises(LinearDependence):
+            code_information(code, 1.0)
 
     def test_block_length_guard(self):
         words = np.zeros((2, 13), dtype=np.uint8)
