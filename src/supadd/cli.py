@@ -95,8 +95,12 @@ OPTIONS = {
 def _load_config(path):
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"config file {path} is not text: {exc}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -178,7 +182,11 @@ def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
     file, which sets its own length; an n_list given for it must repeat
     that length."""
     if code_family not in ("nn12", "simplex"):
-        code = code_from_text(Path(code_family).read_text())
+        try:
+            text = Path(code_family).read_text()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"code file {code_family} is not text: {exc}") from exc
+        code = code_from_text(text)
         if n_given and tuple(n_list) != (code.n,):
             raise InvalidInput(
                 f"n = {','.join(map(str, n_list))} does not match the code file's length {code.n}"

@@ -25,9 +25,8 @@ from .psdlinalg import _psd_root
 
 _SINGULAR_EIG = 1e-12
 # threshold_certificate holds a few 2**n x 2**n matrices and takes one
-# eigvalsh of that size: on a 2-core machine n = 11 takes 1.1 s and 160 MB,
-# n = 12 7.4 s and 545 MB, and n = 13 would take about 8 times the time and
-# 4 times the memory (2.2 GB), past a 5 minute / 1 GB budget
+# eigvalsh of that size; the README's "Limits and conventions" gives the
+# timings that put n = 13 past a 5 minute / 1 GB budget
 _MAX_CERT_N = 12
 _MAX_SWEEPS = 500
 

@@ -36,9 +36,9 @@ from .information import _kappa_array, _scalar_or_array, c1_binary
 
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
-# largest code dimension k the group route takes: a one-column fig2 (99
-# kappa) takes 57 s and 262 MB at k = 22 (n = 23) on a 2-core machine;
-# k = 23 has not been measured on the class-measure spectrum
+# largest code dimension k the group route takes; the README's "Limits and
+# conventions" gives the one-column fig2 timings it rests on. k = 23 has
+# not been measured on the class-measure spectrum
 _MAX_GROUP_K = 22
 # bracket width at which find_kappa_star stops bisecting
 _KAPPA_STAR_WIDTH = 1e-6
@@ -65,10 +65,11 @@ def _independent(words):
 
 
 def linear_generators(code: Code):
-    """Generator words of the code as ints (first letter most significant),
-    or None unless the code is linear with equal priors. Linear means the
-    codewords span no more than M words; then they are closed under XOR,
-    hold the zero word and M is a power of two."""
+    """Generator words, as ints (first letter most significant), of the
+    code translated by its smallest word, or None unless the priors are
+    equal and the translate is linear: its words span no more than M words,
+    so they are closed under XOR and M is a power of two. A code holding the
+    zero word is translated by 0; any other is a coset of the code they span."""
     m = code.num_codewords
     if code.n > 64:
         return None
@@ -76,7 +77,7 @@ def linear_generators(code: Code):
         return None
     shifts = np.arange(code.n - 1, -1, -1, dtype=np.uint64)
     words = np.bitwise_or.reduce(code.codewords.astype(np.uint64) << shifts, axis=1)
-    distinct = list(set(words.tolist()))
+    distinct = list(set((words ^ words.min()).tolist()))
     generators = []
     for word, new in zip(distinct, _independent(distinct)):
         if new:

@@ -87,9 +87,9 @@ def holevo_binary(kappa):
 def code_information(code: Code, kappa):
     """Mutual information of the code under square-root collective
     decoding, using the Walsh-Hadamard group route for linear codes with
-    equal priors and the explicit Gram route otherwise, which computes the
-    Hamming distances once and measures one kappa at a time. Broadcasts
-    over kappa."""
+    equal priors and their cosets and the explicit Gram route otherwise,
+    which computes the Hamming distances once and measures one kappa at a
+    time. Broadcasts over kappa."""
     from .fastcode import group_information, linear_generators
 
     generators = linear_generators(code)

@@ -11,14 +11,14 @@ the first letter most significant. The adaptor U therefore needs no solve:
 its rows at the assigned labels are the square-root measurement vectors.
 
 Only those rows carry meaning, so the schedule is built first and U is its
-product. A linear code with equal priors takes its vectors and schedule
-from one pass over its group structure (group_schedule), with no Gram
-matrix, eigh or state but the zero word's. Any other code takes its
-vectors as the polar factor of its states (detection._polar_rows),
-orthonormal to round-off whatever the conditioning, and its schedule is
-one pivot run per codeword, read off those rows (_row_schedule).
-reck_decompose is that elimination with every axis a label: the full
-triangular mesh of any orthogonal matrix.
+product. A linear code with equal priors, or a coset of one, takes its
+vectors and schedule from one pass over its group structure
+(group_schedule), with no Gram matrix, eigh or state but its smallest
+word's. Any other code takes its vectors as the polar factor of its states
+(detection._polar_rows), orthonormal to round-off whatever the
+conditioning, and its schedule is one pivot run per codeword, read off
+those rows (_row_schedule). reck_decompose is that elimination with every
+axis a label: the full triangular mesh of any orthogonal matrix.
 """
 
 from dataclasses import dataclass
@@ -86,11 +86,11 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     distinct integers in [0, 2**n). The product basis is the standard
     basis, so U maps each measurement vector onto its label's axis.
 
-    A linear code with equal priors takes its measurement vectors, their
-    overlaps with the states and its schedule from group_schedule:
-    omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the zero word's state
-    normalized on the class of y. Its collective error is 1 - g[0]**2,
-    which fastcode takes as the spread of the roots of the class measure.
+    A linear code with equal priors, or a coset of one, takes its
+    measurement vectors, overlaps with the states and schedule from
+    group_schedule: omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the
+    zero word's state normalized on the class of y. Its collective error,
+    1 - g[0]**2, fastcode takes as the spread of the class measure's roots.
     Any other code takes its vectors from the states' polar factor, its
     collective error as sum_i xi_i sum_{j != i} P(j|i) over the Gram
     route's channel, an independent computation, and _row_schedule reads
@@ -233,51 +233,53 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
 
 
 def group_schedule(code: Code, generators, kappa, labels):
-    """Square-root measurement rows omega_c of a linear code with equal
+    """Square-root measurement rows omega_c of a coset c0 ^ C, c0 its
+    smallest word, of the linear code C the generators span, with equal
     priors, each codeword's miss (1 + x) |psi_c - omega_c|**2 / 2 with
     x = psi_c . omega_c (see _misses), and the rotation schedule of the
     adaptor with row labels[c] equal to omega_c, all from its group
     structure (Eldar & Forney, IEEE TIT 47, 858, 2001).
 
-    Letter 1 is Z letter 0, so psi_c[y] = (-1)**(c.y) psi_0[y]. Bit j of
-    the class s of axis y is the parity of y & generator j, so
-    c.y = m(c).s for the message m(c) of c, and the square-root vector of
-    c is omega_c = sum_s (-1)**(m(c).s) a_s / sqrt(M), where a_s is psi_0
-    restricted to class s and normalized: omega_c has the signs psi_c
-    flips in psi_0, so every miss is that of psi_0 and omega_0, taken
-    once. The schedule, applied to e_label, does in order:
+    Letter 1 is Z letter 0, so psi_c[y] = (-1)**((c ^ c0).y) psi_c0[y]. Bit
+    j of the class s of axis y is the parity of y & generator j, so
+    (c ^ c0).y = m(c).s for the message m(c) of c ^ c0 in C, and omega_c =
+    sum_s (-1)**(m(c).s) a_s / sqrt(M), a_s psi_c0 restricted to class s
+    and normalized: omega_c has the signs psi_c flips in psi_c0, so every
+    miss is that of psi_c0 and omega_c0, taken once. A class's pivot is its
+    first axis where psi_c0 > 0: for C its first; c0 outside C flips half of
+    each class. The schedule, applied to e_label, does in order:
     - the labels in codeword order: each label's vector takes one pi/2
-      rotation onto its landing, the first axis of the class numbered by
-      its codeword's message, with the sign the butterfly needs there,
-      which sends whatever was on the landing back to where the vector
-      was; a vector already on its landing only has its sign checked. pi
+      rotation onto its landing, the pivot of the class numbered by its
+      codeword's message, with the sign the butterfly needs there, which
+      sends whatever was on the landing back to where the vector was; a
+      vector already on its landing only has its sign checked. pi
       rotations fix the wrong signs in pairs, the odd one out with an axis
       no codeword lands on or, when every axis is a codeword's, with the
       trailing axis flip;
-    - the k-level butterfly of pi/4 rotations on the M first axes is the
+    - the k-level butterfly of pi/4 rotations on the M pivots is the
       Walsh-Hadamard transform with input signs (-1)**|m|;
-    - one pivot run per class turns its first axis onto a_s.
+    - one pivot run per class turns its pivot onto a_s.
     That is 2**n - M + k*M/2 rotations, at most M moves and at most
-    M/2 + 1 sign fixes. The rows and the runs' angles divide psi_0 by the
+    M/2 + 1 sign fixes. The rows and the runs' angles divide psi_c0 by the
     same class norms, so the runs turn onto the a_s the rows hold.
     """
     n, k = code.n, len(generators)
     dim, m = 2**code.n, 2**k
     bits = 1 << np.arange(k)
-    zero_state = codeword_states(Code(n=n, codewords=np.zeros((1, n))), kappa)[0]
-    classes = _xor_span(_columns(generators, n)[::-1])
-    # row s: the axes of class s, ascending
-    members = np.argsort(classes, kind="stable").reshape(m, -1)
-    first = members[:, 0]
-    norms = np.sqrt(np.bincount(classes, weights=zero_state**2))
-    row = zero_state / norms[classes] / np.sqrt(m)
     # the parity in the narrowest unsigned dtype that holds dim - 1
     axes = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
     words = (code.codewords @ (1 << np.arange(n - 1, -1, -1))).astype(axes.dtype)
-    flips = np.bitwise_count(words[:, None] & axes) & 1
+    base = codeword_states(Code(n=n, codewords=code.codewords[[words.argmin()]]), kappa)[0]
+    classes = _xor_span(_columns(generators, n)[::-1])
+    # row s: the axes of class s, ascending, those where base > 0 first
+    members = np.argsort(2 * classes + (base < 0.0), kind="stable").reshape(m, -1)
+    first = members[:, 0]
+    norms = np.sqrt(np.bincount(classes, weights=base**2))
+    row = base / norms[classes] / np.sqrt(m)
+    flips = np.bitwise_count((words ^ words.min())[:, None] & axes) & 1
     measurement = np.where(flips == 1, -row, row)
-    misses = np.full(words.size, _misses(zero_state[None], row[None])[0])
-    # flips[c, y] = m(c).s(y), so bit j of m(c) is flips[c] on class 2**j's first axis
+    misses = np.full(words.size, _misses(base[None], row[None])[0])
+    # flips[c, y] = m(c).s(y), so bit j of m(c) is flips[c] on class 2**j's pivot
     messages = flips[:, first[bits]] @ bits
     landings = first[messages].tolist()
     signs = 1 - 2 * (np.bitwise_count(messages) & 1).astype(np.int64)
@@ -321,7 +323,7 @@ def group_schedule(code: Code, generators, kappa, labels):
         gammas = np.where(turned, math.pi / 4, -math.pi / 4)
         rotations += zip((b + 1).tolist(), (a + 1).tolist(), gammas.tolist())
 
-    t = zero_state[members] / norms[:, None]
+    t = base[members] / norms[:, None]
     # squared norm of the entries after each non-pivot entry of a class
     after = np.zeros_like(t[:, 1:])
     after[:, :-1] = np.cumsum(t[:, :1:-1] ** 2, axis=1)[:, ::-1]

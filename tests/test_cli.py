@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from supadd import cli, detection, ensembles, synth
+from supadd import cli, detection, ensembles, information, synth
 from supadd.cli import _emit, main
 from supadd.detection import _polar_rows, helstrom_binary, square_root_measurement
 from supadd.ensembles import (
@@ -298,6 +298,43 @@ class TestSweep:
         assert code != 0
         assert "error:" in err
 
+    @staticmethod
+    def odd_weight(n):
+        """The even-weight code of length n with its last letter flipped: a
+        coset of it whose smallest word is 0...01."""
+        even = build_nn12_code(n)
+        return even, Code(n=n, codewords=even.codewords ^ int_bits([1], n))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_odd_weight_file_prints_the_even_weight_bytes(self, capsys, tmp_path, monkeypatch, n):
+        # the odd-weight code has the even-weight code's Gram matrix up to
+        # codeword order: it takes the same group route, with no square-root
+        # measurement, and prints the same bytes
+        monkeypatch.setattr(information, "square_root_measurement", unreachable)
+        outs = []
+        for name, code in zip(("even", "odd"), self.odd_weight(n)):
+            path = tmp_path / f"{name}.code"
+            path.write_text(code_to_text(code))
+            status, out, _ = run(capsys, ["sweep", "--code", str(path)])
+            assert status == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_affine_file_past_the_gram_guard(self, capsys, tmp_path, monkeypatch):
+        # 2**13 odd-weight words of length 14: their Gram route would need
+        # about 4 GiB and is refused, but as a coset of the even-weight code
+        # they take its group route
+        monkeypatch.setattr(ensembles, "hamming_matrix", unreachable)
+        path = tmp_path / "odd14.code"
+        path.write_text(code_to_text(self.odd_weight(14)[1]))
+        status, out, _ = run(capsys, ["sweep", "--code", str(path), "--steps", "3"])
+        assert status == 0
+        _, rows = parse_csv(out)
+        grid = np.linspace(0.01, 0.99, 3)
+        assert [row[0] for row in rows] == [cli._fmt(x) for x in grid]
+        per_letter = np.array([float(row[1]) for row in rows])
+        assert np.abs(per_letter - nn12_mutual_information(14, grid) / 14).max() <= 1e-12
+
 
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -576,6 +613,14 @@ class TestNonNumericInput:
     def test_flag_value(self, capsys, argv):
         # flag text takes the conversion config text takes
         self.check_rejected(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [["sweep", "--code"], ["synth", "--code"], ["fig2", "--config"]])
+    def test_undecodable_file(self, capsys, tmp_path, monkeypatch, argv):
+        # bytes that are no UTF-8 text, as a code file or a config file
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        self.check_rejected(capsys, argv + [str(path)])
 
 
 class TestUnreadFlags:

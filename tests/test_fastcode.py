@@ -220,10 +220,14 @@ class TestLinearGenerators:
         assert linear_generators(skewed) is None
 
     def test_affine_code_without_zero_word(self):
-        # the even-weight code shifted by 001: closed differences, no zero word
+        # the even-weight code shifted by 001: closed differences, no zero
+        # word. Translated by its smallest word, 001, it is the even-weight
+        # code again, whose generators it takes
         code = build_nn12_code(3)
         shifted = Code(n=3, codewords=code.codewords ^ np.array([0, 0, 1], dtype=np.uint8))
-        assert linear_generators(shifted) is None
+        generators = linear_generators(shifted)
+        assert generators is not None and len(generators) == 2
+        assert sorted(span(generators)) == [0, 3, 5, 6]
 
     def test_words_longer_than_64_bits_take_explicit_route(self):
         code = Code(n=70, codewords=np.array([[0] * 70, [1] * 35 + [0] * 35]))

@@ -68,15 +68,16 @@ kappas = st.floats(min_value=0.0, max_value=0.95)
 
 
 def closure_generators(code):
-    """linear_generators by set closure: each distinct word, in set order,
-    that the span of the words kept before it misses, and None once that
-    span passes M words or the priors are unequal."""
+    """linear_generators by set closure: each distinct word of the code
+    translated by its smallest word, in set order, that the span of the
+    words kept before it misses, and None once that span passes M words or
+    the priors are unequal."""
     m = code.num_codewords
     if np.abs(code.priors - 1.0 / m).max() > 1e-12:
         return None
     words = code.codewords.astype(np.int64) @ (1 << np.arange(code.n - 1, -1, -1))
     span, generators = {0}, []
-    for word in set(words.tolist()):
+    for word in set((words ^ words.min()).tolist()):
         if word not in span:
             span |= {s ^ word for s in span}
             if len(span) > m:
@@ -118,12 +119,12 @@ def test_block_error_is_a_probability(code, kappa):
 @settings(max_examples=40, deadline=None)
 @given(codes(), kappas)
 def test_synthesis_agrees_with_the_dense_route(code, kappa):
-    """Linear codes with equal priors take their label rows and schedule
-    from the group structure, and every other code takes its states' polar
-    rows and one pivot run per codeword. Either way the label rows are the
-    square-root measurement, the errors are those of the dense route, the
-    schedule is shorter than a Reck mesh of U, and its product is U up to
-    the dense route's round-off."""
+    """Linear codes with equal priors, and their cosets, take their label
+    rows and schedule from the group structure, and every other code takes
+    its states' polar rows and one pivot run per codeword. Either way the
+    label rows are the square-root measurement, the errors are those of the
+    dense route, the schedule is shorter than a Reck mesh of U, and its
+    product is U up to the dense route's round-off."""
     m, dim = code.num_codewords, 2**code.n
     g = gram(code, kappa)
     linear = linear_generators(code) is not None

@@ -110,15 +110,18 @@ def assert_matches_one_rotation_at_a_time(schedule, measurement, labels):
 
 
 def group_vectors(code, kappa):
-    """Square-root measurement vectors of a linear code with equal priors
-    in closed form, one row per codeword: omega_c[y] = (-1)**(c.y)
-    psi_0[y] / sqrt(M), psi_0 normalized on the class of y, the axes whose
-    characters (-1)**(c.y) over the codewords agree with those of y."""
+    """Square-root measurement vectors of a linear code with equal priors,
+    or of a coset of one, in closed form, one row per codeword:
+    omega_c[y] = (-1)**(c.y) psi_0[y] / sqrt(M), psi_0 normalized on the
+    class of y, the axes whose characters (-1)**((c ^ c0).y) over the
+    codewords translated by the smallest one, c0, agree with those of y."""
     n, m = code.n, code.num_codewords
     words = code.codewords @ (1 << np.arange(n - 1, -1, -1))
-    chars = np.bitwise_count(words[:, None] & np.arange(2**n)[None, :]) & 1
+    axes = np.arange(2**n)[None, :]
+    chars = np.bitwise_count(words[:, None] & axes) & 1
+    translated = np.bitwise_count((words ^ words.min())[:, None] & axes) & 1
     psi0 = codeword_states(Code(n=n, codewords=np.zeros((1, n), dtype=np.uint8)), kappa)[0]
-    _, classes = np.unique(chars.T, axis=0, return_inverse=True)
+    _, classes = np.unique(translated.T, axis=0, return_inverse=True)
     norms = np.sqrt(np.bincount(classes.ravel(), weights=psi0**2))
     return (1.0 - 2.0 * chars) * (psi0 / norms[classes.ravel()]) / np.sqrt(m)
 
@@ -705,6 +708,45 @@ class TestGroupSchedule:
         correct = np.einsum("ij,ij->i", states, meas)
         assert abs(syn.error_probability - (1.0 - float(np.sum(code.priors * correct**2)))) <= 1e-12
         assert abs(syn.collective_error - (1.0 - float(np.sum(code.priors * np.diag(channel))))) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 0.93])
+    @pytest.mark.parametrize("kind", ["even_weight", "random"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_coset_matches_dense_route(self, n, kind, kappa):
+        # a linear code translated by a word outside it, its words and labels
+        # shuffled: no zero word, and its linear code's Gram matrix up to
+        # codeword order, so it takes the group route. Its rows and errors
+        # are the dense route's within its round-off, and its schedule has
+        # the group schedule's length
+        rng = np.random.default_rng([n, len(kind)])
+        dim = 2**n
+        if kind == "even_weight":
+            span = build_nn12_code(n).codewords @ (1 << np.arange(n - 1, -1, -1))
+        else:
+            span = np.zeros(1, dtype=np.int64)
+            for g in rng.integers(1, dim, size=rng.integers(1, n)):
+                span = np.union1d(span, span ^ g)
+        shift = rng.choice(np.setdiff1d(np.arange(dim), span))
+        code = linear_code(n, rng.permutation(span ^ shift))
+        m, k = code.num_codewords, int(np.log2(code.num_codewords))
+        labels = rng.permutation(dim)[:m].tolist()
+        assert linear_generators(code) is not None
+        syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
+        rows = syn.U[labels]
+        np.testing.assert_array_equal(rows, group_vectors(code, kappa))
+        assert len(syn.schedule.rotations) <= dim - m + k * m // 2 + 2 * m
+        assert syn.orthogonality_residual <= 1e-12
+        assert syn.reconstruction_residual <= 1e-12
+        states = codeword_states(code, kappa)
+        g = gram(code, kappa)
+        tol = eigh_tolerance(g)
+        _, channel = square_root_measurement(g)
+        assert np.abs(rows - eigh_rows(g, states)).max() <= tol
+        misses = exact_misses(states, rows)
+        assert (misses == misses[0]).all()
+        assert abs(syn.error_probability - float(np.sum(code.priors * misses))) <= 1e-14
+        assert abs(syn.collective_error - collective_error(code.priors, channel)) <= tol
+        assert abs(syn.error_probability - syn.collective_error) <= tol
 
 
 def row_bound(code):
