@@ -21,13 +21,14 @@ exit codes are those of the full parser (build_parser()).
 import argparse
 import json
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detection import _threshold_error, bayes_cost_reduction, helstrom_binary
+from .detection import _helstrom_error, _threshold_error, bayes_cost_reduction
 from .ensembles import (
     Code,
     _check_int,
@@ -308,12 +309,10 @@ def _write_matrix(path, u: np.ndarray) -> None:
     """Write the 2-D float64 array u with the bytes of
     np.savetxt(path, u, fmt="%.17g"), one block of rows at a time.
 
-    A linear code's U repeats a few thousand values over 4^n entries, so
-    each block formats its distinct bit patterns once (0.0 and -0.0 stay
-    apart), each into a 25-byte field: its text, at most 24 characters for
-    a float64, then zero bytes. The block's text is those fields gathered
-    in entry order, with each field's last byte made a space, or a newline
-    at a row's end, and the zero bytes dropped."""
+    A linear code's U repeats few values over its 4^n entries, so each
+    block formats its distinct bit patterns once (0.0 and -0.0 stay
+    apart), in one format call, and joins each row's texts, taken by
+    index, with spaces."""
     rows, cols = u.shape
     step = max(1, _TEXT_BLOCK // cols)
     with open(path, "wb") as fh:
@@ -321,11 +320,9 @@ def _write_matrix(path, u: np.ndarray) -> None:
             block = np.ascontiguousarray(u[start : start + step], dtype=np.float64)
             patterns, index = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
             values = patterns.view(np.float64).tolist()
-            fields = ("%-24.17g " * len(values) % tuple(values)).encode().replace(b" ", b"\0")
-            text = np.frombuffer(fields, "V25")[index].view(np.uint8).reshape(-1, 25)
-            text[:, 24] = ord(" ")
-            text[cols - 1 :: cols, 24] = ord("\n")
-            fh.write(text[text != 0].tobytes())
+            texts = np.array(("%.17g " * len(values) % tuple(values)).encode().split(), dtype=object)
+            lines = texts[index].reshape(-1, cols).tolist()
+            fh.write(b"".join(b" ".join(line) + b"\n" for line in lines))
 
 
 def cmd_synth(o) -> int:
@@ -365,7 +362,12 @@ def cmd_optimize(o) -> int:
         if "kappa" in o.given:
             raise InvalidInput("optimize reads kappa only for the letter pair, not with states_file")
         try:
-            states = np.atleast_2d(np.loadtxt(o.states_file, dtype=np.float64))
+            with warnings.catch_warnings():
+                # numpy warns, and returns no rows, for a file without data
+                warnings.simplefilter("error", UserWarning)
+                states = np.atleast_2d(np.loadtxt(o.states_file, dtype=np.float64))
+        except UserWarning:
+            raise InvalidInput(f"states file {o.states_file} holds no states") from None
         except ValueError as exc:
             raise InvalidInput(f"bad states file {o.states_file}: {exc}") from exc
     else:
@@ -385,8 +387,7 @@ def cmd_optimize(o) -> int:
         f"is_optimal={_fmt(report.is_optimal)}",
     ]
     if o.states_file is None:
-        _, closed = helstrom_binary(o.kappa, priors[0])
-        lines.append(f"closed_form_error={_fmt(closed)}")
+        lines.append(f"closed_form_error={_fmt(_helstrom_error(o.kappa, priors[0]))}")
     _write("\n".join(lines) + "\n", o.out)
     return 0
 

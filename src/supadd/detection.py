@@ -83,9 +83,16 @@ def _polar_rows(states) -> np.ndarray:
     Functions of Matrices, SIAM 2008, ch. 8). Raises LinearDependence for
     more states than dimensions or S**2 at or below the Gram threshold."""
     u, s, vt = np.linalg.svd(states, full_matrices=False)
-    if states.shape[0] > s.size or s[-1] ** 2 <= _SINGULAR_EIG:
-        raise LinearDependence(f"{states.shape[0]} states are numerically dependent")
+    _check_independent(states.shape[0], s)
     return u @ vt
+
+
+def _check_independent(m: int, s) -> None:
+    """LinearDependence unless the m states with singular values s (in
+    descending order) are no more than their dimension and s[-1]**2 is above
+    the Gram threshold."""
+    if m > s.size or s[-1] ** 2 <= _SINGULAR_EIG:
+        raise LinearDependence(f"{m} states are numerically dependent")
 
 
 def _check_tol(tol) -> None:
@@ -176,12 +183,17 @@ def bayes_cost_reduction(states, priors, tol: float = 1e-10):
     and turn its rows themselves. Returns the optimized measurement and a
     report whose error_history holds the average error of the start and
     then after each sweep. Raises InvalidInput, before any sweep, unless
-    0 <= tol < inf, and Unconverged (carrying the best iterate) if the
-    report's residual is above tol after _MAX_SWEEPS sweeps.
+    0 <= tol < inf, LinearDependence unless the states as given are
+    independent (a zero or tiny prior leaves them so), and Unconverged
+    (carrying the best iterate) if the report's residual is above tol
+    after _MAX_SWEEPS sweeps.
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
-    rows = _polar_rows(np.sqrt(priors)[:, None] * states)
+    _check_independent(states.shape[0], np.linalg.svd(states, compute_uv=False))
+    # U V^T of the weighted states: orthonormal rows, a zero prior's included
+    u, _, vt = np.linalg.svd(np.sqrt(priors)[:, None] * states, full_matrices=False)
+    rows = u @ vt
     x = rows @ states.T
     history = bayes_sweeps(x, rows, priors, tol, _MAX_SWEEPS)
     # x holds the final overlap matrix; certify it directly

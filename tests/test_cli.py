@@ -320,6 +320,20 @@ class TestSweep:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_odd_weight_words_in_increasing_order(self, capsys, tmp_path, monkeypatch):
+        # the same two codes with the words of each in increasing order, as
+        # a file is usually written; build_nn12_code lists them otherwise
+        monkeypatch.setattr(information, "square_root_measurement", unreachable)
+        outs = []
+        for parity in (0, 1):
+            words = [w for w in range(512) if w.bit_count() % 2 == parity]
+            path = tmp_path / f"weight9_{parity}.code"
+            path.write_text(code_to_text(Code(n=9, codewords=int_bits(np.array(words), 9))))
+            status, out, _ = run(capsys, ["sweep", "--code", str(path)])
+            assert status == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_affine_file_past_the_gram_guard(self, capsys, tmp_path, monkeypatch):
         # 2**13 odd-weight words of length 14: their Gram route would need
         # about 4 GiB and is refused, but as a coset of the even-weight code
@@ -403,6 +417,13 @@ class TestConfigHandling:
 
 # every word of length 8 with equal priors: every axis is a label
 ALL_WORDS_8 = "8 256\n" + "".join(f"{w:08b}\n" for w in range(256)) + "0.00390625\n" * 256
+# the same words but the last: no linear code, and at kappa 0.95 cond(Psi)
+# is about 1e6
+ALL_BUT_ONE_8 = "8 255\n" + "".join(f"{w:08b}\n" for w in range(255)) + f"{1 / 255!r}\n" * 255
+# the odd-weight words of length 9: a coset of the even-weight code
+ODD_WEIGHT_9 = (
+    "9 256\n" + "".join(f"{w:09b}\n" for w in range(512) if w.bit_count() % 2) + "0.00390625\n" * 256
+)
 
 
 class TestSynthCommand:
@@ -436,9 +457,11 @@ class TestSynthCommand:
             (["--kappa", "0.95", "--assign", ",".join(map(str, [1, 0, *range(2, 256)]))],
              ALL_WORDS_8),
             ([], "4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"),
+            ([], ODD_WEIGHT_9),
+            (["--kappa", "0.95"], ALL_BUT_ONE_8),
         ],
         ids=["even6", "even6-reversed", "simplex3", "simplex2-assigned", "all256", "all256-flip",
-             "nonlinear"],
+             "nonlinear", "odd9", "all255"],
     )
     def test_written_files_agree(self, capsys, tmp_path, argv, code_text):
         # schedule.csv, read back and multiplied out, rebuilds unitary.txt:
@@ -505,6 +528,28 @@ class TestOptimizeCommand:
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert abs(float(values["closed_form_error"]) - float(values["final_error"])) < 1e-9
+
+    @pytest.mark.parametrize("priors", ["1,0", "0,1", "0.9999999999999,1e-13"])
+    def test_zero_or_tiny_prior(self, capsys, priors):
+        # the prior-weighted letters are dependent, or nearly so, but the
+        # letters are not: optimize used to refuse them
+        code, out, _ = run(capsys, ["optimize", "--priors", priors])
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert values["is_optimal"] == "true"
+        xi1 = float(priors.split(",")[0])
+        assert float(values["closed_form_error"]) == pytest.approx(
+            float(detection._helstrom_error(0.5, xi1)), rel=1e-11, abs=0.0
+        )
+        assert abs(float(values["final_error"]) - float(values["closed_form_error"])) < 1e-12
+
+    def test_states_file_with_a_zero_prior(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        np.savetxt(path, np.eye(3))
+        code, out, _ = run(capsys, ["optimize", "--states-file", str(path), "--priors", "1,0,0"])
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert (values["final_error"], values["is_optimal"]) == ("0", "true")
 
     def test_states_file(self, capsys, tmp_path):
         path = tmp_path / "states.txt"
@@ -601,6 +646,15 @@ class TestNonNumericInput:
         path.write_text("1 0\n0 x\n")
         self.check_rejected(capsys, ["optimize", "--states-file", str(path)])
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"], ids=["empty", "blank", "comment"])
+    def test_states_file_without_states(self, capsys, tmp_path, text):
+        # numpy warned on stderr, and the CLI went on to refuse the norm of
+        # an empty row
+        path = tmp_path / "states.txt"
+        path.write_text(text)
+        err = single_error(capsys, ["optimize", "--states-file", str(path)])
+        assert "holds no states" in err
+
     @pytest.mark.parametrize("line", ["kappa_min=abc", "steps=1.5"])
     def test_config_value(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
@@ -687,6 +741,13 @@ class TestOneCommandParser:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert seen == (capsys.readouterr(), exc.value.code)
+
+    @pytest.mark.parametrize("command", [c[0] for c in cli.COMMANDS])
+    def test_command_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: supadd {command} ")
 
     def test_full_parser_lists_every_command(self):
         usage = cli.build_parser().format_usage()

@@ -333,6 +333,31 @@ class TestBayesCostReduction:
         assert abs(again.error_probability - exc.report.error_probability) < 1e-14
         assert not again.is_optimal
 
+    @pytest.mark.parametrize(
+        "states, priors",
+        [(np.eye(3), [1.0, 0.0, 0.0]), (np.eye(2), [1.0 - 1e-13, 1e-13])],
+        ids=["zero_prior", "tiny_prior"],
+    )
+    def test_independent_states_under_a_zero_or_tiny_prior(self, states, priors):
+        # the prior-weighted states are dependent, or nearly so, but the
+        # states are not: they used to be refused
+        _, report = bayes_cost_reduction(states, np.array(priors))
+        assert report.is_optimal
+        assert report.error_probability == 0.0
+
+    def test_zero_prior_drops_its_state(self):
+        # a state of prior 0 costs nothing: the error is the other states'
+        rng = np.random.default_rng(11)
+        states, priors = random_ensemble(rng, 4, 4)
+        priors[2] = 0.0
+        priors /= priors.sum()
+        meas, report = bayes_cost_reduction(states, priors)
+        assert report.is_optimal
+        assert np.abs(meas @ meas.T - np.eye(4)).max() <= 1e-14
+        keep = [0, 1, 3]
+        _, alone = bayes_cost_reduction(states[keep], priors[keep])
+        assert abs(report.error_probability - alone.error_probability) <= 1e-12
+
     def test_mismatched_priors_rejected(self):
         with pytest.raises(InvalidInput):
             bayes_cost_reduction(np.eye(3), np.array([0.5, 0.5]))

@@ -1150,6 +1150,9 @@ class TestUnitaryTextMatchesSavetxt:
             lambda: np.random.default_rng(14).standard_normal((1, 37)),
             lambda: np.random.default_rng(14).choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=(37, 1)),
             lambda: np.random.default_rng(14).standard_normal((37, 1)),
+            lambda: synthesize_unitary(
+                code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"), 0.5
+            ).U,
         ],
         ids=[
             "group_adaptor",
@@ -1159,6 +1162,7 @@ class TestUnitaryTextMatchesSavetxt:
             "row_distinct",
             "column_repeated",
             "column_distinct",
+            "nonlinear_adaptor",
         ],
     )
     def test_matches_savetxt(self, tmp_path, monkeypatch, make):
