@@ -77,6 +77,13 @@ def bayes_residual(X, xi):
     return float(np.abs(lhs - lhs.T).max())
 
 
+def bayes_error(X, xi):
+    """Average error 1 - sum_i xi_i X_ii**2 of the overlap matrix
+    X[i, j] = <omega_i|rho_j>, or 0 where rounding takes the sum above 1
+    (unit rows make it at most 1)."""
+    return max(1.0 - float(np.sum(xi * np.square(np.diag(X)))), 0.0)
+
+
 def _antidiagonals(m):
     """The pairs i < j of range(m) as one (i, j) pair of index arrays per
     anti-diagonal t = i + j, t = 1 ... 2m - 3, i increasing."""
@@ -92,11 +99,12 @@ def bayes_sweeps(X, rows, xi, tol, max_sweeps):
     (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
     sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
     X and rows are turned together and updated in place. Returns the
-    errors: that of the starting overlaps and then after each sweep (so
-    len(errors) - 1 sweeps ran). X and rows equal, bit for bit, those of
-    one scalar rotation at a time: the pairs of an anti-diagonal t = i + j
-    turn at once, on disjoint rows, and row i meets its pairs in
-    lexicographic order on t = i, ..., 2i - 1, 2i + 1, ..., i + M - 1.
+    errors, each a bayes_error: that of the starting overlaps and then
+    after each sweep (so len(errors) - 1 sweeps ran). X and rows equal,
+    bit for bit, those of one scalar rotation at a time: the pairs of an
+    anti-diagonal t = i + j turn at once, on disjoint rows, and row i
+    meets its pairs in lexicographic order on t = i, ..., 2i - 1, 2i + 1,
+    ..., i + M - 1.
     The angles take math's trig (numpy's SIMD loops may differ in the
     last bit); (-s) a + c x has the bits of c x - s a.
     """
@@ -109,7 +117,7 @@ def bayes_sweeps(X, rows, xi, tol, max_sweeps):
         # X[i, i], X[j, i], X[j, j], X[i, j] of each pair, then its rows
         entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
         batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
-    errors = [1.0 - float(np.sum(xi * np.diag(overlaps) ** 2))]
+    errors = [bayes_error(overlaps, xi)]
     residual = bayes_residual(overlaps, xi)
     while len(errors) <= max_sweeps and residual > tol:
         for entries, pair, pi, pj in batches:
@@ -123,7 +131,7 @@ def bayes_sweeps(X, rows, xi, tol, max_sweeps):
             coef = np.array(cs + ss + [-s for s in ss] + cs).reshape(2, 2, -1, 1)
             out = coef * XR.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
             XR[pair] = out[:, 0] + out[:, 1]
-        errors.append(1.0 - float(np.sum(xi * np.diag(overlaps) ** 2)))
+        errors.append(bayes_error(overlaps, xi))
         residual = bayes_residual(overlaps, xi)
     X[...] = overlaps
     rows[...] = XR[:, X.shape[1]:]

@@ -6,6 +6,10 @@ The square-root measurement takes one route per input: its channel comes
 from the Gram matrix's root, its rows in the states' coordinates from
 their polar factor, orthonormal to round-off whatever the conditioning.
 
+Every certificate goes through _certify, with one error formula
+(_kernels.bayes_error), and every ensemble a caller gives through
+check_ensemble: finite unit rows and a probability vector of priors.
+
 A measurement is an (M, dim) array of orthonormal row vectors omega_i, in
 the coordinates of the states it is applied to. For the overlap matrix
 X[i, j] = <omega_i | rho_j>, the channel is P(j|i) = X[j, i]**2 / Gram[i, i]
@@ -18,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import bayes_residual, bayes_sweeps
+from ._kernels import bayes_error, bayes_residual, bayes_sweeps
 from .ensembles import _check_int, _check_priors, _is_real, embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import _psd_root
@@ -29,6 +33,8 @@ _SINGULAR_EIG = 1e-12
 # timings that put n = 13 past a 5 minute / 1 GB budget
 _MAX_CERT_N = 12
 _MAX_SWEEPS = 500
+# entrywise tolerance of a state's norm and of a measurement's V V^T = I
+_UNIT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -61,8 +67,9 @@ def square_root_measurement(gram):
     measurement's own basis: the vectors are the identity, the states have
     coordinate rows sqrt_psd(gram) and the channel is their square over the
     diagonal of `gram`. Rows in the states' coordinates are _polar_rows.
-    Raises InvalidInput for a Gram matrix that is not square, finite and
-    symmetric, and LinearDependence when it is numerically singular.
+    Raises InvalidInput for a Gram matrix that is not square, non-empty,
+    finite and symmetric, and LinearDependence when it is numerically
+    singular.
     """
     min_eig, root = _psd_root(gram)
     if min_eig <= _SINGULAR_EIG:
@@ -110,7 +117,7 @@ def _certify(x, priors, tol, history=()) -> OptimalityReport:
         cond_i_residual=residual,
         cond_ii_min_eig=min_eig,
         is_optimal=bool(residual <= tol and min_eig >= -tol),
-        error_probability=1.0 - float(np.sum(priors * np.diag(x) ** 2)),
+        error_probability=bayes_error(x, priors),
         error_history=tuple(history),
     )
 
@@ -120,30 +127,34 @@ def check_optimality(measurement, states, priors, tol: float = 1e-10) -> Optimal
 
     For X[i, j] = <omega_i | rho_j>, checks the pairwise balance residual
     and positive semidefiniteness of the symmetrized (xi_i X_ii X_ji)
-    matrix; reports the average error 1 - sum_i xi_i X_ii**2. Raises
-    InvalidInput unless 0 <= tol < inf and the measurement and the states
-    are rows of one 2-D shape, one of each per outcome.
+    matrix; reports the average error 1 - sum_i xi_i X_ii**2, or 0 where
+    rounding takes it below 0. Raises InvalidInput unless 0 <= tol < inf,
+    the states and priors pass check_ensemble, and the measurement rows
+    are finite and orthonormal (V V^T within 1e-9 of the identity, entry
+    by entry) and of the states' shape.
     """
     _check_tol(tol)
+    states, priors = check_ensemble(states, priors)
     vectors = np.asarray(measurement, dtype=np.float64)
-    states = np.asarray(states, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape != states.shape:
-        raise InvalidInput(f"measurement shape {vectors.shape} != states shape {states.shape}")
-    x = vectors @ states.T
-    return _certify(x, _check_priors(priors, x.shape[0]), tol)
+    # finite before the product: NaN would pass the tolerance test, and inf warns
+    if vectors.shape != states.shape or not np.isfinite(vectors).all() or (
+        np.abs(vectors @ vectors.T - np.eye(len(vectors))).max() > _UNIT_TOL
+    ):
+        raise InvalidInput(f"measurement must be finite orthonormal rows of shape {states.shape}")
+    return _certify(vectors @ states.T, priors, tol)
 
 
 def check_ensemble(states, priors):
     """States and priors as float arrays, after checking that the priors
     are a finite probability vector and the states finite unit rows, one
-    per prior."""
+    per prior; InvalidInput otherwise."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     if states.ndim != 2:
         raise InvalidInput(f"states must be a 2-D array, got {states.ndim} axes")
     priors = _check_priors(priors, states.shape[0])
     if not np.isfinite(states).all():
         raise InvalidInput("states must be finite")
-    if np.abs(np.linalg.norm(states, axis=1) - 1.0).max() > 1e-9:
+    if np.abs(np.linalg.norm(states, axis=1) - 1.0).max() > _UNIT_TOL:
         raise InvalidInput("states must have unit norm")
     return states, priors
 

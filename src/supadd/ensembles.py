@@ -143,6 +143,14 @@ def int_bits(values, n: int) -> np.ndarray:
     return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
+def _pack_bits(bits) -> np.ndarray:
+    """The integers of 0/1 rows of at most 64 bits, most significant bit
+    first, as uint64: the inverse of int_bits."""
+    bits = np.asarray(bits)
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=1)
+
+
 def _xor_span(words) -> np.ndarray:
     """XOR of the words each index selects, index bit t selecting words[t]."""
     span = np.zeros(1, dtype=np.int64)

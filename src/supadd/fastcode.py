@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import fwht
-from .ensembles import Code, _check_int, _xor_span
+from .ensembles import Code, _check_int, _pack_bits, _xor_span
 from .errors import InvalidInput, NoRoot, ResourceLimit
 from .information import _kappa_array, _scalar_or_array, c1_binary
 
@@ -75,8 +75,7 @@ def linear_generators(code: Code):
         return None
     if np.abs(code.priors - 1.0 / m).max() > 1e-12:
         return None
-    shifts = np.arange(code.n - 1, -1, -1, dtype=np.uint64)
-    words = np.bitwise_or.reduce(code.codewords.astype(np.uint64) << shifts, axis=1)
+    words = _pack_bits(code.codewords)
     distinct = list(set((words ^ words.min()).tolist()))
     generators = []
     for word, new in zip(distinct, _independent(distinct)):

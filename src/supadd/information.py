@@ -65,8 +65,14 @@ def mutual_information(priors, channel) -> InfoResult:
     if channel.ndim != 2:
         raise InvalidInput("channel must be a 2-D array")
     priors = _check_priors(priors, channel.shape[0])
-    sums = channel.sum(axis=1)
-    if not np.isfinite(sums).all() or channel.min() < -1e-12 or np.abs(sums - 1.0).max() > 1e-8:
+    # finite entries before the sums (+inf and -inf in one row sum to NaN,
+    # with a warning), and the sums before the minimum (a row of no entries
+    # sums to 0 and has none)
+    if (
+        not np.isfinite(channel).all()
+        or np.abs(channel.sum(axis=1) - 1.0).max() > 1e-8
+        or channel.min() < -1e-12
+    ):
         raise InvalidInput("channel must be finite and row-stochastic")
     return InfoResult(mutual_information_bits=mi_bits(priors, channel))
 

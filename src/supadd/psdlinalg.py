@@ -1,7 +1,8 @@
 """Dense real-symmetric square root behind every Gram-matrix square-root
 measurement. `_psd_root` is the one eigendecomposition: it validates its
-input (square, finite, symmetric up to round-off) before LAPACK reads only
-one triangle, and returns the smallest eigenvalue and the symmetrized root.
+input (square, non-empty, finite, symmetric up to round-off) before LAPACK
+reads only one triangle, and returns the smallest eigenvalue and the
+symmetrized root.
 `sqrt_psd` and `detection.square_root_measurement` each check that
 eigenvalue their own way.
 """
@@ -16,8 +17,8 @@ _CLAMP_TOL = 1e-10
 
 def _as_symmetric(m):
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidInput(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInput("matrix has non-finite entries")
     if not np.array_equal(m, m.T):

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._kernels import apply_rotations
 from .detection import _polar_rows, square_root_measurement
-from .ensembles import Code, _check_int, _xor_span, codeword_states, gram
+from .ensembles import Code, _check_int, _pack_bits, _xor_span, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
 from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
 from .information import _kappa_array
@@ -268,7 +268,7 @@ def group_schedule(code: Code, generators, kappa, labels):
     bits = 1 << np.arange(k)
     # the parity in the narrowest unsigned dtype that holds dim - 1
     axes = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
-    words = (code.codewords @ (1 << np.arange(n - 1, -1, -1))).astype(axes.dtype)
+    words = _pack_bits(code.codewords).astype(axes.dtype)
     base = codeword_states(Code(n=n, codewords=code.codewords[[words.argmin()]]), kappa)[0]
     classes = _xor_span(_columns(generators, n)[::-1])
     # row s: the axes of class s, ascending, those where base > 0 first

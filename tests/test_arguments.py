@@ -10,10 +10,16 @@ Every kappa goes through embed_binary_letters or gram, which take a real
 scalar, or through information._kappa_array, which takes a number or an
 array of them: KAPPA_CASES feeds each kappa parameter a string, None, a
 bool and, on the scalar routes, an array.
+
+Every other array argument (states, measurements, channels, priors,
+matrices, codewords) has a shape and a value check: ARRAY_CASES feeds
+each one NaN, +inf and -inf entries, a value defect, a wrong shape and
+empty arrays, and each must raise InvalidInput with no warning.
 """
 
 import inspect
 import math
+import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -31,7 +37,9 @@ from supadd import (
     block_gain,
     build_nn12_code,
     build_simplex_code,
+    bayes_cost_reduction,
     c1_binary,
+    check_optimality,
     code_information,
     code_to_text,
     codeword_states,
@@ -42,14 +50,18 @@ from supadd import (
     group_root,
     helstrom_binary,
     holevo_binary,
+    mutual_information,
     nn12_error_probability,
     nn12_mutual_information,
     random_collective_max_info,
+    reck_decompose,
     reconstruct_unitary,
     schedule_from_csv,
     schedule_to_csv,
     separable_pair_info,
     simplex_profile,
+    sqrt_psd,
+    square_root_measurement,
     synthesize_unitary,
     threshold_certificate,
 )
@@ -110,16 +122,18 @@ CASES = [
     Case("schedule_from_csv", "dim", _from_csv, 1, 3),
     Case("synthesize_unitary", "outcome_assignment", _synth_labels, 0, 3),
 ]
-# exported records whose integer and flag fields are results, not arguments
-RESULTS = {"OptimalityReport", "ThresholdCertificate"}
+# exported records whose fields are results, not arguments
+RESULTS = {"OptimalityReport", "ThresholdCertificate", "SynthesizedUnitary", "InfoResult",
+           "SimplexProfile"}
 
 
 def _case_id(case):
     return f"{case.name}.{case.param}-{CASES.index(case)}"
 
 
-def test_every_integer_and_flag_parameter_is_swept():
-    annotated = set()
+def _exported_parameters():
+    """(callable name, parameter) of every exported callable's parameters,
+    results and exceptions aside."""
     for name in supadd.__all__:
         obj = getattr(supadd, name)
         if name in RESULTS or not callable(obj):
@@ -127,8 +141,15 @@ def test_every_integer_and_flag_parameter_is_swept():
         if isinstance(obj, type) and issubclass(obj, Exception):
             continue
         for param in inspect.signature(obj).parameters.values():
-            if param.annotation in (int, bool, int | None):
-                annotated.add((name, param.name))
+            yield name, param
+
+
+def test_every_integer_and_flag_parameter_is_swept():
+    annotated = {
+        (name, param.name)
+        for name, param in _exported_parameters()
+        if param.annotation in (int, bool, int | None)
+    }
     assert annotated <= {(case.name, case.param) for case in CASES}
 
 
@@ -297,14 +318,8 @@ def _kappa_id(case):
 
 
 def test_every_kappa_parameter_is_swept():
-    named = set()
-    for name in supadd.__all__:
-        obj = getattr(supadd, name)
-        if name in RESULTS or not callable(obj):
-            continue
-        if isinstance(obj, type) and issubclass(obj, Exception):
-            continue
-        named |= {(name, p) for p in inspect.signature(obj).parameters if p.startswith("kappa")}
+    named = {(name, param.name) for name, param in _exported_parameters()
+             if param.name.startswith("kappa")}
     assert named == {(case.name, case.param) for case in KAPPA_CASES}
 
 
@@ -317,3 +332,117 @@ def test_malformed_kappa_refused(case):
     # the call itself is sound: a real kappa, as a float or a numpy scalar
     case.call(0.5)
     case.call(np.float64(0.5))
+
+
+class ArrayCase(NamedTuple):
+    """One array parameter: the exported callable and parameter it stands
+    for, a call that passes the value to it, a value it takes, and a value
+    of the right shape and finite entries that it must refuse."""
+
+    name: str
+    param: str
+    call: Callable
+    good: np.ndarray
+    defect: np.ndarray
+
+
+_LETTERS = np.vstack(embed_binary_letters(0.5))
+_HALVES = np.array([0.5, 0.5])
+_GRAM = gram(build_nn12_code(2), 0.5)
+# a Gram matrix of any positive diagonal is taken (prior-weighted Grams);
+# an asymmetric one is refused
+_SKEW = _GRAM + np.triu(np.full((2, 2), 0.1), 1)
+_ORTHOGONAL = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+_CHANNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
+_WORDS = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+# 2 I, as the states or the measurement, was certified optimal with error -3
+ARRAY_CASES = [
+    ArrayCase("check_optimality", "measurement",
+              lambda v: check_optimality(v, np.eye(2), _HALVES), np.eye(2), 2 * np.eye(2)),
+    ArrayCase("check_optimality", "measurement",
+              lambda v: check_optimality(v, _LETTERS, _HALVES), np.eye(2), np.eye(2)[[0, 0]]),
+    ArrayCase("check_optimality", "states",
+              lambda v: check_optimality(np.eye(2), v, _HALVES), np.eye(2), 2 * np.eye(2)),
+    ArrayCase("check_optimality", "priors",
+              lambda v: check_optimality(np.eye(2), _LETTERS, v), _HALVES, 2 * _HALVES),
+    ArrayCase("bayes_cost_reduction", "states",
+              lambda v: bayes_cost_reduction(v, _HALVES), _LETTERS, 2 * _LETTERS),
+    ArrayCase("bayes_cost_reduction", "priors",
+              lambda v: bayes_cost_reduction(_LETTERS, v), _HALVES, 2 * _HALVES),
+    ArrayCase("mutual_information", "priors",
+              lambda v: mutual_information(v, _CHANNEL), _HALVES, 2 * _HALVES),
+    ArrayCase("mutual_information", "channel",
+              lambda v: mutual_information(_HALVES, v), _CHANNEL, 2 * _CHANNEL),
+    ArrayCase("square_root_measurement", "gram", square_root_measurement, _GRAM, _SKEW),
+    ArrayCase("sqrt_psd", "m", sqrt_psd, _GRAM, _SKEW),
+    ArrayCase("reck_decompose", "u", reck_decompose, _ORTHOGONAL, 2 * _ORTHOGONAL),
+    ArrayCase("Code", "codewords",
+              lambda v: code_to_text(Code(n=3, codewords=v, priors=_HALVES)), _WORDS, 2 * _WORDS),
+    ArrayCase("Code", "priors",
+              lambda v: code_to_text(Code(n=3, codewords=_WORDS, priors=v)), _HALVES, 2 * _HALVES),
+]
+
+
+def _with_entries(array, *values):
+    bad = np.array(array, dtype=np.float64)
+    bad.flat[: len(values)] = values
+    return bad
+
+
+def _array_malformed(case):
+    """(kind, value) pairs the parameter must refuse."""
+    good = case.good
+    return [
+        ("nan", _with_entries(good, np.nan)),
+        ("inf", _with_entries(good, np.inf)),
+        ("-inf", _with_entries(good, -np.inf)),
+        # a row that sums to NaN, with a warning, unless the entries are checked first
+        ("inf_and_-inf", _with_entries(good, np.inf, -np.inf)),
+        ("defect", case.defect),
+        ("short", good[:-1]),
+        ("narrow", good[..., :-1]),
+        ("flat" if good.ndim > 1 else "nested", good.ravel() if good.ndim > 1 else good[None]),
+        ("empty", np.empty(0)),
+        ("empty_square", np.empty((0, 0))),
+        ("no_rows", good[:0]),
+        ("no_columns", good[..., :0]),
+    ]
+
+
+ARRAY_MALFORMED = [
+    pytest.param(case, value, id=f"{case.name}.{case.param}-{ARRAY_CASES.index(case)}-{kind}")
+    for case in ARRAY_CASES
+    for kind, value in _array_malformed(case)
+]
+
+
+def test_every_array_parameter_is_swept():
+    # an array parameter is one annotated np.ndarray or not annotated at
+    # all, except the kappas and the integer lists the tables above sweep
+    swept = {(case.name, case.param) for case in CASES + KAPPA_CASES}
+    named = {
+        (name, param.name)
+        for name, param in _exported_parameters()
+        if param.annotation in (inspect.Parameter.empty, np.ndarray)
+        and (name, param.name) not in swept
+    }
+    assert named == {(case.name, case.param) for case in ARRAY_CASES}
+
+
+@pytest.mark.parametrize("case", ARRAY_CASES, ids=lambda c: f"{c.name}.{c.param}")
+def test_array_case_call_is_sound(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        case.call(case.good)
+
+
+@pytest.mark.parametrize("case, value", ARRAY_MALFORMED)
+def test_malformed_array_refused(case, value):
+    # before the one input check a NaN measurement gave a NaN report, an
+    # infinite state error -inf with two RuntimeWarnings, a 0 x 0 matrix a
+    # bare IndexError and a channel of empty rows a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            case.call(value)

@@ -551,6 +551,22 @@ class TestOptimizeCommand:
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert (values["final_error"], values["is_optimal"]) == ("0", "true")
 
+    def test_orthonormal_states_file_error_not_below_zero(self, capsys, tmp_path):
+        # the rows of np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+        # as %.17g gives them; both errors printed -4.4408920985e-16
+        rows = [
+            "-0.27051217797555616 0.31620795074884983 -0.66277593366130239 0.62254618720985166",
+            "-0.68122734606341895 0.059034729790481369 0.63830908030390632 0.3535614821435405",
+            "-0.6674444388371733 -0.3607784441628259 -0.38989376763697181 -0.52186174917369499",
+            "0.1314168391327499 -0.87542352423797076 -0.035671132850213491 0.46377886744041141",
+        ]
+        path = tmp_path / "orthonormal.txt"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, ["optimize", "--states-file", str(path)])
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert (values["initial_error"], values["final_error"]) == ("0", "0")
+
     def test_states_file(self, capsys, tmp_path):
         path = tmp_path / "states.txt"
         rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from supadd import ensembles
 from supadd.ensembles import (
+    _pack_bits,
     Code,
     build_nn12_code,
     build_simplex_code,
@@ -302,6 +303,17 @@ class TestIntBits:
 
     def test_empty(self):
         assert int_bits([], 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 8, 20, 64])
+    def test_pack_bits_inverts(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, 2, size=(30, n), dtype=np.uint8)
+        packed = _pack_bits(rows)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [int("".join(map(str, row)) or "0", 2) for row in rows.tolist()]
+        # int_bits reads int64, which holds 63 bits
+        if n < 64:
+            np.testing.assert_array_equal(int_bits(packed, n), rows)
 
 
 class TestTextFormat:

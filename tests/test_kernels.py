@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from supadd._kernels import (
     _antidiagonals,
     apply_rotations,
+    bayes_error,
     bayes_residual,
     bayes_sweeps,
     fwht,
@@ -181,6 +182,27 @@ class TestFwht:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * x.nbytes + 64 * 1024
+
+
+class TestBayesError:
+    def test_plain_formula_bits_where_not_below_zero(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 7, 30):
+            x = rng.uniform(-1.0, 1.0, size=(m, m))
+            priors = rng.dirichlet(np.ones(m))
+            expected = 1.0 - float(np.sum(priors * np.diag(x) ** 2))
+            assert expected >= 0.0
+            assert bayes_error(x, priors) == expected
+
+    def test_zero_where_rounding_takes_the_sum_above_one(self):
+        # unit overlaps one ulp above 1: 1 - sum is -2.2e-16 unfloored
+        x = np.diag([1.0 + 2.0**-52, 1.0 + 2.0**-52])
+        priors = np.array([0.5, 0.5])
+        assert 1.0 - float(np.sum(priors * np.diag(x) ** 2)) < 0.0
+        assert bayes_error(x, priors) == 0.0
+
+    def test_nan_not_hidden(self):
+        assert math.isnan(bayes_error(np.array([[np.nan]]), np.ones(1)))
 
 
 class TestBayesSweeps:

@@ -1,6 +1,7 @@
 """Property tests over random codes: the square-root-measurement channel,
 the block information and the block error stay inside their bounds, and
-decoder synthesis agrees with the dense route on either of its routes. Fuzz
+decoder synthesis agrees with the dense route on either of its routes.
+Over random orthonormal ensembles, no certified error is below 0. Fuzz
 tests of the two text parsers: any text gives a valid object or
 InvalidInput, never another exception."""
 
@@ -11,7 +12,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supadd.detection import _polar_rows, square_root_measurement
+from supadd.detection import (
+    _polar_rows,
+    bayes_cost_reduction,
+    check_optimality,
+    square_root_measurement,
+)
 from supadd.ensembles import (
     Code,
     code_from_text,
@@ -257,3 +263,29 @@ def test_schedule_csv_round_trip_is_exact(schedule):
     assert [(j, i, float_bits(g)) for j, i, g in restored.rotations] == [
         (j, i, float_bits(g)) for j, i, g in schedule.rotations
     ]
+
+
+@st.composite
+def orthonormal_ensembles(draw):
+    """m orthonormal states of length dim >= m, the first rows of a random
+    orthogonal matrix, m <= 12, and priors, some of them possibly 0."""
+    m = draw(st.integers(1, 12))
+    dim = m + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, m)))
+    weights = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any))
+    return q.T.copy(), np.array(weights) / sum(weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=orthonormal_ensembles())
+def test_orthonormal_ensemble_errors_not_below_zero(ensemble):
+    # the optimum error of orthonormal states is 0; 1 - sum xi_i X_ii**2
+    # rounded below 0 wherever an overlap rounded above 1
+    states, priors = ensemble
+    report = check_optimality(states, states, priors)
+    assert 0.0 <= report.error_probability <= 1e-14
+    assert report.is_optimal
+    _, report = bayes_cost_reduction(states, priors)
+    assert 0.0 <= min(report.error_history)
+    assert 0.0 <= report.error_probability <= 1e-14
