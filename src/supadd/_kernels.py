@@ -1,4 +1,5 @@
-"""Hot numerical kernels, one numpy implementation each."""
+"""Hot numerical kernels, one numpy implementation each, and the formulas
+and codeword bit layout (first letter most significant) that modules share."""
 
 import math
 
@@ -26,6 +27,44 @@ def hamming_matrix(code):
     for column in words.T:
         out += np.bitwise_count(column[:, None] ^ column)
     return out
+
+
+def _overlaps(kappa, distances: np.ndarray, n: int) -> np.ndarray:
+    """kappa**distances for distances in 0..n, bit for bit as
+    np.float_power gives them, looked up in a table of the n + 1 powers."""
+    return np.float_power(kappa, np.arange(n + 1))[distances]
+
+
+def _pack_bits(bits) -> np.ndarray:
+    """The integers of 0/1 rows of at most 64 bits, most significant bit
+    first, as uint64: the inverse of ensembles.int_bits."""
+    bits = np.asarray(bits)
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=1)
+
+
+def _xor_span(words) -> np.ndarray:
+    """XOR of the words each index selects, index bit t selecting words[t]."""
+    span = np.zeros(1, dtype=np.int64)
+    for word in words:
+        span = np.concatenate([span, span ^ word])
+    return span
+
+
+def _columns(generators, n: int) -> list:
+    """Each letter's column of the generator matrix, bit j from generator j."""
+    return [sum((g >> (n - 1 - i) & 1) << j for j, g in enumerate(generators)) for i in range(n)]
+
+
+def _helstrom_error(kappa, xi1):
+    """detection.helstrom_binary's error, as 2 xi1 xi2 kappa**2 / (1 + sqrt(...))."""
+    q = 4.0 * xi1 * (1.0 - xi1) * kappa * kappa
+    return 0.5 * q / (1.0 + np.sqrt(1.0 - q))
+
+
+def _threshold_error(p, n: int):
+    """1 - (1 - p)**n with no cancellation, as -expm1(n log1p(-p))."""
+    return -np.expm1(n * np.log1p(-p))
 
 
 def fwht(x):

@@ -28,10 +28,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detection import _helstrom_error, _threshold_error, bayes_cost_reduction
+from ._checks import _check_int
+from ._kernels import _helstrom_error, _threshold_error
+from .detection import bayes_cost_reduction
 from .ensembles import (
     Code,
-    _check_int,
     build_nn12_code,
     build_simplex_code,
     code_from_text,
@@ -40,12 +41,13 @@ from .ensembles import (
 from .errors import InvalidInput, NoRoot, SupaddError
 from .fastcode import (
     block_gain,
+    code_information,
     find_kappa_star,
     nn12_error_probability,
     nn12_mutual_information,
     simplex_profile,
 )
-from .information import binary_flip_probability, c1_binary, code_information, holevo_binary
+from .information import binary_flip_probability, c1_binary, holevo_binary
 from .synth import schedule_to_csv, synthesize_unitary
 
 

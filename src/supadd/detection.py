@@ -4,7 +4,8 @@ threshold-point certificate of product measurements.
 
 The square-root measurement takes one route per input: its channel comes
 from the Gram matrix's root, its rows in the states' coordinates from
-their polar factor, orthonormal to round-off whatever the conditioning.
+their polar factor (polar_rows, public here for synth but not exported by
+the package), orthonormal to round-off whatever the conditioning.
 
 Every certificate goes through _certify, with one error formula
 (_kernels.bayes_error), and every ensemble a caller gives through
@@ -22,10 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import bayes_error, bayes_residual, bayes_sweeps
-from .ensembles import _check_int, _check_priors, _is_real, embed_binary_letters
+from ._checks import _check_int, _check_priors, _is_real
+from ._kernels import _helstrom_error, _threshold_error, bayes_error, bayes_residual, bayes_sweeps
+from .ensembles import embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
-from .psdlinalg import _psd_root
+from .psdlinalg import psd_root
 
 _SINGULAR_EIG = 1e-12
 # threshold_certificate holds a few 2**n x 2**n matrices and takes one
@@ -66,12 +68,12 @@ def square_root_measurement(gram):
     unweighted or the prior-weighted one) and its channel, in the
     measurement's own basis: the vectors are the identity, the states have
     coordinate rows sqrt_psd(gram) and the channel is their square over the
-    diagonal of `gram`. Rows in the states' coordinates are _polar_rows.
+    diagonal of `gram`. Rows in the states' coordinates are polar_rows.
     Raises InvalidInput for a Gram matrix that is not square, non-empty,
     finite and symmetric, and LinearDependence when it is numerically
     singular.
     """
-    min_eig, root = _psd_root(gram)
+    min_eig, root = psd_root(gram)
     if min_eig <= _SINGULAR_EIG:
         raise LinearDependence(
             f"gram matrix is numerically singular (min eigenvalue {min_eig:.3e})"
@@ -81,7 +83,7 @@ def square_root_measurement(gram):
     return np.eye(root.shape[0]), np.divide(np.square(root, out=root), diag[:, None], out=root)
 
 
-def _polar_rows(states) -> np.ndarray:
+def polar_rows(states) -> np.ndarray:
     """Square-root measurement rows of the state rows Psi, in their
     coordinates: the polar factor U V^T of the thin SVD U S V^T. These are
     the rows (Psi Psi^T)**(-1/2) Psi, S**2 being the Gram eigenvalues, and
@@ -157,17 +159,6 @@ def check_ensemble(states, priors):
     if np.abs(np.linalg.norm(states, axis=1) - 1.0).max() > _UNIT_TOL:
         raise InvalidInput("states must have unit norm")
     return states, priors
-
-
-def _helstrom_error(kappa, xi1):
-    """helstrom_binary's error, as 2 xi1 xi2 kappa**2 / (1 + sqrt(...))."""
-    q = 4.0 * xi1 * (1.0 - xi1) * kappa * kappa
-    return 0.5 * q / (1.0 + np.sqrt(1.0 - q))
-
-
-def _threshold_error(p, n: int):
-    """1 - (1 - p)**n with no cancellation, as -expm1(n log1p(-p))."""
-    return -np.expm1(n * np.log1p(-p))
 
 
 def helstrom_binary(kappa: float, xi1: float):

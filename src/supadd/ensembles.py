@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import hamming_matrix
+from ._checks import _check_int, _check_priors, _is_real
+from ._kernels import _overlaps, _xor_span, hamming_matrix
 from .errors import InvalidInput, ResourceLimit
 
 # float64 entries (1 GiB) that one explicit array of states or overlaps may take
@@ -50,32 +51,6 @@ class Code:
         return self.codewords.shape[0]
 
 
-def _check_priors(priors, m: int) -> np.ndarray:
-    """priors as a float64 array; InvalidInput unless they are m >= 1
-    finite nonnegative numbers summing to 1 within 1e-12."""
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (m,) or m == 0:
-        raise InvalidInput(f"got {priors.size} priors for {m} states")
-    if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:
-        raise InvalidInput("priors must be a probability vector")
-    return priors
-
-
-def _check_int(value, lo: int, name: str) -> int:
-    """value as an int; InvalidInput unless it is at least lo and a Python
-    or numpy integer (not a bool) or a float of integral value."""
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        raise InvalidInput(f"{name} must be an integer of at least {lo}, got {value!r}")
-    return int(value)
-
-
-def _is_real(value) -> bool:
-    """Whether value is a Python or numpy real scalar other than a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def embed_binary_letters(kappa: float):
     """Concrete 2-dim coordinates for the letter pair with overlap kappa:
     (cos t, +/- sin t) with cos(2t) = kappa. Raises InvalidInput unless
@@ -92,17 +67,21 @@ def codeword_states(code: Code, kappa: float) -> np.ndarray:
     """Explicit codeword state vectors, one row per codeword, as tensor
     products of the letter embeddings (dimension 2**n). Raises
     ResourceLimit when its M * 2**n entries pass 2**27 (1 GiB)."""
-    if code.num_codewords * 2**code.n > _MAX_ENTRIES:
-        raise ResourceLimit(
-            f"{code.num_codewords} states of dimension 2**{code.n} exceed "
-            f"the guard of {_MAX_ENTRIES} entries"
-        )
+    m = code.num_codewords
+    _check_entries(m, code.n, f"{m} states of dimension 2**{code.n}")
     letters = np.stack(embed_binary_letters(kappa))
-    states = np.ones((code.num_codewords, 1))
+    states = np.ones((m, 1))
     for t in range(code.n):
         v = letters[code.codewords[:, t]]
-        states = (states[:, :, None] * v[:, None, :]).reshape(code.num_codewords, -1)
+        states = (states[:, :, None] * v[:, None, :]).reshape(m, -1)
     return states
+
+
+def _check_entries(count: int, log2: int, what: str) -> None:
+    """ResourceLimit when count * 2**log2 entries pass _MAX_ENTRIES, compared
+    as count > _MAX_ENTRIES >> log2, so 2**log2 is never formed."""
+    if count > _MAX_ENTRIES >> log2:
+        raise ResourceLimit(f"{what} exceed the guard of {_MAX_ENTRIES} entries")
 
 
 def gram(code: Code, kappa: float) -> np.ndarray:
@@ -113,16 +92,10 @@ def gram(code: Code, kappa: float) -> np.ndarray:
     Raises InvalidInput unless kappa is a real scalar in [0, 1]."""
     if not (_is_real(kappa) and 0.0 <= kappa <= 1.0):
         raise InvalidInput(f"kappa must be a real number in [0, 1], got {kappa!r}")
-    return _overlaps(kappa, _distances(code), code.n)
+    return _overlaps(kappa, distances(code), code.n)
 
 
-def _overlaps(kappa, distances: np.ndarray, n: int) -> np.ndarray:
-    """kappa**distances for distances in 0..n, bit for bit as
-    np.float_power gives them, looked up in a table of the n + 1 powers."""
-    return np.float_power(kappa, np.arange(n + 1))[distances]
-
-
-def _distances(code: Code) -> np.ndarray:
+def distances(code: Code) -> np.ndarray:
     """Hamming distances of every pair of codewords, for the Gram matrix
     of any kappa, in the narrowest unsigned dtype that holds n. Raises
     ResourceLimit, before allocating anything, when the Gram route would
@@ -143,28 +116,14 @@ def int_bits(values, n: int) -> np.ndarray:
     return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
-def _pack_bits(bits) -> np.ndarray:
-    """The integers of 0/1 rows of at most 64 bits, most significant bit
-    first, as uint64: the inverse of int_bits."""
-    bits = np.asarray(bits)
-    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
-    return np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=1)
-
-
-def _xor_span(words) -> np.ndarray:
-    """XOR of the words each index selects, index bit t selecting words[t]."""
-    span = np.zeros(1, dtype=np.int64)
-    for word in words:
-        span = np.concatenate([span, span ^ word])
-    return span
-
-
 def build_nn12_code(n: int) -> Code:
     """The [[n, n-1, 2]] even-weight code (2**(n-1) codewords, min
     distance 2) with equal priors, n >= 2: the XOR span of the first n - 1
     of 11, 101, 1111 and 11 << (m - 2) for m = 5..n ({00, 11} at n = 2), in
-    prefix co-recursion order (tests/test_ensembles.py::nn12_pair)."""
+    prefix co-recursion order (tests/test_ensembles.py::nn12_pair). Raises
+    ResourceLimit, before building a word, past 2**27 letters in all."""
     n = _check_int(n, 2, "block length")
+    _check_entries(n, n - 1, f"2**{n - 1} words of {n} letters")
     generators = [3, 5, 15] + [3 << m for m in range(3, n - 1)]
     return Code(n=n, codewords=int_bits(_xor_span(generators[: n - 1]), n))
 
@@ -172,8 +131,11 @@ def build_nn12_code(n: int) -> Code:
 def build_simplex_code(r: int) -> Code:
     """The [[2**r - 1, r, 2**(r-1)]] code: 2**r equidistant codewords with
     equal priors, generated by the matrix whose columns are all nonzero
-    r-bit vectors."""
+    r-bit vectors. Raises ResourceLimit, before building a word, past 2**27
+    letters in all (r >= 14)."""
     r = _check_int(r, 2, "rank")
+    # M * n = 2**(2r) - 2**r passes 2**27 exactly when 2**(2r) does
+    _check_entries(1, 2 * r, f"2**{r} words of 2**{r} - 1 letters")
     cols = int_bits(np.arange(1, 2**r), r).T
     return Code(n=2**r - 1, codewords=int_bits(np.arange(2**r), r) @ cols % 2)
 

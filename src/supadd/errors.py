@@ -9,10 +9,6 @@ class InvalidInput(SupaddError, ValueError):
     """Argument outside the documented domain (shape, range, finiteness)."""
 
 
-class NotPSD(SupaddError):
-    """Matrix has an eigenvalue below the allowed clamp tolerance."""
-
-
 class LinearDependence(SupaddError):
     """States (or Gram matrix) are numerically linearly dependent."""
 

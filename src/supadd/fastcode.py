@@ -1,6 +1,7 @@
 """Square-root-measurement profiles of linear binary codes with equal
 priors, in O(M log M) and without building any Gram matrix or
-2**n-dimensional state.
+2**n-dimensional state; and the one route selection, linear_generators,
+which code_information follows to this route or the explicit Gram route.
 
 The codewords of a linear code are the span of k generator words, so the
 Gram entry kappa**wt(x ^ y) depends only on the message x ^ y: the Gram
@@ -28,10 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import fwht
-from .ensembles import Code, _check_int, _pack_bits, _xor_span
+from ._checks import _check_int, _kappa_array, _scalar_or_array
+from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht
+from .detection import square_root_measurement
+from .ensembles import Code, distances
 from .errors import InvalidInput, NoRoot, ResourceLimit
-from .information import _kappa_array, _scalar_or_array, c1_binary
+from .information import c1_binary, mutual_information
 
 
 # root entries per block of the batched reductions (128 KiB of float64)
@@ -86,9 +89,22 @@ def linear_generators(code: Code):
     return tuple(generators)
 
 
-def _columns(generators, n: int) -> list:
-    """Each letter's column of the generator matrix, bit j from generator j."""
-    return [sum((g >> (n - 1 - i) & 1) << j for j, g in enumerate(generators)) for i in range(n)]
+def code_information(code: Code, kappa):
+    """Mutual information of the code under square-root collective
+    decoding, using the Walsh-Hadamard group route for linear codes with
+    equal priors and their cosets and the explicit Gram route otherwise,
+    which computes the Hamming distances once and measures one kappa at a
+    time. Broadcasts over kappa."""
+    generators = linear_generators(code)
+    if generators is not None:
+        return group_information(generators, code.n, kappa)
+    k = _kappa_array(kappa, collapse_at_one=True)
+    gram_distances = distances(code)
+    bits = np.empty(k.shape)
+    for index, value in np.ndenumerate(k):
+        _, channel = square_root_measurement(_overlaps(value, gram_distances, code.n))
+        bits[index] = mutual_information(code.priors, channel).mutual_information_bits
+    return _scalar_or_array(bits)
 
 
 def _layout(generators, n):
@@ -97,13 +113,18 @@ def _layout(generators, n):
     return _span_layout(words, _check_int(n, 0, "code length"))
 
 
+def _too_long(n) -> InvalidInput:
+    """Refusal of words of n > 64 letters, which pack into no uint64."""
+    return InvalidInput(f"the group route holds words of at most 64 letters, got n = {n}")
+
+
 @functools.lru_cache(maxsize=64)
 def _span_layout(generators: tuple, n: int):
     """Each class's weight over the first k independent columns, and the
     other nonzero columns. Raises, before allocating, InvalidInput for n > 64
     or non-independent n-bit generators, ResourceLimit for k > _MAX_GROUP_K."""
     if n > 64:
-        raise InvalidInput(f"the group route holds words of at most 64 letters, got n = {n}")
+        raise _too_long(n)
     if len(generators) > _MAX_GROUP_K:
         raise ResourceLimit(
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
@@ -193,8 +214,18 @@ def group_information(generators, n: int, kappa):
     return info
 
 
+def group_error(generators, n: int, kappa):
+    """Block decoding error 1 - g[0]**2 of the linear code spanned by
+    `generators`, as _root_error takes it; broadcasts over kappa."""
+    (error,) = _reduce_roots(generators, n, kappa, _root_error)
+    return error
+
+
 def _nn12_generators(n: int) -> list:
-    return [1 | 1 << i for i in range(1, _check_int(n, 2, "block length"))]
+    n = _check_int(n, 2, "block length")
+    if n > 64:
+        raise _too_long(n)
+    return [1 | 1 << i for i in range(1, n)]
 
 
 def nn12_mutual_information(n: int, kappa):
@@ -206,8 +237,7 @@ def nn12_mutual_information(n: int, kappa):
 def nn12_error_probability(n: int, kappa):
     """Block decoding error 1 - g[0]**2 of the even-weight code; broadcasts
     over kappa."""
-    (error,) = _reduce_roots(_nn12_generators(n), n, kappa, _root_error)
-    return error
+    return group_error(_nn12_generators(n), n, kappa)
 
 
 def simplex_profile(r: int, kappa) -> SimplexProfile:
@@ -216,6 +246,9 @@ def simplex_profile(r: int, kappa) -> SimplexProfile:
     information and the block error, all from one pass over the roots.
     Each field broadcasts over kappa."""
     r = _check_int(r, 2, "rank")
+    # 2**r - 1 letters: past 64 before 2**r is formed
+    if r > 6:
+        raise _too_long(f"2**{r} - 1")
     generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
     fields = (lambda root, g: g[:, 0], lambda root, g: g[:, 1], _root_information, _root_error)
     return SimplexProfile(*_reduce_roots(generators, 2**r - 1, kappa, *fields))

@@ -1,6 +1,7 @@
-"""Mutual information, first-order capacity, entropy bound, the
-information of a code under collective decoding, and the information of
-letter pairs read separately or collectively.
+"""Mutual information, first-order capacity, entropy bound, and the
+information of letter pairs read separately or collectively. The
+information of a code under collective decoding is
+fastcode.code_information, beside the route selection it takes.
 
 All logarithms are base 2; every information quantity is in bits.
 """
@@ -9,36 +10,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import mi_bits
-from .detection import _helstrom_error, helstrom_binary, square_root_measurement
-from .ensembles import Code, _check_int, _check_priors, _distances, _overlaps, embed_binary_letters
-from .errors import InvalidInput, LinearDependence
+from ._checks import _check_int, _check_priors, _kappa_array, _scalar_or_array
+from ._kernels import _helstrom_error, mi_bits
+from .detection import helstrom_binary
+from .ensembles import embed_binary_letters
+from .errors import InvalidInput
 
 
 class InfoResult(NamedTuple):
     mutual_information_bits: float
-
-
-def _scalar_or_array(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
-
-
-def _kappa_array(kappa, collapse_at_one: bool = False) -> np.ndarray:
-    """kappa (a number or an array) as a float64 array. InvalidInput unless
-    it holds integers or floats (a string, None or a bool is refused); the
-    first entry outside [0, 1) raises InvalidInput, or LinearDependence
-    when it is 1 and collapse_at_one is set, as it would alone."""
-    k = np.asarray(kappa)
-    if k.dtype.kind not in "iuf":
-        raise InvalidInput(f"kappa must be a real number or an array of them, got {kappa!r}")
-    k = k.astype(np.float64, copy=False)
-    inside = (k >= 0.0) & (k < 1.0)
-    if not inside.all():
-        bad = k[~inside][0]
-        if collapse_at_one and bad == 1.0:
-            raise LinearDependence("kappa = 1 collapses the codeword states")
-        raise InvalidInput(f"kappa must lie in [0, 1), got {bad}")
-    return k
 
 
 def _h2(p):
@@ -88,26 +68,6 @@ def holevo_binary(kappa):
     """Entropy bound of the equiprobable binary ensemble: h2((1+kappa)/2).
     Broadcasts over kappa."""
     return _h2((1.0 + _kappa_array(kappa)) / 2.0)
-
-
-def code_information(code: Code, kappa):
-    """Mutual information of the code under square-root collective
-    decoding, using the Walsh-Hadamard group route for linear codes with
-    equal priors and their cosets and the explicit Gram route otherwise,
-    which computes the Hamming distances once and measures one kappa at a
-    time. Broadcasts over kappa."""
-    from .fastcode import group_information, linear_generators
-
-    generators = linear_generators(code)
-    if generators is not None:
-        return group_information(generators, code.n, kappa)
-    k = _kappa_array(kappa, collapse_at_one=True)
-    distances = _distances(code)
-    bits = np.empty(k.shape)
-    for index, value in np.ndenumerate(k):
-        _, channel = square_root_measurement(_overlaps(value, distances, code.n))
-        bits[index] = mutual_information(code.priors, channel).mutual_information_bits
-    return _scalar_or_array(bits)
 
 
 def separable_pair_info(kappa_a: float, kappa_b: float):

@@ -1,15 +1,15 @@
 """Dense real-symmetric square root behind every Gram-matrix square-root
-measurement. `_psd_root` is the one eigendecomposition: it validates its
-input (square, non-empty, finite, symmetric up to round-off) before LAPACK
-reads only one triangle, and returns the smallest eigenvalue and the
-symmetrized root.
-`sqrt_psd` and `detection.square_root_measurement` each check that
-eigenvalue their own way.
+measurement. `psd_root`, public here but not exported by the package, is
+the one eigendecomposition: it validates its input (square, non-empty,
+finite, symmetric up to round-off) before LAPACK reads only one triangle,
+and returns the smallest eigenvalue and the symmetrized root.
+`sqrt_psd` (InvalidInput below -1e-10, outside its domain) and
+`detection.square_root_measurement` each check that eigenvalue their own way.
 """
 
 import numpy as np
 
-from .errors import InvalidInput, NotPSD
+from .errors import InvalidInput
 
 # eigenvalues in [-_CLAMP_TOL, 0) are round-off and clamp to zero in sqrt_psd
 _CLAMP_TOL = 1e-10
@@ -29,7 +29,7 @@ def _as_symmetric(m):
     return m
 
 
-def _psd_root(m):
+def psd_root(m):
     """Smallest eigenvalue of a real symmetric matrix and its symmetrized
     root Q sqrt(max(Lambda, 0)) Q^T."""
     values, vectors = np.linalg.eigh(_as_symmetric(m))
@@ -40,10 +40,10 @@ def _psd_root(m):
 def sqrt_psd(m) -> np.ndarray:
     """Symmetric PSD square root via the eigenbasis.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises
-    NotPSD (the signature of linearly dependent states).
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower is
+    outside its domain and raises InvalidInput.
     """
-    min_eig, root = _psd_root(m)
+    min_eig, root = psd_root(m)
     if min_eig < -_CLAMP_TOL:
-        raise NotPSD(f"eigenvalue {min_eig:.3e} below -{_CLAMP_TOL:.1e}")
+        raise InvalidInput(f"eigenvalue {min_eig:.3e} below -{_CLAMP_TOL:.1e}")
     return root

@@ -15,7 +15,7 @@ product. A linear code with equal priors, or a coset of one, takes its
 vectors and schedule from one pass over its group structure
 (group_schedule), with no Gram matrix, eigh or state but its smallest
 word's. Any other code takes its vectors as the polar factor of its states
-(detection._polar_rows), orthonormal to round-off whatever the
+(detection.polar_rows), orthonormal to round-off whatever the
 conditioning, and its schedule is one pivot run per codeword, read off
 those rows (_row_schedule). reck_decompose is that elimination with every
 axis a label: the full triangular mesh of any orthogonal matrix.
@@ -27,12 +27,12 @@ import math
 
 import numpy as np
 
-from ._kernels import apply_rotations
-from .detection import _polar_rows, square_root_measurement
-from .ensembles import Code, _check_int, _pack_bits, _xor_span, codeword_states, gram
+from ._checks import _check_int, _kappa_array
+from ._kernels import _columns, _pack_bits, _xor_span, apply_rotations
+from .detection import polar_rows, square_root_measurement
+from .ensembles import Code, codeword_states, gram
 from .errors import InvalidInput, ResourceLimit
-from .fastcode import _columns, _reduce_roots, _root_error, linear_generators
-from .information import _kappa_array
+from .fastcode import group_error, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
@@ -119,7 +119,7 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     generators = linear_generators(code)
     if generators is None:
         states = codeword_states(code, kappa)
-        measurement = _polar_rows(states)
+        measurement = polar_rows(states)
         _, channel = square_root_measurement(gram(code, kappa))
         misses = _misses(states, measurement)
         # sum_i xi_i sum_{j != i} P(j|i): no cancellation against the diagonal
@@ -128,7 +128,7 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         schedule = _row_schedule(measurement, labels)
     else:
         measurement, misses, schedule = group_schedule(code, generators, kappa, labels)
-        (collective,) = _reduce_roots(generators, code.n, kappa, _root_error)
+        collective = group_error(generators, code.n, kappa)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own, a block at a time
     at = np.array(labels)

@@ -1,13 +1,13 @@
 """Integer, flag and kappa arguments of the exported callables.
 
 Every length, rank, count, label, generator word, seed and schedule field
-goes through one check, ensembles._check_int: a malformed value raises
+goes through one check, _checks._check_int: a malformed value raises
 InvalidInput, never a bare Python or numpy exception and never a number
 computed from it. The sweep feeds each such parameter malformed values of
 its kind; ACCEPTED lists what is taken on purpose and what it must give.
 
 Every kappa goes through embed_binary_letters or gram, which take a real
-scalar, or through information._kappa_array, which takes a number or an
+scalar, or through _checks._kappa_array, which takes a number or an
 array of them: KAPPA_CASES feeds each kappa parameter a string, None, a
 bool and, on the scalar routes, an array.
 

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from supadd import cli, detection, ensembles, information, synth
+from supadd import _kernels, cli, detection, ensembles, fastcode, synth
 from supadd.cli import _emit, main
-from supadd.detection import _polar_rows, helstrom_binary, square_root_measurement
+from supadd.detection import helstrom_binary, polar_rows, square_root_measurement
 from supadd.ensembles import (
     Code,
     build_nn12_code,
@@ -19,6 +19,7 @@ from supadd.ensembles import (
 )
 from supadd.fastcode import (
     block_gain,
+    code_information,
     linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
@@ -27,7 +28,6 @@ from supadd.fastcode import (
 from supadd.information import (
     binary_flip_probability,
     c1_binary,
-    code_information,
     holevo_binary,
 )
 from test_synth import collective_error, eigh_tolerance, group_vectors, separate_error
@@ -310,7 +310,7 @@ class TestSweep:
         # the odd-weight code has the even-weight code's Gram matrix up to
         # codeword order: it takes the same group route, with no square-root
         # measurement, and prints the same bytes
-        monkeypatch.setattr(information, "square_root_measurement", unreachable)
+        monkeypatch.setattr(fastcode, "square_root_measurement", unreachable)
         outs = []
         for name, code in zip(("even", "odd"), self.odd_weight(n)):
             path = tmp_path / f"{name}.code"
@@ -323,7 +323,7 @@ class TestSweep:
     def test_odd_weight_words_in_increasing_order(self, capsys, tmp_path, monkeypatch):
         # the same two codes with the words of each in increasing order, as
         # a file is usually written; build_nn12_code lists them otherwise
-        monkeypatch.setattr(information, "square_root_measurement", unreachable)
+        monkeypatch.setattr(fastcode, "square_root_measurement", unreachable)
         outs = []
         for parity in (0, 1):
             words = [w for w in range(512) if w.bit_count() % 2 == parity]
@@ -539,7 +539,7 @@ class TestOptimizeCommand:
         assert values["is_optimal"] == "true"
         xi1 = float(priors.split(",")[0])
         assert float(values["closed_form_error"]) == pytest.approx(
-            float(detection._helstrom_error(0.5, xi1)), rel=1e-11, abs=0.0
+            float(_kernels._helstrom_error(0.5, xi1)), rel=1e-11, abs=0.0
         )
         assert abs(float(values["final_error"]) - float(values["closed_form_error"])) < 1e-12
 
@@ -1088,7 +1088,7 @@ def dense_synth_reference(code, kappa, labels):
     matrix."""
     m, dim = code.num_codewords, 2**code.n
     states = codeword_states(code, kappa)
-    meas = _polar_rows(states)
+    meas = polar_rows(states)
     _, channel = square_root_measurement(gram(code, kappa))
     u = np.empty((dim, dim))
     u[labels] = meas

@@ -3,10 +3,10 @@ import pytest
 
 from supadd import detection
 from supadd.detection import (
-    _polar_rows,
     bayes_cost_reduction,
     check_optimality,
     helstrom_binary,
+    polar_rows,
     square_root_measurement,
     threshold_certificate,
 )
@@ -28,7 +28,7 @@ def verify_sqm_orthonormal(gram) -> float:
     """Largest deviation of the square-root measurement's Gram matrix from
     the identity (linear independence makes the vectors orthonormal),
     for the polar rows of the states with coordinate rows sqrt_psd(gram)."""
-    meas = _polar_rows(sqrt_psd(gram))
+    meas = polar_rows(sqrt_psd(gram))
     return float(np.abs(meas @ meas.T - np.eye(meas.shape[0])).max())
 
 
@@ -80,7 +80,7 @@ class TestSquareRootMeasurement:
 
     def test_embedding_vectors_orthonormal(self):
         code = build_nn12_code(4)
-        meas = _polar_rows(codeword_states(code, 0.6))
+        meas = polar_rows(codeword_states(code, 0.6))
         prods = meas @ meas.T
         assert np.abs(prods - np.eye(8)).max() < 1e-10
 
@@ -101,7 +101,7 @@ class TestSquareRootMeasurement:
         # the Gram route's channel, from the span's own basis, against the
         # squared overlaps of the states with their polar rows
         _, span_channel = square_root_measurement(g)
-        x = _polar_rows(states) @ states.T
+        x = polar_rows(states) @ states.T
         np.testing.assert_allclose(x**2, span_channel, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -143,14 +143,14 @@ class TestPolarRows:
         # on a well-conditioned code the polar rows are G**(-1/2) Psi
         states = codeword_states(code, kappa)
         g = gram(code, kappa)
-        rows = _polar_rows(states)
+        rows = polar_rows(states)
         assert np.abs(rows - eigh_rows(g, states)).max() <= eigh_tolerance(g)
         assert np.abs(rows @ rows.T - np.eye(code.num_codewords)).max() <= 1e-14
 
     def test_orthonormal_where_the_gram_is_ill_conditioned(self):
         # 255 of the 256 words of length 8 at kappa 0.95: cond(Psi) is about
         # 1e6, and the eigh rows G**(-1/2) Psi are 5.2e-7 from orthonormal
-        rows = _polar_rows(codeword_states(linear_code(8, np.arange(255)), 0.95))
+        rows = polar_rows(codeword_states(linear_code(8, np.arange(255)), 0.95))
         assert np.abs(rows @ rows.T - np.eye(255)).max() <= 1e-14
 
     @pytest.mark.parametrize(
@@ -164,7 +164,7 @@ class TestPolarRows:
     )
     def test_dependent_states_rejected(self, states):
         with pytest.raises(LinearDependence):
-            _polar_rows(states)
+            polar_rows(states)
         with pytest.raises(LinearDependence):
             bayes_cost_reduction(states, np.full(3, 1.0 / 3.0))
 
@@ -201,7 +201,7 @@ class TestCheckOptimality:
     def test_skewed_priors_sqm_not_optimal(self):
         states = np.vstack(embed_binary_letters(0.5))
         priors = np.array([0.9, 0.1])
-        meas = _polar_rows(np.sqrt(priors)[:, None] * states)
+        meas = polar_rows(np.sqrt(priors)[:, None] * states)
         report = check_optimality(meas, states, priors)
         _, best = helstrom_binary(0.5, 0.9)
         assert not report.is_optimal
@@ -282,7 +282,7 @@ class TestHelstromBinary:
         kappa = 0.5
         states = np.vstack(embed_binary_letters(kappa))
         g = states @ states.T
-        meas_sqm = _polar_rows(states)
+        meas_sqm = polar_rows(states)
         _, channel = square_root_measurement(g)
         _, err = helstrom_binary(kappa, 0.5)
         sqm_error = 1.0 - 0.5 * (channel[0, 0] + channel[1, 1])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supadd import ensembles
+from supadd import _kernels, ensembles
+from supadd._kernels import _pack_bits
 from supadd.ensembles import (
-    _pack_bits,
     Code,
     build_nn12_code,
     build_simplex_code,
@@ -162,7 +162,7 @@ class TestGram:
         for n in (1, 5, 12, 64, 255):
             distances = rng.integers(0, n + 1, size=(9, 9)).astype(np.min_scalar_type(n))
             for kappa in kappas:
-                table = ensembles._overlaps(kappa, distances, n)
+                table = _kernels._overlaps(kappa, distances, n)
                 assert np.array_equal(table, np.float_power(kappa, distances))
         code = random_code(rng, 9, 200)
         dist = (code.codewords[:, None, :] ^ code.codewords[None, :, :]).sum(axis=2)

@@ -10,6 +10,7 @@ from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput, LinearDependence, NoRoot, ResourceLimit
 from supadd.fastcode import (
     block_gain,
+    code_information,
     find_kappa_star,
     group_information,
     group_root,
@@ -22,7 +23,6 @@ from supadd.fastcode import (
 from supadd.information import (
     binary_flip_probability,
     c1_binary,
-    code_information,
     mutual_information,
 )
 from supadd.psdlinalg import sqrt_psd

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd import ensembles
-from supadd._kernels import hamming_matrix
-from supadd.cli import _threshold_error
+from supadd._kernels import _threshold_error, hamming_matrix
 from supadd.detection import helstrom_binary, square_root_measurement, threshold_certificate
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput, LinearDependence
-from supadd.fastcode import block_gain
+from supadd.fastcode import block_gain, code_information
 from supadd.information import (
     _h2,
     binary_flip_probability,
     c1_binary,
-    code_information,
     holevo_binary,
     mutual_information,
     random_collective_max_info,

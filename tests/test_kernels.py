@@ -18,7 +18,7 @@ from supadd._kernels import (
     hamming_matrix,
     mi_bits,
 )
-from supadd.detection import _polar_rows
+from supadd.detection import polar_rows
 from supadd.errors import InvalidInput
 
 
@@ -224,7 +224,7 @@ class TestBayesSweeps:
         states /= np.linalg.norm(states, axis=1)[:, None]
         priors = rng.random(m) + 0.1
         priors /= priors.sum()
-        rows = _polar_rows(np.sqrt(priors)[:, None] * states)
+        rows = polar_rows(np.sqrt(priors)[:, None] * states)
         return rows @ states.T, rows, priors
 
     def test_matches_scalar_loops(self):

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd.detection import (
-    _polar_rows,
     bayes_cost_reduction,
     check_optimality,
+    polar_rows,
     square_root_measurement,
 )
 from supadd.ensembles import (
@@ -27,8 +27,8 @@ from supadd.ensembles import (
     int_bits,
 )
 from supadd.errors import InvalidInput
-from supadd.fastcode import linear_generators
-from supadd.information import code_information, holevo_binary
+from supadd.fastcode import code_information, linear_generators
+from supadd.information import holevo_binary
 from supadd.synth import (
     RotationSchedule,
     reconstruct_unitary,
@@ -138,7 +138,7 @@ def test_synthesis_agrees_with_the_dense_route(code, kappa):
     # so no code is refused
     syn = synthesize_unitary(code, kappa)
     states = codeword_states(code, kappa)
-    meas = _polar_rows(states)
+    meas = polar_rows(states)
     _, channel = square_root_measurement(g)
     separate = separate_error(code.priors, states, meas)
     collective = collective_error(code.priors, channel)

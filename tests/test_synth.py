@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supadd import cli, synth
-from supadd.detection import _polar_rows, square_root_measurement
+from supadd.detection import polar_rows, square_root_measurement
 from supadd.ensembles import (
     Code,
     build_nn12_code,
@@ -22,8 +22,13 @@ from supadd.ensembles import (
     int_bits,
 )
 from supadd.errors import InvalidInput, LinearDependence, ResourceLimit
-from supadd.fastcode import _reduce_roots, _root_error, linear_generators, nn12_error_probability
-from supadd.information import code_information
+from supadd.fastcode import (
+    _reduce_roots,
+    _root_error,
+    code_information,
+    linear_generators,
+    nn12_error_probability,
+)
 from supadd.synth import (
     RotationSchedule,
     group_schedule,
@@ -230,7 +235,7 @@ def row_cases():
         values = rng.permutation(2**n)[:m]
         code = Code(n=n, codewords=int_bits(values, n), priors=rng.dirichlet(np.ones(m)))
         labels = rng.permutation(2**n)[:m].tolist()
-        cases[f"code_{n}_{m}"] = (_polar_rows(codeword_states(code, 0.6)), labels)
+        cases[f"code_{n}_{m}"] = (polar_rows(codeword_states(code, 0.6)), labels)
     for dim in (17, 100):
         rows = rng.permutation(dim)[: dim // 3]
         labels = rng.permutation(dim)[: rows.size].tolist()
@@ -312,7 +317,7 @@ class TestSynthesizeUnitary:
         g = gram(code, kappa)
         states = codeword_states(code, kappa)
         if linear_generators(code) is None:
-            np.testing.assert_array_equal(rows, _polar_rows(states))
+            np.testing.assert_array_equal(rows, polar_rows(states))
         else:
             np.testing.assert_array_equal(rows, group_vectors(code, kappa))
         assert np.abs(rows - eigh_rows(g, states)).max() <= eigh_tolerance(g)
@@ -347,11 +352,11 @@ class TestSynthesizeUnitary:
     def test_non_orthogonal_adaptor_rejected(self, monkeypatch):
         # rows skewed 1e-6 off orthonormal put U past the 1e-8 guard
         def skewed(states):
-            rows = _polar_rows(states)
+            rows = polar_rows(states)
             rows[0] += 1e-6 * rows[1]
             return rows
 
-        monkeypatch.setattr(synth, "_polar_rows", skewed)
+        monkeypatch.setattr(synth, "polar_rows", skewed)
         code = code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n")
         with pytest.raises(InvalidInput, match="from orthogonal"):
             synthesize_unitary(code, 0.5)
@@ -848,7 +853,7 @@ class TestRowSchedule:
 
         states = codeword_states(code, kappa)
         g = gram(code, kappa)
-        meas = _polar_rows(states)
+        meas = polar_rows(states)
         _, channel = square_root_measurement(g)
         # the polar rows are orthonormal whatever the conditioning: never refused
         syn = synthesize_unitary(code, kappa, outcome_assignment=labels)
@@ -877,7 +882,7 @@ class TestRowSchedule:
             flips.add(syn.schedule.flip_last)
             assert len(syn.schedule.rotations) <= dim * (dim - 1) // 2
             product = reconstruct_unitary(syn.schedule)
-            meas = _polar_rows(codeword_states(code, 0.4))
+            meas = polar_rows(codeword_states(code, 0.4))
             assert np.abs(product[labels] - meas).max() <= 1e-12
             assert np.abs(product @ product.T - np.eye(dim)).max() <= 1e-12
         assert flips == {False, True}
