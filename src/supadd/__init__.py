@@ -7,7 +7,6 @@ from .detection import (
     ThresholdCertificate,
     bayes_cost_reduction,
     check_optimality,
-    helstrom_binary,
     square_root_measurement,
     threshold_certificate,
 )
@@ -34,9 +33,6 @@ from .fastcode import (
     block_gain,
     code_information,
     find_kappa_star,
-    group_information,
-    group_root,
-    linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
     simplex_profile,
@@ -68,7 +64,6 @@ __all__ = [
     "ThresholdCertificate",
     "bayes_cost_reduction",
     "check_optimality",
-    "helstrom_binary",
     "square_root_measurement",
     "threshold_certificate",
     "Code",
@@ -88,9 +83,6 @@ __all__ = [
     "SimplexProfile",
     "block_gain",
     "find_kappa_star",
-    "group_information",
-    "group_root",
-    "linear_generators",
     "nn12_error_probability",
     "nn12_mutual_information",
     "simplex_profile",

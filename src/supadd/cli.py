@@ -48,7 +48,7 @@ from .fastcode import (
     simplex_profile,
 )
 from .information import binary_flip_probability, c1_binary, holevo_binary
-from .synth import schedule_to_csv, synthesize_unitary
+from .synth import check_synth_length, schedule_to_csv, synthesize_unitary
 
 
 class Option(NamedTuple):
@@ -181,9 +181,9 @@ def _write(text: str, path) -> None:
 
 
 def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
-    """The code --code names: a family at its one block length, or a code
-    file, which sets its own length; an n_list given for it must repeat
-    that length."""
+    """The code --code names: a family (built only for synth, so its one
+    length meets synth's limit first), or a code file, which sets its own
+    length; an n_list given for it must repeat that length."""
     if code_family not in ("nn12", "simplex"):
         try:
             text = Path(code_family).read_text()
@@ -197,6 +197,8 @@ def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
         return code
     if len(n_list) != 1:
         raise InvalidInput(f"--code {code_family} needs one block length, got {len(n_list)}")
+    # rank r gives 2**r - 1 letters; a rank past 64 counts as 64, so 2**r stays small
+    check_synth_length(n_list[0] if code_family == "nn12" else 2 ** min(n_list[0], 64) - 1)
     if code_family == "nn12":
         return build_nn12_code(n_list[0])
     return build_simplex_code(n_list[0])

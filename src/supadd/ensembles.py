@@ -40,7 +40,10 @@ class Code:
         m = self.codewords.shape[0]
         if not 1 <= m <= 2**self.n:
             raise InvalidInput(f"a code of length n holds 1 to 2**n codewords, got {m}")
-        if len({tuple(row) for row in self.codewords.tolist()}) != m:
+        # packed rows sorted whole, as np.unique would, without its first call's 1.4 MB
+        rows = np.packbits(self.codewords, axis=1)
+        words = np.sort(rows.view(np.dtype((np.void, rows.shape[1]))).ravel())
+        if (words[1:] == words[:-1]).any():
             raise InvalidInput("codewords must be distinct")
         if self.priors is None:
             self.priors = np.full(m, 1.0 / m)
@@ -110,10 +113,11 @@ def distances(code: Code) -> np.ndarray:
 
 
 def int_bits(values, n: int) -> np.ndarray:
-    """Bit rows of n-bit integers, most significant bit first, as a
-    (len(values), n) uint8 array."""
-    shifts = np.arange(n - 1, -1, -1)
-    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+    """Bit rows of n-bit integers, most significant first, as a (len(values), n)
+    uint8 array unpacked from bytes, with no temporary over a byte per letter."""
+    little = np.asarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(little, axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(bits[:, ::-1])
 
 
 def build_nn12_code(n: int) -> Code:

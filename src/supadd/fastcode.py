@@ -1,7 +1,7 @@
 """Square-root-measurement profiles of linear binary codes with equal
 priors, in O(M log M) and without building any Gram matrix or
-2**n-dimensional state; and the one route selection, linear_generators,
-which code_information follows to this route or the explicit Gram route.
+2**n-dimensional state; and code_information and code_error_probability of
+any code, which _by_route sends to this route or the explicit Gram route.
 
 The codewords of a linear code are the span of k generator words, so the
 Gram entry kappa**wt(x ^ y) depends only on the message x ^ y: the Gram
@@ -12,29 +12,30 @@ of its square root is the transform of their square roots over M. Every
 channel row of the square-root measurement, the minimum-error one for such
 geometrically uniform states (Eldar & Forney, IEEE TIT 47, 858, 2001), is
 a permutation of g**2. The even-weight [[n, n-1, 2]] and simplex
-[[2**r - 1, r, 2**(r-1)]] families are two generator lists.
+[[2**r - 1, r, 2**(r-1)]] families are two generator lists, and no public
+function takes generator words: they come from a family or linear_generators.
 
 Every function here takes kappa as a number or as an array of any shape.
-group_root stacks the roots along the leading axes; the reductions
-(information, error, profiles, gains) compute the roots of at most _BLOCK
-entries at a time, reduce that block and go on, so memory stays flat
-however long the grid. A scalar kappa gives each reduction as a float,
-and an array gives bit for bit the values of its entries taken one at a
-time.
+The reductions (information, error, profiles, gains) compute the roots of
+at most _BLOCK entries at a time, reduce that block and go on, so memory
+stays flat however long the grid. A scalar kappa gives each reduction as a
+float, and an array gives bit for bit the values of its entries taken one
+at a time.
 """
 
 import functools
 import math
+from itertools import compress, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from ._checks import _check_int, _kappa_array, _scalar_or_array
-from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht
+from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht, mi_bits
 from .detection import square_root_measurement
 from .ensembles import Code, distances
 from .errors import InvalidInput, NoRoot, ResourceLimit
-from .information import c1_binary, mutual_information
+from .information import c1_binary
 
 
 # root entries per block of the batched reductions (128 KiB of float64)
@@ -70,47 +71,60 @@ def _independent(words):
 def linear_generators(code: Code):
     """Generator words, as ints (first letter most significant), of the
     code translated by its smallest word, or None unless the priors are
-    equal and the translate is linear: its words span no more than M words,
-    so they are closed under XOR and M is a power of two. A code holding the
-    zero word is translated by 0; any other is a coset of the code they span."""
+    equal and the translate is linear: M is a power of two and the first
+    log2 M independent words span its words. A code holding the zero word
+    is translated by 0; any other is a coset of the code they span."""
     m = code.num_codewords
-    if code.n > 64:
+    if code.n > 64 or m & (m - 1):
         return None
     if np.abs(code.priors - 1.0 / m).max() > 1e-12:
         return None
     words = _pack_bits(code.codewords)
-    distinct = list(set((words ^ words.min()).tolist()))
-    generators = []
-    for word, new in zip(distinct, _independent(distinct)):
-        if new:
-            generators.append(word)
-            if 1 << len(generators) > m:
-                return None
+    words ^= words.min()
+    distinct = list(set(words.tolist()))
+    generators = list(islice(compress(distinct, _independent(distinct)), m.bit_length() - 1))
+    # on the words' int64 view, as XOR is bitwise: a word of 64 letters passes 2**63
+    span = _xor_span(np.array(generators, dtype=np.uint64).view(np.int64)).view(np.uint64)
+    if not np.array_equal(np.sort(span), np.sort(words)):
+        return None
     return tuple(generators)
+
+
+def _by_route(code: Code, kappa, root_reduction, channel_reduction):
+    """One number per kappa from the code's square-root measurement, shaped
+    like kappa. A linear code with equal priors, or a coset of one, takes
+    the group route, root_reduction of its roots; any other code the
+    explicit Gram route, which computes the Hamming distances once and
+    measures one kappa at a time, channel_reduction(priors, channel)."""
+    generators = linear_generators(code)
+    if generators is not None:
+        (value,) = _reduce_roots(generators, code.n, kappa, root_reduction)
+        return value
+    k = _kappa_array(kappa, collapse_at_one=True)
+    gram_distances = distances(code)
+    out = np.empty(k.shape)
+    for index, value in np.ndenumerate(k):
+        _, channel = square_root_measurement(_overlaps(value, gram_distances, code.n))
+        out[index] = channel_reduction(code.priors, channel)
+    return _scalar_or_array(out)
 
 
 def code_information(code: Code, kappa):
     """Mutual information of the code under square-root collective
-    decoding, using the Walsh-Hadamard group route for linear codes with
-    equal priors and their cosets and the explicit Gram route otherwise,
-    which computes the Hamming distances once and measures one kappa at a
-    time. Broadcasts over kappa."""
-    generators = linear_generators(code)
-    if generators is not None:
-        return group_information(generators, code.n, kappa)
-    k = _kappa_array(kappa, collapse_at_one=True)
-    gram_distances = distances(code)
-    bits = np.empty(k.shape)
-    for index, value in np.ndenumerate(k):
-        _, channel = square_root_measurement(_overlaps(value, gram_distances, code.n))
-        bits[index] = mutual_information(code.priors, channel).mutual_information_bits
-    return _scalar_or_array(bits)
+    decoding, by _by_route; broadcasts over kappa."""
+    return _by_route(code, kappa, _root_information, mi_bits)
 
 
-def _layout(generators, n):
-    """_span_layout of the generator words and n, checked as ints >= 0."""
-    words = tuple(_check_int(g, 0, "generator word") for g in generators)
-    return _span_layout(words, _check_int(n, 0, "code length"))
+def code_error_probability(code: Code, kappa):
+    """Block decoding error sum_i xi_i sum_{j != i} P(j|i) of the code, by
+    _by_route (1 - g[0]**2 on the group route); broadcasts over kappa."""
+    return _by_route(code, kappa, _root_error, _channel_error)
+
+
+def _channel_error(priors, channel) -> float:
+    # sum_i xi_i sum_{j != i} P(j|i): no cancellation against the diagonal
+    np.fill_diagonal(channel, 0.0)
+    return np.sum(priors * channel.sum(axis=1))
 
 
 def _too_long(n) -> InvalidInput:
@@ -121,17 +135,13 @@ def _too_long(n) -> InvalidInput:
 @functools.lru_cache(maxsize=64)
 def _span_layout(generators: tuple, n: int):
     """Each class's weight over the first k independent columns, and the
-    other nonzero columns. Raises, before allocating, InvalidInput for n > 64
-    or non-independent n-bit generators, ResourceLimit for k > _MAX_GROUP_K."""
-    if n > 64:
-        raise _too_long(n)
+    other nonzero columns, of k independent words of n <= 64 bits. Raises
+    ResourceLimit, before allocating, for k > _MAX_GROUP_K."""
     if len(generators) > _MAX_GROUP_K:
         raise ResourceLimit(
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
             f"got k = {len(generators)}"
         )
-    if not all(g < 1 << n for g in generators) or not all(_independent(generators)):
-        raise InvalidInput(f"generators must be independent {n}-bit words")
     columns = _columns(generators, n)
     new = list(_independent(columns))
     basis = [c for c, first in zip(columns, new) if first]
@@ -163,16 +173,6 @@ def _roots(layout, k: np.ndarray):
     return root, fwht(root)
 
 
-def group_root(generators, n: int, kappa) -> np.ndarray:
-    """First row g of the Gram square root of the linear code spanned by
-    `generators` (n-bit ints), indexed by message: the channel row is g**2,
-    the information k + sum g**2 log2 g**2 and the error 1 - g[0]**2. For
-    an array of kappa the roots stack along the leading axes, shape
-    kappa.shape + (M,)."""
-    k = _kappa_array(kappa, collapse_at_one=True)
-    return _roots(_layout(generators, n), k)[1]
-
-
 def _reduce_roots(generators, n: int, kappa, *reductions):
     """Each reduction (a block's roots and root rows, (b, M) each, to b
     numbers) over every kappa, at most _BLOCK root entries at a time. One
@@ -180,7 +180,7 @@ def _reduce_roots(generators, n: int, kappa, *reductions):
     When _root_error, which reads only the roots, is the only reduction,
     the rows are None and no transform is taken."""
     k = _kappa_array(kappa, collapse_at_one=True)
-    layout = _layout(generators, n)
+    layout = _span_layout(tuple(generators), n)
     flat = k.reshape(-1)
     out = np.empty((len(reductions), flat.size))
     rows = max(1, _BLOCK // layout[0].size)
@@ -206,38 +206,26 @@ def _root_error(root: np.ndarray, g: np.ndarray) -> np.ndarray:
     return root.shape[-1] * np.sum((root - root.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
 
 
-def group_information(generators, n: int, kappa):
-    """Mutual information in bits of the linear code spanned by
-    `generators` under its square-root measurement; broadcasts over
-    kappa."""
-    (info,) = _reduce_roots(generators, n, kappa, _root_information)
-    return info
-
-
-def group_error(generators, n: int, kappa):
-    """Block decoding error 1 - g[0]**2 of the linear code spanned by
-    `generators`, as _root_error takes it; broadcasts over kappa."""
-    (error,) = _reduce_roots(generators, n, kappa, _root_error)
-    return error
-
-
-def _nn12_generators(n: int) -> list:
+def _nn12_generators(n: int):
+    """The even-weight code's generator words and its length n, checked first."""
     n = _check_int(n, 2, "block length")
     if n > 64:
         raise _too_long(n)
-    return [1 | 1 << i for i in range(1, n)]
+    return [1 | 1 << i for i in range(1, n)], n
 
 
 def nn12_mutual_information(n: int, kappa):
     """Information of the even-weight [[n, n-1, 2]] code in bits;
     broadcasts over kappa."""
-    return group_information(_nn12_generators(n), n, kappa)
+    (info,) = _reduce_roots(*_nn12_generators(n), kappa, _root_information)
+    return info
 
 
 def nn12_error_probability(n: int, kappa):
     """Block decoding error 1 - g[0]**2 of the even-weight code; broadcasts
     over kappa."""
-    return group_error(_nn12_generators(n), n, kappa)
+    (error,) = _reduce_roots(*_nn12_generators(n), kappa, _root_error)
+    return error
 
 
 def simplex_profile(r: int, kappa) -> SimplexProfile:

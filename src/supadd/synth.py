@@ -17,8 +17,9 @@ vectors and schedule from one pass over its group structure
 word's. Any other code takes its vectors as the polar factor of its states
 (detection.polar_rows), orthonormal to round-off whatever the
 conditioning, and its schedule is one pivot run per codeword, read off
-those rows (_row_schedule). reck_decompose is that elimination with every
-axis a label: the full triangular mesh of any orthogonal matrix.
+those rows (_row_schedule). Both builders sit above fastcode, which gives
+the collective error. reck_decompose is that elimination with every axis
+a label: the full triangular mesh of any orthogonal matrix.
 """
 
 from dataclasses import dataclass
@@ -29,10 +30,10 @@ import numpy as np
 
 from ._checks import _check_int, _kappa_array
 from ._kernels import _columns, _pack_bits, _xor_span, apply_rotations
-from .detection import polar_rows, square_root_measurement
-from .ensembles import Code, codeword_states, gram
+from .detection import polar_rows
+from .ensembles import Code, codeword_states
 from .errors import InvalidInput, ResourceLimit
-from .fastcode import group_error, linear_generators
+from .fastcode import code_error_probability, linear_generators
 
 # how far from orthogonal an adaptor may be
 _ORTHOGONAL_TOL = 1e-8
@@ -89,12 +90,10 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     A linear code with equal priors, or a coset of one, takes its
     measurement vectors, overlaps with the states and schedule from
     group_schedule: omega_c[y] = (-1)**(c.y) a[y] / sqrt(M) with a the
-    zero word's state normalized on the class of y. Its collective error,
-    1 - g[0]**2, fastcode takes as the spread of the class measure's roots.
-    Any other code takes its vectors from the states' polar factor, its
-    collective error as sum_i xi_i sum_{j != i} P(j|i) over the Gram
-    route's channel, an independent computation, and _row_schedule reads
-    its schedule off the vectors.
+    zero word's state normalized on the class of y. Any other code takes
+    its vectors from the states' polar factor, and _row_schedule reads its
+    schedule off the vectors. The collective error, an independent
+    computation, is fastcode.code_error_probability on either route.
 
     U is the schedule's product with the measurement rows written at the
     labels, and the reconstruction residual is how far the product's own
@@ -104,8 +103,7 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     raises InvalidInput; neither route's rows should give one. kappa = 1
     raises LinearDependence, as in code_information, before any state.
     """
-    if code.n > _MAX_SYNTH_N:
-        raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {code.n}")
+    check_synth_length(code.n)
     _kappa_array(kappa, collapse_at_one=True)
     m = code.num_codewords
     dim = 2**code.n
@@ -120,15 +118,11 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
     if generators is None:
         states = codeword_states(code, kappa)
         measurement = polar_rows(states)
-        _, channel = square_root_measurement(gram(code, kappa))
         misses = _misses(states, measurement)
-        # sum_i xi_i sum_{j != i} P(j|i): no cancellation against the diagonal
-        np.fill_diagonal(channel, 0.0)
-        collective = float(np.sum(code.priors * channel.sum(axis=1)))
         schedule = _row_schedule(measurement, labels)
     else:
         measurement, misses, schedule = group_schedule(code, generators, kappa, labels)
-        collective = group_error(generators, code.n, kappa)
+    collective = code_error_probability(code, kappa)
     u = reconstruct_unitary(schedule)
     # the only rows of U that are not the product's own, a block at a time
     at = np.array(labels)
@@ -155,6 +149,12 @@ def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> Syn
         error_probability=float(np.sum(code.priors * misses)),
         collective_error=collective,
     )
+
+
+def check_synth_length(n: int) -> None:
+    """ResourceLimit for a code of n > _MAX_SYNTH_N letters, before it is built."""
+    if n > _MAX_SYNTH_N:
+        raise ResourceLimit(f"synthesis guarded at n <= {_MAX_SYNTH_N}, got {n}")
 
 
 def _orthogonality_residual(u) -> float:

@@ -1,6 +1,6 @@
 """Integer, flag and kappa arguments of the exported callables.
 
-Every length, rank, count, label, generator word, seed and schedule field
+Every length, rank, count, label, seed and schedule field
 goes through one check, _checks._check_int: a malformed value raises
 InvalidInput, never a bare Python or numpy exception and never a number
 computed from it. The sweep feeds each such parameter malformed values of
@@ -46,9 +46,6 @@ from supadd import (
     embed_binary_letters,
     find_kappa_star,
     gram,
-    group_information,
-    group_root,
-    helstrom_binary,
     holevo_binary,
     mutual_information,
     nn12_error_probability,
@@ -65,6 +62,8 @@ from supadd import (
     synthesize_unitary,
     threshold_certificate,
 )
+from supadd.detection import helstrom_binary
+from supadd.fastcode import code_error_probability
 
 
 class Case(NamedTuple):
@@ -94,6 +93,15 @@ def _from_csv(dim):
     return type(schedule.dim), schedule.dim, schedule.rotations, schedule.flip_last
 
 
+# a linear code (the group route) and a non-linear one (the Gram route)
+_LINEAR = build_nn12_code(3)
+_NONLINEAR = Code(n=3, codewords=[[0, 0, 0], [0, 1, 1], [1, 1, 1]])
+
+
+def _length(code, n):
+    return Code(n=n, codewords=code.codewords)
+
+
 CASES = [
     Case("Code", "n", lambda v: code_to_text(Code(n=v, codewords=[[0, 0, 1], [1, 1, 0]])), 0, 3),
     Case("build_nn12_code", "n", lambda v: code_to_text(build_nn12_code(v)), 2, 4),
@@ -103,10 +111,11 @@ CASES = [
     Case("nn12_mutual_information", "n", lambda v: nn12_mutual_information(v, 0.6), 2, 5),
     Case("nn12_error_probability", "n", lambda v: nn12_error_probability(v, 0.6), 2, 5),
     Case("simplex_profile", "r", lambda v: tuple(simplex_profile(v, 0.6)), 2, 3),
-    Case("group_root", "n", lambda v: group_root([3, 5], v, 0.6).tolist(), 0, 3),
-    Case("group_root", "generators", lambda v: group_root([3, v], 3, 0.6).tolist(), 0, 5),
-    Case("group_information", "n", lambda v: group_information([3, 5], v, 0.6), 0, 3),
-    Case("group_information", "generators", lambda v: group_information([v, 5], 3, 0.6), 0, 3),
+    # a code's length reaches each route of each code quantity through Code
+    Case("Code", "n", lambda v: code_information(_length(_LINEAR, v), 0.6), 0, 3),
+    Case("Code", "n", lambda v: code_information(_length(_NONLINEAR, v), 0.6), 0, 3),
+    Case("Code", "n", lambda v: code_error_probability(_length(_LINEAR, v), 0.6), 0, 3),
+    Case("Code", "n", lambda v: code_error_probability(_length(_NONLINEAR, v), 0.6), 0, 3),
     Case("threshold_certificate", "n", lambda v: tuple(threshold_certificate(0.6, v)), 1, 3),
     Case("random_collective_max_info", "trials",
          lambda v: random_collective_max_info(0.3, 0.7, trials=v), 1, 3),
@@ -131,11 +140,16 @@ def _case_id(case):
     return f"{case.name}.{case.param}-{CASES.index(case)}"
 
 
+# public names of their modules that the package does not export, swept
+# all the same: each takes a kappa from its callers
+UNEXPORTED = {"helstrom_binary": helstrom_binary, "code_error_probability": code_error_probability}
+
+
 def _exported_parameters():
     """(callable name, parameter) of every exported callable's parameters,
-    results and exceptions aside."""
-    for name in supadd.__all__:
-        obj = getattr(supadd, name)
+    and of UNEXPORTED's, results and exceptions aside."""
+    for name in supadd.__all__ + list(UNEXPORTED):
+        obj = UNEXPORTED.get(name) or getattr(supadd, name)
         if name in RESULTS or not callable(obj):
             continue
         if isinstance(obj, type) and issubclass(obj, Exception):
@@ -211,8 +225,6 @@ def test_accepted_on_purpose(call, expected):
         lambda: block_gain(3.5, 0.5),
         lambda: build_simplex_code(2.5),
         lambda: threshold_certificate(0.5, 3.5),
-        lambda: group_root([3, 5], 3.5, 0.5),
-        lambda: group_root([3.5, 5], 3, 0.5),
         lambda: threshold_certificate(0.5, True),
         lambda: random_collective_max_info(0.3, 0.7, trials=0),
         lambda: random_collective_max_info(0.3, 0.7, trials=-5),
@@ -225,8 +237,6 @@ def test_accepted_on_purpose(call, expected):
         "block_gain-n=3.5",
         "build_simplex_code-r=2.5",
         "threshold_certificate-n=3.5",
-        "group_root-n=3.5",
-        "group_root-word=3.5",
         "threshold_certificate-n=True",
         "random_collective_max_info-trials=0",
         "random_collective_max_info-trials=-5",
@@ -272,10 +282,6 @@ class KappaCase(NamedTuple):
     scalar: bool
 
 
-# a linear code (the group route) and a non-linear one (the Gram route)
-_LINEAR = build_nn12_code(3)
-_NONLINEAR = Code(n=3, codewords=[[0, 0, 0], [0, 1, 1], [1, 1, 1]])
-
 KAPPA_CASES = [
     KappaCase("embed_binary_letters", "kappa", embed_binary_letters, True),
     KappaCase("gram", "kappa", lambda v: gram(_NONLINEAR, v), True),
@@ -292,8 +298,10 @@ KAPPA_CASES = [
               lambda v: random_collective_max_info(0.5, v, trials=3), True),
     KappaCase("block_gain", "kappa", lambda v: block_gain(2, v), False),
     KappaCase("block_gain", "kappa", lambda v: block_gain(3, v), False),
-    KappaCase("group_information", "kappa", lambda v: group_information([3, 5], 3, v), False),
-    KappaCase("group_root", "kappa", lambda v: group_root([3, 5], 3, v), False),
+    KappaCase("code_error_probability", "kappa",
+              lambda v: code_error_probability(_LINEAR, v), False),
+    KappaCase("code_error_probability", "kappa",
+              lambda v: code_error_probability(_NONLINEAR, v), False),
     KappaCase("nn12_error_probability", "kappa", lambda v: nn12_error_probability(3, v), False),
     KappaCase("nn12_mutual_information", "kappa", lambda v: nn12_mutual_information(3, v), False),
     KappaCase("simplex_profile", "kappa", lambda v: simplex_profile(2, v), False),

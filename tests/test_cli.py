@@ -1060,7 +1060,7 @@ class TestSynthMeasurementOnce:
             calls.append(1)
             return square_root_measurement(*args, **kwargs)
 
-        monkeypatch.setattr(synth, "square_root_measurement", counting)
+        monkeypatch.setattr(fastcode, "square_root_measurement", counting)
         # the CLI no longer imports it: optimize takes its start error from
         # the optimizer
         assert not hasattr(cli, "square_root_measurement")

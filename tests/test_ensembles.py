@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,18 @@ class TestCodeValidation:
     def test_duplicate_codewords_rejected(self):
         with pytest.raises(InvalidInput):
             Code(n=2, codewords=np.array([[0, 1], [0, 1]], dtype=np.uint8))
+
+    def test_built_in_packed_rows(self):
+        # int_bits and the distinctness check hold at most about two bytes
+        # per letter beside the codewords; a Python set of row tuples and an
+        # int64 bit table took about 25
+        tracemalloc.start()
+        try:
+            code = build_nn12_code(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * code.codewords.size
 
     def test_bad_priors_rejected(self):
         with pytest.raises(InvalidInput):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from supadd import fastcode
+from supadd._checks import _kappa_array
 from supadd._kernels import fwht
 from supadd.detection import square_root_measurement
 from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
 from supadd.errors import InvalidInput, LinearDependence, NoRoot, ResourceLimit
 from supadd.fastcode import (
     block_gain,
+    code_error_probability,
     code_information,
     find_kappa_star,
-    group_information,
-    group_root,
     linear_generators,
     nn12_error_probability,
     nn12_mutual_information,
@@ -30,6 +30,14 @@ from supadd.psdlinalg import sqrt_psd
 
 def nn12_generators(n):
     return [1 | 1 << i for i in range(1, n)]
+
+
+def group_root(generators, n, kappa):
+    """First row g of the Gram square root of the linear code the
+    generators span, indexed by message, as fastcode._roots gives it:
+    stacked along the leading axes for an array of kappa."""
+    k = _kappa_array(kappa, collapse_at_one=True)
+    return fastcode._roots(fastcode._span_layout(tuple(generators), n), k)[1]
 
 
 def span(generators):
@@ -103,18 +111,10 @@ class TestProfile:
         with pytest.raises(LinearDependence):
             group_root(nn12_generators(4), 4, 1.0)
 
-    def test_dependent_generators_rejected(self):
-        with pytest.raises(InvalidInput):
-            group_root([3, 5, 6], 3, 0.5)
-        with pytest.raises(InvalidInput):
-            group_root([8], 3, 0.5)
-        with pytest.raises(InvalidInput):
-            group_root([-1], 3, 0.5)
-
 
 class TestGroupRouteGuards:
-    """_span_layout refuses what it cannot pack or hold before it builds
-    the span."""
+    """The families refuse words they cannot pack, and _span_layout a
+    span it cannot hold, before the span is built."""
 
     @pytest.fixture(autouse=True)
     def no_span(self, monkeypatch):
@@ -133,8 +133,6 @@ class TestGroupRouteGuards:
     def test_words_past_64_letters_rejected(self):
         with pytest.raises(InvalidInput, match="64 letters"):
             simplex_profile(7, 0.5)
-        with pytest.raises(InvalidInput, match="64 letters"):
-            group_root([1], 65, 0.5)
 
 
 def all_words_error(kappa):
@@ -182,11 +180,9 @@ class TestGroupRoute:
         assert generators is not None and len(generators) == k
         _, channel = square_root_measurement(gram(code, kappa))
         explicit = mutual_information(code.priors, channel).mutual_information_bits
-        assert abs(group_information(generators, n, kappa) - explicit) < 1e-9
         assert abs(code_information(code, kappa) - explicit) < 1e-9
-        g = group_root(generators, n, kappa)
         explicit_error = 1.0 - float(np.mean(np.diag(channel)))
-        assert abs((1.0 - g[0] ** 2) - explicit_error) < 1e-9
+        assert abs(code_error_probability(code, kappa) - explicit_error) < 1e-9
 
     def test_nearly_singular_gram(self):
         # at kappa = 0.99 the explicit route refuses this Gram matrix; the
@@ -427,9 +423,10 @@ class TestBatchedRoute:
         assert roots.shape == grid.shape + (8,)
         assert roots.flags.c_contiguous
         assert np.array_equal(roots, stacked(lambda k: group_root(generators, 7, k), grid))
+        simplex = build_simplex_code(3)
         assert np.array_equal(
-            group_information(generators, 7, grid),
-            stacked(lambda k: group_information(generators, 7, k), grid),
+            code_information(simplex, grid),
+            stacked(lambda k: code_information(simplex, k), grid),
         )
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
@@ -447,7 +444,7 @@ class TestBatchedRoute:
             lambda k: nn12_mutual_information(4, k),
             lambda k: nn12_error_probability(4, k),
             lambda k: simplex_profile(3, k).info_bits,
-            lambda k: group_information(nn12_generators(3), 3, k),
+            lambda k: code_information(build_nn12_code(3), k),
             pytest.param(lambda k: block_gain(2, k), id="pair_block_information"),
         ],
     )

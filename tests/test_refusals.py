@@ -39,9 +39,6 @@ from supadd.fastcode import (
     block_gain,
     code_information,
     find_kappa_star,
-    group_error,
-    group_information,
-    group_root,
     nn12_error_probability,
     nn12_mutual_information,
     simplex_profile,
@@ -86,10 +83,6 @@ def _code_call(func, shape, *args):
     return build
 
 
-def _independent(k: int) -> list:
-    return [1 << i for i in range(k)]
-
-
 # first refused sizes: k = n - 1 past _MAX_GROUP_K, n past 64 letters, M * n
 # or M * 2**n past _MAX_ENTRIES, M * M * _GRAM_ROUTE_BYTES past 1 GiB
 FIRST_K = fastcode._MAX_GROUP_K + 1
@@ -104,19 +97,11 @@ REFUSALS = [
             FIRST_K + 1, True),
     Refusal("_MAX_GROUP_K", "block_gain", _call(block_gain, 0.5), FIRST_K + 1, True),
     Refusal("_MAX_GROUP_K", "find_kappa_star", _call(find_kappa_star), FIRST_K + 1, True),
-    Refusal("_MAX_GROUP_K", "group_information",
-            lambda k: lambda: group_information(_independent(k), k, 0.5), FIRST_K, False),
-    Refusal("_MAX_GROUP_K", "group_root",
-            lambda k: lambda: group_root(_independent(k), k, 0.5), FIRST_K, False),
-    Refusal("_MAX_GROUP_K", "group_error",
-            lambda k: lambda: group_error(_independent(k), k, 0.5), FIRST_K, False),
     Refusal("64 letters", "nn12_mutual_information", _call(nn12_mutual_information, 0.5), 65,
             True),
     Refusal("64 letters", "nn12_error_probability", _call(nn12_error_probability, 0.5), 65,
             True),
     Refusal("64 letters", "simplex_profile", _call(simplex_profile, 0.5), 7, True),
-    Refusal("64 letters", "group_information",
-            lambda n: lambda: group_information([1, 2], n, 0.5), 65, True),
     Refusal("_MAX_ENTRIES", "build_nn12_code", _call(build_nn12_code), FIRST_NN12, True),
     Refusal("_MAX_ENTRIES", "build_simplex_code", _call(build_simplex_code), FIRST_SIMPLEX, True),
     # one word of 2**n entries
@@ -217,6 +202,9 @@ def test_builder_guard_is_exact(monkeypatch, build, size, entries, built):
         ["fig2", "--n", "100000"],
         ["fig3", "--n", "99999999999999999999"],
         ["sweep", "--code", "simplex", "--n", "24"],
+        ["synth", "--n", "12"],
+        ["synth", "--n", "20"],
+        ["synth", "--n", "23"],
         ["synth", "--n", "30"],
     ],
     ids=" ".join,

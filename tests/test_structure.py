@@ -5,13 +5,16 @@ in _checks, the shared formulas and the codeword bit layout in _kernels.
 So every import sits at module level, no module imports another's private
 name except from those two, and the import graph runs one way:
 errors, _checks and _kernels, then ensembles, psdlinalg, detection,
-information, fastcode, synth and cli.
+information, fastcode, synth and cli. No public function of fastcode takes
+raw generator words.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import supadd
+from supadd import fastcode
 
 PACKAGE = Path(supadd.__file__).parent
 # the modules whose private names the others may import
@@ -111,5 +114,19 @@ def test_imports_follow_the_layer_order():
         for name, targets in _graph().items()
         for target in targets
         if ORDER.index(target) >= ORDER.index(name)
+    ]
+    assert found == []
+
+
+def test_no_public_fastcode_function_takes_generator_words():
+    # the group route's words come from a family or from linear_generators,
+    # checked where they are made; no caller hands them in
+    found = [
+        name
+        for name, obj in vars(fastcode).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == fastcode.__name__
+        and "generators" in inspect.signature(obj).parameters
     ]
     assert found == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supadd import cli, synth
+from supadd import cli, fastcode, synth
 from supadd.detection import polar_rows, square_root_measurement
 from supadd.ensembles import (
     Code,
@@ -659,8 +659,8 @@ class TestGroupSchedule:
         monkeypatch.setattr(
             synth, "codeword_states", lambda c, kappa: sizes.append(c.num_codewords) or states(c, kappa)
         )
-        monkeypatch.setattr(synth, "gram", unreachable)
-        monkeypatch.setattr(synth, "square_root_measurement", unreachable)
+        monkeypatch.setattr(fastcode, "distances", unreachable)
+        monkeypatch.setattr(fastcode, "square_root_measurement", unreachable)
         syn = synthesize_unitary(code, 0.5)
         assert sizes == [1]
         np.testing.assert_array_equal(syn.U[list(syn.target_outcomes)], group_vectors(code, 0.5))
