@@ -38,7 +38,7 @@ from .ensembles import (
     code_from_text,
     embed_binary_letters,
 )
-from .errors import InvalidInput, NoRoot, SupaddError
+from .errors import InvalidInput, NoRoot, ResourceLimit, SupaddError
 from .fastcode import (
     block_gain,
     code_information,
@@ -204,16 +204,31 @@ def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
     return build_simplex_code(n_list[0])
 
 
+# cells (steps times columns) a sweep-style command may print: a printed
+# cell peaks at about 70 bytes as CSV and 200 to 250 as JSON, its column
+# arrays and its text, so the largest accepted table stays under 1 GB
+_MAX_CELLS = 2**22
+
+
 def _run_columns(build, o) -> int:
     """Runner of the sweep-style commands: the kappa grid, if the command
     reads one, then the columns the builder makes of the options, emitted
-    as a table."""
+    as a table. Raises ResourceLimit, before the grid is built, when steps
+    times a bound on the columns printed passes _MAX_CELLS."""
     if "steps" in o:
         if not 0.0 <= o.kappa_min < o.kappa_max < 1.0:
             raise InvalidInput(
                 f"need 0 <= kappa_min < kappa_max < 1, got [{o.kappa_min}, {o.kappa_max}]"
             )
-        o.grid = np.linspace(o.kappa_min, o.kappa_max, _check_int(o.steps, 2, "steps"))
+        steps = _check_int(o.steps, 2, "steps")
+        # fig6..fig8 read no n and print at most 5 columns
+        most_columns = 3 + 2 * len(o.n) if "n" in o else 5
+        if steps * most_columns > _MAX_CELLS:
+            raise ResourceLimit(
+                f"{steps} steps of up to {most_columns} columns pass the guard of "
+                f"{_MAX_CELLS} printed cells"
+            )
+        o.grid = np.linspace(o.kappa_min, o.kappa_max, steps)
     columns, values = build(o)
     _emit(columns, zip(*values), o.format, o.out)
     return 0

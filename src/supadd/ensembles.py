@@ -2,6 +2,7 @@
 
 Bit convention: bit 0 is the letter |+>, bit 1 the letter |->; the pairwise
 inner product of two codeword states is kappa**(Hamming distance).
+nn12_generators and build_simplex_code define the two code families once.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +19,9 @@ _MAX_ENTRIES = 2**27
 # the Gram matrix take at most 24 at once, the square-root measurement
 # about 40; a random 2048-word code peaked at 60
 _GRAM_ROUTE_BYTES = 64
+# generator words (first letter most significant) of the even-weight code of
+# length n <= 64: its first n - 1; build_nn12_code and fastcode read them
+nn12_generators = (3, 5, 15) + tuple(3 << m for m in range(3, 63))
 
 
 @dataclass(eq=False)
@@ -121,15 +125,13 @@ def int_bits(values, n: int) -> np.ndarray:
 
 
 def build_nn12_code(n: int) -> Code:
-    """The [[n, n-1, 2]] even-weight code (2**(n-1) codewords, min
-    distance 2) with equal priors, n >= 2: the XOR span of the first n - 1
-    of 11, 101, 1111 and 11 << (m - 2) for m = 5..n ({00, 11} at n = 2), in
-    prefix co-recursion order (tests/test_ensembles.py::nn12_pair). Raises
-    ResourceLimit, before building a word, past 2**27 letters in all."""
+    """The [[n, n-1, 2]] even-weight code (2**(n-1) codewords, min distance
+    2) with equal priors, n >= 2: the XOR span of nn12_generators[: n - 1],
+    in prefix co-recursion order (tests/test_ensembles.py::nn12_pair).
+    Raises ResourceLimit, before building a word, past 2**27 letters in all."""
     n = _check_int(n, 2, "block length")
     _check_entries(n, n - 1, f"2**{n - 1} words of {n} letters")
-    generators = [3, 5, 15] + [3 << m for m in range(3, n - 1)]
-    return Code(n=n, codewords=int_bits(_xor_span(generators[: n - 1]), n))
+    return Code(n=n, codewords=int_bits(_xor_span(nn12_generators[: n - 1]), n))
 
 
 def build_simplex_code(r: int) -> Code:

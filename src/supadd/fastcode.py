@@ -11,9 +11,9 @@ the zero word's state, psi_0**2 summed per class of axes; the first row g
 of its square root is the transform of their square roots over M. Every
 channel row of the square-root measurement, the minimum-error one for such
 geometrically uniform states (Eldar & Forney, IEEE TIT 47, 858, 2001), is
-a permutation of g**2. The even-weight [[n, n-1, 2]] and simplex
-[[2**r - 1, r, 2**(r-1)]] families are two generator lists, and no public
-function takes generator words: they come from a family or linear_generators.
+a permutation of g**2. Classes are indexed in information-set coordinates,
+so the numbers depend on the code's words, not their basis; no public
+function takes generator words: linear_generators or a family gives them.
 
 Every function here takes kappa as a number or as an array of any shape.
 The reductions (information, error, profiles, gains) compute the roots of
@@ -33,7 +33,7 @@ import numpy as np
 from ._checks import _check_int, _kappa_array, _scalar_or_array
 from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht, mi_bits
 from .detection import square_root_measurement
-from .ensembles import Code, distances
+from .ensembles import Code, build_simplex_code, distances, nn12_generators
 from .errors import InvalidInput, NoRoot, ResourceLimit
 from .information import c1_binary
 
@@ -134,9 +134,11 @@ def _too_long(n) -> InvalidInput:
 
 @functools.lru_cache(maxsize=64)
 def _span_layout(generators: tuple, n: int):
-    """Each class's weight over the first k independent columns, and the
-    other nonzero columns, of k independent words of n <= 64 bits. Raises
-    ResourceLimit, before allocating, for k > _MAX_GROUP_K."""
+    """The code's class layout in the coordinates of its information set,
+    bit t the t-th letter whose column is independent of the letters before
+    it: each class's weight (its popcount) and the other nonzero columns,
+    largest first. Any basis of the code, k words of n <= 64 bits, gives the
+    same. Raises ResourceLimit, before allocating, for k > _MAX_GROUP_K."""
     if len(generators) > _MAX_GROUP_K:
         raise ResourceLimit(
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
@@ -145,10 +147,12 @@ def _span_layout(generators: tuple, n: int):
     columns = _columns(generators, n)
     new = list(_independent(columns))
     basis = [c for c, first in zip(columns, new) if first]
-    weights = np.empty(1 << len(basis), dtype=np.uint8)
-    weights[_xor_span(basis)] = np.bitwise_count(np.arange(weights.size))
+    coordinates = np.empty(1 << len(basis), dtype=np.int64)
+    coordinates[_xor_span(basis)] = np.arange(coordinates.size)
+    weights = np.bitwise_count(np.arange(coordinates.size))
     weights.flags.writeable = False
-    return weights, tuple(c for c, first in zip(columns, new) if c and not first)
+    rest = [coordinates[c].item() for c, first in zip(columns, new) if c and not first]
+    return weights, tuple(sorted(rest, reverse=True))
 
 
 def _class_roots(layout, k: np.ndarray):
@@ -211,7 +215,7 @@ def _nn12_generators(n: int):
     n = _check_int(n, 2, "block length")
     if n > 64:
         raise _too_long(n)
-    return [1 | 1 << i for i in range(1, n)], n
+    return nn12_generators[: n - 1], n
 
 
 def nn12_mutual_information(n: int, kappa):
@@ -229,15 +233,15 @@ def nn12_error_probability(n: int, kappa):
 
 
 def simplex_profile(r: int, kappa) -> SimplexProfile:
-    """Square-root profile of the equidistant [[2**r - 1, r, 2**(r-1)]]
-    code: the diagonal root entry u, the common off-diagonal entry v, the
-    information and the block error, all from one pass over the roots.
-    Each field broadcasts over kappa."""
+    """Square-root profile of build_simplex_code(r), the equidistant
+    [[2**r - 1, r, 2**(r-1)]] code: the diagonal root entry u, the common
+    off-diagonal entry v, the information and the block error, all from
+    one pass over the roots. Each field broadcasts over kappa."""
     r = _check_int(r, 2, "rank")
     # 2**r - 1 letters: past 64 before 2**r is formed
     if r > 6:
         raise _too_long(f"2**{r} - 1")
-    generators = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
+    generators = _pack_bits(build_simplex_code(r).codewords[1 << np.arange(r)]).tolist()
     fields = (lambda root, g: g[:, 0], lambda root, g: g[:, 1], _root_information, _root_error)
     return SimplexProfile(*_reduce_roots(generators, 2**r - 1, kappa, *fields))
 

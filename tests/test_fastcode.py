@@ -2,8 +2,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supadd import fastcode
+from supadd import ensembles, fastcode
 from supadd._checks import _kappa_array
 from supadd._kernels import fwht
 from supadd.detection import square_root_measurement
@@ -29,13 +31,15 @@ from supadd.psdlinalg import sqrt_psd
 
 
 def nn12_generators(n):
-    return [1 | 1 << i for i in range(1, n)]
+    return ensembles.nn12_generators[: n - 1]
 
 
 def group_root(generators, n, kappa):
     """First row g of the Gram square root of the linear code the
-    generators span, indexed by message, as fastcode._roots gives it:
-    stacked along the leading axes for an array of kappa."""
+    generators span, as fastcode._roots gives it: stacked along the leading
+    axes for an array of kappa. Entry x belongs to the codeword whose
+    letters on the information set are the bits of x, bit t the t-th letter
+    whose column is independent of the letters before it."""
     k = _kappa_array(kappa, collapse_at_one=True)
     return fastcode._roots(fastcode._span_layout(tuple(generators), n), k)[1]
 
@@ -90,15 +94,15 @@ class TestProfile:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_brute_force_row(self, n):
         # row 0 of the brute-force root belongs to the zero codeword, so its
-        # entry for codeword w is g at the message that spans w
+        # entry for codeword w is g at w's letters on the information set:
+        # any n - 1 letters of an even-weight word fix it, so that set is
+        # the first n - 1 letters, letter t at bit t
         code = build_nn12_code(n)
         root = sqrt_psd(gram(code, 0.7))
-        message = {w: m for m, w in enumerate(span(nn12_generators(n)))}
         g = group_root(nn12_generators(n), n, 0.7)
         assert word_ints(code)[0] == 0
-        np.testing.assert_allclose(
-            [g[message[w]] for w in word_ints(code)], root[0], atol=1e-9
-        )
+        index = [sum((w >> (n - 1 - t) & 1) << t for t in range(n - 1)) for w in word_ints(code)]
+        np.testing.assert_allclose(g[index], root[0], atol=1e-9)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_root_diagonal_constant(self, n):
@@ -375,10 +379,6 @@ def stacked(fn, kappas):
     return out.reshape(kappas.shape + out.shape[1:])
 
 
-def simplex_generators(r):
-    return [sum(((c >> i) & 1) << (c - 1) for c in range(1, 2**r)) for i in range(r)]
-
-
 GRID = np.linspace(0.01, 0.99, 99)
 # 99 points are not a multiple of the block rows (2**14 / M, a power of
 # two of at least 4 for n <= 13), and at n = 13 (M = 4096) they span 25
@@ -418,7 +418,7 @@ class TestBatchedRoute:
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     def test_group_root_and_information(self, grid):
-        generators = simplex_generators(3)
+        generators = linear_generators(build_simplex_code(3))
         roots = group_root(generators, 7, grid)
         assert roots.shape == grid.shape + (8,)
         assert roots.flags.c_contiguous
@@ -547,3 +547,81 @@ class TestBatchedRoute:
         depth = int(np.log2(rows + 1))
         assert all(call.size <= rows for call in calls)
         assert len(calls) - scanned <= -(-levels // depth)
+
+
+class TestOneCodeOneSetOfNumbers:
+    """A family's builder and its closed form describe one code, and the
+    group route's numbers depend on the code's words alone."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_even_weight_code_takes_its_closed_form(self, n):
+        code = build_nn12_code(n)
+        assert np.array_equal(code_information(code, GRID), nn12_mutual_information(n, GRID))
+        assert np.array_equal(code_error_probability(code, GRID), nn12_error_probability(n, GRID))
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_simplex_code_takes_its_closed_form(self, r):
+        code = build_simplex_code(r)
+        profile = simplex_profile(r, GRID)
+        assert np.array_equal(code_information(code, GRID), profile.info_bits)
+        assert np.array_equal(code_error_probability(code, GRID), profile.error_probability)
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_simplex_profile_spans_the_built_words(self, monkeypatch, r):
+        spanned = []
+        reduce_roots = fastcode._reduce_roots
+
+        def recording(generators, n, kappa, *reductions):
+            spanned.extend(span(generators))
+            return reduce_roots(generators, n, kappa, *reductions)
+
+        monkeypatch.setattr(fastcode, "_reduce_roots", recording)
+        simplex_profile(r, 0.5)
+        assert set(spanned) == set(word_ints(build_simplex_code(r)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_row_is_indexed_by_the_information_set(self, seed):
+        # letter t is in the information set when the first t + 1 letters
+        # take twice as many values over the code as the first t do
+        code = random_linear_code(np.random.default_rng(seed), 9, 5)
+        words = word_ints(code)
+        prefixes = [len({w >> (9 - t) for w in words}) for t in range(10)]
+        letters = [t for t in range(9) if prefixes[t + 1] > prefixes[t]]
+        index = [sum((w >> (8 - t) & 1) << i for i, t in enumerate(letters)) for w in words]
+        zero = words.index(0)
+        g = group_root(linear_generators(code), 9, 0.7)
+        root = sqrt_psd(gram(code, 0.7))
+        np.testing.assert_allclose(g[index], root[zero], atol=1e-9)
+
+
+@st.composite
+def two_bases(draw):
+    """n and two random bases of one linear code of k <= 6 words of
+    n <= 12 letters, zero and repeated letters allowed: k unit columns at
+    random letters beside random columns, each basis a random sequence of
+    row additions of that generator matrix."""
+    k = draw(st.integers(1, 6))
+    columns = [1 << j for j in range(k)]
+    columns += draw(st.lists(st.integers(0, 2**k - 1), max_size=12 - k))
+    columns = draw(st.permutations(columns))
+    n = len(columns)
+    words = [sum((c >> j & 1) << (n - 1 - i) for i, c in enumerate(columns)) for j in range(k)]
+    bases = []
+    for _ in range(2):
+        basis = list(words)
+        for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)))):
+            if i != j:
+                basis[i] ^= basis[j]
+        bases.append(tuple(draw(st.permutations(basis))))
+    return n, bases
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=two_bases())
+def test_span_layout_is_the_same_for_every_basis(case):
+    n, (first, second) = case
+    assert sorted(span(first)) == sorted(span(second))
+    weights, rest = fastcode._span_layout(first, n)
+    other_weights, other_rest = fastcode._span_layout(second, n)
+    assert np.array_equal(weights, other_weights)
+    assert rest == other_rest

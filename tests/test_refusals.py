@@ -15,6 +15,7 @@ import math
 import signal
 import time
 import tracemalloc
+from argparse import Namespace
 from itertools import count
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -119,6 +120,12 @@ REFUSALS = [
             _code_call(synthesize_unitary, lambda n: (2, n), 0.5), synth._MAX_SYNTH_N + 1, False),
     Refusal("_MAX_CERT_N", "threshold_certificate",
             lambda n: lambda: threshold_certificate(0.5, n), detection._MAX_CERT_N + 1, True),
+    # fig7 reads no n and prints the 5 columns its steps are counted at;
+    # 10**5 steps are within the guard, so only the first refused size runs
+    Refusal("_MAX_CELLS", "fig7 --steps",
+            lambda steps: lambda: cli._run_columns(cli.fig7, Namespace(
+                kappa_min=0.01, kappa_max=0.99, steps=steps, format="csv", out=None)),
+            cli._MAX_CELLS // 5 + 1, False),
 ]
 
 # (refusal, size) of every run: the first refused size, then the huge ones
@@ -206,6 +213,9 @@ def test_builder_guard_is_exact(monkeypatch, build, size, entries, built):
         ["synth", "--n", "20"],
         ["synth", "--n", "23"],
         ["synth", "--n", "30"],
+        ["fig4", "--steps", "100000000000"],
+        ["fig7", "--steps", "1000000000"],
+        ["sweep", "--code", "nn12", "--n", "3", "--steps", "300000000"],
     ],
     ids=" ".join,
 )
