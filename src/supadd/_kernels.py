@@ -177,17 +177,18 @@ def bayes_sweeps(X, rows, xi, tol, max_sweeps):
     return np.array(errors)
 
 
-def apply_rotations(w, pivots, rows, c, s, starts):
-    """Apply plane rotations to w in place, in order k = 0, 1, ...
+def apply_rotations(w, pivots, rows, c, s, start):
+    """Apply plane rotations to the columns start: of w in place, in order
+    k = 0, 1, ...
 
     Rotation k pairs the pivot row a = w[pivots[k]] with the row
-    x = w[rows[k]] over the columns starts[k]: and sets
-    a <- c_k a + s_k x and x <- c_k x - s_k a, in place through two
-    scratch rows. A row must differ from its pivot.
+    x = w[rows[k]] and sets a <- c_k a + s_k x and x <- c_k x - s_k a, in
+    place through two scratch rows. A row must differ from its pivot.
     """
-    scratch_a, scratch_x = np.empty(w.shape[1]), np.empty(w.shape[1])
-    for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
-        a, x, ta, tx = w[i, lo:], w[j, lo:], scratch_a[lo:], scratch_x[lo:]
+    w = w[:, start:]
+    ta, tx = np.empty(w.shape[1]), np.empty(w.shape[1])
+    for i, j, ck, sk in zip(pivots, rows, c, s):
+        a, x = w[i], w[j]
         np.multiply(a, sk, out=ta)
         np.multiply(x, sk, out=tx)
         a *= ck

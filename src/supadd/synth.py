@@ -48,6 +48,8 @@ _CHECK_ROWS = 128
 _MAX_SYNTH_N = 11
 # |w[j, i]| at or below this is rounding noise in a unit column
 _SKIP = 1e-14
+# rotations per block of schedule_to_csv's formatting
+_CSV_ROWS = 2**14
 
 
 @dataclass(eq=False)
@@ -69,13 +71,38 @@ class SynthesizedUnitary:
 
 @dataclass(eq=False)
 class RotationSchedule:
-    """Ordered plane rotations (j, i, gamma) with 1-based axis indices;
-    flip_last records a trailing sign flip of the last axis (determinant
-    -1), serialized as a (dim, dim, pi) line."""
+    """Ordered plane rotations (j, i, gamma), 1-based axes, as a (count, 3)
+    float64 table; flip_last records a trailing sign flip of the last axis
+    (determinant -1), serialized as a (dim, dim, pi) line. Made from any
+    (count, 3) table of numbers or an empty list; InvalidInput unless dim
+    is an integer >= 1, flip_last a bool and each rotation turns two
+    distinct integer axes in 1..dim by a finite angle."""
 
     dim: int
-    rotations: list
+    rotations: np.ndarray
     flip_last: bool
+
+    def __post_init__(self):
+        self.dim = _check_int(self.dim, 1, "schedule dimension")
+        if not isinstance(self.flip_last, (bool, np.bool_)):
+            raise InvalidInput(f"flip_last must be a bool, got {self.flip_last!r}")
+        try:
+            table = np.asarray(self.rotations)
+        except ValueError as exc:
+            raise InvalidInput("rotations must be a (count, 3) table") from exc
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        # a string, None or an axis past the uint64 range gives another kind
+        if table.dtype.kind not in "iuf" or table.ndim != 2 or table.shape[1] != 3:
+            raise InvalidInput(f"rotations must be a (count, 3) numeric table, got {table.shape}")
+        self.rotations = table = table.astype(np.float64, copy=False)
+        axes = table[:, :2]
+        if not ((axes >= 1) & (axes <= self.dim) & (axes == np.floor(axes))).all():
+            raise InvalidInput(f"rotation axes must be integers in 1..{self.dim}")
+        if not np.isfinite(table[:, 2]).all():
+            raise InvalidInput("rotation angles must be finite")
+        if (axes[:, 0] == axes[:, 1]).any():
+            raise InvalidInput("a rotation must turn two distinct axes")
 
 
 def synthesize_unitary(code: Code, kappa: float, outcome_assignment=None) -> SynthesizedUnitary:
@@ -204,7 +231,7 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
     m, dim = measurement.shape
     w = measurement[np.argsort(labels)].T.copy()
     free = np.ones(dim, dtype=bool)
-    runs = []
+    blocks = []
     for col, pivot in enumerate(sorted(labels)):
         free[pivot] = False
         rows = np.flatnonzero(free)[::-1]
@@ -221,14 +248,12 @@ def _row_schedule(measurement, labels) -> RotationSchedule:
         norms = np.sqrt(value * value + np.cumsum(y * y))
         gammas = np.arctan2(y, np.concatenate(([value], norms[:-1])))
         c, s = np.cos(gammas).tolist(), np.sin(gammas).tolist()
-        apply_rotations(w, [pivot] * rows.size, rows.tolist(), c, s, [col + 1] * rows.size)
-        runs.append((pivot, rows, gammas))
+        apply_rotations(w, [pivot] * rows.size, rows.tolist(), c, s, col + 1)
+        blocks.append(np.column_stack((rows + 1, np.full(rows.size, pivot + 1), -gammas))[::-1])
     flip_last = bool(m == dim and w[dim - 1, dim - 1] < 0.0)
-    rotations = []
-    for pivot, rows, gammas in reversed(runs):
-        # with the flip, the last axis is never a run's pivot: its run is empty
-        gammas = np.where(flip_last & (rows == dim - 1), gammas, -gammas)[::-1]
-        rotations += zip((rows[::-1] + 1).tolist(), [pivot + 1] * rows.size, gammas.tolist())
+    rotations = np.concatenate(blocks[::-1])
+    # under the flip the last axis keeps its angles; it is never a run's pivot
+    rotations[flip_last & (rotations[:, 0] == dim), 2] *= -1.0
     return RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_last)
 
 
@@ -356,54 +381,30 @@ def reconstruct_unitary(schedule: RotationSchedule) -> np.ndarray:
     optional trailing axis flip).
 
     The product is built from the right: the identity, flipped if asked,
-    takes the inverse rotations, last first, through apply_rotations. Rows
-    and columns below the smallest axis touched so far are still those of
-    the identity, so each rotation updates only the columns from that axis
-    on. A schedule that _rotation_table refuses raises InvalidInput.
+    takes the inverse rotations, last first, through apply_rotations.
     """
-    dim, table = _rotation_table(schedule)
+    dim, table = schedule.dim, schedule.rotations[::-1]
     out = np.eye(dim)
     if schedule.flip_last:
         out[dim - 1, dim - 1] = -1.0
-    table = table[::-1]
     js, iss = table[:, :2].T.astype(np.int64) - 1
-    starts = np.minimum.accumulate(np.minimum(js, iss))
-    apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), starts)
+    apply_rotations(out, iss, js, np.cos(table[:, 2]), -np.sin(table[:, 2]), 0)
     return out
-
-
-def _rotation_table(schedule: RotationSchedule):
-    """The schedule's dim as an int and its rotations (j, i, gamma) as a
-    (count, 3) float64 table; InvalidInput unless dim is an integer >= 1,
-    flip_last a bool and each rotation turns two distinct integer axes in
-    1..dim by a finite angle."""
-    dim = _check_int(schedule.dim, 1, "schedule dimension")
-    if not isinstance(schedule.flip_last, (bool, np.bool_)):
-        raise InvalidInput(f"flip_last must be a bool, got {schedule.flip_last!r}")
-    try:
-        table = np.array(schedule.rotations, dtype=np.float64).reshape(-1, 3)
-    except OverflowError as exc:
-        raise InvalidInput("a rotation axis is past the float64 range") from exc
-    axes = table[:, :2]
-    if not ((axes >= 1) & (axes <= dim) & (axes == np.floor(axes))).all():
-        raise InvalidInput(f"rotation axes must be integers in 1..{dim}")
-    if not np.isfinite(table[:, 2]).all():
-        raise InvalidInput("rotation angles must be finite")
-    if (axes[:, 0] == axes[:, 1]).any():
-        raise InvalidInput("a rotation must turn two distinct axes")
-    return dim, table
 
 
 def schedule_to_csv(schedule: RotationSchedule) -> str:
     """One "j,i,gamma" line per rotation (1-based); a line with j == i ==
-    dim and gamma = pi records the trailing axis flip. A schedule that
-    _rotation_table refuses raises InvalidInput."""
-    dim, _ = _rotation_table(schedule)
-    lines = ["j,i,gamma"]
-    lines += ["%d,%d,%.17g" % t for t in schedule.rotations]
+    dim and gamma = pi records the trailing axis flip. The table is
+    formatted _CSV_ROWS rows at a time, so only one block's floats are
+    Python objects at once."""
+    table, dim = schedule.rotations, schedule.dim
+    text = ["j,i,gamma\n"]
+    for lo in range(0, len(table), _CSV_ROWS):
+        block = table[lo : lo + _CSV_ROWS]
+        text.append("%d,%d,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
     if schedule.flip_last:
-        lines.append(f"{dim},{dim},{math.pi:.17g}")
-    return "\n".join(lines) + "\n"
+        text.append(f"{dim},{dim},{math.pi:.17g}\n")
+    return "".join(text)
 
 
 def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
@@ -435,8 +436,6 @@ def schedule_from_csv(text: str, dim: int | None = None) -> RotationSchedule:
     if dim is None:
         dim = max([a for j, i, _ in rotations for a in (j, i)] + [flip_dim or 0])
     schedule = RotationSchedule(dim=dim, rotations=rotations, flip_last=flip_dim is not None)
-    schedule.dim, _ = _rotation_table(schedule)
     if flip_dim not in (None, schedule.dim):
         raise InvalidInput(f"axis flip line names axis {flip_dim}, not the last axis {dim}")
     return schedule
-

@@ -12,9 +12,10 @@ array of them: KAPPA_CASES feeds each kappa parameter a string, None, a
 bool and, on the scalar routes, an array.
 
 Every other array argument (states, measurements, channels, priors,
-matrices, codewords) has a shape and a value check: ARRAY_CASES feeds
-each one NaN, +inf and -inf entries, a value defect, a wrong shape and
-empty arrays, and each must raise InvalidInput with no warning.
+matrices, codewords, rotation tables) has a shape and a value check:
+ARRAY_CASES feeds each one NaN, +inf and -inf entries, a value defect, a
+wrong shape and empty arrays, and each must raise InvalidInput with no
+warning, except where a kind is a value the parameter takes on purpose.
 """
 
 import inspect
@@ -90,7 +91,7 @@ def _synth_labels(label):
 
 def _from_csv(dim):
     schedule = schedule_from_csv("j,i,gamma\n1,2,0.25\n3,3,3.1415926535897931\n", dim=dim)
-    return type(schedule.dim), schedule.dim, schedule.rotations, schedule.flip_last
+    return type(schedule.dim), schedule.dim, schedule.rotations.tolist(), schedule.flip_last
 
 
 # a linear code (the group route) and a non-linear one (the Gram route)
@@ -352,6 +353,10 @@ class ArrayCase(NamedTuple):
     call: Callable
     good: np.ndarray
     defect: np.ndarray
+    # kinds of _array_kinds that are values of the parameter, taken on purpose
+    taken: tuple = ()
+    # further (kind, value) pairs it must refuse
+    refused: tuple = ()
 
 
 _LETTERS = np.vstack(embed_binary_letters(0.5))
@@ -363,6 +368,12 @@ _SKEW = _GRAM + np.triu(np.full((2, 2), 0.1), 1)
 _ORTHOGONAL = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
 _CHANNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
 _WORDS = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+_ROTATIONS = np.array([[1.0, 2.0, 0.25], [3.0, 1.0, -0.5]])
+
+
+def _schedule_text(rotations):
+    return schedule_to_csv(RotationSchedule(dim=3, rotations=rotations, flip_last=False))
+
 
 # 2 I, as the states or the measurement, was certified optimal with error -3
 ARRAY_CASES = [
@@ -389,6 +400,11 @@ ARRAY_CASES = [
               lambda v: code_to_text(Code(n=3, codewords=v, priors=_HALVES)), _WORDS, 2 * _WORDS),
     ArrayCase("Code", "priors",
               lambda v: code_to_text(Code(n=3, codewords=_WORDS, priors=v)), _HALVES, 2 * _HALVES),
+    # fewer rotations, or none, make a schedule; ragged rows used to raise
+    # a bare ValueError and a flat table was read as rows of three
+    ArrayCase("RotationSchedule", "rotations", _schedule_text, _ROTATIONS,
+              _ROTATIONS[:, [0, 0, 2]], taken=("short", "empty", "no_rows"),
+              refused=(("ragged", [[1, 2, 0.25], [3, 1]]),)),
 ]
 
 
@@ -398,8 +414,8 @@ def _with_entries(array, *values):
     return bad
 
 
-def _array_malformed(case):
-    """(kind, value) pairs the parameter must refuse."""
+def _array_kinds(case):
+    """(kind, value) pairs of malformed values of every array parameter."""
     good = case.good
     return [
         ("nan", _with_entries(good, np.nan)),
@@ -418,10 +434,21 @@ def _array_malformed(case):
     ]
 
 
+def _array_malformed(case):
+    """(kind, value) pairs the parameter must refuse."""
+    return [kv for kv in _array_kinds(case) if kv[0] not in case.taken] + list(case.refused)
+
+
 ARRAY_MALFORMED = [
     pytest.param(case, value, id=f"{case.name}.{case.param}-{ARRAY_CASES.index(case)}-{kind}")
     for case in ARRAY_CASES
     for kind, value in _array_malformed(case)
+]
+ARRAY_TAKEN = [
+    pytest.param(case, value, id=f"{case.name}.{case.param}-{ARRAY_CASES.index(case)}-{kind}")
+    for case in ARRAY_CASES
+    for kind, value in _array_kinds(case)
+    if kind in case.taken
 ]
 
 
@@ -454,3 +481,10 @@ def test_malformed_array_refused(case, value):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput):
             case.call(value)
+
+
+@pytest.mark.parametrize("case, value", ARRAY_TAKEN)
+def test_array_kind_taken_on_purpose(case, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        case.call(value)

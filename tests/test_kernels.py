@@ -298,11 +298,11 @@ def python_rotation_run(w, pivot, rows, c, s, start):
     return w
 
 
-def python_rotation_scalars(w, pivots, rows, c, s, starts):
+def python_rotation_scalars(w, pivots, rows, c, s, start):
     """One plane rotation at a time, one entry pair at a time."""
     w = w.copy()
-    for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
-        for t in range(lo, w.shape[1]):
+    for i, j, ck, sk in zip(pivots, rows, c, s):
+        for t in range(start, w.shape[1]):
             w[i, t], w[j, t] = ck * w[i, t] + sk * w[j, t], ck * w[j, t] - sk * w[i, t]
     return w
 
@@ -311,8 +311,7 @@ class TestApplyRotations:
     def check(self, w, pivot, rows, c, s, start=0, atol=1e-12):
         expected = python_rotation_run(w, pivot, rows, c, s, start)
         got = w.copy()
-        count = len(rows)
-        apply_rotations(got, [pivot] * count, list(rows), c, s, [start] * count)
+        apply_rotations(got, [pivot] * len(rows), list(rows), c, s, start)
         np.testing.assert_array_equal(got[:, :start], w[:, :start])
         np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
 
@@ -326,19 +325,21 @@ class TestApplyRotations:
             self.check(w, 4, rows, np.cos(gammas), np.sin(gammas), start)
 
     def test_mixed_pivots_and_starts(self):
+        # mixed pivots within a call, one start per call of six rotations
         rng = np.random.default_rng(7)
         dim, count = 10, 60
         w = rng.standard_normal((dim, 13))
         pivots = rng.integers(0, dim, size=count)
         rows = (pivots + rng.integers(1, dim, size=count)) % dim
-        starts = rng.integers(0, 13, size=count)
+        starts = rng.integers(0, 13, size=count // 6)
         gammas = rng.uniform(-np.pi, np.pi, size=count)
         c, s = np.cos(gammas), np.sin(gammas)
-        expected = w
-        for i, j, ck, sk, lo in zip(pivots, rows, c, s, starts):
-            expected = python_rotation_run(expected, i, [j], [ck], [sk], lo)
-        got = w.copy()
-        apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, starts.tolist())
+        expected, got = w, w.copy()
+        for k, lo in zip(range(0, count, 6), starts):
+            batch = pivots[k : k + 6], rows[k : k + 6], c[k : k + 6], s[k : k + 6]
+            for i, j, ck, sk in zip(*batch):
+                expected = python_rotation_run(expected, i, [j], [ck], [sk], lo)
+            apply_rotations(got, *batch, lo)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_matches_scalar_entries_exactly(self):
@@ -347,18 +348,18 @@ class TestApplyRotations:
         w = rng.standard_normal((dim, 11))
         pivots = rng.integers(0, dim, size=count)
         rows = (pivots + rng.integers(1, dim, size=count)) % dim
-        starts = rng.integers(0, 11, size=count)
         gammas = rng.uniform(-np.pi, np.pi, size=count)
         c, s = np.cos(gammas), np.sin(gammas)
-        expected = python_rotation_scalars(w, pivots, rows, c, s, starts)
-        got = w.copy()
-        apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, starts.tolist())
-        assert np.array_equal(got, expected)
+        for start in (0, 4):
+            expected = python_rotation_scalars(w, pivots, rows, c, s, start)
+            got = w.copy()
+            apply_rotations(got, pivots.tolist(), rows.tolist(), c, s, start)
+            assert np.array_equal(got, expected)
 
     def test_empty_schedule_is_identity(self):
         out = np.eye(3)
         empty = np.empty(0)
-        apply_rotations(out, [], [], empty, empty, [])
+        apply_rotations(out, [], [], empty, empty, 0)
         np.testing.assert_array_equal(out, np.eye(3))
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-3])

@@ -62,9 +62,9 @@ def python_reconstruct(schedule):
     out = np.eye(dim)
     if schedule.flip_last:
         out[dim - 1, dim - 1] = -1.0
-    for j, i, g in reversed(schedule.rotations):
+    for j, i, g in reversed(schedule.rotations.tolist()):
         c, s = math.cos(g), math.sin(g)
-        rows = [i - 1, j - 1]
+        rows = [int(i) - 1, int(j) - 1]
         out[rows, :] = np.array([[c, -s], [s, c]]) @ out[rows, :]
     return out
 
@@ -907,7 +907,7 @@ class TestRowSchedule:
 class TestReckDecompose:
     def test_identity_empty_schedule(self):
         schedule = reck_decompose(np.eye(5))
-        assert schedule.rotations == []
+        assert schedule.rotations.shape == (0, 3)
         assert not schedule.flip_last
         np.testing.assert_allclose(reconstruct_unitary(schedule), np.eye(5), atol=1e-14)
 
@@ -1022,7 +1022,8 @@ class TestPivotRunKernel:
         schedule = reck_decompose(u)
         dim = u.shape[0]
         w = u.T.copy()
-        for j, i, g in reversed(schedule.rotations):
+        for j, i, g in reversed(schedule.rotations.tolist()):
+            j, i = int(j), int(i)
             g = g if schedule.flip_last and j == dim else -g
             rows = [i - 1, j - 1]
             assert abs(w[j - 1, i - 1]) > 1e-14 or w[i - 1, i - 1] < -0.5
@@ -1086,7 +1087,7 @@ class TestScheduleSerialization:
             schedule_from_csv("j,i,gamma\n")
         restored = schedule_from_csv("j,i,gamma\n", dim=4)
         assert restored.dim == 4
-        assert restored.rotations == []
+        assert restored.rotations.shape == (0, 3)
 
     def test_unitary_text_round_trip(self, tmp_path, monkeypatch):
         u = haar_orthogonal(np.random.default_rng(8), 6)
@@ -1113,7 +1114,7 @@ class TestScheduleSerialization:
             schedule_from_csv(f"j,i,gamma\n4,1,0.5\n3,3,{math.pi!r}\n")
         restored = schedule_from_csv(f"j,i,gamma\n2,1,0.5\n4,4,{math.pi!r}\n")
         assert restored.dim == 4 and restored.flip_last
-        assert restored.rotations == [(2, 1, 0.5)]
+        assert restored.rotations.tolist() == [[2, 1, 0.5]]
 
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):
@@ -1131,13 +1132,12 @@ class TestScheduleSerialization:
         # a later line starting with a letter used to be dropped silently
         with pytest.raises(InvalidInput):
             schedule_from_csv("j,i,gamma\n2,1,0.3\n" + body + "\n3,1,0.1\n", dim=3)
-        assert schedule_from_csv("\n  j,i,gamma\n2,1,0.3\n").rotations == [(2, 1, 0.3)]
+        assert schedule_from_csv("\n  j,i,gamma\n2,1,0.3\n").rotations.tolist() == [[2, 1, 0.3]]
 
     def test_non_finite_angle_rejected_in_memory(self):
         for angle in (math.nan, math.inf):
-            schedule = RotationSchedule(dim=3, rotations=[(2, 1, 0.5), (3, 1, angle)], flip_last=False)
             with pytest.raises(InvalidInput):
-                reconstruct_unitary(schedule)
+                RotationSchedule(dim=3, rotations=[(2, 1, 0.5), (3, 1, angle)], flip_last=False)
 
     @pytest.mark.parametrize(
         "rotation", [(2, 2, 0.3), (2.5, 1, 0.3), (3, 1.5, 0.3), (math.nan, 1, 0.3), (math.inf, 1, 0.3)]
@@ -1145,9 +1145,8 @@ class TestScheduleSerialization:
     def test_bad_axes_rejected_in_memory(self, rotation):
         # (2, 2, 0.3) used to give a matrix 0.56 from orthogonal, and
         # (2.5, 1, 0.3) was read as (2, 1, 0.3)
-        schedule = RotationSchedule(dim=3, rotations=[(2, 1, 0.5), rotation], flip_last=False)
         with pytest.raises(InvalidInput):
-            reconstruct_unitary(schedule)
+            RotationSchedule(dim=3, rotations=[(2, 1, 0.5), rotation], flip_last=False)
 
     def test_axis_outside_given_dimension_rejected_while_parsing(self):
         huge = "1" + "0" * 400 + ",1,0.3"
@@ -1180,12 +1179,61 @@ class TestScheduleSerialization:
 
     def test_csv_matches_fstring_formatting(self):
         u = haar_orthogonal(np.random.default_rng(9), 6)
-        rotations = reck_decompose(u).rotations
+        rotations = reck_decompose(u).rotations.tolist()
         rotations += [(2, 1, -0.0), (3, 1, 1e-300), (3, 2, 2.0 / 3.0), (6, 1, -np.pi / 2)]
         schedule = RotationSchedule(dim=6, rotations=rotations, flip_last=True)
-        expected = "j,i,gamma\n" + "".join(f"{j},{i},{g:.17g}\n" for j, i, g in rotations)
+        expected = "j,i,gamma\n" + "".join(f"{j:.0f},{i:.0f},{g:.17g}\n" for j, i, g in rotations)
         expected += f"6,6,{math.pi:.17g}\n"
         assert schedule_to_csv(schedule) == expected
+
+    def test_csv_over_several_blocks(self):
+        rng = np.random.default_rng(10)
+        count = 2 * synth._CSV_ROWS + 5
+        axes = rng.integers(1, 9, size=(count, 2))
+        axes[:, 1] = (axes[:, 0] + rng.integers(0, 7, size=count)) % 8 + 1
+        rotations = np.column_stack((axes, rng.standard_normal(count)))
+        schedule = RotationSchedule(dim=8, rotations=rotations, flip_last=False)
+        expected = "".join(f"{j:.0f},{i:.0f},{g:.17g}\n" for j, i, g in rotations.tolist())
+        assert schedule_to_csv(schedule) == "j,i,gamma\n" + expected
+
+    def test_rotations_are_one_float64_table(self):
+        schedule = reck_decompose(haar_orthogonal(np.random.default_rng(11), 64))
+        count = len(schedule.rotations)
+        assert 0 < count <= 64 * 63 // 2
+        assert schedule.rotations.dtype == np.float64
+        assert schedule.rotations.shape == (count, 3)
+        restored = schedule_from_csv(schedule_to_csv(schedule))
+        assert restored.rotations.dtype == np.float64
+        assert np.array_equal(restored.rotations, schedule.rotations)
+
+    @pytest.mark.parametrize(
+        "rotations",
+        [
+            [[1, 2, 0.5, 1, 3, 0.2]],
+            [(1, 2)],
+            [(1, 2, 0.5, 7)],
+            [(1, 2, 0.5), (2, 1)],
+            [(1, 2, "x")],
+            np.array([1.0, 2.0, 0.5]),
+            [[(1, 2, 0.5)]],
+            [(1, 2, 0.5 + 0j)],
+            None,
+        ],
+        ids=["six_wide", "pair", "four_wide", "ragged", "text", "flat", "nested", "complex",
+             "none"],
+    )
+    def test_malformed_table_refused(self, rotations):
+        # a six-wide row was read as two rotations by reconstruct_unitary,
+        # and the others raised a bare ValueError or TypeError
+        with pytest.raises(InvalidInput):
+            RotationSchedule(dim=3, rotations=rotations, flip_last=False)
+
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0), np.empty((0, 3))])
+    def test_empty_table_is_a_schedule(self, empty):
+        schedule = RotationSchedule(dim=3, rotations=empty, flip_last=True)
+        assert schedule.rotations.shape == (0, 3)
+        assert schedule_to_csv(schedule) == f"j,i,gamma\n3,3,{math.pi:.17g}\n"
+        np.testing.assert_array_equal(reconstruct_unitary(schedule), np.diag([1.0, 1.0, -1.0]))
 
 
 def savetxt_text(path, u):
