@@ -16,10 +16,19 @@ def _check_int(value, lo: int, name: str) -> int:
     return int(value)
 
 
+def _as_array(value, name: str, dtype=np.float64) -> np.ndarray:
+    """value as a numpy array of dtype (of the entries' own when dtype is
+    None); InvalidInput where numpy makes none, as from ragged rows."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from exc
+
+
 def _check_priors(priors, m: int) -> np.ndarray:
     """priors as a float64 array; InvalidInput unless they are m >= 1
     finite nonnegative numbers summing to 1 within 1e-12."""
-    priors = np.asarray(priors, dtype=np.float64)
+    priors = _as_array(priors, "priors")
     if priors.shape != (m,) or m == 0:
         raise InvalidInput(f"got {priors.size} priors for {m} states")
     if not np.isfinite(priors).all() or priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-12:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _check_int, _check_priors, _is_real
+from ._checks import _as_array, _check_int, _check_priors, _is_real
 from ._kernels import _helstrom_error, _threshold_error, bayes_error, bayes_residual, bayes_sweeps
 from .ensembles import embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
@@ -137,7 +137,7 @@ def check_optimality(measurement, states, priors, tol: float = 1e-10) -> Optimal
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
-    vectors = np.asarray(measurement, dtype=np.float64)
+    vectors = _as_array(measurement, "measurement")
     # finite before the product: NaN would pass the tolerance test, and inf warns
     if vectors.shape != states.shape or not np.isfinite(vectors).all() or (
         np.abs(vectors @ vectors.T - np.eye(len(vectors))).max() > _UNIT_TOL
@@ -150,7 +150,7 @@ def check_ensemble(states, priors):
     """States and priors as float arrays, after checking that the priors
     are a finite probability vector and the states finite unit rows, one
     per prior; InvalidInput otherwise."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    states = np.atleast_2d(_as_array(states, "states"))
     if states.ndim != 2:
         raise InvalidInput(f"states must be a 2-D array, got {states.ndim} axes")
     priors = _check_priors(priors, states.shape[0])

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _check_int, _check_priors, _is_real
+from ._checks import _as_array, _check_int, _check_priors, _is_real
 from ._kernels import _overlaps, _xor_span, hamming_matrix
 from .errors import InvalidInput, ResourceLimit
 
@@ -34,7 +34,7 @@ class Code:
 
     def __post_init__(self):
         self.n = _check_int(self.n, 0, "code length")
-        given = np.asarray(self.codewords)
+        given = _as_array(self.codewords, "codewords", None)
         if given.ndim != 2 or given.shape[1] != self.n:
             raise InvalidInput("codewords must be an (M, n) bit array")
         # on the entries as given: a cast to uint8 would truncate 0.5 to 0
@@ -165,9 +165,13 @@ def code_from_text(text: str) -> Code:
     if len(tokens) != 2 + 2 * m:
         raise InvalidInput(f"expected {2 + 2 * m} fields for n={n} M={m}, got {len(tokens)}")
     words = tokens[2 : 2 + m]
-    if any(len(w) != n or set(w) - {"0", "1"} for w in words):
+    # one byte per letter, all parsed at once: "0" and "1" become 0 and 1,
+    # any other letter (a non-ASCII one becomes "?") a byte above 1
+    bits = np.frombuffer("".join(words).encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if any(len(w) != n for w in words) or (bits > 1).any():
         raise InvalidInput("codewords must be 0/1 strings of length n")
-    codewords = np.array([[int(c) for c in w] for w in words], dtype=np.uint8)
+    # with no words the empty array goes on unshaped, for Code to refuse
+    codewords = bits.reshape(m, n) if m else bits
     try:
         priors = np.array([float(x) for x in tokens[2 + m :]])
     except ValueError as exc:

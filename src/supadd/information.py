@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _check_int, _check_priors, _kappa_array, _scalar_or_array
+from ._checks import _as_array, _check_int, _check_priors, _kappa_array, _scalar_or_array
 from ._kernels import _helstrom_error, mi_bits
 from .detection import helstrom_binary
 from .ensembles import embed_binary_letters
@@ -41,7 +41,7 @@ def mutual_information(priors, channel) -> InfoResult:
     with 0 log 0 = 0. Raises InvalidInput unless the priors are a
     probability vector and the channel a finite row-stochastic matrix with
     one row per prior."""
-    channel = np.asarray(channel, dtype=np.float64)
+    channel = _as_array(channel, "channel")
     if channel.ndim != 2:
         raise InvalidInput("channel must be a 2-D array")
     priors = _check_priors(priors, channel.shape[0])

@@ -9,6 +9,7 @@ and returns the smallest eigenvalue and the symmetrized root.
 
 import numpy as np
 
+from ._checks import _as_array
 from .errors import InvalidInput
 
 # eigenvalues in [-_CLAMP_TOL, 0) are round-off and clamp to zero in sqrt_psd
@@ -16,7 +17,7 @@ _CLAMP_TOL = 1e-10
 
 
 def _as_symmetric(m):
-    m = np.asarray(m, dtype=np.float64)
+    m = _as_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidInput(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

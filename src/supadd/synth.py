@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ._checks import _check_int, _kappa_array
+from ._checks import _as_array, _check_int, _kappa_array
 from ._kernels import _columns, _pack_bits, _xor_span, apply_rotations
 from .detection import polar_rows
 from .ensembles import Code, codeword_states
@@ -69,36 +69,38 @@ class SynthesizedUnitary:
     collective_error: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class RotationSchedule:
     """Ordered plane rotations (j, i, gamma), 1-based axes, as a (count, 3)
     float64 table; flip_last records a trailing sign flip of the last axis
     (determinant -1), serialized as a (dim, dim, pi) line. Made from any
     (count, 3) table of numbers or an empty list; InvalidInput unless dim
     is an integer >= 1, flip_last a bool and each rotation turns two
-    distinct integer axes in 1..dim by a finite angle."""
+    distinct integer axes in 1..dim by a finite angle. A schedule does not
+    change once it is checked: its fields cannot be reassigned, and the
+    table is its own read-only copy."""
 
     dim: int
     rotations: np.ndarray
     flip_last: bool
 
     def __post_init__(self):
-        self.dim = _check_int(self.dim, 1, "schedule dimension")
+        dim = _check_int(self.dim, 1, "schedule dimension")
         if not isinstance(self.flip_last, (bool, np.bool_)):
             raise InvalidInput(f"flip_last must be a bool, got {self.flip_last!r}")
-        try:
-            table = np.asarray(self.rotations)
-        except ValueError as exc:
-            raise InvalidInput("rotations must be a (count, 3) table") from exc
+        table = _as_array(self.rotations, "rotations", None)
         if table.shape == (0,):
             table = table.reshape(0, 3)
         # a string, None or an axis past the uint64 range gives another kind
         if table.dtype.kind not in "iuf" or table.ndim != 2 or table.shape[1] != 3:
             raise InvalidInput(f"rotations must be a (count, 3) numeric table, got {table.shape}")
-        self.rotations = table = table.astype(np.float64, copy=False)
+        table = np.array(table, dtype=np.float64)
+        table.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rotations", table)
         axes = table[:, :2]
-        if not ((axes >= 1) & (axes <= self.dim) & (axes == np.floor(axes))).all():
-            raise InvalidInput(f"rotation axes must be integers in 1..{self.dim}")
+        if not ((axes >= 1) & (axes <= dim) & (axes == np.floor(axes))).all():
+            raise InvalidInput(f"rotation axes must be integers in 1..{dim}")
         if not np.isfinite(table[:, 2]).all():
             raise InvalidInput("rotation angles must be finite")
         if (axes[:, 0] == axes[:, 1]).any():
@@ -366,7 +368,7 @@ def reck_decompose(u) -> RotationSchedule:
     This is _row_schedule with every axis a label. Raises InvalidInput
     unless u is a finite, non-empty square matrix within 1e-8 of
     orthogonal."""
-    w = np.array(u, dtype=np.float64)
+    w = _as_array(u, "input")
     dim = w.shape[0] if w.ndim == 2 else 0
     # finite first: a NaN entry would pass the tolerance test below
     if not (dim and w.shape == (dim, dim) and np.isfinite(w).all()):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -1235,6 +1235,30 @@ class TestScheduleSerialization:
         assert schedule_to_csv(schedule) == f"j,i,gamma\n3,3,{math.pi:.17g}\n"
         np.testing.assert_array_equal(reconstruct_unitary(schedule), np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "field, value", [("dim", 1), ("rotations", [[1, 1, 0.3]]), ("flip_last", True)]
+    )
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # a reassigned field skipped the checks: these made reconstruct_unitary
+        # raise a bare TypeError or IndexError and schedule_to_csv an AttributeError
+        schedule = RotationSchedule(dim=3, rotations=[[3, 1, 0.5]], flip_last=False)
+        with pytest.raises(FrozenInstanceError):
+            setattr(schedule, field, value)
+        assert (schedule.dim, schedule.flip_last) == (3, False)
+        assert schedule_to_csv(schedule) == "j,i,gamma\n3,1,0.5\n"
+
+    def test_table_is_a_read_only_copy(self):
+        given = np.array([[3.0, 1.0, 0.5], [2.0, 3.0, -0.25]])
+        schedule = RotationSchedule(dim=3, rotations=given, flip_last=False)
+        expected = reconstruct_unitary(schedule)
+        # the caller's table is not the schedule's
+        given[0, 0] = 7.0
+        assert schedule.rotations[0, 0] == 3.0
+        # and the schedule's cannot be written: an axis of 7 raised a bare IndexError
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.rotations[0, 0] = 7.0
+        np.testing.assert_array_equal(reconstruct_unitary(schedule), expected)
+
 
 def savetxt_text(path, u):
     np.savetxt(path, u, fmt="%.17g")
@@ -1258,40 +1282,81 @@ def signed_zero_blocks():
     return np.random.default_rng(12).choice(values, size=(rows, 64))
 
 
+def distinct_block(extra):
+    """One full block of rows whose distinct values are _DIRECT_SHARE of
+    its entries, plus extra: at the writer's branch rule, or past it."""
+    rng = np.random.default_rng(16)
+    cols = 1024
+    size = cli._TEXT_BLOCK // cols * cols
+    distinct = int(cli._DIRECT_SHARE * size) + extra
+    values = rng.standard_normal(distinct)
+    entries = np.concatenate((values, rng.choice(values, size - distinct)))
+    return rng.permutation(entries).reshape(-1, cols)
+
+
+def few_repeats_signed_zeros():
+    """A block with few repeats, 0.0, -0.0 and -tiny among its values."""
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((40, 300))
+    u.flat[rng.choice(u.size, 60, replace=False)] = [0.0, -0.0, -np.finfo(np.float64).tiny] * 20
+    return u
+
+
+def wider_than_block():
+    """Rows longer than a block, so each block is one row: the first and
+    third from a few values, the others all distinct."""
+    rng = np.random.default_rng(18)
+    u = rng.standard_normal((4, cli._TEXT_BLOCK + 5))
+    u[::2] = rng.choice([0.0, -0.0, 0.5, -1.0 / 3.0], size=(2, u.shape[1]))
+    return u
+
+
+# matrices whose unitary.txt must have np.savetxt's bytes; the last four
+# sit at the writer's branch rule, just past it, and on either side of it
+WRITER_CASES = {
+    "group_adaptor": lambda: synthesize_unitary(build_nn12_code(6), 0.5).U,
+    "signed_zeros_short_last_block": signed_zero_blocks,
+    "haar_200": lambda: haar_orthogonal(np.random.default_rng(13), 200),
+    "row_repeated": lambda: np.random.default_rng(14).choice(
+        [0.0, -0.0, 0.25, -1.0 / 7.0], size=(1, 37)
+    ),
+    "row_distinct": lambda: np.random.default_rng(14).standard_normal((1, 37)),
+    "column_repeated": lambda: np.random.default_rng(14).choice(
+        [0.0, -0.0, 0.25, -1.0 / 7.0], size=(37, 1)
+    ),
+    "column_distinct": lambda: np.random.default_rng(14).standard_normal((37, 1)),
+    "nonlinear_adaptor": lambda: synthesize_unitary(
+        code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"), 0.5
+    ).U,
+    "at_direct_share": lambda: distinct_block(0),
+    "past_direct_share": lambda: distinct_block(1),
+    "few_repeats_signed_zeros": few_repeats_signed_zeros,
+    "wider_than_block": wider_than_block,
+}
+
+
 class TestUnitaryTextMatchesSavetxt:
     """unitary.txt has the bytes np.savetxt(fmt="%.17g") gives, for matrices
     whose row blocks repeat values and for those whose entries are all
     distinct."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: synthesize_unitary(build_nn12_code(6), 0.5).U,
-            signed_zero_blocks,
-            lambda: haar_orthogonal(np.random.default_rng(13), 200),
-            lambda: np.random.default_rng(14).choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=(1, 37)),
-            lambda: np.random.default_rng(14).standard_normal((1, 37)),
-            lambda: np.random.default_rng(14).choice([0.0, -0.0, 0.25, -1.0 / 7.0], size=(37, 1)),
-            lambda: np.random.default_rng(14).standard_normal((37, 1)),
-            lambda: synthesize_unitary(
-                code_from_text("4 3\n0011\n0101\n1110\n0.5\n0.25\n0.25\n"), 0.5
-            ).U,
-        ],
-        ids=[
-            "group_adaptor",
-            "signed_zeros_short_last_block",
-            "haar_200",
-            "row_repeated",
-            "row_distinct",
-            "column_repeated",
-            "column_distinct",
-            "nonlinear_adaptor",
-        ],
-    )
+    @pytest.mark.parametrize("make", WRITER_CASES.values(), ids=WRITER_CASES.keys())
     def test_matches_savetxt(self, tmp_path, monkeypatch, make):
         u = make()
         expected = savetxt_text(tmp_path / "savetxt.txt", u)
         assert lines(synth_unitary_file(tmp_path, monkeypatch, u)) == lines(expected)
+
+    @pytest.mark.parametrize("make", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+    @pytest.mark.parametrize(
+        "share", [pytest.param(0.0, id="direct"), pytest.param(1.0, id="indexed")]
+    )
+    def test_each_branch_on_every_block(self, tmp_path, monkeypatch, make, share):
+        # a share of 0 formats every block directly; of 1, none
+        u = make()
+        monkeypatch.setattr(cli, "_DIRECT_SHARE", share)
+        cli._write_matrix(tmp_path / "unitary.txt", u)
+        expected = savetxt_text(tmp_path / "savetxt.txt", u)
+        assert lines((tmp_path / "unitary.txt").read_text()) == lines(expected)
 
     def test_nonlinear_code_file(self, tmp_path):
         rng = np.random.default_rng(15)
