@@ -43,10 +43,11 @@ def _is_real(value) -> bool:
 
 def _kappa_array(kappa, collapse_at_one: bool = False) -> np.ndarray:
     """kappa (a number or an array) as a float64 array. InvalidInput unless
-    it holds integers or floats (a string, None or a bool is refused); the
-    first entry outside [0, 1) raises InvalidInput, or LinearDependence
-    when it is 1 and collapse_at_one is set, as it would alone."""
-    k = np.asarray(kappa)
+    it holds integers or floats (a string, None, a bool or ragged rows are
+    refused); the first entry outside [0, 1) raises InvalidInput, or
+    LinearDependence when it is 1 and collapse_at_one is set, as it would
+    alone."""
+    k = _as_array(kappa, "kappa", dtype=None)
     if k.dtype.kind not in "iuf":
         raise InvalidInput(f"kappa must be a real number or an array of them, got {kappa!r}")
     k = k.astype(np.float64, copy=False)

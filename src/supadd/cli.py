@@ -162,14 +162,32 @@ def _jsonval(value):
     return float(f"{float(value):.12g}")
 
 
-def _emit(columns, rows, fmt: str, out) -> None:
+# entries per block that _emit and _write_matrix format at a time
+_TEXT_BLOCK = 1 << 14
+
+
+def _csv_cells(part) -> list:
+    """The CSV text of each value of a slice of a column: a float64 array
+    in one format call, with _fmt's bytes, and any other column one _fmt
+    per cell."""
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return ("%.12g\0" * part.size % tuple(part.tolist())).split("\0")[:-1]
+    return [_fmt(v) for v in part]
+
+
+def _emit(columns, values, fmt: str, out) -> None:
+    """Print the table whose columns are named columns and hold values,
+    one sequence per column. CSV takes at most _TEXT_BLOCK cells at a time."""
     if fmt == "json":
-        table = [[_jsonval(v) for v in row] for row in rows]
+        table = [[_jsonval(v) for v in row] for row in zip(*values)]
         text = json.dumps({"columns": list(columns), "rows": table}, indent=1) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        pieces = [",".join(columns) + "\n"]
+        step = max(1, _TEXT_BLOCK // len(columns))
+        for lo in range(0, len(values[0]), step):
+            cells = [_csv_cells(column[lo : lo + step]) for column in values]
+            pieces.append("\n".join(map(",".join, zip(*cells))) + "\n")
+        text = "".join(pieces)
     _write(text, out)
 
 
@@ -205,7 +223,7 @@ def _resolve_code(code_family: str, n_list, n_given: bool) -> Code:
 
 
 # cells (steps times columns) a sweep-style command may print: a printed
-# cell peaks at about 70 bytes as CSV and 200 to 250 as JSON, its column
+# cell peaks at about 60 bytes as CSV and 200 to 250 as JSON, its column
 # arrays and its text, so the largest accepted table stays under 1 GB
 _MAX_CELLS = 2**22
 
@@ -230,7 +248,7 @@ def _run_columns(build, o) -> int:
             )
         o.grid = np.linspace(o.kappa_min, o.kappa_max, steps)
     columns, values = build(o)
-    _emit(columns, zip(*values), o.format, o.out)
+    _emit(columns, values, o.format, o.out)
     return 0
 
 
@@ -320,8 +338,6 @@ def sweep(o):
     return columns, values
 
 
-# entries per block of rows that _write_matrix formats at a time
-_TEXT_BLOCK = 1 << 14
 # share of a block's entries its distinct bit patterns must pass for
 # _write_matrix to format the block directly; on blocks of shuffled
 # Gaussian values the two ways cost the same at about 0.65

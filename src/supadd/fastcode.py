@@ -159,16 +159,33 @@ def _class_roots(layout, k: np.ndarray):
     """Roots sqrt(mu / M) of the class measure mu = *_i (a**2 delta_0 + b**2
     delta_{c_i}), c_i letter i's column, shaped k.shape + (M,).
     a**2 + b**2 = 1 exactly: mu is that of a kappa within 1.1e-16 of k, and
-    sums to 1 up to the rounding of its products."""
+    sums to 1 up to the rounding of its products.
+
+    mu starts as the power table of each class's weight, over M (a power
+    of two, so each entry above the subnormal range is scaled exactly).
+    Each further column c moves mu by x -> x ^ c with no index: on the view
+    of mu as k.shape + (2,)*bits, whose axis k.ndim + bits - 1 - t holds
+    bit t of the class, that is a flip of the axes of c's set bits. b**2
+    times the flip goes to one buffer, and mu is updated in place, with the
+    products and sums of a**2 mu + b**2 mu[x ^ c]."""
     weights, rest = layout
+    size = weights.size
+    bits = size.bit_length() - 1
     a2 = ((1.0 + k) / 2.0)[..., None]
     b2 = 1.0 - a2
-    powers = np.arange(weights.size.bit_length())
+    powers = np.arange(bits + 1)
     # np.take keeps rows C-ordered, so each sums as it would alone
-    mu = np.take(a2 ** powers[::-1] * b2**powers, weights, axis=-1)
-    for c in rest:
-        mu = a2 * mu + b2 * np.take(mu, np.arange(weights.size) ^ c, axis=-1)
-    return np.sqrt(mu / weights.size)
+    mu = np.take(a2 ** powers[::-1] * b2**powers / size, weights, axis=-1)
+    if rest:
+        cube = mu.reshape(k.shape + (2,) * bits)
+        moved = np.empty_like(cube)
+        a2, b2 = (x.reshape(k.shape + (1,) * bits) for x in (a2, b2))
+        for c in rest:
+            axes = tuple(k.ndim + bits - 1 - t for t in range(bits) if c >> t & 1)
+            np.multiply(b2, np.flip(cube, axes), out=moved)
+            cube *= a2
+            cube += moved
+    return np.sqrt(mu, out=mu)
 
 
 def _roots(layout, k: np.ndarray):
@@ -201,7 +218,11 @@ def _reduce_roots(generators, n: int, kappa, *reductions):
 
 def _root_information(root: np.ndarray, g: np.ndarray) -> np.ndarray:
     p = g * g
-    return np.log2(g.shape[-1]) + np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
+    # p log2 p, 0 where p is 0
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    return np.log2(g.shape[-1]) + np.sum(terms, axis=-1)
 
 
 def _root_error(root: np.ndarray, g: np.ndarray) -> np.ndarray:

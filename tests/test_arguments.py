@@ -317,7 +317,7 @@ KAPPA_CASES = [
 # each used to raise a bare TypeError or ValueError, to take "0.5" as 0.5,
 # or to take False as 0 and True as 1
 KAPPA_MALFORMED = ["abc", "0.5", "", None, True, False, np.True_, [None], np.array(["0.5"]),
-                   np.array([False, True])]
+                   np.array([False, True]), [[0.1], [0.2, 0.3]], [0.5, [0.6]]]
 # each raised a bare ValueError on a scalar route, or gave letters of the
 # wrong shape
 KAPPA_ARRAYS = [np.array([0.5, 0.6]), np.array([0.5]), np.array(0.5), [0.5]]

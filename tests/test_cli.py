@@ -57,6 +57,17 @@ def messages(k):
     return (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
 
 
+def table_text(columns, rows, fmt):
+    """The bytes the CLI prints for a table given row by row, one cell at a
+    time: each CSV cell through cli._fmt, each JSON value through
+    cli._jsonval."""
+    if fmt == "json":
+        table = [[cli._jsonval(v) for v in row] for row in rows]
+        return json.dumps({"columns": list(columns), "rows": table}, indent=1) + "\n"
+    lines = [",".join(columns)] + [",".join(map(cli._fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -1023,11 +1034,58 @@ class TestColumnsMatchScalarLoops:
         self.check_table(capsys, argv, oracle_table(command, grid_spec), fmt)
 
     def check_table(self, capsys, argv, table, fmt):
-        _emit(*table, fmt, None)
-        expected = capsys.readouterr().out
+        expected = table_text(*table, fmt)
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert out == expected
+
+
+class TestCsvBlocks:
+    """A CSV table is formatted _TEXT_BLOCK cells at a time, each float64
+    column in one format call per block; its bytes are those of _fmt cell
+    by cell, wherever a block ends."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, cli._TEXT_BLOCK])
+    def test_every_kind_of_cell(self, capsys, monkeypatch, block):
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", block)
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                    1e-300, 1.0, 0.1, 1 / 3, 2.0**53 + 2, 1e16, 123456789012.5, -7.25e-13]
+        floats = np.concatenate(
+            [specials, rng.integers(0, 2**64, 200, dtype=np.uint64).view(np.float64),
+             rng.standard_normal(45)]
+        )
+        size = floats.size
+        ints = np.arange(size) - 30
+        cells = [None if i % 7 == 0 else 0.25 * i for i in range(size)]
+        single = rng.standard_normal(size).astype(np.float32)
+        values = [floats, ints, cells, floats[::-1], single, list(ints)]
+        columns = ["a", "n", "maybe", "b", "single", "m"]
+        _emit(columns, values, "csv", None)
+        assert capsys.readouterr().out == table_text(columns, zip(*values), "csv")
+
+    def test_table_longer_than_one_block(self, capsys):
+        # fig7 prints five columns, so these rows end two blocks and part
+        # of a third mid-row
+        steps = 2 * cli._TEXT_BLOCK // 5 + 3
+        grid = np.linspace(0.01, 0.99, steps)
+        p = binary_flip_probability(grid)
+        values = [grid, p, simplex_profile(3, grid).error_probability,
+                  nn12_error_probability(7, grid), _kernels._threshold_error(p, 7)]
+        columns = ["kappa", "p", "simplex_7_3_error", "code_7_6_error", "threshold_error_n7"]
+        code, out, _ = run(capsys, ["fig7", "--steps", str(steps)])
+        assert code == 0
+        assert out == table_text(columns, zip(*values), "csv")
+
+    @pytest.mark.parametrize("block", [4, 15, 64])
+    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    def test_block_ends_inside_the_default_grid(self, capsys, monkeypatch, command, block):
+        # fig2's 99 rows of 13 cells and fig3's 12 rows of 3, the pair
+        # code's empty crossing among them, in blocks of 1 to 7 rows
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", block)
+        code, out, _ = run(capsys, [command])
+        assert code == 0
+        assert out == table_text(*oracle_table(command, (0.01, 0.99, 99)), "csv")
 
 
 class TestCodeFilePriors:

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -625,3 +626,88 @@ def test_span_layout_is_the_same_for_every_basis(case):
     other_weights, other_rest = fastcode._span_layout(second, n)
     assert np.array_equal(weights, other_weights)
     assert rest == other_rest
+
+
+def python_class_roots(layout, k):
+    """The class measure by an index per further column c: mu becomes
+    a**2 mu + b**2 mu[arange(M) ^ c], gathered by np.take, and the roots
+    are sqrt(mu / M)."""
+    weights, rest = layout
+    a2 = ((1.0 + k) / 2.0)[..., None]
+    b2 = 1.0 - a2
+    powers = np.arange(weights.size.bit_length())
+    mu = np.take(a2 ** powers[::-1] * b2**powers, weights, axis=-1)
+    for c in rest:
+        mu = a2 * mu + b2 * np.take(mu, np.arange(weights.size) ^ c, axis=-1)
+    return np.sqrt(mu / weights.size)
+
+
+# the ends of [0, 1) and the steep columns near kappa = 1, down to the
+# largest float below 1
+EXTREME_KAPPA = np.array([0.0, 1e-300, 1e-8, 0.5, 1 - 1e-10, 1 - 1e-13, 1 - 3e-14, 1 - 1e-14,
+                          1 - 2.0**-52, np.nextafter(1.0, 0.0)])
+KAPPA_SHAPES = {
+    "scalar": np.float64(0.37),
+    "vector": np.linspace(0.0, 0.99, 7),
+    "matrix": np.linspace(0.05, 0.95, 12).reshape(3, 4),
+    "extreme": EXTREME_KAPPA,
+}
+
+
+def seeded_linear_code(seed):
+    """Generators and length of a random linear code of n = 6..14 letters
+    and dimension 2..8."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 15))
+    return linear_generators(random_linear_code(rng, n, int(rng.integers(2, min(n, 9))))), n
+
+
+class TestIndexFreeClassMeasure:
+    """_class_roots moves mu by each further column as a flip of a
+    (2,)*bits view, in place, and scales the power table by 1/M: its roots
+    are, bit for bit, those of the index loop."""
+
+    def check(self, generators, n, kappa):
+        layout = fastcode._span_layout(tuple(generators), n)
+        k = _kappa_array(kappa)
+        root = fastcode._class_roots(layout, k)
+        expected = python_class_roots(layout, k)
+        assert root.shape == k.shape + (layout[0].size,)
+        assert root.flags.c_contiguous
+        assert np.array_equal(root.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kappa", KAPPA_SHAPES.values(), ids=KAPPA_SHAPES.keys())
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_even_weight(self, n, kappa):
+        self.check(nn12_generators(n), n, kappa)
+
+    @pytest.mark.parametrize("kappa", KAPPA_SHAPES.values(), ids=KAPPA_SHAPES.keys())
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_simplex(self, r, kappa):
+        self.check(linear_generators(build_simplex_code(r)), 2**r - 1, kappa)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_linear_codes(self, seed):
+        for kappa in KAPPA_SHAPES.values():
+            self.check(*seeded_linear_code(seed), kappa)
+
+    def test_random_codes_flip_several_axes(self):
+        # most of the seeded codes have a column outside the information
+        # set with several bits set, so a flip turns several axes at once
+        rests = [fastcode._span_layout(*seeded_linear_code(seed))[1] for seed in range(30)]
+        assert sum(any(c & (c - 1) for c in rest) for rest in rests) >= 20
+
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_large_even_weight_code_at_the_extremes(self, n):
+        for kappa in EXTREME_KAPPA:
+            self.check(nn12_generators(n), n, kappa)
+
+    def test_holds_two_arrays_of_m(self):
+        # mu and the one buffer of moved values; the index loop held four:
+        # mu, the index, its gather and the products
+        layout = fastcode._span_layout(tuple(nn12_generators(20)), 20)
+        tracemalloc.start()
+        fastcode._class_roots(layout, np.array([0.3]))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.25 * 8 * layout[0].size
