@@ -415,7 +415,7 @@ def cmd_optimize(o) -> int:
             with warnings.catch_warnings():
                 # numpy warns, and returns no rows, for a file without data
                 warnings.simplefilter("error", UserWarning)
-                states = np.atleast_2d(np.loadtxt(o.states_file, dtype=np.float64))
+                states = np.loadtxt(o.states_file, dtype=np.float64, ndmin=2)
         except UserWarning:
             raise InvalidInput(f"states file {o.states_file} holds no states") from None
         except ValueError as exc:

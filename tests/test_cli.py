@@ -656,6 +656,33 @@ class TestOptimizeCommand:
         assert out == ""
         assert "unit norm" in err
 
+    @pytest.mark.parametrize(
+        "text, priors, message",
+        [("0.6\n0.8\n", [], "unit norm"),
+         ("1\n-1\n", [], "dependent"),
+         ("1\n1\n", ["--priors", "0.5,0.5"], "dependent")],
+        ids=["not_unit", "opposite", "equal"],
+    )
+    def test_one_column_holds_one_dimensional_states(self, capsys, tmp_path, text, priors, message):
+        # one state per line: a column is several states of one dimension.
+        # It was read as one state, so 0.6, 0.8 printed states=1 and
+        # is_optimal=true, and 1, 1 failed only on its count of priors
+        path = tmp_path / "column.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["optimize", "--states-file", str(path), *priors])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("text", ["0.6 0.8\n", "1\n"], ids=["row", "single_value"])
+    def test_one_row_is_one_state(self, capsys, tmp_path, text):
+        path = tmp_path / "row.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["optimize", "--states-file", str(path)])
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert (values["states"], values["final_error"], values["is_optimal"]) == ("1", "0", "true")
+
 
 class TestNonNumericInput:
     def check_rejected(self, capsys, argv):

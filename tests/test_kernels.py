@@ -99,6 +99,45 @@ def python_bayes_sweeps(X, rows, xi, tol, max_sweeps):
     return np.array(errors)
 
 
+def gather_bayes_sweeps(X, rows, xi, tol, max_sweeps):
+    """The batched sweeps with a row gather and scatter per anti-diagonal:
+    the pairs (i, t - i), i < t - i, of each t taken by index, their rows
+    gathered, multiplied by [[c, s], [-s, c]] and written back. The oracle
+    for every bit of X, the rows and the errors."""
+    M, W = X.shape[0], X.shape[1] + rows.shape[1]
+    XR = np.hstack([X, rows])
+    overlaps = XR[:, : X.shape[1]]
+    batches = []
+    for t in range(1, 2 * M - 2):
+        i = np.arange(max(0, t - M + 1), (t + 1) // 2)
+        j = t - i
+        entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
+        batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
+    errors = [bayes_error(overlaps, xi)]
+    residual = bayes_residual(overlaps, xi)
+    while len(errors) <= max_sweeps and residual > tol:
+        for entries, pair, pi, pj in batches:
+            thetas = []
+            for p, q, v0, v1, w0, u in zip(pi, pj, *XR.take(entries).tolist()):
+                a = p * v0 * v0 + q * w0 * w0
+                b = p * v0 * v1 + q * w0 * -u
+                d = p * v1 * v1 + q * -u * -u
+                thetas.append(0.5 * math.atan2(2.0 * b, a - d))
+            cs, ss = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
+            coef = np.array(cs + ss + [-s for s in ss] + cs).reshape(2, 2, -1, 1)
+            out = coef * XR.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
+            XR[pair] = out[:, 0] + out[:, 1]
+        errors.append(bayes_error(overlaps, xi))
+        residual = bayes_residual(overlaps, xi)
+    X[...] = overlaps
+    rows[...] = XR[:, X.shape[1]:]
+    return np.array(errors)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestHamming:
     def test_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -254,17 +293,78 @@ class TestBayesSweeps:
         # the polar case, last, sweeps: its rows did turn
         assert len(e1) > 1 and not np.array_equal(rows, start)
 
+    def benchmark_case(self, m):
+        """The benchmark's optimize ensemble of m states (fixed geometry,
+        Dirichlet priors) at the optimizer's polar start."""
+        base = np.random.default_rng([m, 0])
+        states = base.standard_normal((m, m))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        priors = base.dirichlet(np.ones(m))
+        rows = polar_rows(np.sqrt(priors)[:, None] * states)
+        return rows @ states.T, rows, priors
+
+    def test_butterfly_matches_gather_scatter_bits(self):
+        # the in-place butterfly on a block and its mirror image against
+        # the row gather and scatter, to convergence: the benchmark's three
+        # ensembles, m = 31, more dimensions than states, a zero prior (no
+        # polar start: unweighted polar rows), and a -0.0 overlap beside two
+        # columns of -0.0 in the rows, whose signs the butterfly's 0 x and
+        # (-s) a must keep as c x - s a does
+        inputs = [self.benchmark_case(m) for m in (8, 16, 24)]
+        inputs.append(self.polar_case(41, 31, 31))
+        inputs.append(self.polar_case(43, 20, 33))
+        x, _, priors = self.polar_case(47, 8, 8)
+        priors[3] = 0.0
+        priors /= priors.sum()
+        rows = polar_rows(x.T)  # x.T holds the states' coordinates in an orthonormal basis
+        inputs.append((rows @ x, rows, priors))
+        x, rows, priors = self.polar_case(53, 9, 9)
+        x[1, 2] = -0.0
+        inputs.append((x, np.hstack([rows, np.full((9, 2), -0.0)]), priors))
+        for x1, rows1, priors in inputs:
+            x2, rows2 = x1.copy(), rows1.copy()
+            e1 = bayes_sweeps(x1, rows1, priors, 1e-10, 500)
+            e2 = gather_bayes_sweeps(x2, rows2, priors, 1e-10, 500)
+            assert same_bits(x1, x2) and same_bits(rows1, rows2) and same_bits(e1, e2)
+            assert len(e1) > 2 and bayes_residual(x1, priors) <= 1e-10
+
+    def test_butterfly_keeps_signed_zeros(self):
+        # one sweep of small ensembles beside a column of -0.0: a zero
+        # column stays zero but its signs move with each pair's c and s,
+        # and the middle row's 0 x must leave them as the oracle does
+        kept = 0
+        for seed in range(10):
+            for m in (3, 4, 5):
+                x1, rows, priors = self.polar_case(seed, m, m)
+                rows1 = np.hstack([rows, np.full((m, 1), -0.0)])
+                x2, rows2 = x1.copy(), rows1.copy()
+                e1 = bayes_sweeps(x1, rows1, priors, 1e-10, 1)
+                e2 = gather_bayes_sweeps(x2, rows2, priors, 1e-10, 1)
+                assert same_bits(x1, x2) and same_bits(rows1, rows2) and same_bits(e1, e2)
+                kept += int(np.signbit(rows1[:, -1]).sum())
+        assert kept > 0
+
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 40))
     def test_antidiagonal_schedule(self, m):
-        # the batches of one sweep: every pair i < j once, disjoint rows
-        # within a batch, and the pair before each one on either of its
-        # rows, in lexicographic order, in an earlier batch
+        # the blocks of one sweep, the t-th (from t = 1) holding the pairs
+        # (lo + k, hi - 1 - k): every pair i < j once, disjoint rows within
+        # a batch, and the pair before each one on either of its rows, in
+        # lexicographic order, in an earlier batch. Each block is the
+        # contiguous rows of its anti-diagonal i + j = t, each paired with
+        # its mirror image, and only an even t leaves a row, t / 2, unpaired
+        blocks = _antidiagonals(m)
+        assert len(blocks) == max(2 * m - 3, 0)
         batch_of = {}
-        for t, (i, j) in enumerate(_antidiagonals(m)):
-            rows = i.tolist() + j.tolist()
+        for t, (lo, hi) in enumerate(blocks, start=1):
+            size = hi - lo
+            pairs = [(lo + k, hi - 1 - k) for k in range(size // 2)]
+            assert pairs == [(i, t - i) for i in range(m) if i < t - i < m]
+            rows = [row for pair in pairs for row in pair]
             assert len(set(rows)) == len(rows)
-            for pair in zip(i.tolist(), j.tolist()):
+            unpaired = sorted(set(range(lo, hi)) - set(rows))
+            assert unpaired == ([t // 2] if t % 2 == 0 else [])
+            for pair in pairs:
                 assert pair not in batch_of
                 batch_of[pair] = t
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
