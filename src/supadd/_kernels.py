@@ -1,8 +1,6 @@
 """Hot numerical kernels, one numpy implementation each, and the formulas
 and codeword bit layout (first letter most significant) that modules share."""
 
-import math
-
 import numpy as np
 
 
@@ -121,78 +119,6 @@ def bayes_error(X, xi):
     X[i, j] = <omega_i|rho_j>, or 0 where rounding takes the sum above 1
     (unit rows make it at most 1)."""
     return max(1.0 - float(np.sum(xi * np.square(np.diag(X)))), 0.0)
-
-
-def _antidiagonals(m):
-    """The rows [lo, hi) of each anti-diagonal t = i + j, t = 1 ... 2m - 3:
-    its pairs i < j of range(m) are (lo + k, hi - 1 - k), a block of rows
-    and the same block reversed, with the middle row t / 2 unpaired when
-    t is even."""
-    return [(max(0, t - m + 1), min(t, m - 1) + 1) for t in range(1, 2 * m - 2)]
-
-
-def bayes_sweeps(X, rows, xi, tol, max_sweeps):
-    """Pairwise-rotation sweeps of the measurement rows mu_i toward the
-    minimum-error optimum, for X[i, j] = <mu_i|rho_j> and priors xi.
-
-    A sweep turns every pair of rows i < j once, in lexicographic order
-    (0, 1), (0, 2), ..., (M-2, M-1), by the angle that balances the pair;
-    sweeps run until bayes_residual(X, xi) <= tol or max_sweeps are done.
-    X and rows are turned together and updated in place. Returns the
-    errors, each a bayes_error: that of the starting overlaps and then
-    after each sweep (so len(errors) - 1 sweeps ran). X and rows equal,
-    bit for bit, those of one scalar rotation at a time: the pairs of an
-    anti-diagonal t = i + j turn at once, on disjoint rows, and row i
-    meets its pairs in lexicographic order on t = i, ..., 2i - 1, 2i + 1,
-    ..., i + M - 1.
-    An anti-diagonal's rows are one contiguous block, each row paired with
-    its mirror image, so one in-place butterfly per anti-diagonal turns
-    the block against the block reversed: row i takes c a + s x and row j
-    c x + (-s) a, which has the bits of c x - s a; an unpaired middle row
-    takes 1 x + 0 x = x exactly, signed zeros included. The angles are
-    taken pair by pair with math's trig (numpy's SIMD loops may differ in
-    the last bit); negating X[i, j] is exact, so b and d drop the sign.
-    """
-    M, W = X.shape[0], X.shape[1] + rows.shape[1]
-    # the overlaps and the rows side by side: one row pair per rotation
-    XR = np.hstack([X, rows])
-    overlaps = XR[:, : X.shape[1]]
-    # one batch's c of each row of its block, then its s
-    coef = np.empty(2 * M)
-    batches = []
-    for lo, hi in _antidiagonals(M):
-        i = np.arange(lo, (lo + hi) // 2)
-        j = lo + hi - 1 - i
-        # X[i, i], X[j, i], X[j, j], X[i, j] of each pair
-        entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
-        middle = [1.0, 0.0] if (hi - lo) % 2 else []
-        flat = coef[: 2 * (hi - lo)]
-        block = XR[lo:hi]
-        batches.append((entries, xi[i].tolist(), xi[j].tolist(), middle, flat,
-                        *flat.reshape(2, -1, 1), block, block[::-1]))
-    atan2, cos, sin = math.atan2, math.cos, math.sin
-    errors = [bayes_error(overlaps, xi)]
-    residual = bayes_residual(overlaps, xi)
-    while len(errors) <= max_sweeps and residual > tol:
-        for entries, pi, pj, middle, flat, c, s, block, mirror in batches:
-            cs, ss = [], []
-            for p, q, v0, v1, w0, u in zip(pi, pj, *XR.take(entries).tolist()):
-                a = p * v0 * v0 + q * w0 * w0
-                b = p * v0 * v1 - q * w0 * u
-                d = p * v1 * v1 + q * u * u
-                theta = 0.5 * atan2(2.0 * b, a - d)
-                cs.append(cos(theta))
-                ss.append(sin(theta))
-            # the rows' c and s, mirrored about the middle row's 1 and 0
-            flat[:] = cs + middle[:1] + cs[::-1] + ss + middle[1:] + [-v for v in ss[::-1]]
-            moved = s * mirror
-            block *= c
-            block += moved
-        errors.append(bayes_error(overlaps, xi))
-        residual = bayes_residual(overlaps, xi)
-    X[...] = overlaps
-    rows[...] = XR[:, X.shape[1]:]
-    return np.array(errors)
 
 
 def apply_rotations(w, pivots, rows, c, s, start):

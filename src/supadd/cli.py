@@ -404,10 +404,12 @@ def cmd_synth(o) -> int:
 
 
 def cmd_optimize(o) -> int:
-    """Run square-root initialization plus pairwise-rotation optimization
-    and print the certification report; for the binary letter pair, also
-    the closed-form minimum error under the same priors. kappa picks the
-    letter pair, so a kappa given beside states_file is an input error."""
+    """Run the minimum-error optimizer, square-root measurements reweighted
+    to their fixed point (detection.bayes_cost_reduction), and print the
+    certification report, with sweeps= the iterations after the first;
+    for the binary letter pair, also the closed-form minimum error under
+    the same priors. kappa picks the letter pair, so a kappa given beside
+    states_file is an input error."""
     if o.states_file is not None:
         if "kappa" in o.given:
             raise InvalidInput("optimize reads kappa only for the letter pair, not with states_file")

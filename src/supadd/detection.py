@@ -1,11 +1,14 @@
 """Measurements over a codeword span: square-root measurement, minimum-error
-optimality certification, pairwise-rotation optimization, and the
-threshold-point certificate of product measurements.
+optimality certification, minimum-error optimization as a reweighted
+square-root measurement, and the threshold-point certificate of product
+measurements.
 
 The square-root measurement takes one route per input: its channel comes
 from the Gram matrix's root, its rows in the states' coordinates from
 their polar factor (polar_rows, public here for synth but not exported by
-the package), orthonormal to round-off whatever the conditioning.
+the package), orthonormal to round-off whatever the conditioning. The
+optimizer's iterates take the same SVD polar factor, of states under
+weights that may be 0.
 
 Every certificate goes through _certify, with one error formula
 (_kernels.bayes_error), and every ensemble a caller gives through
@@ -24,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import _as_array, _check_int, _check_priors, _is_real
-from ._kernels import _helstrom_error, _threshold_error, bayes_error, bayes_residual, bayes_sweeps
+from ._kernels import _helstrom_error, _threshold_error, bayes_error, bayes_residual
 from .ensembles import embed_binary_letters
 from .errors import InvalidInput, LinearDependence, ResourceLimit, Unconverged
 from .psdlinalg import psd_root
@@ -34,6 +37,7 @@ _SINGULAR_EIG = 1e-12
 # eigvalsh of that size; the README's "Limits and conventions" gives the
 # timings that put n = 13 past a 5 minute / 1 GB budget
 _MAX_CERT_N = 12
+# bayes_cost_reduction's iterations after its first
 _MAX_SWEEPS = 500
 # entrywise tolerance of a state's norm and of a measurement's V V^T = I
 _UNIT_TOL = 1e-9
@@ -91,9 +95,16 @@ def polar_rows(states) -> np.ndarray:
     but orthonormal to round-off whatever the conditioning (Higham,
     Functions of Matrices, SIAM 2008, ch. 8). Raises LinearDependence for
     more states than dimensions or S**2 at or below the Gram threshold."""
-    u, s, vt = np.linalg.svd(states, full_matrices=False)
+    rows, s = _polar_factor(states)
     _check_independent(states.shape[0], s)
-    return u @ vt
+    return rows
+
+
+def _polar_factor(states):
+    """U V^T of the thin SVD U S V^T of the rows, with S: orthonormal rows
+    however dependent the states."""
+    u, s, vt = np.linalg.svd(states, full_matrices=False)
+    return u @ vt, s
 
 
 def _check_independent(m: int, s) -> None:
@@ -176,37 +187,48 @@ def helstrom_binary(kappa: float, xi1: float):
 
 
 def bayes_cost_reduction(states, priors, tol: float = 1e-10):
-    """Drive a measurement basis to the minimum-error optimum by exact
-    pairwise plane rotations (lexicographic pair order, repeated).
+    """Drive a measurement to the minimum-error optimum as a reweighted
+    square-root measurement.
 
-    Each step solves the two-state subproblem on the plane of one vector
-    pair in closed form, so the average error never increases. The sweeps
-    start from the square-root measurement of the prior-weighted states
-    and turn its rows themselves. Returns the optimized measurement and a
-    report whose error_history holds the average error of the start and
-    then after each sweep. Raises InvalidInput, before any sweep, unless
-    0 <= tol < inf, LinearDependence unless the states as given are
-    independent (a zero or tiny prior leaves them so), and Unconverged
-    (carrying the best iterate) if the report's residual is above tol
-    after _MAX_SWEEPS sweeps.
+    For independent pure states the minimum-error measurement is the
+    square-root measurement of the same states under other weights
+    (Mochon, PRA 73, 032328, 2006). The weights are found by the fixed
+    point of Jezek, Rehacek and Fiurasek (PRA 65, 060301(R), 2002): start
+    with w = sqrt(priors), take the rows U V^T of the thin SVD of the
+    weighted states w_i psi_i, and until the report's residual is at most
+    tol, set w_i = xi_i X_ii for X[i, j] = <omega_i | psi_j>, scaled by its
+    maximum. The first iterate is the square-root measurement of the
+    prior-weighted states. Returns the measurement and a report whose
+    error_history holds the average error of each iterate. Raises
+    InvalidInput, before any iteration, unless 0 <= tol < inf,
+    LinearDependence unless the states as given are independent (a zero
+    or tiny prior leaves them so), and Unconverged (carrying the iterate
+    of least error) if the residual is above tol after _MAX_SWEEPS
+    iterations.
     """
     _check_tol(tol)
     states, priors = check_ensemble(states, priors)
     _check_independent(states.shape[0], np.linalg.svd(states, compute_uv=False))
-    # U V^T of the weighted states: orthonormal rows, a zero prior's included
-    u, _, vt = np.linalg.svd(np.sqrt(priors)[:, None] * states, full_matrices=False)
-    rows = u @ vt
-    x = rows @ states.T
-    history = bayes_sweeps(x, rows, priors, tol, _MAX_SWEEPS)
-    # x holds the final overlap matrix; certify it directly
-    report = _certify(x, priors, tol, history.tolist())
-    if report.cond_i_residual > tol:
-        raise Unconverged(
-            f"residual {report.cond_i_residual:.3e} > tol {tol:.1e} after {_MAX_SWEEPS} sweeps",
-            measurement=rows,
-            report=report,
-        )
-    return rows, report
+    weights = np.sqrt(priors)
+    history, best = [], (np.inf, None, None)
+    for _ in range(_MAX_SWEEPS + 1):
+        # not polar_rows: a zero weight leaves the weighted states dependent
+        rows, _ = _polar_factor(weights[:, None] * states)
+        x = rows @ states.T
+        history.append(bayes_error(x, priors))
+        if history[-1] < best[0]:
+            best = history[-1], rows, x
+        if bayes_residual(x, priors) <= tol:
+            return rows, _certify(x, priors, tol, history)
+        weights = priors * np.diag(x)
+        weights /= weights.max()
+    _, rows, x = best
+    report = _certify(x, priors, tol, history)
+    raise Unconverged(
+        f"residual {report.cond_i_residual:.3e} > tol {tol:.1e} after {_MAX_SWEEPS} iterations",
+        measurement=rows,
+        report=report,
+    )
 
 
 def threshold_certificate(

@@ -594,8 +594,9 @@ class TestOptimizeCommand:
         assert float(values["final_error"]) <= float(values["initial_error"]) + 1e-12
 
     def test_seeded_ensemble_pinned(self, capsys, tmp_path):
-        # sweeps and final_error as printed before the rotation kernel was
-        # rewritten; the pair order and the angle formula must not move them
+        # final_error as the pairwise-rotation optimizer printed it, which
+        # the reweighted square-root fixed point must keep; sweeps counts
+        # its iterations (74 rotation sweeps before)
         rng = np.random.default_rng(16)
         states = rng.standard_normal((16, 16))
         states /= np.linalg.norm(states, axis=1)[:, None]
@@ -609,7 +610,7 @@ class TestOptimizeCommand:
         )
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
-        assert values["sweeps"] == "74"
+        assert values["sweeps"] == "18"
         assert values["final_error"] == "0.211499317294"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -634,7 +635,7 @@ class TestOptimizeCommand:
     def test_tol_outside_range_rejected(self, capsys, monkeypatch, tol):
         # an infinite or NaN tol would certify the unswept start, and a
         # negative one can never be met
-        monkeypatch.setattr(detection, "bayes_sweeps", unreachable)
+        monkeypatch.setattr(detection, "_polar_factor", unreachable)
         err = single_error(capsys, ["optimize", f"--tol={tol}"])
         assert "tol" in err
 

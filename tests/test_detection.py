@@ -333,6 +333,73 @@ class TestBayesCostReduction:
         assert abs(again.error_probability - exc.report.error_probability) < 1e-14
         assert not again.is_optimal
 
+    def test_error_non_increasing_and_converged(self):
+        states, priors = random_ensemble(np.random.default_rng(11), 4, 4)
+        _, report = bayes_cost_reduction(states, priors)
+        assert np.all(np.diff(report.error_history) <= 1e-12)
+        assert report.cond_i_residual <= 1e-10
+
+    def test_rows_orthonormal(self):
+        states, priors = random_ensemble(np.random.default_rng(17), 4, 4)
+        meas, _ = bayes_cost_reduction(states, priors)
+        assert np.abs(meas @ meas.T - np.eye(len(meas))).max() < 1e-10
+
+    @pytest.mark.parametrize("m, seed", [(48, 0), (48, 1), (96, 0), (96, 1)])
+    def test_near_dependent_ensembles_certified(self, m, seed):
+        # every state e_0 plus small Gaussian noise, normalized: the
+        # pairwise-rotation optimizer took 94-135 sweeps on these
+        rng = np.random.default_rng([m, seed])
+        states = 0.05 * rng.standard_normal((m, m))
+        states[:, 0] += 1.0
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        priors = rng.dirichlet(np.ones(m))
+        _, report = bayes_cost_reduction(states, priors)
+        assert report.is_optimal
+        assert np.all(np.diff(report.error_history) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "m, alpha, expected",
+        [
+            (8, 1.0, 0.13144100123353886),
+            (16, 1.0, 0.21149931729358395),
+            (24, 1.0, 0.15218518940044967),
+            (8, 0.1, 0.0003450703662601917),
+            (16, 0.1, 0.03258936840691384),
+            (24, 0.1, 0.01105836440667296),
+        ],
+    )
+    def test_matches_rotation_optimizer_errors(self, m, alpha, expected):
+        # the benchmark's optimize geometry, under its Dirichlet(1) priors
+        # or skewed Dirichlet(0.1) ones; expected is the final error of the
+        # pairwise-rotation optimizer this fixed point replaced
+        base = np.random.default_rng([m, 0])
+        states = base.standard_normal((m, m))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        priors = base.dirichlet(np.ones(m))
+        if alpha != 1.0:
+            priors = np.random.default_rng([m, 1]).dirichlet(np.full(m, alpha))
+        _, report = bayes_cost_reduction(states, priors)
+        assert report.is_optimal
+        assert abs(report.error_probability - expected) <= 1e-13
+        # the first iterate is the square-root measurement of the
+        # prior-weighted states, bit for bit: the U V^T of their thin SVD
+        u, _, vt = np.linalg.svd(np.sqrt(priors)[:, None] * states, full_matrices=False)
+        start = u @ vt @ states.T
+        assert report.error_history[0] == detection.bayes_error(start, priors)
+
+    def test_unconverged_after_one_iteration_carries_least_error(self, monkeypatch):
+        monkeypatch.setattr(detection, "_MAX_SWEEPS", 1)
+        states, priors = random_ensemble(np.random.default_rng(42), 6, 6)
+        with pytest.raises(Unconverged) as info:
+            bayes_cost_reduction(states, priors)
+        report = info.value.report
+        assert len(report.error_history) == 2
+        assert report.error_probability == min(report.error_history)
+        again = check_optimality(info.value.measurement, states, priors)
+        assert abs(again.cond_i_residual - report.cond_i_residual) < 1e-14
+        assert abs(again.error_probability - report.error_probability) < 1e-14
+        assert not again.is_optimal
+
     @pytest.mark.parametrize(
         "states, priors",
         [(np.eye(3), [1.0, 0.0, 0.0]), (np.eye(2), [1.0 - 1e-13, 1e-13])],
@@ -378,9 +445,9 @@ class TestBayesCostReduction:
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-3, None])
     def test_tol_outside_range_rejected(self, monkeypatch, tol):
         def unreachable(*args, **kwargs):
-            raise AssertionError("sweep reached")
+            raise AssertionError("iteration reached")
 
-        monkeypatch.setattr(detection, "bayes_sweeps", unreachable)
+        monkeypatch.setattr(detection, "_polar_factor", unreachable)
         with pytest.raises(InvalidInput, match="tol"):
             bayes_cost_reduction(np.eye(2), np.array([0.5, 0.5]), tol=tol)
 

@@ -5,20 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from supadd._kernels import (
-    _antidiagonals,
     apply_rotations,
     bayes_error,
-    bayes_residual,
-    bayes_sweeps,
     fwht,
     hamming_matrix,
     mi_bits,
 )
-from supadd.detection import polar_rows
 from supadd.errors import InvalidInput
 
 
@@ -64,78 +58,6 @@ def python_mi_bits(priors, channel):
             if p > 0.0:
                 total += priors[i] * p * np.log2(p / outputs[j])
     return total
-
-
-def python_bayes_sweeps(X, rows, xi, tol, max_sweeps):
-    """Scalar-loop pairwise-rotation sweeps, one plane rotation at a time,
-    turning the rows with the overlaps; the errors start with that of the
-    starting overlaps."""
-    M = X.shape[0]
-    errors = [1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M))]
-
-    def residual():
-        return max(
-            (abs(xi[i] * X[i, i] * X[j, i] - xi[j] * X[i, j] * X[j, j])
-             for i in range(M) for j in range(M) if i != j),
-            default=0.0,
-        )
-
-    res = residual()
-    while len(errors) <= max_sweeps and res > tol:
-        for i in range(M - 1):
-            for j in range(i + 1, M):
-                v0, v1 = X[i, i], X[j, i]
-                w0, w1 = X[j, j], -X[i, j]
-                a = xi[i] * v0 * v0 + xi[j] * w0 * w0
-                b = xi[i] * v0 * v1 + xi[j] * w0 * w1
-                d = xi[i] * v1 * v1 + xi[j] * w1 * w1
-                theta = 0.5 * math.atan2(2.0 * b, a - d)
-                c, s = math.cos(theta), math.sin(theta)
-                for W in (X, rows):
-                    for t in range(W.shape[1]):
-                        W[i, t], W[j, t] = c * W[i, t] + s * W[j, t], -s * W[i, t] + c * W[j, t]
-        errors.append(1.0 - sum(xi[i] * X[i, i] ** 2 for i in range(M)))
-        res = residual()
-    return np.array(errors)
-
-
-def gather_bayes_sweeps(X, rows, xi, tol, max_sweeps):
-    """The batched sweeps with a row gather and scatter per anti-diagonal:
-    the pairs (i, t - i), i < t - i, of each t taken by index, their rows
-    gathered, multiplied by [[c, s], [-s, c]] and written back. The oracle
-    for every bit of X, the rows and the errors."""
-    M, W = X.shape[0], X.shape[1] + rows.shape[1]
-    XR = np.hstack([X, rows])
-    overlaps = XR[:, : X.shape[1]]
-    batches = []
-    for t in range(1, 2 * M - 2):
-        i = np.arange(max(0, t - M + 1), (t + 1) // 2)
-        j = t - i
-        entries = np.stack([i * W + i, j * W + i, j * W + j, i * W + j])
-        batches.append((entries, np.stack([i, j]), xi[i].tolist(), xi[j].tolist()))
-    errors = [bayes_error(overlaps, xi)]
-    residual = bayes_residual(overlaps, xi)
-    while len(errors) <= max_sweeps and residual > tol:
-        for entries, pair, pi, pj in batches:
-            thetas = []
-            for p, q, v0, v1, w0, u in zip(pi, pj, *XR.take(entries).tolist()):
-                a = p * v0 * v0 + q * w0 * w0
-                b = p * v0 * v1 + q * w0 * -u
-                d = p * v1 * v1 + q * -u * -u
-                thetas.append(0.5 * math.atan2(2.0 * b, a - d))
-            cs, ss = [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
-            coef = np.array(cs + ss + [-s for s in ss] + cs).reshape(2, 2, -1, 1)
-            out = coef * XR.take(pair, axis=0)  # [[c a, s x], [-s a, c x]]
-            XR[pair] = out[:, 0] + out[:, 1]
-        errors.append(bayes_error(overlaps, xi))
-        residual = bayes_residual(overlaps, xi)
-    X[...] = overlaps
-    rows[...] = XR[:, X.shape[1]:]
-    return np.array(errors)
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestHamming:
@@ -242,151 +164,6 @@ class TestBayesError:
 
     def test_nan_not_hidden(self):
         assert math.isnan(bayes_error(np.array([[np.nan]]), np.ones(1)))
-
-
-class TestBayesSweeps:
-    def build_case(self, seed, m=4, dim=4):
-        rng = np.random.default_rng(seed)
-        states = rng.normal(size=(m, dim))
-        states /= np.linalg.norm(states, axis=1)[:, None]
-        priors = rng.random(m) + 0.1
-        priors /= priors.sum()
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        x = states @ q[:, :m]  # overlap with an arbitrary orthonormal init
-        return x.T.copy(), priors  # rows indexed by measurement vector
-
-    def polar_case(self, seed, m, dim):
-        """The optimizer's start: the polar rows of the prior-weighted
-        states, dim wide, and their overlaps with the states."""
-        rng = np.random.default_rng(seed)
-        states = rng.normal(size=(m, dim))
-        states /= np.linalg.norm(states, axis=1)[:, None]
-        priors = rng.random(m) + 0.1
-        priors /= priors.sum()
-        rows = polar_rows(np.sqrt(priors)[:, None] * states)
-        return rows @ states.T, rows, priors
-
-    def test_matches_scalar_loops(self):
-        # the same rounded products and sums as one scalar rotation at a
-        # time, so the rows and the final overlaps agree bit for bit;
-        # (9, 6, 9) has more dimensions than states. m = 1 has no pair and
-        # takes no sweep, m = 2 and 3 have one pair per anti-diagonal, m = 5
-        # is odd and m = 16, capped at 3 sweeps, has up to 8 pairs per
-        # batch. The identity rows turn into the accumulated rotation; the
-        # last case turns 6 polar rows 9 entries wide
-        cases = [(5, 4, 4, 200), (9, 6, 9, 200), (13, 8, 8, 200), (3, 1, 1, 200),
-                 (7, 2, 2, 200), (21, 3, 3, 200), (23, 5, 5, 200), (29, 16, 16, 3)]
-        inputs = [(*self.build_case(seed, m, dim), np.eye(m), max_sweeps)
-                  for seed, m, dim, max_sweeps in cases]
-        x, rows, priors = self.polar_case(31, 6, 9)
-        start = rows.copy()
-        inputs.append((x, priors, rows, 200))
-        for x1, priors, rows1, max_sweeps in inputs:
-            x2, rows2 = x1.copy(), rows1.copy()
-            e1 = bayes_sweeps(x1, rows1, priors, 1e-10, max_sweeps)
-            e2 = python_bayes_sweeps(x2, rows2, priors, 1e-10, max_sweeps)
-            assert np.array_equal(rows1, rows2)
-            assert np.array_equal(x1, x2)
-            assert len(e1) == len(e2)
-            np.testing.assert_allclose(e1, e2, atol=1e-12)
-            assert len(x1) > 1 or len(e1) == 1
-        # the polar case, last, sweeps: its rows did turn
-        assert len(e1) > 1 and not np.array_equal(rows, start)
-
-    def benchmark_case(self, m):
-        """The benchmark's optimize ensemble of m states (fixed geometry,
-        Dirichlet priors) at the optimizer's polar start."""
-        base = np.random.default_rng([m, 0])
-        states = base.standard_normal((m, m))
-        states /= np.linalg.norm(states, axis=1)[:, None]
-        priors = base.dirichlet(np.ones(m))
-        rows = polar_rows(np.sqrt(priors)[:, None] * states)
-        return rows @ states.T, rows, priors
-
-    def test_butterfly_matches_gather_scatter_bits(self):
-        # the in-place butterfly on a block and its mirror image against
-        # the row gather and scatter, to convergence: the benchmark's three
-        # ensembles, m = 31, more dimensions than states, a zero prior (no
-        # polar start: unweighted polar rows), and a -0.0 overlap beside two
-        # columns of -0.0 in the rows, whose signs the butterfly's 0 x and
-        # (-s) a must keep as c x - s a does
-        inputs = [self.benchmark_case(m) for m in (8, 16, 24)]
-        inputs.append(self.polar_case(41, 31, 31))
-        inputs.append(self.polar_case(43, 20, 33))
-        x, _, priors = self.polar_case(47, 8, 8)
-        priors[3] = 0.0
-        priors /= priors.sum()
-        rows = polar_rows(x.T)  # x.T holds the states' coordinates in an orthonormal basis
-        inputs.append((rows @ x, rows, priors))
-        x, rows, priors = self.polar_case(53, 9, 9)
-        x[1, 2] = -0.0
-        inputs.append((x, np.hstack([rows, np.full((9, 2), -0.0)]), priors))
-        for x1, rows1, priors in inputs:
-            x2, rows2 = x1.copy(), rows1.copy()
-            e1 = bayes_sweeps(x1, rows1, priors, 1e-10, 500)
-            e2 = gather_bayes_sweeps(x2, rows2, priors, 1e-10, 500)
-            assert same_bits(x1, x2) and same_bits(rows1, rows2) and same_bits(e1, e2)
-            assert len(e1) > 2 and bayes_residual(x1, priors) <= 1e-10
-
-    def test_butterfly_keeps_signed_zeros(self):
-        # one sweep of small ensembles beside a column of -0.0: a zero
-        # column stays zero but its signs move with each pair's c and s,
-        # and the middle row's 0 x must leave them as the oracle does
-        kept = 0
-        for seed in range(10):
-            for m in (3, 4, 5):
-                x1, rows, priors = self.polar_case(seed, m, m)
-                rows1 = np.hstack([rows, np.full((m, 1), -0.0)])
-                x2, rows2 = x1.copy(), rows1.copy()
-                e1 = bayes_sweeps(x1, rows1, priors, 1e-10, 1)
-                e2 = gather_bayes_sweeps(x2, rows2, priors, 1e-10, 1)
-                assert same_bits(x1, x2) and same_bits(rows1, rows2) and same_bits(e1, e2)
-                kept += int(np.signbit(rows1[:, -1]).sum())
-        assert kept > 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(m=st.integers(1, 40))
-    def test_antidiagonal_schedule(self, m):
-        # the blocks of one sweep, the t-th (from t = 1) holding the pairs
-        # (lo + k, hi - 1 - k): every pair i < j once, disjoint rows within
-        # a batch, and the pair before each one on either of its rows, in
-        # lexicographic order, in an earlier batch. Each block is the
-        # contiguous rows of its anti-diagonal i + j = t, each paired with
-        # its mirror image, and only an even t leaves a row, t / 2, unpaired
-        blocks = _antidiagonals(m)
-        assert len(blocks) == max(2 * m - 3, 0)
-        batch_of = {}
-        for t, (lo, hi) in enumerate(blocks, start=1):
-            size = hi - lo
-            pairs = [(lo + k, hi - 1 - k) for k in range(size // 2)]
-            assert pairs == [(i, t - i) for i in range(m) if i < t - i < m]
-            rows = [row for pair in pairs for row in pair]
-            assert len(set(rows)) == len(rows)
-            unpaired = sorted(set(range(lo, hi)) - set(rows))
-            assert unpaired == ([t // 2] if t % 2 == 0 else [])
-            for pair in pairs:
-                assert pair not in batch_of
-                batch_of[pair] = t
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        assert sorted(batch_of) == pairs
-        last = {}
-        for pair in pairs:
-            for row in pair:
-                if row in last:
-                    assert batch_of[last[row]] < batch_of[pair]
-                last[row] = pair
-
-    def test_error_monotone_and_converged(self):
-        x, priors = self.build_case(11)
-        errors = bayes_sweeps(x, np.eye(len(x)), priors, 1e-10, 500)
-        assert np.all(np.diff(errors) <= 1e-12)
-        assert bayes_residual(x, priors) <= 1e-10
-
-    def test_rotation_matrix_orthogonal(self):
-        x, priors = self.build_case(17)
-        v = np.eye(len(x))
-        bayes_sweeps(x, v, priors, 1e-10, 500)
-        assert np.abs(v @ v.T - np.eye(v.shape[0])).max() < 1e-10
 
 
 def python_rotation_run(w, pivot, rows, c, s, start):

@@ -168,7 +168,7 @@ def test_refused_before_the_work(refusal, size):
 
 
 def test_every_size_guard_is_in_the_table():
-    # _MAX_SWEEPS bounds the optimizer's sweeps and raises Unconverged
+    # _MAX_SWEEPS bounds the optimizer's iterations and raises Unconverged
     # after them, with the best iterate: it refuses no input
     modules = [
         importlib.import_module(f"supadd.{path.stem}")
