@@ -22,11 +22,11 @@ class NoRoot(SupaddError):
 
 
 class Unconverged(SupaddError):
-    """Iteration hit its sweep limit before meeting the residual tolerance.
+    """bayes_cost_reduction hit its iteration limit, _MAX_SWEEPS, before
+    meeting the residual tolerance.
 
-    Carries the best iterate found so far when raised by the
-    pairwise-rotation optimizer: `measurement` is its (M, dim) array of
-    measurement rows and `report` its OptimalityReport.
+    Carries the iterate of least error: `measurement` is its (M, dim)
+    array of measurement rows and `report` its OptimalityReport.
     """
 
     def __init__(self, message, measurement=None, report=None):

@@ -24,7 +24,6 @@ at a time.
 """
 
 import functools
-import math
 from itertools import compress, islice
 from typing import NamedTuple
 
@@ -44,8 +43,6 @@ _BLOCK = 1 << 14
 # conventions" gives the one-column fig2 timings it rests on. k = 23 has
 # not been measured on the class-measure spectrum
 _MAX_GROUP_K = 22
-# bracket width at which find_kappa_star stops bisecting
-_KAPPA_STAR_WIDTH = 1e-6
 
 
 class SimplexProfile(NamedTuple):
@@ -276,20 +273,16 @@ def block_gain(n: int, kappa):
 
 def find_kappa_star(n: int) -> float:
     """Zero crossing of the per-letter gain: the first sign change on a
-    99-point grid, bisected to width 1e-6.
+    99-point grid, then Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    168, 1971) on that bracket until its ends are adjacent floats.
 
-    The search calls block_gain on arrays of at most _BLOCK // M kappa
+    The scan calls block_gain on arrays of at most _BLOCK // M kappa
     (M = 2**(n-1), one block of the root reductions), whose entries have
-    their scalar bits. The scan takes the grid a block at a time, each
-    block's sign test taking in the last point of the block before, and
-    stops at the first block holding a crossing. Each bisection call splits
-    the bracket d times, each new end 0.5 * (lo + hi) of its neighbours, and
-    keeps the interval ending at the first of the 2**d - 1 interior points
-    with positive gain (the last one if none is); d spreads the levels still
-    needed evenly over the fewest calls that fit a block. Those points are
-    the midpoints a one-point bisection reaches in d steps, so where their
-    signs are monotone, as when the gain crosses once inside the scan's
-    0.01-wide bracket, the result has that bisection's bits."""
+    their scalar bits, and stops at the first block holding a crossing; a
+    gain of 0 counts as below it. Each Illinois step takes the secant
+    point, or the midpoint when that is not strictly inside the bracket,
+    and halves the stored gain of an end kept twice in a row. A point of
+    gain exactly 0 is a root and ends the search."""
     n = _check_int(n, 2, "block length")
     rows = max(1, _BLOCK >> (n - 1))
     grid = np.linspace(0.01, 0.99, 99)
@@ -302,17 +295,22 @@ def find_kappa_star(n: int) -> float:
             break
     else:
         raise NoRoot(f"gain has no negative-to-positive crossing for n={n}")
-    lo, hi = grid[change[0]], grid[change[0] + 1]
-    most_levels = (rows + 1).bit_length() - 1
-    while hi - lo > _KAPPA_STAR_WIDTH:
-        levels = math.ceil(math.log2((hi - lo) / _KAPPA_STAR_WIDTH))
-        calls = -(-levels // most_levels)
-        depth = -(-levels // calls)
-        ends = np.array([lo, hi])
-        for _ in range(depth):
-            ends = np.insert(ends, np.arange(1, ends.size), 0.5 * (ends[:-1] + ends[1:]))
-        # the first positive interior point ends the kept interval; with
-        # none, the appended end does
-        j = np.argmax(np.append(block_gain(n, ends[1:-1]) > 0.0, True))
-        lo, hi = ends[j], ends[j + 1]
-    return 0.5 * (lo + hi)
+    # the bracket (lo, hi), its gains g(lo) <= 0 < g(hi), and the end replaced last
+    i = change[0]
+    ends, gains, last = grid[i : i + 2].tolist(), values[i : i + 2].tolist(), None
+    for _ in range(64):
+        (lo, hi), (g_lo, g_hi) = ends, gains
+        kappa = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < kappa < hi:
+            kappa = 0.5 * (lo + hi)
+            if not lo < kappa < hi:
+                break
+        gain = block_gain(n, kappa)
+        if gain == 0.0:
+            return kappa
+        side = int(gain > 0.0)
+        ends[side], gains[side] = kappa, gain
+        if side == last:
+            gains[1 - side] *= 0.5
+        last = side
+    return 0.5 * (ends[0] + ends[1])

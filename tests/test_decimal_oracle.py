@@ -26,6 +26,7 @@ import pytest
 
 from supadd.fastcode import (
     block_gain,
+    find_kappa_star,
     nn12_error_probability,
     nn12_mutual_information,
     simplex_profile,
@@ -94,6 +95,30 @@ def test_even_weight_closed_forms(n):
         assert absolute(nn12_mutual_information(n, GRID), [i for i, _ in exact]) <= 1.2e-14
         assert relative(nn12_error_probability(n, GRID), [e for _, e in exact]) <= 4.5e-12
         assert absolute(block_gain(n, GRID), gains) <= 1.2e-15
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_crossing_is_the_root_of_the_exact_gain(n):
+    # the 50-digit gain bisected to 1e-16 from the grid cell where the
+    # float gain turns positive; its slope there is 0.16-0.20, so the float
+    # gain's 1.2e-15 of rounding moves the root by under 1e-14
+    values = block_gain(n, GRID)
+    cell = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+
+        def gain(kappa):
+            return even_weight(n, kappa)[0] / n - single_use(kappa)
+
+        lo, hi = (Decimal(float(k)) for k in GRID[cell : cell + 2])
+        assert gain(lo) < 0 < gain(hi)
+        while hi - lo > Decimal("1e-16"):
+            mid = (lo + hi) / 2
+            if gain(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(Decimal(find_kappa_star(n)) - (lo + hi) / 2) <= Decimal("1e-14")
 
 
 @pytest.mark.parametrize("r, info_bound, error_bound", [(2, 1.5e-15, 1e-12), (3, 3.6e-15, 9e-9)])

@@ -359,6 +359,11 @@ class TestGainAndCrossing:
         star = find_kappa_star(5)
         assert block_gain(5, star - 1e-4) < 0 < block_gain(5, star + 1e-4)
 
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_gain_changes_sign_at_the_crossing(self, n):
+        star = find_kappa_star(n)
+        assert block_gain(n, star - 1e-12) < 0 < block_gain(n, star + 1e-12)
+
     def test_crossing_tracks_guide(self):
         for n in range(3, 14):
             guide = (2.0 / n) ** (2.0 / 3.0)
@@ -513,27 +518,25 @@ class TestBatchedRoute:
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_crossing_matches_per_point_scan(self, n):
-        # the scan over the grid used to be one block_gain call per point;
-        # n >= 15 takes one kappa per call
+        # a scan with one block_gain call per point, then bisection down to
+        # adjacent floats; the two searches may stop at different points of
+        # the float gain's rounding band, a few 1e-15 wide
         grid = np.linspace(0.01, 0.99, 99)
         values = np.array([block_gain(n, k) for k in grid])
         change = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))
         lo, hi = grid[change[0]], grid[change[0] + 1]
-        while hi - lo > 1e-6:
+        while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             if block_gain(n, mid) > 0.0:
                 hi = mid
             else:
                 lo = mid
-        assert find_kappa_star(n) == 0.5 * (lo + hi)
+        assert abs(find_kappa_star(n) - 0.5 * (lo + hi)) <= 4e-15
 
     def test_crossing_search_calls(self, monkeypatch):
-        # n = 13: 4 kappa per call; the scan ends at the block holding the
-        # crossing, and each bisection call takes 2 levels (3 points)
-        n, rows = 13, fastcode._BLOCK >> 12
+        # the scan ends at the block holding the crossing; Illinois then
+        # takes one kappa per call, 4 to 11 of them for n = 3..16
         grid = np.linspace(0.01, 0.99, 99)
-        values = block_gain(n, grid)
-        cross = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
         calls = []
 
         def counting(n, kappa):
@@ -541,13 +544,17 @@ class TestBatchedRoute:
             return block_gain(n, kappa)
 
         monkeypatch.setattr(fastcode, "block_gain", counting)
-        find_kappa_star(n)
-        scanned = (cross + 1) // rows + 1
-        assert np.array_equal(np.concatenate(calls[:scanned]), grid[: scanned * rows])
-        levels = int(np.ceil(np.log2((grid[cross + 1] - grid[cross]) / 1e-6)))
-        depth = int(np.log2(rows + 1))
-        assert all(call.size <= rows for call in calls)
-        assert len(calls) - scanned <= -(-levels // depth)
+        for n in range(3, 17):
+            rows = max(1, fastcode._BLOCK >> (n - 1))
+            values = block_gain(n, grid)
+            cross = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
+            calls.clear()
+            find_kappa_star(n)
+            scanned = (cross + 1) // rows + 1
+            assert np.array_equal(np.concatenate(calls[:scanned]), grid[: scanned * rows])
+            assert all(call.size <= rows for call in calls)
+            assert all(call.ndim == 0 for call in calls[scanned:])
+            assert len(calls) - scanned <= 16
 
 
 class TestOneCodeOneSetOfNumbers:
