@@ -86,7 +86,8 @@ def fwht(x):
     the same sum of the same pairs, so the bits are the same. After
     log2 N stages the column bits are on top and the buffer holds the
     transpose, (N, rows), which a last copy turns back. The work takes
-    two buffers the size of x.
+    two buffers the size of x. fwht_by_weight takes the same stages on an
+    x that depends on each column's weight alone.
     """
     x = np.asarray(x)
     shape = x.shape
@@ -105,6 +106,45 @@ def fwht(x):
         np.copyto(dst.reshape(rows, -1), src.reshape(-1, rows).T)
         src = dst
     return src.reshape(shape)
+
+
+def fwht_by_weight(table):
+    """fwht(table[..., weight]), weight[x] the popcount of x < 2**k, from
+    the k + 1 values per weight in the last axis of table, bit for bit;
+    returns a new C-ordered float64 array shaped (..., 2**k) and leaves
+    table untouched.
+
+    Before stage s of fwht, entry x depends only on its bits below s (p,
+    already transformed) and on the weight w of its bits from s up (still
+    to do): the state is (w, p), w = 0..k-s, p < 2**s. Stage s pairs the
+    entries with bit s clear and set, (w, p) and (w + 1, p), and puts
+    their sum at (w, p) and their difference at (w, p + 2**s), fwht's own
+    add and subtract with the same operands: every output entry is the
+    same sum of the same pairs, so the bits are the same. The buffer
+    holds the states as (w, p, row), so each stage is one add and one
+    subtract whose operands are runs of rows * 2**s entries. About
+    2**(k + 1) pairs in all, against fwht's k 2**(k - 1). The work takes
+    two buffers the size of the output; after the last stage the buffer
+    holds the transpose, (2**k, rows), which a last copy turns back.
+    """
+    table = np.asarray(table)
+    bits = table.shape[-1] - 1
+    rows = table.size // table.shape[-1]
+    size = rows << bits
+    src = np.empty(size)
+    dst = np.empty(size)
+    np.copyto(src[: table.size].reshape(bits + 1, rows), table.reshape(rows, bits + 1).T)
+    for s in range(bits):
+        run = rows << s
+        state = src[: (bits + 1 - s) * run].reshape(bits + 1 - s, run)
+        out = dst[: (bits - s) * 2 * run].reshape(bits - s, 2, run)
+        np.add(state[:-1], state[1:], out=out[:, 0])
+        np.subtract(state[:-1], state[1:], out=out[:, 1])
+        src, dst = dst, src
+    if rows > 1:
+        np.copyto(dst.reshape(rows, -1), src.reshape(-1, rows).T)
+        src = dst
+    return src.reshape(table.shape[:-1] + (1 << bits,))
 
 
 def bayes_residual(X, xi):

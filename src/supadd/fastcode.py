@@ -15,6 +15,13 @@ a permutation of g**2. Classes are indexed in information-set coordinates,
 so the numbers depend on the code's words, not their basis; no public
 function takes generator words: linear_generators or a family gives them.
 
+When every column outside the information set is the all-ones class, as
+on the even-weight codes, each root depends on its class's weight alone.
+Such a layout is symmetric: the roots stay a table of k + 1 weights, and
+fwht_by_weight transforms it with fwht's own additions, so the rows have
+the bits they have on any other layout, where the roots come per class
+and fwht transforms them.
+
 Every function here takes kappa as a number or as an array of any shape.
 The reductions (information, error, profiles, gains) compute the roots of
 at most _BLOCK entries at a time, reduce that block and go on, so memory
@@ -30,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import _check_int, _kappa_array, _scalar_or_array
-from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht, mi_bits
+from ._kernels import _columns, _overlaps, _pack_bits, _xor_span, fwht, fwht_by_weight, mi_bits
 from .detection import square_root_measurement
 from .ensembles import Code, build_simplex_code, distances, nn12_generators
 from .errors import InvalidInput, NoRoot, ResourceLimit
@@ -40,8 +47,9 @@ from .information import c1_binary
 # root entries per block of the batched reductions (128 KiB of float64)
 _BLOCK = 1 << 14
 # largest code dimension k the group route takes; the README's "Limits and
-# conventions" gives the one-column fig2 timings it rests on. k = 23 has
-# not been measured on the class-measure spectrum
+# conventions" gives the one-column timings it rests on, of the even-weight
+# codes on their weight table and of a code whose roots come per class.
+# k = 23 has been measured on the weight table only
 _MAX_GROUP_K = 22
 
 
@@ -52,16 +60,26 @@ class SimplexProfile(NamedTuple):
     error_probability: float
 
 
+def _eliminate(word, reduced):
+    """word reduced against a basis in GF(2), reduced a list of pairs
+    (basis word, x) whose basis words have distinct leading bits: the
+    remainder, and the XOR of the x of the basis words taken out."""
+    x = 0
+    for b, y in reduced:
+        if word ^ b < word:
+            word ^= b
+            x ^= y
+    return word, x
+
+
 def _independent(words):
     """For each word in turn, whether it is outside the GF(2) span of the
-    words before it: whether it reduces to nonzero against their XOR basis,
-    whose leading bits are distinct."""
-    basis = []
+    words before it: whether it reduces to nonzero against their basis."""
+    reduced = []
     for word in words:
-        for b in basis:
-            word = min(word, word ^ b)
+        word, _ = _eliminate(word, reduced)
         if word:
-            basis.append(word)
+            reduced.append((word, 0))
         yield word != 0
 
 
@@ -129,50 +147,81 @@ def _too_long(n) -> InvalidInput:
     return InvalidInput(f"the group route holds words of at most 64 letters, got n = {n}")
 
 
+class _Layout(NamedTuple):
+    """A code's class layout: each class's weight and the further columns."""
+
+    weights: np.ndarray
+    rest: tuple
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether every further column is the all-ones class, whose flip
+        takes weight w to k - w: then each root depends on its class's
+        weight alone, as on the even-weight codes and the [3, 2] simplex."""
+        return self.rest.count(self.weights.size - 1) == len(self.rest)
+
+
 @functools.lru_cache(maxsize=64)
-def _span_layout(generators: tuple, n: int):
+def _span_layout(generators: tuple, n: int) -> _Layout:
     """The code's class layout in the coordinates of its information set,
     bit t the t-th letter whose column is independent of the letters before
-    it: each class's weight (its popcount) and the other nonzero columns,
-    largest first. Any basis of the code, k words of n <= 64 bits, gives the
-    same. Raises ResourceLimit, before allocating, for k > _MAX_GROUP_K."""
+    it: each class's weight (its popcount, uint8) and the other nonzero
+    columns, largest first. Any basis of the code, k words of n <= 64 bits,
+    gives the same. Raises ResourceLimit, before allocating, for
+    k > _MAX_GROUP_K.
+
+    A further column's coordinates come from GF(2) elimination against the
+    information set, each reduced basis word carrying the coordinates of
+    its sum, and the weights by doubling, w[x + 2**t] = w[x] + 1: the
+    layout allocates its M weight bytes and no index of the span."""
     if len(generators) > _MAX_GROUP_K:
         raise ResourceLimit(
             f"the group route holds 2**k roots per kappa; guarded at k <= {_MAX_GROUP_K}, "
             f"got k = {len(generators)}"
         )
-    columns = _columns(generators, n)
-    new = list(_independent(columns))
-    basis = [c for c, first in zip(columns, new) if first]
-    coordinates = np.empty(1 << len(basis), dtype=np.int64)
-    coordinates[_xor_span(basis)] = np.arange(coordinates.size)
-    weights = np.bitwise_count(np.arange(coordinates.size))
+    reduced, rest = [], []
+    for column in _columns(generators, n):
+        word, x = _eliminate(column, reduced)
+        if word:
+            reduced.append((word, x ^ 1 << len(reduced)))
+        elif x:
+            rest.append(x)
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in reduced:
+        weights = np.concatenate([weights, weights + 1])
     weights.flags.writeable = False
-    rest = [coordinates[c].item() for c, first in zip(columns, new) if c and not first]
-    return weights, tuple(sorted(rest, reverse=True))
+    return _Layout(weights, tuple(sorted(rest, reverse=True)))
+
+
+def _power_table(k: np.ndarray, bits: int):
+    """a**2 and b**2 = 1 - a**2, shaped k.shape + (1,), and the power table
+    a**(2 (bits - w)) b**(2 w) / 2**bits of each weight w, shaped
+    k.shape + (bits + 1,); 2**bits is a power of two, so each entry above
+    the subnormal range is scaled exactly."""
+    a2 = ((1.0 + k) / 2.0)[..., None]
+    b2 = 1.0 - a2
+    powers = np.arange(bits + 1)
+    return a2, b2, a2 ** powers[::-1] * b2**powers / (1 << bits)
 
 
 def _class_roots(layout, k: np.ndarray):
     """Roots sqrt(mu / M) of the class measure mu = *_i (a**2 delta_0 + b**2
-    delta_{c_i}), c_i letter i's column, shaped k.shape + (M,).
-    a**2 + b**2 = 1 exactly: mu is that of a kappa within 1.1e-16 of k, and
-    sums to 1 up to the rounding of its products.
+    delta_{c_i}), c_i letter i's column, shaped k.shape + (M,), on any
+    layout. a**2 + b**2 = 1 exactly: mu is that of a kappa within 1.1e-16
+    of k, and sums to 1 up to the rounding of its products.
 
-    mu starts as the power table of each class's weight, over M (a power
-    of two, so each entry above the subnormal range is scaled exactly).
-    Each further column c moves mu by x -> x ^ c with no index: on the view
-    of mu as k.shape + (2,)*bits, whose axis k.ndim + bits - 1 - t holds
-    bit t of the class, that is a flip of the axes of c's set bits. b**2
-    times the flip goes to one buffer, and mu is updated in place, with the
-    products and sums of a**2 mu + b**2 mu[x ^ c]."""
+    mu starts as _power_table gathered by each class's weight. Each further
+    column c moves mu by x -> x ^ c with no index: on the view of mu as
+    k.shape + (2,)*bits, whose axis k.ndim + bits - 1 - t holds bit t of
+    the class, that is a flip of the axes of c's set bits. b**2 times the
+    flip goes to one buffer, and mu is updated in place, with the products
+    and sums of a**2 mu + b**2 mu[x ^ c]. _weight_roots takes the same
+    steps on the power table of a symmetric layout."""
     weights, rest = layout
-    size = weights.size
-    bits = size.bit_length() - 1
-    a2 = ((1.0 + k) / 2.0)[..., None]
-    b2 = 1.0 - a2
-    powers = np.arange(bits + 1)
+    bits = weights.size.bit_length() - 1
+    a2, b2, table = _power_table(k, bits)
     # np.take keeps rows C-ordered, so each sums as it would alone
-    mu = np.take(a2 ** powers[::-1] * b2**powers / size, weights, axis=-1)
+    mu = np.take(table, weights, axis=-1)
     if rest:
         cube = mu.reshape(k.shape + (2,) * bits)
         moved = np.empty_like(cube)
@@ -185,29 +234,55 @@ def _class_roots(layout, k: np.ndarray):
     return np.sqrt(mu, out=mu)
 
 
+def _weight_roots(layout, k: np.ndarray):
+    """On a symmetric layout, the roots of _class_roots per weight, shaped
+    k.shape + (bits + 1,): class x's root is entry weights[x], bit for bit.
+    Every further column is the all-ones class, whose flip is the table
+    reversed, so mu's table takes the same products and sums."""
+    bits = layout.weights.size.bit_length() - 1
+    a2, b2, table = _power_table(k, bits)
+    for _ in layout.rest:
+        moved = b2 * table[..., ::-1]
+        table *= a2
+        table += moved
+    return np.sqrt(table, out=table)
+
+
+def _root_table(layout, k: np.ndarray):
+    """The roots per weight on a symmetric layout, else per class."""
+    return (_weight_roots if layout.symmetric else _class_roots)(layout, k)
+
+
 def _roots(layout, k: np.ndarray):
-    """_class_roots and their transform g, each shaped k.shape + (M,)."""
-    root = _class_roots(layout, k)
-    return root, fwht(root)
+    """_root_table's roots and their transform g, shaped k.shape + (M,):
+    fwht_by_weight of the roots per weight on a symmetric layout, fwht of
+    the roots per class on any other."""
+    root = _root_table(layout, k)
+    return root, (fwht_by_weight if layout.symmetric else fwht)(root)
 
 
 def _reduce_roots(generators, n: int, kappa, *reductions):
     """Each reduction (a block's roots and root rows, (b, M) each, to b
     numbers) over every kappa, at most _BLOCK root entries at a time. One
     result per reduction, shaped like kappa (a float for a scalar kappa).
-    When _root_error, which reads only the roots, is the only reduction,
-    the rows are None and no transform is taken."""
+    Only _root_error reads the roots: when it is the only reduction, the
+    rows are None and no transform is taken, and on a symmetric layout the
+    M roots are gathered from their table only for it (else None)."""
     k = _kappa_array(kappa, collapse_at_one=True)
     layout = _span_layout(tuple(generators), n)
     flat = k.reshape(-1)
     out = np.empty((len(reductions), flat.size))
-    rows = max(1, _BLOCK // layout[0].size)
+    rows = max(1, _BLOCK // layout.weights.size)
     transform = any(reduce is not _root_error for reduce in reductions)
+    gather = layout.symmetric and _root_error in reductions
     for lo in range(0, flat.size, rows):
         if transform:
             root, g = _roots(layout, flat[lo : lo + rows])
         else:
-            root, g = _class_roots(layout, flat[lo : lo + rows]), None
+            root, g = _root_table(layout, flat[lo : lo + rows]), None
+        if layout.symmetric:
+            # np.take keeps rows C-ordered, so each sums as it would alone
+            root = np.take(root, layout.weights, axis=-1) if gather else None
         for column, reduce in zip(out, reductions):
             column[lo : lo + rows] = reduce(root, g)
     return [_scalar_or_array(column.reshape(k.shape)) for column in out]

@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 
 from supadd import ensembles, fastcode
 from supadd._checks import _kappa_array
-from supadd._kernels import fwht
+from supadd._kernels import _xor_span, fwht
 from supadd.detection import square_root_measurement
-from supadd.ensembles import Code, build_nn12_code, build_simplex_code, gram
+from supadd.ensembles import (
+    Code,
+    build_nn12_code,
+    build_simplex_code,
+    code_from_text,
+    code_to_text,
+    gram,
+)
 from supadd.errors import InvalidInput, LinearDependence, NoRoot, ResourceLimit
 from supadd.fastcode import (
     block_gain,
@@ -486,7 +493,10 @@ class TestBatchedRoute:
         def unreachable(x):
             raise AssertionError("transform taken")
 
+        # the even-weight layout is symmetric, so its rows come from
+        # fwht_by_weight; fwht is the transform of every other layout
         monkeypatch.setattr(fastcode, "fwht", unreachable)
+        monkeypatch.setattr(fastcode, "fwht_by_weight", unreachable)
         assert np.array_equal(nn12_error_probability(9, GRID), expected)
         with pytest.raises(AssertionError, match="transform taken"):
             nn12_mutual_information(9, 0.5)
@@ -718,3 +728,161 @@ class TestIndexFreeClassMeasure:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2.25 * 8 * layout[0].size
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def general_path(layout, kappa, *reductions):
+    """Each reduction over kappa, flattened, by the general path:
+    _class_roots on M entries, then fwht, both called directly, one block
+    of _reduce_roots's rows at a time. Each block is checked against
+    _roots, whose root table gathered by weight must give the same roots."""
+    k = _kappa_array(kappa, collapse_at_one=True).reshape(-1)
+    rows = max(1, fastcode._BLOCK // layout.weights.size)
+    out = [[] for _ in reductions]
+    for lo in range(0, k.size, rows):
+        root = fastcode._class_roots(layout, k[lo : lo + rows])
+        g = fwht(root)
+        table, rows_g = fastcode._roots(layout, k[lo : lo + rows])
+        assert same_bits(rows_g, g)
+        assert same_bits(np.take(table, layout.weights, axis=-1), root)
+        for column, reduce in zip(out, reductions):
+            column.append(reduce(root, g))
+    return [np.concatenate(column) for column in out]
+
+
+def permuted_even_weight_file(n):
+    """The even-weight code of length n with its letters and words in a
+    seeded random order, through the code file format."""
+    rng = np.random.default_rng(n)
+    code = build_nn12_code(n)
+    bits = code.codewords[rng.permutation(code.num_codewords)][:, rng.permutation(n)]
+    return code_from_text(code_to_text(Code(n=n, codewords=bits)))
+
+
+def coset(code):
+    """code translated by the odd-weight word 10...0: no zero word."""
+    shift = np.zeros(code.n, dtype=np.uint8)
+    shift[0] = 1
+    return Code(n=code.n, codewords=code.codewords ^ shift)
+
+
+WEIGHT_KAPPAS = {
+    "grid": GRID,
+    "random": np.random.default_rng(43).random(20),
+    "zero": 0.0,
+}
+
+
+class TestWeightTable:
+    """On a symmetric layout, every further column the all-ones class, the
+    roots come per weight and their rows from fwht_by_weight: bit for bit
+    the numbers of the general path, _class_roots on M entries then fwht."""
+
+    @staticmethod
+    def check(generators, n, kappa):
+        layout = fastcode._span_layout(tuple(generators), n)
+        assert layout.symmetric
+        reductions = (fastcode._root_information, fastcode._root_error)
+        info, error = general_path(layout, kappa, *reductions)
+        both = fastcode._reduce_roots(generators, n, kappa, *reductions)
+        alone = [fastcode._reduce_roots(generators, n, kappa, r)[0] for r in reductions]
+        for value in both:
+            assert isinstance(value, float) or value.shape == np.shape(kappa)
+        for value, expected in zip(both + alone, (info, error, info, error)):
+            assert same_bits(np.reshape(value, -1), expected)
+
+    @pytest.mark.parametrize("kappa", WEIGHT_KAPPAS.values(), ids=WEIGHT_KAPPAS.keys())
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_even_weight(self, n, kappa):
+        self.check(nn12_generators(n), n, kappa)
+
+    @pytest.mark.parametrize("kappa", WEIGHT_KAPPAS.values(), ids=WEIGHT_KAPPAS.keys())
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_permuted_code_file_and_its_coset(self, n, kappa):
+        code = permuted_even_weight_file(n)
+        for c in (code, coset(code)):
+            self.check(linear_generators(c), n, kappa)
+        assert same_bits(code_information(coset(code), kappa), nn12_mutual_information(n, kappa))
+
+    @pytest.mark.parametrize("kappa", WEIGHT_KAPPAS.values(), ids=WEIGHT_KAPPAS.keys())
+    def test_three_letter_simplex(self, kappa):
+        self.check(linear_generators(build_simplex_code(2)), 3, kappa)
+
+    def test_which_layouts_are_symmetric(self):
+        for n in range(2, 24):
+            assert fastcode._span_layout(tuple(nn12_generators(n)), n).symmetric
+        symmetric = {r: fastcode._span_layout(
+            tuple(linear_generators(build_simplex_code(r))), 2**r - 1).symmetric for r in (2, 3, 4)}
+        assert symmetric == {2: True, 3: False, 4: False}
+        # all words of 8 letters: no further column, so weights alone decide
+        assert fastcode._span_layout(tuple(1 << i for i in range(8)), 8).symmetric
+        assert not any(fastcode._span_layout(*seeded_linear_code(seed)).symmetric
+                       for seed in range(30))
+
+    def test_other_layouts_take_fwht(self, monkeypatch):
+        def unreachable(x):
+            raise AssertionError("fwht_by_weight taken")
+
+        monkeypatch.setattr(fastcode, "fwht_by_weight", unreachable)
+        generators, n = seeded_linear_code(0)
+        fastcode._reduce_roots(generators, n, GRID, fastcode._root_information)
+        with pytest.raises(AssertionError, match="fwht_by_weight taken"):
+            nn12_mutual_information(5, 0.5)
+
+    def test_information_holds_three_arrays_of_m(self):
+        # the rows g, then p = g**2 and its p log2 p terms; the roots stay a
+        # table of weights, and fwht_by_weight's second buffer is gone by then
+        generators = nn12_generators(21)
+        size = fastcode._span_layout(tuple(generators), 21).weights.size
+        tracemalloc.start()
+        fastcode._reduce_roots(generators, 21, 0.3, fastcode._root_information)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 3.2 * 8 * size
+
+
+def reference_span_layout(generators, n):
+    """The layout from an index of the whole span: class x is the XOR of
+    the information-set columns its bits select, and a further column's
+    coordinates are its class's index."""
+    columns = fastcode._columns(generators, n)
+    new = list(fastcode._independent(columns))
+    basis = [c for c, first in zip(columns, new) if first]
+    coordinates = np.empty(1 << len(basis), dtype=np.int64)
+    coordinates[_xor_span(basis)] = np.arange(coordinates.size)
+    weights = np.bitwise_count(np.arange(coordinates.size))
+    rest = [coordinates[c].item() for c, first in zip(columns, new) if c and not first]
+    return weights, tuple(sorted(rest, reverse=True))
+
+
+class TestSpanLayout:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_span_index(self, seed):
+        # k <= 12 independent words of up to 20 letters, some with zero and
+        # repeated columns
+        rng = np.random.default_rng([43, seed])
+        n = int(rng.integers(1, 21))
+        k = int(rng.integers(1, min(n, 12) + 1))
+        while True:
+            generators = tuple(int(g) for g in rng.integers(1, 2**n, size=k))
+            if all(fastcode._independent(generators)):
+                break
+        weights, rest = fastcode._span_layout(generators, n)
+        expected_weights, expected_rest = reference_span_layout(generators, n)
+        assert weights.dtype == np.uint8 and not weights.flags.writeable
+        assert np.array_equal(weights, expected_weights)
+        assert rest == expected_rest
+
+    def test_holds_its_weights_alone(self):
+        # the M weight bytes and the half table they doubled from: a
+        # quarter of an array of M floats
+        generators = tuple(nn12_generators(21))
+        tracemalloc.start()
+        layout = fastcode._span_layout.__wrapped__(generators, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 0.3 * 8 * layout.weights.size

@@ -10,9 +10,11 @@ from supadd._kernels import (
     apply_rotations,
     bayes_error,
     fwht,
+    fwht_by_weight,
     hamming_matrix,
     mi_bits,
 )
+from supadd import fastcode
 from supadd.errors import InvalidInput
 
 
@@ -134,15 +136,81 @@ class TestFwht:
 
     @pytest.mark.parametrize("shape", [(1, 2**16), (4, 2**14)])
     def test_working_memory_is_two_buffers(self, shape):
-        # the input and two buffers its size, with no temporary per stage
+        # two buffers the size of the input, with no temporary per stage.
+        # The input is drawn before tracing: a process's first draw from
+        # a generator allocates about 0.7 MB once
+        x = np.random.default_rng(0).normal(size=shape)
         tracemalloc.start()
         try:
-            x = np.random.default_rng(0).normal(size=shape)
             fwht(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * x.nbytes + 64 * 1024
+        assert peak <= 2 * x.nbytes + 64 * 1024
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFwhtByWeight:
+    """fwht_by_weight(table) is fwht(table[..., weights]) bit for bit,
+    weights the popcount of each index."""
+
+    @staticmethod
+    def check(table):
+        bits = table.shape[-1] - 1
+        weights = np.bitwise_count(np.arange(1 << bits))
+        out = fwht_by_weight(table)
+        assert out.flags.c_contiguous and out.dtype == np.float64
+        assert same_bits(out, fwht(table[..., weights]))
+
+    @pytest.mark.parametrize("bits", range(17))
+    def test_matches_fwht_of_the_gathered_table(self, bits):
+        # a lone vector, batches in C order, in Fortran order and as a
+        # strided view, and a table with zeros in it
+        rng = np.random.default_rng(bits)
+        batch = rng.normal(size=(3, 5, bits + 1))
+        wide = rng.normal(size=(6, 5, 2 * bits + 2))
+        zeros = rng.normal(size=(3, 5, bits + 1))
+        zeros[rng.random(zeros.shape) < 0.4] = 0.0
+        zeros[0] = 0.0
+        for table in (rng.normal(size=bits + 1), batch, np.asfortranarray(batch),
+                      wide[::-2, :, ::2], zeros):
+            self.check(table)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 17])
+    def test_even_weight_root_tables(self, n):
+        # the roots per weight of the even-weight code on the figure grid
+        # and at the ends of [0, 1), where entries differ by many orders
+        layout = fastcode._span_layout(tuple(fastcode.nn12_generators[: n - 1]), n)
+        kappa = np.concatenate([np.linspace(0.01, 0.99, 99)[:: 1 if n < 9 else 14],
+                                [0.0, 1e-8, 1 - 1e-13]])
+        self.check(fastcode._weight_roots(layout, kappa))
+
+    def test_input_not_mutated(self):
+        table = np.arange(5, dtype=np.float64)
+        saved = table.copy()
+        fwht_by_weight(table)
+        np.testing.assert_array_equal(table, saved)
+
+    def test_zero_rows(self):
+        out = fwht_by_weight(np.empty((0, 4)))
+        assert out.shape == (0, 8) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(1, 17), (4, 15)])
+    def test_working_memory_is_two_buffers(self, shape):
+        # two buffers the size of the output, with no temporary per stage;
+        # beside them, numpy's iteration buffers of up to 8192 entries for
+        # each of a stage's three operands
+        table = np.random.default_rng(0).normal(size=shape)
+        tracemalloc.start()
+        try:
+            fwht_by_weight(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (table.size // table.shape[-1] << shape[-1] - 1) + 3 * 64 * 1024 + 16 * 1024
 
 
 class TestBayesError:
